@@ -38,14 +38,13 @@ from .laws import (
     sample_info_densities,
 )
 from .queueing import (
-    QueueParams,
     ServiceKind,
     ServiceModel,
     TimeSequence,
     departure_epochs,
     poisson_arrivals,
     push_through_queue,
-    sample_service,
+    simulate_block,
     simulate_channel,
 )
 from .rates import (
@@ -64,7 +63,6 @@ from .warden import (
     DetectionTrial,
     Hypothesis,
     detection_experiment,
-    info_density_willie,
     rank_auc,
     run_detection_trials,
     tv_distance_estimate,

@@ -8,7 +8,6 @@ diagnostic ({"error_category": ..., "message": ...}) to stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -51,17 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    payload: dict = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                payload = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ConfigError(f"config {args.config} must hold a JSON object")
+    payload = ExperimentConfig.load_payload(args.config) if args.config else {}
     overrides = {
         "experiment": args.experiment,
         "master_seed": args.seed,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import codec, laws, rates, warden
 from .errors import ConfigError, InstabilityError, OutputError
-from .queueing import QueueParams, ServiceKind, ServiceModel, simulate_channel
+from .queueing import ServiceKind, ServiceModel, TimeSequence, simulate_block, trial_blocks
 
 __all__ = [
     "EXPERIMENTS",
@@ -54,14 +55,26 @@ def service_to_dict(model: ServiceModel) -> dict:
 def service_from_dict(payload: dict) -> ServiceModel:
     try:
         kind = ServiceKind(payload["kind"])
-    except (KeyError, ValueError) as exc:
+        rate = payload["rate"]
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad service law spec: {payload!r}") from exc
-    return ServiceModel(
-        kind=kind,
-        rate=payload["rate"],
-        shape=payload.get("shape"),
-        halfwidth=payload.get("halfwidth"),
-    )
+    shape, halfwidth = payload.get("shape"), payload.get("halfwidth")
+    if not (_is_number(rate) and (shape is None or _is_number(shape, numbers.Integral))
+            and (halfwidth is None or _is_number(halfwidth))):
+        raise ConfigError(f"bad service law spec: {payload!r}")
+    return ServiceModel(kind=kind, rate=rate, shape=shape, halfwidth=halfwidth)
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    """True for a number of ``kind``; a bool is not a number in a config."""
+    return isinstance(value, kind) and not isinstance(value, (bool, np.bool_))
+
+
+def _int_list(name: str, value) -> tuple[int, ...]:
+    if not (isinstance(value, (list, tuple))
+            and all(_is_number(v, numbers.Integral) for v in value)):
+        raise ConfigError(f"{name} must be a list of integers, got {value!r}")
+    return tuple(int(v) for v in value)
 
 
 @dataclass(frozen=True)
@@ -89,8 +102,13 @@ class ExperimentConfig:
             )
         for name in ("arrival_rate", "mu1", "mu2"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and v > 0 and math.isfinite(v)):
-                raise ConfigError(f"{name} must be positive and finite, got {v}")
+            if not (_is_number(v) and v > 0 and math.isfinite(v)):
+                raise ConfigError(f"{name} must be positive and finite, got {v!r}")
+        for name, least in (("trials", 1), ("master_seed", 0), ("workers", 1),
+                            ("enumeration_cap_bits", 0)):
+            v = getattr(self, name)
+            if not (_is_number(v, numbers.Integral) and v >= least):
+                raise ConfigError(f"{name} must be an integer >= {least}, got {v!r}")
         if self.arrival_rate >= min(self.mu1, self.mu2):
             raise InstabilityError(
                 f"arrival rate {self.arrival_rate} >= min service rate "
@@ -98,13 +116,17 @@ class ExperimentConfig:
             )
         if self.willie_service is None:
             object.__setattr__(self, "willie_service", ServiceModel.exponential(self.mu2))
+        if not isinstance(self.willie_service, ServiceModel):
+            raise ConfigError(f"willie_service must be a service law, got {self.willie_service!r}")
         if not math.isclose(self.willie_service.rate, self.mu2, rel_tol=1e-12):
             raise ConfigError(
                 f"willie_service rate {self.willie_service.rate} must equal mu2={self.mu2}"
             )
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
+        if not isinstance(self.width_list, (list, tuple)):
+            raise ConfigError(f"width_list must be a list, got {self.width_list!r}")
+        object.__setattr__(self, "n_list", _int_list("n_list", self.n_list))
         object.__setattr__(
-            self, "width_list", tuple(tuple(int(b) for b in w) for w in self.width_list)
+            self, "width_list", tuple(_int_list("width_list entry", w) for w in self.width_list)
         )
         if any(n < 1 for n in self.n_list):
             raise ConfigError(f"n_list entries must be >= 1, got {self.n_list}")
@@ -114,14 +136,10 @@ class ExperimentConfig:
             raise ConfigError(f"{self.experiment} needs a non-empty n_list")
         if self.experiment in ("decode_sweep", "detection_sweep") and not self.width_list:
             raise ConfigError(f"{self.experiment} needs a non-empty width_list")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.master_seed < 0:
-            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
+        if not isinstance(self.output_path, (str, type(None))):
+            raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
         if self.output_format not in _FORMATS:
             raise ConfigError(f"output_format must be one of {_FORMATS}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
@@ -132,17 +150,14 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if isinstance(payload.get("willie_service"), dict):
             payload["willie_service"] = service_from_dict(payload["willie_service"])
-        if "n_list" in payload:
-            payload["n_list"] = tuple(payload["n_list"])
-        if "width_list" in payload:
-            payload["width_list"] = tuple(tuple(w) for w in payload["width_list"])
         try:
             return cls(**payload)
         except TypeError as exc:
             raise ConfigError(f"bad config: {exc}") from exc
 
-    @classmethod
-    def from_file(cls, path: str) -> "ExperimentConfig":
+    @staticmethod
+    def load_payload(path: str) -> dict:
+        """Read a JSON config file into the dict ``from_dict`` takes."""
         try:
             with open(path) as fh:
                 payload = json.load(fh)
@@ -152,7 +167,11 @@ class ExperimentConfig:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
-        return cls.from_dict(payload)
+        return payload
+
+    @classmethod
+    def from_file(cls, path: str) -> "ExperimentConfig":
+        return cls.from_dict(cls.load_payload(path))
 
 
 @dataclass(frozen=True)
@@ -332,19 +351,24 @@ def _run_decode_sweep(config: ExperimentConfig, param_index: int) -> list[Result
         n, *widths, arrival_rate=lam, seed=_book_seed(config, param_index),
         max_codewords=1 << config.enumeration_cap_bits,
     )
-    queue = QueueParams(bob)
     message_errors = 0
     pair_errors = 0
-    for _ in range(t):
-        w = int(rng.integers(book.num_messages))
-        k = int(rng.integers(book.num_keys))
-        tx = codec.encode(book, w, k, rng)
-        departures = simulate_channel(tx.codeword, queue, rng)
-        result = codec.decode(book, departures, k, bob)
-        if result.message != w:
-            message_errors += 1
-        if result.message != w or result.dummy != tx.dummy:
-            pair_errors += 1
+    # encode a block of trials, push its codewords through the queue at once,
+    # then decode each trial
+    for block in trial_blocks(n, t):
+        sent = [
+            codec.encode(book, int(rng.integers(book.num_messages)),
+                         int(rng.integers(book.num_keys)), rng)
+            for _ in range(block.stop - block.start)
+        ]
+        codewords = np.stack([tx.codeword.values for tx in sent], axis=1)
+        departures = simulate_block(codewords, bob, rng)
+        for j, tx in enumerate(sent):
+            result = codec.decode(book, TimeSequence(departures[:, j]), tx.key, bob)
+            if result.message != tx.message:
+                message_errors += 1
+            if result.message != tx.message or result.dummy != tx.dummy:
+                pair_errors += 1
     p_msg = message_errors / t
     p_pair = pair_errors / t
     return [
@@ -365,8 +389,7 @@ def _run_detection_sweep(config: ExperimentConfig, param_index: int) -> list[Res
         max_codewords=1 << config.enumeration_cap_bits,
     )
     trials = warden.run_detection_trials(book, config.willie_service, lam, config.trials, rng)
-    null = np.array([x.llr for x in trials if x.hypothesis is warden.Hypothesis.NO_MESSAGE])
-    alt = np.array([x.llr for x in trials if x.hypothesis is warden.Hypothesis.MESSAGE])
+    null, alt = warden._split_scores(trials)
     auc = warden.rank_auc(null, alt)
     tv = warden.tv_distance_estimate(null, alt)
     # crude plug-in SE for the ECDF sup-gap

@@ -24,12 +24,11 @@ import numpy as np
 
 from .errors import ParameterError, StructuralError
 from .queueing import (
-    QueueParams,
     ServiceKind,
     ServiceModel,
     TimeSequence,
-    poisson_arrivals,
-    simulate_channel,
+    simulate_block,
+    trial_blocks,
 )
 
 __all__ = [
@@ -51,25 +50,26 @@ class InfoDensitySample:
     feasible: bool
 
 
-def _reconstruct_services(arrivals: TimeSequence, departures: TimeSequence):
-    if len(arrivals) != len(departures):
-        raise StructuralError(
-            f"length mismatch: {len(arrivals)} arrivals vs {len(departures)} departures"
-        )
-    t = arrivals.epochs
-    d = departures.epochs
+def _reconstruct_services(arrival_gaps: np.ndarray, departure_gaps: np.ndarray) -> np.ndarray:
+    """s_k = D_k - max(0, t_k - d_{k-1}) down axis 0, for (n,) or (n, T) gaps."""
+    t = np.cumsum(arrival_gaps, axis=0)
+    d = np.cumsum(departure_gaps, axis=0)
     dprev = np.empty_like(d)
     dprev[0] = 0.0
     dprev[1:] = d[:-1]
     u = np.maximum(t - dprev, 0.0)
-    return departures.values - u
+    return departure_gaps - u
 
 
 def conditional_log_density(
     arrivals: TimeSequence, departures: TimeSequence, model: ServiceModel
 ) -> float:
     """log p(D | A) under the given service law; -inf for infeasible D."""
-    s = _reconstruct_services(arrivals, departures)
+    if len(arrivals) != len(departures):
+        raise StructuralError(
+            f"length mismatch: {len(arrivals)} arrivals vs {len(departures)} departures"
+        )
+    s = _reconstruct_services(arrivals.values, departures.values)
     return float(model.log_density(s).sum())
 
 
@@ -172,14 +172,25 @@ def sample_info_densities(
 
     Each trial sends a fresh Poisson(arrival_rate) block through the queue and
     scores it against the Exp(arrival_rate) reference.  Returns the
-    (trials,)-array of per-packet values.
+    (trials,)-array of per-packet values, -inf for infeasible trials.
+
+    Trials run in the blocks of ``queueing.trial_blocks``.  Each block draws
+    its packet-major (n, T) arrival gaps, then its (n, T) service times, and
+    scores trial j exactly as ``info_density_sample`` scores column j, up to
+    the order of the two per-trial sums.
     """
+    if n < 1:
+        raise StructuralError(f"need n >= 1 packets, got {n}")
+    if not (arrival_rate > 0.0 and math.isfinite(arrival_rate)):
+        raise ParameterError(f"arrival rate must be positive and finite, got {arrival_rate}")
     if trials < 1:
         raise ParameterError(f"need trials >= 1, got {trials}")
-    params = QueueParams(model)
+    log_rate = n * math.log(arrival_rate)
     out = np.empty(trials)
-    for t in range(trials):
-        arrivals = poisson_arrivals(arrival_rate, n, rng)
-        departures = simulate_channel(arrivals, params, rng)
-        out[t] = info_density_sample(arrivals, departures, model, arrival_rate).per_packet_value
+    for block in trial_blocks(n, trials):
+        arrivals = rng.exponential(1.0 / arrival_rate, size=(n, block.stop - block.start))
+        departures = simulate_block(arrivals, model, rng)
+        cond = model.log_density(_reconstruct_services(arrivals, departures)).sum(axis=0)
+        ref = log_rate - arrival_rate * departures.sum(axis=0)
+        out[block] = (cond - ref) / n  # -inf where cond is
     return out

@@ -13,6 +13,23 @@ All sequences are in seconds; rates are per second.  The recursion is kept in
 its sequential form on purpose: reassociating the arithmetic (e.g. a prefix-max
 formulation) changes last-ulp rounding, and downstream consumers rely on the
 exact float semantics of this evaluation order.
+
+The recursion has two loops, both on the arrival epochs t_k (a sequential
+running sum, the same floats as adding the gaps one at a time):
+
+- a scalar loop over packets, for a 1-d input (one block), chosen by
+  ``ndim``;
+- for a packet-major ``(n, T)`` input (T independent blocks, one per column),
+  a loop over the packet index k that applies each step to all T columns at
+  once.
+
+Each element sees the same max-then-add on the same operands in both, so
+every column of a 2-d call is bit-identical to the scalar loop on that column.
+The scalar loop stays for single blocks, and for blocks narrower than
+``_MIN_VECTOR_WIDTH`` columns: a vectorised step pays numpy's per-call
+overhead on every packet, about ten times the cost of a scalar step when the
+block is one column wide.  Batched callers cover their trials in blocks of at
+most ``BLOCK_CELLS`` packets (``trial_blocks``), which bounds their memory.
 """
 
 from __future__ import annotations
@@ -29,19 +46,37 @@ __all__ = [
     "TimeSequence",
     "ServiceKind",
     "ServiceModel",
-    "QueueParams",
-    "sample_service",
+    "BLOCK_CELLS",
+    "trial_blocks",
     "poisson_arrivals",
     "departure_epochs",
     "push_through_queue",
     "simulate_channel",
+    "simulate_block",
 ]
 
+# Most packets (block length x trials) one batched block holds.  2^16 cells
+# keep a block's few (n, T) float arrays near 0.5 MB each, so peak memory does
+# not grow with the trial count, while T stays wide enough to amortise the
+# per-packet numpy calls for every n up to a few thousand.
+BLOCK_CELLS = 1 << 16
 
-def _as_times(values, what: str) -> np.ndarray:
+
+def trial_blocks(n: int, trials: int):
+    """Slices of ``range(trials)`` that batch n-packet trials into blocks.
+
+    Every block holds at most ``BLOCK_CELLS`` packets, and at least one trial.
+    """
+    width = max(1, BLOCK_CELLS // n)
+    for start in range(0, trials, width):
+        yield slice(start, min(start + width, trials))
+
+
+def _as_times(values, what: str, ndims=(1,)) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise StructuralError(f"{what} must be one-dimensional, got shape {arr.shape}")
+    if arr.ndim not in ndims:
+        dims = " or ".join(f"{d}-d" for d in ndims)
+        raise StructuralError(f"{what} must be {dims}, got shape {arr.shape}")
     if arr.size == 0:
         raise StructuralError(f"{what} must contain at least one element")
     if not np.all(np.isfinite(arr)):
@@ -146,17 +181,19 @@ class ServiceModel:
         """Draw n i.i.d. service times."""
         if n < 1:
             raise StructuralError(f"need n >= 1 service times, got {n}")
+        return TimeSequence(self._draw(rng, n))
+
+    def _draw(self, rng: np.random.Generator, size) -> np.ndarray:
+        """i.i.d. service times filling ``size`` in C order, unchecked."""
         if self.kind is ServiceKind.EXPONENTIAL:
-            x = rng.exponential(1.0 / self.rate, size=n)
-        elif self.kind is ServiceKind.ERLANG:
+            return rng.exponential(1.0 / self.rate, size=size)
+        if self.kind is ServiceKind.ERLANG:
             k = int(self.shape)
-            x = rng.gamma(k, 1.0 / (k * self.rate), size=n)
-        elif self.kind is ServiceKind.UNIFORM:
+            return rng.gamma(k, 1.0 / (k * self.rate), size=size)
+        if self.kind is ServiceKind.UNIFORM:
             m = 1.0 / self.rate
-            x = rng.uniform(m - self.halfwidth, m + self.halfwidth, size=n)
-        else:
-            x = np.full(n, 1.0 / self.rate)
-        return TimeSequence(x)
+            return rng.uniform(m - self.halfwidth, m + self.halfwidth, size=size)
+        return np.full(size, 1.0 / self.rate)
 
     def log_density(self, x) -> np.ndarray:
         """Elementwise log density; -inf outside the support.
@@ -188,18 +225,6 @@ class ServiceModel:
         return np.where((x >= lo) & (x <= hi), level, -np.inf)
 
 
-@dataclass(frozen=True)
-class QueueParams:
-    """Channel parameters: one service law, queue started empty at time 0."""
-
-    service: ServiceModel
-
-
-def sample_service(model: ServiceModel, rng: np.random.Generator, n: int) -> TimeSequence:
-    """Draw n i.i.d. service times from the given law."""
-    return model.sample(rng, n)
-
-
 def poisson_arrivals(rate: float, n: int, rng: np.random.Generator) -> TimeSequence:
     """Inter-arrival gaps of a Poisson process: n i.i.d. Exp(rate) draws."""
     if not (rate > 0.0 and math.isfinite(rate)):
@@ -209,40 +234,74 @@ def poisson_arrivals(rate: float, n: int, rng: np.random.Generator) -> TimeSeque
     return TimeSequence(rng.exponential(1.0 / rate, size=n))
 
 
+# Narrowest block the vectorised loop takes; narrower blocks run the scalar
+# loop column by column.  Below it numpy's per-call overhead outweighs the
+# width: at n = 2000 the vectorised loop took 1385, 239, 119, 62 and 32 ns per
+# packet at T = 1, 4, 8, 16 and 32, the scalar loop 107-117 ns at any T.
+_MIN_VECTOR_WIDTH = 8
+
+
+def _scalar_departures(t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Departure epochs of one block from its arrival epochs t and services s."""
+    d = []
+    prev = 0.0
+    for tk, sk in zip(t.tolist(), s.tolist()):
+        prev = (prev if prev > tk else tk) + sk
+        d.append(prev)
+    return np.array(d)
+
+
+def _vector_departures(t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Departure epochs of (n, T) blocks, looping over k and vectorised over T."""
+    d = np.empty_like(t)
+    prev = np.zeros(t.shape[1])
+    for tk, sk, row in zip(t, s, d):
+        np.maximum(prev, tk, out=row)
+        np.add(row, sk, out=row)
+        prev = row
+    return d
+
+
+def _departures(t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Departure epochs d_k = max(d_{k-1}, t_k) + s_k down axis 0.
+
+    Both loops take the same max-then-add on the same operands, so a column
+    of a 2-d call is bit-identical to the 1-d call on that column.
+    """
+    if t.ndim == 1:
+        return _scalar_departures(t, s)
+    if t.shape[1] < _MIN_VECTOR_WIDTH:
+        return np.column_stack([_scalar_departures(tc, sc) for tc, sc in zip(t.T, s.T)])
+    return _vector_departures(t, s)
+
+
 def departure_epochs(arrival_gaps, service_times):
     """Departure epochs d_k and idle gaps U_k for given arrivals and services.
 
     Parameters
     ----------
-    arrival_gaps, service_times : array-like, same length
-        Inter-arrival gaps A_k and service times S_k.
+    arrival_gaps, service_times : array-like, same shape (n,) or (n, T)
+        Inter-arrival gaps A_k and service times S_k.  A 2-d input holds T
+        independent blocks, one per column (packet-major).
 
     Returns
     -------
-    (d, u) : pair of float64 arrays
+    (d, u) : pair of float64 arrays of the input's shape
         d[k] is the k-th departure epoch, u[k] = max(0, t_k - d_{k-1}).
 
-    The loop is the definitional recursion; each step is one add, one max and
-    one add, so the result is bit-reproducible across runs and platforms that
-    share IEEE-754 double semantics.
+    Each step is one add, one max and one add, so the result is
+    bit-reproducible across runs and platforms that share IEEE-754 double
+    semantics, and a column of a 2-d call equals the 1-d call on that column.
     """
-    a = _as_times(arrival_gaps, "arrival gaps")
-    s = _as_times(service_times, "service times")
-    if a.size != s.size:
-        raise StructuralError(f"length mismatch: {a.size} arrivals vs {s.size} services")
-    n = a.size
-    d = np.empty(n)
-    u = np.empty(n)
-    t = 0.0
-    prev = 0.0
-    for k in range(n):
-        t += a[k]
-        gap = t - prev
-        u[k] = gap if gap > 0.0 else 0.0
-        start = prev if prev > t else t
-        prev = start + s[k]
-        d[k] = prev
-    return d, u
+    a = _as_times(arrival_gaps, "arrival gaps", ndims=(1, 2))
+    s = _as_times(service_times, "service times", ndims=(1, 2))
+    if a.shape != s.shape:
+        raise StructuralError(f"shape mismatch: {a.shape} arrivals vs {s.shape} services")
+    t = np.cumsum(a, axis=0)
+    d = _departures(t, s)
+    dprev = np.zeros_like(d)
+    dprev[1:] = d[:-1]
+    return d, np.maximum(t - dprev, 0.0)
 
 
 def push_through_queue(arrivals: TimeSequence, services: TimeSequence):
@@ -258,9 +317,24 @@ def push_through_queue(arrivals: TimeSequence, services: TimeSequence):
 
 
 def simulate_channel(
-    arrivals: TimeSequence, params: QueueParams, rng: np.random.Generator
+    arrivals: TimeSequence, model: ServiceModel, rng: np.random.Generator
 ) -> TimeSequence:
     """Sample service times from the channel law and push arrivals through."""
-    services = params.service.sample(rng, len(arrivals))
+    services = model.sample(rng, len(arrivals))
     departures, _ = push_through_queue(arrivals, services)
     return departures
+
+
+def simulate_block(
+    arrival_gaps, model: ServiceModel, rng: np.random.Generator
+) -> np.ndarray:
+    """Inter-departure gaps of T blocks pushed through T independent queues.
+
+    ``arrival_gaps`` is packet-major ``(n, T)``: column j is one block.  The
+    ``(n, T)`` service times are drawn in one call, in C order.  Column j of
+    the result equals ``simulate_channel`` on column j given the same service
+    times.
+    """
+    a = _as_times(arrival_gaps, "arrival gaps", ndims=(2,))
+    d = _departures(np.cumsum(a, axis=0), model._draw(rng, a.shape))
+    return np.diff(d, axis=0, prepend=0.0)

@@ -26,19 +26,8 @@ import numpy as np
 
 from .codec import Codebook, encode
 from .errors import ParameterError
-from .laws import (
-    InfoDensitySample,
-    conditional_log_density_batch,
-    info_density_sample,
-    poisson_log_density,
-)
-from .queueing import (
-    QueueParams,
-    ServiceModel,
-    TimeSequence,
-    poisson_arrivals,
-    simulate_channel,
-)
+from .laws import conditional_log_density_batch, poisson_log_density
+from .queueing import ServiceModel, TimeSequence, poisson_arrivals, simulate_channel
 
 __all__ = [
     "Hypothesis",
@@ -51,7 +40,6 @@ __all__ = [
     "rank_auc",
     "auc_stderr",
     "tv_distance_estimate",
-    "info_density_willie",
 ]
 
 
@@ -101,13 +89,12 @@ def run_detection_trials(
     """Score ``trials`` blocks per hypothesis through the observer's queue."""
     if trials < 1:
         raise ParameterError(f"need trials >= 1, got {trials}")
-    params = QueueParams(model)
     out = []
     for _ in range(trials):
         message = int(rng.integers(book.num_messages))
         key = int(rng.integers(book.num_keys))
         tx = encode(book, message, key, rng)
-        departures = simulate_channel(tx.codeword, params, rng)
+        departures = simulate_channel(tx.codeword, model, rng)
         out.append(
             DetectionTrial(
                 hypothesis=Hypothesis.MESSAGE,
@@ -116,7 +103,7 @@ def run_detection_trials(
             )
         )
         arrivals = poisson_arrivals(arrival_rate, book.n, rng)
-        departures = simulate_channel(arrivals, params, rng)
+        departures = simulate_channel(arrivals, model, rng)
         out.append(
             DetectionTrial(
                 hypothesis=Hypothesis.NO_MESSAGE,
@@ -203,13 +190,3 @@ def detection_experiment(
     return summarize_detection(
         run_detection_trials(book, model, arrival_rate, trials, rng), book
     )
-
-
-def info_density_willie(
-    arrivals: TimeSequence,
-    departures: TimeSequence,
-    model: ServiceModel,
-    arrival_rate: float,
-) -> InfoDensitySample:
-    """Per-packet information density as seen through the observer's queue."""
-    return info_density_sample(arrivals, departures, model, arrival_rate)

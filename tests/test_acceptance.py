@@ -22,7 +22,6 @@ from covertq.codec import (
 from covertq.harness import ExperimentConfig, emit, run
 from covertq.laws import sample_info_densities
 from covertq.queueing import (
-    QueueParams,
     ServiceModel,
     departure_epochs,
     poisson_arrivals,
@@ -80,7 +79,7 @@ def test_criterion_2_stationary_output_is_poisson(capsys):
     rng = np.random.default_rng(0)
     warm, n = 1_000, 100_000
     arrivals = poisson_arrivals(LAM, warm + n, rng)
-    dep = simulate_channel(arrivals, QueueParams(BOB), rng)
+    dep = simulate_channel(arrivals, BOB, rng)
     stationary = dep.values[warm:]
     result = kstest(stationary, "expon", args=(0.0, 1.0 / LAM))
     ok = result.pvalue > 0.01
@@ -228,7 +227,6 @@ def test_criterion_7_wrong_key_decodes_to_noise(capsys):
     want = 1.0 - 2.0 ** -bits_message
     se = math.sqrt(want * (1.0 - want) / trials)
     fast_bob = ServiceModel.exponential(100.0 * LAM)
-    queue = QueueParams(fast_bob)
     seeds = np.random.SeedSequence(7001).spawn(trials)
     errors = 0
     for seq in seeds:
@@ -239,7 +237,7 @@ def test_criterion_7_wrong_key_decodes_to_noise(capsys):
         w = int(rng.integers(book.num_messages))
         k = int(rng.integers(book.num_keys))
         tx = encode(book, w, k, rng)
-        dep = simulate_channel(tx.codeword, queue, rng)
+        dep = simulate_channel(tx.codeword, fast_bob, rng)
         wrong = (k + 1 + int(rng.integers(book.num_keys - 1))) % book.num_keys
         if decode(book, dep, wrong, fast_bob).message != w:
             errors += 1

@@ -16,7 +16,7 @@ from covertq.codec import (
 )
 from covertq.errors import ParameterError, ResourceLimitError, StructuralError
 from covertq.laws import sample_info_densities
-from covertq.queueing import QueueParams, ServiceModel, TimeSequence, simulate_channel
+from covertq.queueing import ServiceModel, TimeSequence, simulate_channel
 
 BOB = ServiceModel.exponential(50.0)  # high-rate receiver: near-transparent queue
 
@@ -133,10 +133,10 @@ class TestDecode:
     def test_round_trip_through_near_transparent_channel(self):
         book = small_book(n=32, widths=(3, 2, 2))
         rng = np.random.default_rng(9)
-        queue = QueueParams(ServiceModel.exponential(1e6))
+        channel = ServiceModel.exponential(1e6)
         for w in range(8):
             tx = encode(book, w, 3, rng)
-            dep = simulate_channel(tx.codeword, queue, rng)
+            dep = simulate_channel(tx.codeword, channel, rng)
             got = decode(book, dep, 3, ServiceModel.exponential(1e6))
             assert (got.message, got.dummy) == (w, tx.dummy)
             assert not got.failed
@@ -144,7 +144,7 @@ class TestDecode:
     def test_single_codeword_book_decodes_to_zero(self):
         book = generate_codebook(8, 0, 0, 0, arrival_rate=0.5, seed=2)
         rng = np.random.default_rng(10)
-        dep = simulate_channel(book.codeword(0, 0, 0), QueueParams(BOB), rng)
+        dep = simulate_channel(book.codeword(0, 0, 0), BOB, rng)
         got = decode(book, dep, 0, BOB)
         assert (got.message, got.dummy) == (0, 0)
 
@@ -153,14 +153,13 @@ class TestDecode:
         lam = 0.5
         book = generate_codebook(50, 4, 2, 1, arrival_rate=lam, seed=13)
         rng = np.random.default_rng(14)
-        queue = QueueParams(BOB)
         errors = 0
         trials = 10_000
         for _ in range(trials):
             w = int(rng.integers(book.num_messages))
             k = int(rng.integers(book.num_keys))
             tx = encode(book, w, k, rng)
-            dep = simulate_channel(tx.codeword, queue, rng)
+            dep = simulate_channel(tx.codeword, BOB, rng)
             got = decode(book, dep, k, BOB)
             if (got.message, got.dummy) != (w, tx.dummy):
                 errors += 1
@@ -171,10 +170,10 @@ class TestDecode:
 
         book = small_book(n=12, widths=(2, 1, 1))
         rng = np.random.default_rng(15)
-        queue = QueueParams(ServiceModel.exponential(2.0))
+        channel = ServiceModel.exponential(2.0)
         for _ in range(40):
             tx = encode(book, int(rng.integers(4)), 0, rng)
-            dep = simulate_channel(tx.codeword, queue, rng)
+            dep = simulate_channel(tx.codeword, channel, rng)
             got = decode(book, dep, 0, ServiceModel.exponential(2.0))
             truth = conditional_log_density(tx.codeword, dep, ServiceModel.exponential(2.0))
             assert got.log_likelihood >= truth - 1e-9
@@ -193,7 +192,6 @@ class TestDecode:
         # moderate SNR, short blocks: adding codewords can only hurt
         lam, n, trials = 0.5, 6, 2000
         bob = ServiceModel.exponential(1.0)
-        queue = QueueParams(bob)
         rates = []
         for bits in (4, 6, 8, 10):
             book = generate_codebook(n, bits, 0, 0, arrival_rate=lam, seed=16)
@@ -202,7 +200,7 @@ class TestDecode:
             for _ in range(trials):
                 w = int(rng.integers(book.num_messages))
                 tx = encode(book, w, 0, rng)
-                dep = simulate_channel(tx.codeword, queue, rng)
+                dep = simulate_channel(tx.codeword, bob, rng)
                 if decode(book, dep, 0, bob).message != w:
                     errors += 1
             rates.append(errors / trials)
@@ -241,12 +239,11 @@ class TestErrorBounds:
         bob = ServiceModel.exponential(mu1)
         book = generate_codebook(n, 3, 0, 0, arrival_rate=lam, seed=19)
         rng = np.random.default_rng(20)
-        queue = QueueParams(bob)
         errors = 0
         for _ in range(trials):
             w = int(rng.integers(book.num_messages))
             tx = encode(book, w, 0, rng)
-            dep = simulate_channel(tx.codeword, queue, rng)
+            dep = simulate_channel(tx.codeword, bob, rng)
             if decode(book, dep, 0, bob).message != w:
                 errors += 1
         empirical = errors / trials

@@ -273,6 +273,37 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error_category"] == "instability"
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_list", 5),
+        ("width_list", 5),
+        ("arrival_rate", True),
+        ("mu1", True),
+        ("mu2", True),
+        ("trials", True),
+        ("master_seed", True),
+        ("workers", True),
+        ("enumeration_cap_bits", True),
+        ("n_list", [True]),
+        ("width_list", [[True, 1, 1]]),
+    ])
+    def test_malformed_field_exit_code_and_diagnostic(self, tmp_path, capsys, field, value):
+        fields = dict(experiment="decode_sweep", n_list=[4], width_list=[[1, 1, 1]])
+        cfg = self._write_config(tmp_path, **dict(fields, **{field: value}))
+        assert cli_main(["--config", str(cfg)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error_category"] == "config"
+        assert field in err["message"]
+
+    @pytest.mark.parametrize("law", [
+        {"kind": "exponential"},
+        {"kind": "erlang", "rate": 2.0, "shape": True},
+        5,
+    ])
+    def test_malformed_service_law_exit_code_and_diagnostic(self, tmp_path, capsys, law):
+        cfg = self._write_config(tmp_path, willie_service=law)
+        assert cli_main(["--config", str(cfg)]) == 2
+        assert json.loads(capsys.readouterr().err)["error_category"] == "config"
+
     def test_missing_config_file(self, capsys):
         assert cli_main(["--config", "/no/such/file.json"]) == 2
         assert json.loads(capsys.readouterr().err)["error_category"] == "config"

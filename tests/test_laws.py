@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covertq.errors import ParameterError, StructuralError, UnsupportedLawError
 from covertq.laws import (
@@ -12,12 +14,12 @@ from covertq.laws import (
     sample_info_densities,
 )
 from covertq.queueing import (
-    QueueParams,
     ServiceModel,
     TimeSequence,
     poisson_arrivals,
     push_through_queue,
     simulate_channel,
+    trial_blocks,
 )
 
 EXP1 = ServiceModel.exponential(1.0)
@@ -84,7 +86,7 @@ class TestBatchScan:
         gaps = rng.exponential(2.0, (count, n))
         epochs = np.ascontiguousarray(np.cumsum(gaps, axis=1).T)
         a = poisson_arrivals(0.5, n, rng)
-        dep = simulate_channel(a, QueueParams(EXP1), rng)
+        dep = simulate_channel(a, EXP1, rng)
         batch = conditional_log_density_batch(epochs, dep, EXP1)
         for c in range(0, count, 7):
             scalar = conditional_log_density(TimeSequence(gaps[c]), dep, EXP1)
@@ -97,7 +99,7 @@ class TestBatchScan:
         gaps = rng.exponential(2.0, (count, n))
         epochs = np.ascontiguousarray(np.cumsum(gaps, axis=1).T)
         a = poisson_arrivals(0.5, n, rng)
-        dep = simulate_channel(a, QueueParams(model), rng)
+        dep = simulate_channel(a, model, rng)
         batch = conditional_log_density_batch(epochs, dep, model)
         for c in range(count):
             scalar = conditional_log_density(TimeSequence(gaps[c]), dep, model)
@@ -147,7 +149,7 @@ class TestInfoDensity:
     def test_channel_output_is_feasible(self):
         rng = np.random.default_rng(27)
         a = poisson_arrivals(0.5, 100, rng)
-        dep = simulate_channel(a, QueueParams(EXP1), rng)
+        dep = simulate_channel(a, EXP1, rng)
         sample = info_density_sample(a, dep, EXP1, 0.5)
         assert sample.feasible and sample.n == 100
         assert math.isfinite(sample.per_packet_value)
@@ -169,3 +171,74 @@ class TestInfoDensity:
     def test_trials_validation(self):
         with pytest.raises(ParameterError):
             sample_info_densities(10, 0.5, EXP1, 0, np.random.default_rng(0))
+
+
+# service laws at unit scale, and at a 1e12 rate, where the services sit a
+# few ulps of the epochs above zero: the reconstructed uniform services then
+# leave the support in some blocks, which score -inf
+LAWS = {
+    "exponential": ServiceModel.exponential(1.0),
+    "erlang": ServiceModel.erlang(1.0, shape=3),
+    "uniform": ServiceModel.uniform(1.0, halfwidth=0.5),
+    "fast-exponential": ServiceModel.exponential(1e12),
+    "fast-uniform": ServiceModel.uniform(1e12, halfwidth=0.5e-12),
+}
+
+
+def per_trial_densities(n, rate, model, trials, seed):
+    """The batched draws replayed trial by trial through the 1-d path.
+
+    Each block draws its (n, T) arrival gaps, then its (n, T) services, both
+    in C order.  Returns the per-trial values and the magnitude of the two
+    log densities each one is the difference of.
+    """
+    rng = np.random.default_rng(seed)
+    values, scales = [], []
+    for block in trial_blocks(n, trials):
+        width = block.stop - block.start
+        gaps = poisson_arrivals(rate, n * width, rng).values.reshape(n, width)
+        services = model.sample(rng, n * width).values.reshape(n, width)
+        for j in range(width):
+            arrivals = TimeSequence(gaps[:, j])
+            dep, _ = push_through_queue(arrivals, TimeSequence(services[:, j]))
+            values.append(info_density_sample(arrivals, dep, model, rate).per_packet_value)
+            cond = conditional_log_density(arrivals, dep, model)
+            scales.append((abs(cond) + abs(poisson_log_density(dep, rate))) / n)
+    return np.array(values), np.array(scales)
+
+
+def assert_matches_per_trial(n, rate, model, trials, seed):
+    got = sample_info_densities(n, rate, model, trials, np.random.default_rng(seed))
+    want, scale = per_trial_densities(n, rate, model, trials, seed)
+    infeasible = np.isneginf(want)
+    assert np.array_equal(np.isneginf(got), infeasible)
+    got, want, scale = got[~infeasible], want[~infeasible], scale[~infeasible]
+    ok = np.abs(got - want) <= 1e-12 * (np.abs(want) + scale)
+    assert ok.all(), (got[~ok], want[~ok])
+    return infeasible
+
+
+class TestBatchedInfoDensity:
+    @given(
+        n=st.integers(1, 40),
+        trials=st.integers(1, 30),
+        law=st.sampled_from(sorted(LAWS)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_trial_path(self, n, trials, law, seed):
+        assert_matches_per_trial(n, 0.5, LAWS[law], trials, seed)
+
+    def test_matches_per_trial_path_across_blocks(self):
+        # n = 3000 packs 21 trials per block: blocks of 21, 21 and 8
+        assert_matches_per_trial(3000, 0.5, EXP1, 50, 29)
+
+    def test_infeasible_trials_match(self):
+        infeasible = assert_matches_per_trial(40, 0.5, LAWS["fast-uniform"], 200, 30)
+        assert infeasible.any() and not infeasible.all()
+
+    def test_block_length_validation(self):
+        with pytest.raises(StructuralError):
+            sample_info_densities(0, 0.5, EXP1, 10, np.random.default_rng(0))
+        with pytest.raises(ParameterError):
+            sample_info_densities(10, 0.0, EXP1, 10, np.random.default_rng(0))

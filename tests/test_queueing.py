@@ -2,19 +2,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from covertq.errors import ParameterError, StructuralError, UnsupportedLawError
 from covertq.queueing import (
-    QueueParams,
+    BLOCK_CELLS,
     ServiceModel,
     TimeSequence,
     departure_epochs,
     poisson_arrivals,
     push_through_queue,
-    sample_service,
+    simulate_block,
     simulate_channel,
+    trial_blocks,
 )
 
 from oracles import des_departures
@@ -47,7 +49,7 @@ class TestTimeSequence:
 class TestServiceModel:
     def test_deterministic_is_point_mass(self):
         model = ServiceModel.deterministic(2.0)
-        got = sample_service(model, np.random.default_rng(0), 3)
+        got = model.sample(np.random.default_rng(0), 3)
         np.testing.assert_array_equal(got.values, [0.5, 0.5, 0.5])
 
     def test_exponential_mean(self):
@@ -196,11 +198,77 @@ class TestAgainstEventCalendar:
         assert np.all(np.diff(d) >= 0.0)
 
 
+GAPS = st.floats(min_value=0.0, max_value=1e3)
+
+
+@st.composite
+def blocks(draw):
+    """Packet-major (n, T) arrival gaps and service times, n and T from 1.
+
+    T spans both loops: the scalar one per column and the vectorised one.
+    """
+    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 20)))
+    return draw(arrays(np.float64, shape, elements=GAPS)), draw(
+        arrays(np.float64, shape, elements=GAPS)
+    )
+
+
+class TestBatchedRecursion:
+    @given(blocks())
+    @example((np.array([[0.7]]), np.array([[0.4]])))  # n = 1, T = 1
+    @settings(max_examples=80, deadline=None)
+    def test_columns_match_scalar_loop_and_event_calendar(self, block):
+        a, s = block
+        d, u = departure_epochs(a, s)
+        assert d.shape == u.shape == a.shape
+        for j in range(a.shape[1]):
+            d1, u1 = departure_epochs(a[:, j], s[:, j])
+            assert np.array_equal(d[:, j], d1) and np.array_equal(u[:, j], u1)
+            assert np.array_equal(d[:, j], des_departures(a[:, j], s[:, j])[0])
+
+    @given(blocks())
+    @settings(max_examples=80, deadline=None)
+    def test_departure_gap_is_idle_plus_service(self, block):
+        # D_k = U_k + S_k, up to the rounding of the epochs involved
+        a, s = block
+        d, u = departure_epochs(a, s)
+        gaps = np.diff(d, axis=0, prepend=0.0)
+        assert np.all(np.abs(gaps - (u + s)) <= 4.0 * np.spacing(d))
+
+    def test_shape_validation(self):
+        with pytest.raises(StructuralError):
+            departure_epochs(np.ones((3, 2)), np.ones((3, 3)))
+        with pytest.raises(StructuralError):
+            departure_epochs(np.ones((2, 2, 2)), np.ones((2, 2, 2)))
+        with pytest.raises(StructuralError):
+            departure_epochs(np.ones((3, 0)), np.ones((3, 0)))
+        with pytest.raises(StructuralError):
+            simulate_block(np.ones(3), ServiceModel.exponential(1.0), np.random.default_rng(0))
+
+    def test_simulate_block_columns_match_simulate_channel(self):
+        # the block draws its (n, T) services in C order: packet k of trial j
+        # is draw k * T + j
+        n, T = 30, 7
+        model = ServiceModel.erlang(1.0, shape=2)
+        gaps = np.random.default_rng(14).exponential(2.0, (n, T))
+        got = simulate_block(gaps, model, np.random.default_rng(15))
+        services = model.sample(np.random.default_rng(15), n * T).values.reshape(n, T)
+        for j in range(T):
+            dep, _ = push_through_queue(TimeSequence(gaps[:, j]), TimeSequence(services[:, j]))
+            assert np.array_equal(got[:, j], dep.values)
+
+    def test_trial_blocks_cover_trials_within_the_cell_budget(self):
+        for n, trials in ((1, 5), (16, 2000), (3000, 50), (100_000, 3)):
+            widths = [b.stop - b.start for b in trial_blocks(n, trials)]
+            assert sum(widths) == trials and min(widths) >= 1
+            assert all(w == 1 or n * w <= BLOCK_CELLS for w in widths)
+
+
 class TestSimulateChannel:
     def test_near_transparent_channel_preserves_arrivals(self):
         rng = np.random.default_rng(8)
         arrivals = poisson_arrivals(0.5, 200, rng)
-        fast = QueueParams(ServiceModel.exponential(1e9))
+        fast = ServiceModel.exponential(1e9)
         dep = simulate_channel(arrivals, fast, rng)
         np.testing.assert_allclose(dep.values, arrivals.values, atol=1e-6)
 
@@ -215,5 +283,5 @@ class TestSimulateChannel:
         # stable queue passes all packets: long-run departure rate == arrival rate
         rng = np.random.default_rng(10)
         arrivals = poisson_arrivals(0.5, 20_000, rng)
-        dep = simulate_channel(arrivals, QueueParams(ServiceModel.exponential(1.0)), rng)
+        dep = simulate_channel(arrivals, ServiceModel.exponential(1.0), rng)
         assert dep.values.sum() == pytest.approx(arrivals.values.sum(), rel=0.02)

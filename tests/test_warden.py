@@ -8,7 +8,6 @@ from covertq.codec import generate_codebook
 from covertq.errors import ParameterError
 from covertq.laws import info_density_sample
 from covertq.queueing import (
-    QueueParams,
     ServiceModel,
     TimeSequence,
     poisson_arrivals,
@@ -19,7 +18,6 @@ from covertq.warden import (
     Hypothesis,
     auc_stderr,
     detection_experiment,
-    info_density_willie,
     rank_auc,
     run_detection_trials,
     summarize_detection,
@@ -38,10 +36,9 @@ class TestLlr:
         book = generate_codebook(50, 0, 0, 0, arrival_rate=LAM, seed=41)
         fast = ServiceModel.exponential(50.0)
         rng = np.random.default_rng(42)
-        queue = QueueParams(fast)
         hits = 0
         for _ in range(1000):
-            dep = simulate_channel(book.codeword(0, 0, 0), queue, rng)
+            dep = simulate_channel(book.codeword(0, 0, 0), fast, rng)
             if willie_llr(book, dep, fast, LAM) > 5.0:
                 hits += 1
         assert hits >= 990
@@ -53,7 +50,7 @@ class TestLlr:
 
         book = generate_codebook(12, 2, 0, 1, arrival_rate=LAM, seed=43)
         rng = np.random.default_rng(44)
-        dep = simulate_channel(book.codeword(1, 0, 0), QueueParams(WILLIE), rng)
+        dep = simulate_channel(book.codeword(1, 0, 0), WILLIE, rng)
         llr = willie_llr(book, dep, WILLIE, LAM)
         null = poisson_log_density(dep, LAM)
         single = conditional_log_density(book.codeword(1, 0, 0), dep, WILLIE) - null
@@ -113,11 +110,10 @@ class TestDetectionExperiment:
         # feed the summary two null samples: AUC must sit at 1/2 within noise
         book = generate_codebook(20, 2, 1, 1, arrival_rate=LAM, seed=49)
         rng = np.random.default_rng(50)
-        queue = QueueParams(WILLIE)
         scores = []
         for _ in range(1000):
             arrivals = poisson_arrivals(LAM, book.n, rng)
-            dep = simulate_channel(arrivals, queue, rng)
+            dep = simulate_channel(arrivals, WILLIE, rng)
             scores.append(willie_llr(book, dep, WILLIE, LAM))
         scores = np.array(scores)
         finite = scores[np.isfinite(scores)]
@@ -191,21 +187,12 @@ class TestDetectionExperiment:
 
 
 class TestWillieInfoDensity:
-    def test_matches_generic_sample(self):
-        rng = np.random.default_rng(61)
-        arrivals = poisson_arrivals(LAM, 60, rng)
-        dep = simulate_channel(arrivals, QueueParams(WILLIE), rng)
-        ours = info_density_willie(arrivals, dep, WILLIE, LAM)
-        generic = info_density_sample(arrivals, dep, WILLIE, LAM)
-        assert ours == generic
-        assert ours.feasible
-
     def test_mean_matches_adversary_rate_ratio(self):
         # per-packet mean -> ln(mu2/lam) = ln 4 through the observer's queue
         rng = np.random.default_rng(62)
         values = []
         for _ in range(200):
             arrivals = poisson_arrivals(LAM, 400, rng)
-            dep = simulate_channel(arrivals, QueueParams(WILLIE), rng)
-            values.append(info_density_willie(arrivals, dep, WILLIE, LAM).per_packet_value)
+            dep = simulate_channel(arrivals, WILLIE, rng)
+            values.append(info_density_sample(arrivals, dep, WILLIE, LAM).per_packet_value)
         assert np.mean(values) == pytest.approx(math.log(4.0), rel=0.05)
