@@ -6,8 +6,10 @@ flat index layout is
 
     index(w, wt, k) = (w * 2^bits_dummy + wt) * 2^bits_key + k
 
-so the decoder's key-k sub-codebook is a strided slice.  The encoder draws the
-dummy index uniformly per transmission; the decoder searches the sub-codebook
+The cached arrival epochs are stored key-major instead: column
+k * 2^(bits_message + bits_dummy) + w * 2^bits_dummy + wt, so the decoder's
+key-k sub-codebook is a contiguous key block.  The encoder draws the dummy
+index uniformly per transmission; the decoder searches the sub-codebook
 exhaustively for the (message, dummy) pair maximizing the conditional log
 density of the observed departures, breaking ties toward the smallest index.
 
@@ -30,7 +32,7 @@ from .errors import (
     ResourceLimitError,
     StructuralError,
 )
-from .laws import conditional_log_density_batch
+from .laws import scan_tiles
 from .queueing import ServiceModel, TimeSequence
 
 __all__ = [
@@ -64,8 +66,10 @@ class Codebook:
     bits_key: int
     arrival_rate: float
     seed: int
-    codewords: np.ndarray  # (total, n) gaps
-    arrival_epochs: np.ndarray  # (n, total), packet-major for column scans
+    codewords: np.ndarray  # (total, n) gaps, flat index order
+    # (n, total), packet-major for column scans; key-major columns, so key k's
+    # (message, dummy) pairs are the contiguous key block [k * pairs, (k+1) * pairs)
+    arrival_epochs: np.ndarray
 
     @property
     def total(self) -> int:
@@ -82,6 +86,11 @@ class Codebook:
     @property
     def num_keys(self) -> int:
         return 1 << self.bits_key
+
+    @property
+    def num_pairs(self) -> int:
+        """(message, dummy) pairs per key: the width of one key block."""
+        return 1 << (self.bits_message + self.bits_dummy)
 
     def index(self, w: int, wt: int, k: int) -> int:
         self._check_indices(w, wt, k)
@@ -139,7 +148,13 @@ def generate_codebook(
     rng = np.random.default_rng(seed)
     codewords = rng.exponential(1.0 / arrival_rate, size=(total, n))
     codewords.setflags(write=False)
-    epochs = np.ascontiguousarray(np.cumsum(codewords, axis=1).T)
+    # key-major epochs, summed in place packet by packet in cumsum's order
+    gaps = codewords.reshape(1 << (bits_message + bits_dummy), 1 << bits_key, n).T
+    epochs = np.empty(gaps.shape)  # (n, keys, pairs)
+    epochs[0] = gaps[0]
+    for k in range(1, n):
+        np.add(epochs[k - 1], gaps[k], out=epochs[k])
+    epochs = epochs.reshape(n, total)
     epochs.setflags(write=False)
     return Codebook(
         n=n,
@@ -241,16 +256,18 @@ def decode(
         raise StructuralError(
             f"length mismatch: {len(departures)} departures vs n={book.n}"
         )
-    candidates = np.arange(book.num_messages * book.num_dummies) * book.num_keys + key
-    scores = conditional_log_density_batch(
-        book.arrival_epochs[:, candidates], departures, model
-    )
-    best = int(np.argmax(scores))  # first occurrence == smallest (w, wt)
-    feasible = int(np.isfinite(scores).sum())
+    pairs = book.num_pairs
+    block = book.arrival_epochs[:, key * pairs:(key + 1) * pairs]
+    best, top, feasible = 0, -math.inf, 0
+    for start, scores in scan_tiles(block, departures, model):
+        j = int(np.argmax(scores))  # first occurrence == smallest (w, wt)
+        if scores[j] > top:  # strict: an earlier tile keeps its ties
+            best, top = start + j, float(scores[j])
+        feasible += int(np.count_nonzero(scores > -np.inf))
     return DecodeResult(
         message=best >> book.bits_dummy,
         dummy=best & (book.num_dummies - 1),
-        log_likelihood=float(scores[best]),
+        log_likelihood=top,
         feasible_count=feasible,
     )
 

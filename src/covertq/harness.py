@@ -389,15 +389,14 @@ def _run_detection_sweep(config: ExperimentConfig, param_index: int) -> list[Res
         max_codewords=1 << config.enumeration_cap_bits,
     )
     trials = warden.run_detection_trials(book, config.willie_service, lam, config.trials, rng)
+    report = warden.summarize_detection(trials, book)
     null, alt = warden._split_scores(trials)
-    auc = warden.rank_auc(null, alt)
-    tv = warden.tv_distance_estimate(null, alt)
     # crude plug-in SE for the ECDF sup-gap
     tv_se = math.sqrt(0.5 / null.size + 0.5 / alt.size) / 2.0
     t = config.trials
     rows = [
-        _row(config, "auc", params, auc, warden.auc_stderr(null, alt), t),
-        _row(config, "tv_estimate", params, tv, tv_se, t),
+        _row(config, "auc", params, report.auc, warden.auc_stderr(null, alt), t),
+        _row(config, "tv_estimate", params, report.tv_estimate, tv_se, t),
     ]
     # a null block no codeword could have produced scores llr = -inf; keep the
     # emitted moments finite and report that mass separately

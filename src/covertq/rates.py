@@ -26,9 +26,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-from scipy.special import digamma
-
 from .errors import (
     InfeasibleRateError,
     InstabilityError,
@@ -153,6 +150,8 @@ def kl_to_exponential(model: ServiceModel, rate: float) -> float:
         return math.log(a / rate) + rate / a - 1.0
     if model.kind is ServiceKind.ERLANG:
         # Erlang with k stages, mean 1/a: entropy and cross-entropy in closed form
+        from scipy.special import digamma  # scipy costs most of a cold import
+
         k = int(model.shape)
         a = model.rate
         theta = k * a
@@ -165,6 +164,8 @@ def kl_to_exponential(model: ServiceModel, rate: float) -> float:
             + rate / a
         )
     # uniform: integrate f * log(f/g) over the (compact) support
+    from scipy.integrate import quad
+
     m = model.mean
     lo, hi = m - model.halfwidth, m + model.halfwidth
     level = 1.0 / (2.0 * model.halfwidth)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .codec import Codebook, encode
 from .errors import ParameterError
-from .laws import conditional_log_density_batch, poisson_log_density
+from .laws import poisson_log_density, scan_tiles
 from .queueing import ServiceModel, TimeSequence, poisson_arrivals, simulate_channel
 
 __all__ = [
@@ -41,6 +41,8 @@ __all__ = [
     "auc_stderr",
     "tv_distance_estimate",
 ]
+
+_EXP_FLOOR = -700.0
 
 
 class Hypothesis(enum.Enum):
@@ -69,13 +71,30 @@ def willie_llr(
     model: ServiceModel,
     arrival_rate: float,
 ) -> float:
-    """Mixture-vs-stationary log likelihood ratio of one observed block."""
-    scores = conditional_log_density_batch(book.arrival_epochs, observation, model)
-    top = float(scores.max())
-    if not math.isfinite(top):
+    """Mixture-vs-stationary log likelihood ratio of one observed block.
+
+    The log-sum-exp over the codebook streams over the scan's column tiles:
+    a running maximum and a sum of exp(score - maximum), rescaled whenever a
+    tile raises the maximum.
+    """
+    top, total = -math.inf, 0.0
+    for _, scores in scan_tiles(book.arrival_epochs, observation, model):
+        tile_top = float(scores.max())
+        if tile_top == -math.inf:
+            continue  # no feasible codeword in this tile
+        if tile_top > top:
+            total *= math.exp(top - tile_top)
+            top = tile_top
+        np.subtract(scores, top, out=scores)
+        # exp() takes a slow path for -inf and for results below the normal
+        # range; a floor of -700 adds under C * 1e-304 to a sum of at least 1
+        np.maximum(scores, _EXP_FLOOR, out=scores)
+        np.exp(scores, out=scores)
+        total += float(scores.sum())
+    if top == -math.inf:
         mixture = -math.inf  # no codeword could have produced this block
     else:
-        mixture = top + math.log(np.exp(scores - top).sum()) - math.log(scores.size)
+        mixture = top + math.log(total) - math.log(book.arrival_epochs.shape[1])
     return mixture - poisson_log_density(observation, arrival_rate)
 
 

@@ -1,7 +1,7 @@
 """Independent reference implementations used only by the tests.
 
-Nothing here imports the library's queue or rate code: the point is to check
-the package against separately written logic.
+Nothing here imports the library: the point is to check the package against
+separately written logic.
 """
 
 import collections
@@ -98,3 +98,57 @@ def erlang_kl_closed_form(shape, rate_mean_inverse, rate):
         - math.log(rate)
         + rate / a
     )
+
+
+def scan_scores_exponential(arrival_epochs, departure_gaps, rate):
+    """Exp(rate) log p(D | A_c) for every column c of (n, C) arrival epochs.
+
+    The six-pass per-packet loop the library scanned codebooks with before
+    its two-accumulator kernel: s_k = D_k - max(0, t_k - d_{k-1}), a mask
+    s_k >= 0 folded into a feasibility flag, and a running sum of the s_k.
+    """
+    ta = np.asarray(arrival_epochs, dtype=np.float64)
+    gaps = np.asarray(departure_gaps, dtype=np.float64)
+    d = np.cumsum(gaps)
+    n, count = ta.shape
+    buf = np.empty(count)
+    ssum = np.zeros(count)
+    feasible = np.ones(count, dtype=bool)
+    mask = np.empty(count, dtype=bool)
+    prev = 0.0
+    for k in range(n):
+        np.subtract(ta[k], prev, out=buf)
+        np.maximum(buf, 0.0, out=buf)
+        np.subtract(gaps[k], buf, out=buf)
+        np.greater_equal(buf, 0.0, out=mask)
+        np.logical_and(feasible, mask, out=feasible)
+        np.add(ssum, buf, out=ssum)
+        prev = d[k]
+    scores = n * math.log(rate) - rate * ssum
+    scores[~feasible] = -np.inf
+    return scores
+
+
+def scan_scores(arrival_epochs, departure_gaps, log_density):
+    """Sum over packets of ``log_density`` (an elementwise array function) of
+    s_k = D_k - max(0, t_k - d_{k-1}), for every column of (n, C) epochs."""
+    ta = np.asarray(arrival_epochs, dtype=np.float64)
+    gaps = np.asarray(departure_gaps, dtype=np.float64)
+    d = np.cumsum(gaps)
+    n, count = ta.shape
+    buf = np.empty(count)
+    scores = np.zeros(count)
+    prev = 0.0
+    for k in range(n):
+        np.subtract(ta[k], prev, out=buf)
+        np.maximum(buf, 0.0, out=buf)
+        np.subtract(gaps[k], buf, out=buf)
+        scores += log_density(buf)
+        prev = d[k]
+    return scores
+
+
+def key_sub_book(codewords, key, num_keys):
+    """Key ``key``'s (n, pairs) arrival epochs, gathered with a stride from the
+    flat (total, n) codewords, whose index is pair * num_keys + key."""
+    return np.ascontiguousarray(np.cumsum(codewords[key::num_keys], axis=1).T)

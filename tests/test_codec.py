@@ -32,6 +32,16 @@ class TestGenerate:
         assert book.arrival_epochs.shape == (16, 128)
         assert np.all(book.codewords > 0.0)
 
+    def test_epochs_are_key_major(self):
+        book = small_book(widths=(2, 1, 2))
+        assert book.num_pairs == book.num_messages * book.num_dummies
+        for w in range(book.num_messages):
+            for wt in range(book.num_dummies):
+                for k in range(book.num_keys):
+                    column = k * book.num_pairs + w * book.num_dummies + wt
+                    assert np.array_equal(book.arrival_epochs[:, column],
+                                          book.codeword(w, wt, k).epochs)
+
     def test_same_seed_same_book(self):
         assert np.array_equal(small_book(seed=3).codewords, small_book(seed=3).codewords)
         assert not np.array_equal(small_book(seed=3).codewords, small_book(seed=4).codewords)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,3 +278,13 @@ class TestNoKeyNeeded:
         spec_wide = RegionSpec(mu1=1.2, mu2=1.0, kind=RegionKind.MG1, willie_service=model)
         assert math.log(1.2) > 0.11593151565841244
         assert no_key_needed(spec_wide)
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is most of a cold import; only the uniform and Erlang divergences use it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, covertq; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
