@@ -1,14 +1,15 @@
 """Random exponential codebooks, encoding, and maximum-likelihood decoding.
 
-A codebook is a dense array of 2^(bits_message + bits_dummy + bits_key)
-codewords, each an i.i.d. Exp(arrival_rate) gap sequence of length n.  The
-flat index layout is
+A codebook holds 2^(bits_message + bits_dummy + bits_key) codewords, each an
+i.i.d. Exp(arrival_rate) gap sequence of length n.  The gaps are drawn in the
+flat index order
 
     index(w, wt, k) = (w * 2^bits_dummy + wt) * 2^bits_key + k
 
-The cached arrival epochs are stored key-major instead: column
-k * 2^(bits_message + bits_dummy) + w * 2^bits_dummy + wt, so the decoder's
-key-k sub-codebook is a contiguous key block.  The encoder draws the dummy
+but only their running sums are stored: the arrival epochs, key-major, in
+column k * 2^(bits_message + bits_dummy) + w * 2^bits_dummy + wt, so the
+decoder's key-k sub-codebook is a contiguous key block.  A codeword's gaps are
+differenced from its epoch column when it is sent.  The encoder draws the dummy
 index uniformly per transmission; the decoder searches the sub-codebook
 exhaustively for the (message, dummy) pair maximizing the conditional log
 density of the observed departures, breaking ties toward the smallest index.
@@ -28,12 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    OutputError,
     ParameterError,
     ResourceLimitError,
     StructuralError,
 )
 from .laws import scan_tiles
-from .queueing import ServiceModel, TimeSequence
+from .queueing import BLOCK_CELLS, ServiceModel, TimeSequence
 
 __all__ = [
     "CODEBOOK_CAP_BITS",
@@ -58,7 +60,7 @@ _FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class Codebook:
-    """Dense random codebook plus cached cumulative arrival epochs."""
+    """Dense random codebook, stored as its codewords' arrival epochs."""
 
     n: int
     bits_message: int
@@ -66,7 +68,6 @@ class Codebook:
     bits_key: int
     arrival_rate: float
     seed: int
-    codewords: np.ndarray  # (total, n) gaps, flat index order
     # (n, total), packet-major for column scans; key-major columns, so key k's
     # (message, dummy) pairs are the contiguous key block [k * pairs, (k+1) * pairs)
     arrival_epochs: np.ndarray
@@ -93,11 +94,28 @@ class Codebook:
         return 1 << (self.bits_message + self.bits_dummy)
 
     def index(self, w: int, wt: int, k: int) -> int:
+        """Position of codeword (w, wt, k) in the order its gaps are drawn."""
         self._check_indices(w, wt, k)
         return (w * self.num_dummies + wt) * self.num_keys + k
 
+    def column(self, w: int, wt: int, k: int) -> int:
+        """Column of codeword (w, wt, k) in ``arrival_epochs``."""
+        self._check_indices(w, wt, k)
+        return k * self.num_pairs + w * self.num_dummies + wt
+
     def codeword(self, w: int, wt: int, k: int) -> TimeSequence:
-        return TimeSequence(self.codewords[self.index(w, wt, k)])
+        """The gaps of codeword (w, wt, k), differenced from its epoch column.
+
+        They can differ from the drawn gaps in the last ulp, but their running
+        sum is the column bit for bit: each epoch is b = fl(a + g) for the
+        epoch a before it and a gap g >= 0, and then fl(a + fl(b - a)) = b.
+        """
+        epochs = self.arrival_epochs[:, self.column(w, wt, k)]
+        return TimeSequence(np.diff(epochs, prepend=0.0))
+
+    def draw_dummy(self, rng: np.random.Generator) -> int:
+        """A uniform dummy index; nothing is drawn when there are no dummy bits."""
+        return int(rng.integers(self.num_dummies)) if self.bits_dummy > 0 else 0
 
     def _check_indices(self, w: int, wt: int, k: int):
         if not (0 <= w < self.num_messages):
@@ -144,17 +162,25 @@ def generate_codebook(
             f"codebook of 2^{total_bits} codewords exceeds the enumeration cap "
             f"of {max_codewords}"
         )
-    total = 1 << total_bits
+    keys, pairs = 1 << bits_key, 1 << (bits_message + bits_dummy)
     rng = np.random.default_rng(seed)
-    codewords = rng.exponential(1.0 / arrival_rate, size=(total, n))
-    codewords.setflags(write=False)
-    # key-major epochs, summed in place packet by packet in cumsum's order
-    gaps = codewords.reshape(1 << (bits_message + bits_dummy), 1 << bits_key, n).T
-    epochs = np.empty(gaps.shape)  # (n, keys, pairs)
-    epochs[0] = gaps[0]
-    for k in range(1, n):
-        np.add(epochs[k - 1], gaps[k], out=epochs[k])
-    epochs = epochs.reshape(n, total)
+    # The gaps are drawn in flat index order, whole codewords at a time and at
+    # most BLOCK_CELLS gaps per chunk (one codeword when n is larger): a chunk
+    # is a run of pairs with all their keys, or a run of one pair's keys.  So
+    # the stream is consumed as by one (total, n) draw.  Each chunk is summed
+    # down its packets straight into its key-major columns.
+    per_chunk = max(1, BLOCK_CELLS // n)
+    if per_chunk >= keys:
+        key_step, pair_step = keys, per_chunk // keys
+    else:
+        key_step, pair_step = 1 << (per_chunk.bit_length() - 1), 1
+    epochs = np.empty((n, keys, pairs))
+    for p in range(0, pairs, pair_step):
+        q = min(p + pair_step, pairs)
+        for k in range(0, keys, key_step):
+            gaps = rng.exponential(1.0 / arrival_rate, size=(q - p, key_step, n))
+            np.cumsum(gaps.T, axis=0, out=epochs[:, k:k + key_step, p:q])
+    epochs = epochs.reshape(n, keys * pairs)
     epochs.setflags(write=False)
     return Codebook(
         n=n,
@@ -163,7 +189,6 @@ def generate_codebook(
         bits_key=bits_key,
         arrival_rate=arrival_rate,
         seed=int(seed),
-        codewords=codewords,
         arrival_epochs=epochs,
     )
 
@@ -180,28 +205,42 @@ def save_codebook_spec(book: Codebook, path: str):
         "arrival_rate": book.arrival_rate,
         "seed": book.seed,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise OutputError(f"cannot write codebook snapshot to {path}: {exc}") from exc
+
+
+def _snapshot_field(payload: dict, name: str, path: str):
+    """A snapshot's integer field, or its real ``arrival_rate``; a bool is neither."""
+    value = payload.get(name)
+    kind = (int, float) if name == "arrival_rate" else int
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise StructuralError(f"codebook snapshot {path}: bad {name} {value!r}")
+    return value
 
 
 def load_codebook(path: str, max_codewords: int = 1 << CODEBOOK_CAP_BITS) -> Codebook:
     """Regenerate a codebook from its persisted snapshot."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != _FORMAT_TAG:
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise StructuralError(f"cannot read codebook snapshot {path}: {exc}") from exc
+    except ValueError as exc:  # not JSON, or not text
+        raise StructuralError(f"{path} is not a codebook snapshot: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("format") != _FORMAT_TAG:
         raise StructuralError(f"{path} is not a codebook snapshot")
-    if payload.get("version") != _FORMAT_VERSION:
-        raise StructuralError(f"unsupported codebook snapshot version {payload.get('version')}")
-    return generate_codebook(
-        n=payload["n"],
-        bits_message=payload["bits_message"],
-        bits_dummy=payload["bits_dummy"],
-        bits_key=payload["bits_key"],
-        arrival_rate=payload["arrival_rate"],
-        seed=payload["seed"],
-        max_codewords=max_codewords,
-    )
+    version = payload.get("version")
+    if version != _FORMAT_VERSION or isinstance(version, bool):
+        raise StructuralError(f"unsupported codebook snapshot version {version!r}")
+    fields = {name: _snapshot_field(payload, name, path) for name in
+              ("n", "bits_message", "bits_dummy", "bits_key", "arrival_rate", "seed")}
+    if fields["seed"] < 0:
+        raise StructuralError(f"codebook snapshot {path}: bad seed {fields['seed']!r}")
+    return generate_codebook(**fields, max_codewords=max_codewords)
 
 
 @dataclass(frozen=True)
@@ -216,7 +255,7 @@ class Transmission:
 
 def encode(book: Codebook, message: int, key: int, rng: np.random.Generator) -> Transmission:
     """Pick a uniform dummy index and look up the codeword for (w, wt, k)."""
-    dummy = int(rng.integers(book.num_dummies)) if book.bits_dummy > 0 else 0
+    dummy = book.draw_dummy(rng)
     return Transmission(
         message=message,
         dummy=dummy,
@@ -240,7 +279,7 @@ class DecodeResult:
 
 def decode(
     book: Codebook,
-    departures: TimeSequence,
+    departures: TimeSequence | np.ndarray,
     key: int,
     model: ServiceModel,
 ) -> DecodeResult:
@@ -249,17 +288,22 @@ def decode(
     Scores every (message, dummy) candidate by the conditional log density of
     the departures given the candidate's arrivals, and returns the argmax with
     first-index (lexicographic) tie-breaking.
+
+    ``departures`` holds the n inter-departure gaps: a ``TimeSequence``, whose
+    values were checked when it was made, or a 1-d float array that the
+    library made, such as a column of ``queueing.simulate_block``.
     """
     if not (0 <= key < book.num_keys):
         raise StructuralError(f"key index {key} out of range [0, {book.num_keys})")
-    if len(departures) != book.n:
+    gaps = np.asarray(departures, dtype=np.float64)
+    if gaps.shape != (book.n,):
         raise StructuralError(
-            f"length mismatch: {len(departures)} departures vs n={book.n}"
+            f"length mismatch: departures of shape {gaps.shape} vs n={book.n}"
         )
     pairs = book.num_pairs
     block = book.arrival_epochs[:, key * pairs:(key + 1) * pairs]
     best, top, feasible = 0, -math.inf, 0
-    for start, scores in scan_tiles(block, departures, model):
+    for start, scores in scan_tiles(block, gaps, model):
         j = int(np.argmax(scores))  # first occurrence == smallest (w, wt)
         if scores[j] > top:  # strict: an earlier tile keeps its ties
             best, top = start + j, float(scores[j])

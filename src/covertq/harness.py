@@ -16,14 +16,13 @@ import csv
 import json
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import codec, laws, rates, warden
 from .errors import ConfigError, InstabilityError, OutputError
-from .queueing import ServiceKind, ServiceModel, TimeSequence, simulate_block, trial_blocks
+from .queueing import ServiceKind, ServiceModel, simulate_block, trial_blocks
 
 __all__ = [
     "EXPERIMENTS",
@@ -353,22 +352,22 @@ def _run_decode_sweep(config: ExperimentConfig, param_index: int) -> list[Result
     )
     message_errors = 0
     pair_errors = 0
-    # encode a block of trials, push its codewords through the queue at once,
-    # then decode each trial
+    # draw a block of trials as codec.encode would (message, key, then dummy),
+    # gather their epoch columns, push them through the queue at once, then
+    # decode each departure column
     for block in trial_blocks(n, t):
         sent = [
-            codec.encode(book, int(rng.integers(book.num_messages)),
-                         int(rng.integers(book.num_keys)), rng)
+            (int(rng.integers(book.num_messages)), int(rng.integers(book.num_keys)),
+             book.draw_dummy(rng))
             for _ in range(block.stop - block.start)
         ]
-        codewords = np.stack([tx.codeword.values for tx in sent], axis=1)
-        departures = simulate_block(codewords, bob, rng)
-        for j, tx in enumerate(sent):
-            result = codec.decode(book, TimeSequence(departures[:, j]), tx.key, bob)
-            if result.message != tx.message:
-                message_errors += 1
-            if result.message != tx.message or result.dummy != tx.dummy:
-                pair_errors += 1
+        columns = [book.column(w, wt, k) for w, k, wt in sent]
+        arrivals = np.diff(book.arrival_epochs[:, columns], axis=0, prepend=0.0)
+        departures = simulate_block(arrivals, bob, rng)
+        for (message, key, dummy), gaps in zip(sent, departures.T):
+            result = codec.decode(book, gaps, key, bob)
+            message_errors += result.message != message
+            pair_errors += (result.message, result.dummy) != (message, dummy)
     p_msg = message_errors / t
     p_pair = pair_errors / t
     return [
@@ -432,6 +431,9 @@ def run(config: ExperimentConfig) -> list[ResultRow]:
     if config.workers == 1:
         chunks = [_run_point(config, i) for i in indices]
     else:
+        # imported here: it costs every `import covertq` 15 ms otherwise
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             futures = [pool.submit(_run_point, config, i) for i in indices]
             chunks = [f.result() for f in futures]  # merge in param order

@@ -81,7 +81,7 @@ def conditional_log_density(
 
 def conditional_log_density_batch(
     arrival_epochs: np.ndarray,
-    departures: TimeSequence,
+    departures: TimeSequence | np.ndarray,
     model: ServiceModel,
     work: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -92,7 +92,7 @@ def conditional_log_density_batch(
     arrival_epochs : (n, C) float array
         Column c holds candidate c's cumulative arrival epochs.  Packet-major
         layout so each per-packet slice is contiguous.
-    departures : TimeSequence of length n
+    departures : TimeSequence, or (n,) float array, of inter-departure gaps
     model : ServiceModel with a density
     work : optional (3, W) float array with W >= C
         Scratch space, so that a caller scanning tile after tile allocates
@@ -108,12 +108,13 @@ def conditional_log_density_batch(
     ta = np.asarray(arrival_epochs, dtype=np.float64)
     if ta.ndim != 2:
         raise StructuralError(f"arrival epochs must be 2-d, got shape {ta.shape}")
-    n = len(departures)
+    gaps = np.asarray(departures, dtype=np.float64)
+    n = len(gaps)
     if ta.shape[0] != n:
         raise StructuralError(
             f"length mismatch: {ta.shape[0]} packet rows vs {n} departures"
         )
-    d = departures.epochs.tolist()
+    d = np.cumsum(gaps).tolist()
     count = ta.shape[1]
     if work is None:
         work = np.empty((3, count))
@@ -144,7 +145,8 @@ def conditional_log_density_batch(
     return scores
 
 
-def scan_tiles(arrival_epochs: np.ndarray, departures: TimeSequence, model: ServiceModel):
+def scan_tiles(arrival_epochs: np.ndarray, departures: TimeSequence | np.ndarray,
+               model: ServiceModel):
     """Score the candidates in column tiles of ``SCAN_TILE``.
 
     Yields ``(start, scores)`` where ``scores`` is

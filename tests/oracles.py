@@ -148,6 +148,21 @@ def scan_scores(arrival_epochs, departure_gaps, log_density):
     return scores
 
 
+def flat_codewords(book):
+    """A codebook's (total, n) gaps in flat index order, (w * dummies + wt) *
+    keys + k, redrawn in one shot from its seed."""
+    rng = np.random.default_rng(book.seed)
+    return rng.exponential(1.0 / book.arrival_rate, size=(book.total, book.n))
+
+
+def key_major_epochs(codewords, num_keys):
+    """(n, total) running sums of flat (total, n) codewords, in key-major
+    columns: column key * pairs + pair holds flat codeword pair * num_keys + key."""
+    total, n = codewords.shape
+    by_pair = np.cumsum(codewords, axis=1).reshape(total // num_keys, num_keys, n)
+    return np.ascontiguousarray(by_pair.transpose(2, 1, 0).reshape(n, total))
+
+
 def key_sub_book(codewords, key, num_keys):
     """Key ``key``'s (n, pairs) arrival epochs, gathered with a stride from the
     flat (total, n) codewords, whose index is pair * num_keys + key."""

@@ -1,8 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covertq.codec import (
     Codebook,
@@ -14,9 +17,11 @@ from covertq.codec import (
     random_coding_error_bounds,
     save_codebook_spec,
 )
-from covertq.errors import ParameterError, ResourceLimitError, StructuralError
+from covertq.errors import OutputError, ParameterError, ResourceLimitError, StructuralError
 from covertq.laws import sample_info_densities
-from covertq.queueing import ServiceModel, TimeSequence, simulate_channel
+from covertq.queueing import BLOCK_CELLS, ServiceModel, TimeSequence, simulate_channel
+
+import oracles
 
 BOB = ServiceModel.exponential(50.0)  # high-rate receiver: near-transparent queue
 
@@ -28,27 +33,30 @@ def small_book(seed=7, n=16, widths=(3, 2, 2), lam=0.5):
 class TestGenerate:
     def test_shape_and_positivity(self):
         book = small_book()
-        assert book.codewords.shape == (128, 16)
         assert book.arrival_epochs.shape == (16, 128)
-        assert np.all(book.codewords > 0.0)
+        assert np.all(np.diff(book.arrival_epochs, axis=0, prepend=0.0) > 0.0)
 
     def test_epochs_are_key_major(self):
         book = small_book(widths=(2, 1, 2))
         assert book.num_pairs == book.num_messages * book.num_dummies
+        drawn = oracles.flat_codewords(book)
         for w in range(book.num_messages):
             for wt in range(book.num_dummies):
                 for k in range(book.num_keys):
                     column = k * book.num_pairs + w * book.num_dummies + wt
+                    assert book.column(w, wt, k) == column
                     assert np.array_equal(book.arrival_epochs[:, column],
-                                          book.codeword(w, wt, k).epochs)
+                                          np.cumsum(drawn[book.index(w, wt, k)]))
 
     def test_same_seed_same_book(self):
-        assert np.array_equal(small_book(seed=3).codewords, small_book(seed=3).codewords)
-        assert not np.array_equal(small_book(seed=3).codewords, small_book(seed=4).codewords)
+        assert np.array_equal(small_book(seed=3).arrival_epochs, small_book(seed=3).arrival_epochs)
+        assert not np.array_equal(small_book(seed=3).arrival_epochs,
+                                  small_book(seed=4).arrival_epochs)
 
     def test_symbols_have_exponential_mean(self):
         book = generate_codebook(50, 4, 2, 3, arrival_rate=0.5, seed=11)
-        assert book.codewords.mean() == pytest.approx(2.0, rel=0.02)
+        gaps = np.diff(book.arrival_epochs, axis=0, prepend=0.0)
+        assert gaps.mean() == pytest.approx(2.0, rel=0.02)
 
     def test_single_codeword_book(self):
         book = generate_codebook(4, 0, 0, 0, arrival_rate=1.0, seed=0)
@@ -79,13 +87,62 @@ class TestGenerate:
             book.index(4, 0, 0)
 
 
+class TestChunkedGenerator:
+    """The chunked draw against a one-shot redraw of the book from its seed."""
+
+    @pytest.mark.parametrize("n, widths", [
+        (5, (0, 0, 0)),       # one codeword
+        (16, (3, 2, 2)),      # the whole book in one chunk
+        (20, (11, 0, 2)),     # chunks of 819 pairs: the last one ends mid-book
+        (4, (7, 7, 6)),       # 64 chunks of 256 pairs
+        (2048, (1, 0, 6)),    # a pair row of 2^17 gaps: chunks of 32 keys
+        (3000, (0, 1, 5)),    # chunks of 16 of a pair's 32 keys
+        (BLOCK_CELLS + 3, (0, 0, 1)),  # a codeword longer than a chunk
+    ])
+    def test_epochs_are_the_key_major_cumsum_of_one_draw(self, n, widths):
+        book = generate_codebook(n, *widths, arrival_rate=0.5, seed=23)
+        want = oracles.key_major_epochs(oracles.flat_codewords(book), book.num_keys)
+        assert np.array_equal(book.arrival_epochs.view(np.uint64), want.view(np.uint64))
+
+    @given(
+        n=st.integers(1, 40),
+        widths=st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)),
+        rate=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_codeword_gaps_sum_back_to_their_epochs(self, n, widths, rate, seed):
+        book = generate_codebook(n, *widths, arrival_rate=rate, seed=seed)
+        for w in range(book.num_messages):
+            for wt in range(book.num_dummies):
+                for k in range(book.num_keys):
+                    column = book.arrival_epochs[:, book.column(w, wt, k)]
+                    got = book.codeword(w, wt, k).epochs
+                    assert np.array_equal(got.view(np.uint64), column.view(np.uint64))
+
+    @given(a=st.floats(0.0, 1e300), gap=st.floats(0.0, 1e300))
+    def test_difference_adds_back_exactly(self, a, gap):
+        # why the differenced gaps sum back: b = fl(a + gap) => fl(a + fl(b - a)) = b
+        b = a + gap
+        assert a + (b - a) == b
+
+    def test_peak_memory_is_about_one_book(self):
+        tracemalloc.start()
+        try:
+            book = generate_codebook(4, 7, 7, 6, arrival_rate=0.5, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * book.arrival_epochs.nbytes
+
+
 class TestPersistence:
     def test_snapshot_round_trip(self, tmp_path):
         book = small_book(seed=21)
         path = tmp_path / "book.json"
         save_codebook_spec(book, str(path))
         clone = load_codebook(str(path))
-        assert np.array_equal(book.codewords, clone.codewords)
+        assert np.array_equal(book.arrival_epochs, clone.arrival_epochs)
         assert (clone.n, clone.bits_message, clone.bits_dummy, clone.bits_key) == (16, 3, 2, 2)
 
     def test_snapshot_stores_only_the_recipe(self, tmp_path):
@@ -106,6 +163,53 @@ class TestPersistence:
             load_codebook(str(path))
 
 
+    @pytest.mark.parametrize("change", [
+        {"n": None},            # missing
+        {"n": "4"},
+        {"n": True},
+        {"n": 4.0},
+        {"bits_key": [2]},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"arrival_rate": True},
+        {"arrival_rate": "0.5"},
+        {"arrival_rate": None},
+        {"version": True},
+        {"version": 2},
+        {"format": None},
+    ])
+    def test_bad_fields_are_structural_errors(self, tmp_path, change):
+        path = tmp_path / "book.json"
+        save_codebook_spec(small_book(seed=21), str(path))
+        payload = json.loads(path.read_text())
+        for name, value in change.items():
+            if value is None:
+                del payload[name]
+            else:
+                payload[name] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(StructuralError):
+            load_codebook(str(path))
+
+    @pytest.mark.parametrize("content", ["", "{", "[1, 2]", "null", b"\xff\xfe"])
+    def test_unparsable_snapshots_are_structural_errors(self, tmp_path, content):
+        path = tmp_path / "book.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        with pytest.raises(StructuralError):
+            load_codebook(str(path))
+
+    @pytest.mark.parametrize("name", ["missing.json", "."])
+    def test_unreadable_snapshot_is_a_structural_error(self, tmp_path, name):
+        with pytest.raises(StructuralError):
+            load_codebook(str(tmp_path / name))
+
+    def test_unwritable_snapshot_is_an_output_error(self, tmp_path):
+        with pytest.raises(OutputError):
+            save_codebook_spec(small_book(), str(tmp_path / "no" / "book.json"))
+
 class TestEncode:
     def test_indices_recorded_and_codeword_matches(self):
         book = small_book()
@@ -113,7 +217,7 @@ class TestEncode:
         tx = encode(book, 5, 2, rng)
         assert tx.message == 5 and tx.key == 2
         row = book.index(tx.message, tx.dummy, tx.key)
-        assert np.array_equal(tx.codeword.values, book.codewords[row])
+        assert np.array_equal(tx.codeword.epochs, np.cumsum(oracles.flat_codewords(book)[row]))
 
     def test_no_dummy_bits_means_zero_dummy(self):
         book = generate_codebook(8, 2, 0, 1, arrival_rate=1.0, seed=1)

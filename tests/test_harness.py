@@ -1,11 +1,16 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from covertq import harness, queueing
 from covertq.cli import main as cli_main
+from covertq.codec import decode, encode, generate_codebook
 from covertq.errors import ConfigError, InstabilityError, OutputError
 from covertq.harness import (
     ExperimentConfig,
@@ -18,7 +23,7 @@ from covertq.harness import (
     service_from_dict,
     service_to_dict,
 )
-from covertq.queueing import ServiceModel
+from covertq.queueing import ServiceModel, TimeSequence, simulate_block
 
 
 def base_config(**overrides):
@@ -173,6 +178,41 @@ class TestSweeps:
         assert means[("willie", 30)] > means[("bob", 30)]
 
 
+    def test_decode_sweep_matches_per_trial_encode_and_decode(self):
+        # the sweep's gathered block against the public calls, trial by trial:
+        # the same draws (message, key, dummy, then the block's services)
+        cfg = base_config(experiment="decode_sweep", n_list=(6,), width_list=((3, 1, 1),),
+                          trials=300)
+        rows = {r.metric: r.value for r in run(cfg)}
+        bob = ServiceModel.exponential(cfg.mu1)
+        book = generate_codebook(6, 3, 1, 1, arrival_rate=cfg.arrival_rate,
+                                 seed=harness._book_seed(cfg, 0))
+        rng = harness._point_rng(cfg, 0, 0)
+        sent = [encode(book, int(rng.integers(book.num_messages)),
+                       int(rng.integers(book.num_keys)), rng) for _ in range(cfg.trials)]
+        departures = simulate_block(np.stack([tx.codeword.values for tx in sent], axis=1),
+                                    bob, rng)
+        got = [decode(book, TimeSequence(departures[:, j]), tx.key, bob)
+               for j, tx in enumerate(sent)]
+        errors = sum(r.message != tx.message for r, tx in zip(got, sent))
+        pair_errors = sum((r.message, r.dummy) != (tx.message, tx.dummy)
+                          for r, tx in zip(got, sent))
+        assert 0 < errors < cfg.trials
+        assert rows["message_error_rate"] == errors / cfg.trials
+        assert rows["pair_error_rate"] == pair_errors / cfg.trials
+
+    def test_decode_sweep_checks_times_per_block_not_per_trial(self, monkeypatch):
+        calls = []
+        check = queueing._as_times
+        monkeypatch.setattr(queueing, "_as_times", lambda *a, **k: calls.append(1) or check(*a, **k))
+        counts = []
+        for trials in (3, 90):  # one block each
+            calls.clear()
+            run(base_config(experiment="decode_sweep", n_list=(8,), width_list=((2, 1, 1),),
+                            trials=trials))
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
 class TestReproduce:
     def test_every_row_reproduces_from_its_seed(self):
         cfg = base_config(
@@ -318,3 +358,14 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+
+def test_import_leaves_process_pools_unloaded():
+    # a process pool is only needed for workers > 1; its modules cost every cold import
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = ("import sys, covertq; print(sorted(m for m in sys.modules"
+             " if m in ('concurrent.futures.process', 'multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -169,15 +169,6 @@ class TestWillieLlr:
         assert (want == -math.inf) == (observed == "infeasible")
 
 
-def with_codewords(book, codewords):
-    """``book`` with other codewords, epochs laid out key-major as documented:
-    column key * pairs + pair holds flat codeword pair * keys + key."""
-    pairs, keys = book.num_pairs, book.num_keys
-    flat = (np.arange(pairs)[None, :] * keys + np.arange(keys)[:, None]).ravel()
-    epochs = np.ascontiguousarray(np.cumsum(codewords[flat], axis=1).T)
-    return replace(book, codewords=codewords, arrival_epochs=epochs)
-
-
 class TestDecode:
     @given(
         widths=st.sampled_from([(0, 0, 0), (2, 1, 1), (10, 2, 2), (13, 2, 1), (15, 1, 1)]),
@@ -190,17 +181,19 @@ class TestDecode:
         model = LAWS["exponential"]
         rng = np.random.default_rng(seed)
         book = generate_codebook(n, *widths, arrival_rate=LAM, seed=seed)
+        codewords = oracles.flat_codewords(book)
         if grid:  # half-integer gaps: exact ties, also across tiles
-            book = with_codewords(book, rng.integers(0, 6, book.codewords.shape) / 2.0)
+            codewords = rng.integers(0, 6, codewords.shape) / 2.0
+            book = replace(book, arrival_epochs=oracles.key_major_epochs(codewords, book.num_keys))
         key = int(rng.integers(book.num_keys))
         sent = int(rng.integers(book.num_pairs))
-        arrivals = TimeSequence(book.codewords[sent * book.num_keys + key])
+        arrivals = TimeSequence(codewords[sent * book.num_keys + key])
         if grid:
             departures, _ = oracles.des_departures(arrivals.values, grid_services(model, rng, n))
             departures = TimeSequence(np.diff(departures, prepend=0.0))
         else:
             departures = simulate_channel(arrivals, model, rng)
-        scores = oracle_scores(oracles.key_sub_book(book.codewords, key, book.num_keys),
+        scores = oracle_scores(oracles.key_sub_book(codewords, key, book.num_keys),
                                departures, model)
         best = int(np.argmax(scores))
         got = decode(book, departures, key, model)
@@ -216,7 +209,8 @@ class TestDecode:
         book = generate_codebook(3, 15, 1, 1, arrival_rate=LAM, seed=5)
         departures = TimeSequence([1e-12] * 3)
         scores = oracles.scan_scores_exponential(
-            oracles.key_sub_book(book.codewords, 1, book.num_keys), departures.values, 2.0
+            oracles.key_sub_book(oracles.flat_codewords(book), 1, book.num_keys),
+            departures.values, 2.0,
         )
         assert np.isneginf(scores).all()
         got = decode(book, departures, 1, LAWS["exponential"])
