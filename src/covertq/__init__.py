@@ -31,7 +31,6 @@ from .errors import (
 )
 from .harness import ExperimentConfig, ResultRow, emit, load_rows, reproduce_metric, run
 from .laws import (
-    InfoDensitySample,
     conditional_log_density,
     info_density_sample,
     poisson_log_density,
@@ -59,12 +58,9 @@ from .rates import (
     no_key_needed,
 )
 from .warden import (
-    DetectionReport,
-    DetectionTrial,
-    Hypothesis,
-    detection_experiment,
     rank_auc,
     run_detection_trials,
+    summarize_detection,
     tv_distance_estimate,
     willie_llr,
 )

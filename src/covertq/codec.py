@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,14 +127,21 @@ class Codebook:
             raise StructuralError(f"key index {k} out of range [0, {self.num_keys})")
 
 
-def _check_widths(bits_message: int, bits_dummy: int, bits_key: int):
-    for name, b in (
-        ("bits_message", bits_message),
-        ("bits_dummy", bits_dummy),
-        ("bits_key", bits_key),
-    ):
-        if b != int(b) or b < 0:
-            raise ParameterError(f"{name} must be a non-negative integer, got {b}")
+def _check_sizes(n: int, bits_message: int, bits_dummy: int, bits_key: int) -> list[int]:
+    """n >= 1 and widths >= 0, each an integer (numpy's too) and not a bool.
+
+    Returns them as Python ints.
+    """
+    sizes = (
+        ("n", n, 1),
+        ("bits_message", bits_message, 0),
+        ("bits_dummy", bits_dummy, 0),
+        ("bits_key", bits_key, 0),
+    )
+    for name, value, least in sizes:
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+            raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+    return [int(value) for _, value, _ in sizes]
 
 
 def generate_codebook(
@@ -151,9 +159,7 @@ def generate_codebook(
     ``max_codewords``; large-rate regimes must use the certified bounds
     instead of enumeration.
     """
-    if n < 1:
-        raise ParameterError(f"need n >= 1 packets, got {n}")
-    _check_widths(bits_message, bits_dummy, bits_key)
+    n, bits_message, bits_dummy, bits_key = _check_sizes(n, bits_message, bits_dummy, bits_key)
     if not (arrival_rate > 0.0 and math.isfinite(arrival_rate)):
         raise ParameterError(f"arrival rate must be positive, got {arrival_rate}")
     total_bits = bits_message + bits_dummy + bits_key

@@ -387,30 +387,9 @@ def _run_detection_sweep(config: ExperimentConfig, param_index: int) -> list[Res
         n, *widths, arrival_rate=lam, seed=_book_seed(config, param_index),
         max_codewords=1 << config.enumeration_cap_bits,
     )
-    trials = warden.run_detection_trials(book, config.willie_service, lam, config.trials, rng)
-    report = warden.summarize_detection(trials, book)
-    null, alt = warden._split_scores(trials)
-    # crude plug-in SE for the ECDF sup-gap
-    tv_se = math.sqrt(0.5 / null.size + 0.5 / alt.size) / 2.0
-    t = config.trials
-    rows = [
-        _row(config, "auc", params, report.auc, warden.auc_stderr(null, alt), t),
-        _row(config, "tv_estimate", params, report.tv_estimate, tv_se, t),
-    ]
-    # a null block no codeword could have produced scores llr = -inf; keep the
-    # emitted moments finite and report that mass separately
-    finite_null = null[np.isfinite(null)]
-    rows.append(
-        _row(config, "llr_infeasible_fraction", params,
-             1.0 - finite_null.size / null.size, 0.0, t)
-    )
-    for name, scores in (("mean_llr_null", finite_null), ("mean_llr_message", alt)):
-        if scores.size > 1:
-            rows.append(
-                _row(config, name, params, scores.mean(),
-                     scores.std(ddof=1) / math.sqrt(scores.size), t)
-            )
-    return rows
+    null, alt = warden.run_detection_trials(book, config.willie_service, lam, config.trials, rng)
+    return [_row(config, metric, params, value, stderr, config.trials)
+            for metric, (value, stderr) in warden.summarize_detection(null, alt).items()]
 
 
 _RUNNERS = {

@@ -18,7 +18,6 @@ exponential-service queue), i.e. i.i.d. Exp(rate) gaps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .queueing import (
 
 __all__ = [
     "SCAN_TILE",
-    "InfoDensitySample",
     "conditional_log_density",
     "conditional_log_density_batch",
     "scan_tiles",
@@ -45,15 +43,6 @@ __all__ = [
 # Columns per tile of a codebook scan.  At n=4 a tile's epochs (1 MiB) and its
 # three work arrays (256 KiB each) stay in a 4 MiB L2 cache across the scan.
 SCAN_TILE = 1 << 15
-
-
-@dataclass(frozen=True)
-class InfoDensitySample:
-    """One block's information density, normalized per packet (nats/packet)."""
-
-    per_packet_value: float
-    n: int
-    feasible: bool
 
 
 def _reconstruct_services(arrival_gaps: np.ndarray, departure_gaps: np.ndarray) -> np.ndarray:
@@ -175,19 +164,16 @@ def info_density_sample(
     departures: TimeSequence,
     model: ServiceModel,
     reference_rate: float,
-) -> InfoDensitySample:
-    """Per-packet information density of one block.
+) -> float:
+    """Per-packet information density of one block, in nats/packet.
 
-    (1/n) * [log p(D|A; model) - log q(D; Exp(reference_rate) gaps)], in
-    nats/packet.  ``feasible`` is False (and the value -inf) when D cannot
-    have been produced from A under the model.
+    (1/n) * [log p(D|A; model) - log q(D; Exp(reference_rate) gaps)], or
+    -inf when D cannot have been produced from A under the model.
     """
-    n = len(departures)
     cond = conditional_log_density(arrivals, departures, model)
     if not math.isfinite(cond):
-        return InfoDensitySample(per_packet_value=-math.inf, n=n, feasible=False)
-    ref = poisson_log_density(departures, reference_rate)
-    return InfoDensitySample(per_packet_value=(cond - ref) / n, n=n, feasible=True)
+        return -math.inf
+    return (cond - poisson_log_density(departures, reference_rate)) / len(departures)
 
 
 def sample_info_densities(

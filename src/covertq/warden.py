@@ -18,9 +18,7 @@ No operation here takes a key argument; the observer never has one.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,39 +28,15 @@ from .laws import poisson_log_density, scan_tiles
 from .queueing import ServiceModel, TimeSequence, poisson_arrivals, simulate_channel
 
 __all__ = [
-    "Hypothesis",
-    "DetectionTrial",
-    "DetectionReport",
     "willie_llr",
     "run_detection_trials",
     "summarize_detection",
-    "detection_experiment",
     "rank_auc",
     "auc_stderr",
     "tv_distance_estimate",
 ]
 
 _EXP_FLOOR = -700.0
-
-
-class Hypothesis(enum.Enum):
-    NO_MESSAGE = "no-message"
-    MESSAGE = "message"
-
-
-@dataclass(frozen=True)
-class DetectionTrial:
-    hypothesis: Hypothesis
-    observation: TimeSequence
-    llr: float
-
-
-@dataclass(frozen=True)
-class DetectionReport:
-    auc: float
-    tv_estimate: float
-    trials_per_hypothesis: int
-    codebook_total_bits: int
 
 
 def willie_llr(
@@ -104,40 +78,23 @@ def run_detection_trials(
     arrival_rate: float,
     trials: int,
     rng: np.random.Generator,
-) -> list[DetectionTrial]:
-    """Score ``trials`` blocks per hypothesis through the observer's queue."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score ``trials`` blocks per hypothesis through the observer's queue.
+
+    Returns the ``(null, alt)`` llr arrays.  Trial i draws a message, a key,
+    ``encode``'s dummy and the services of that codeword (``alt[i]``), then
+    a Poisson block and its services (``null[i]``).
+    """
     if trials < 1:
         raise ParameterError(f"need trials >= 1, got {trials}")
-    out = []
-    for _ in range(trials):
+    null, alt = np.empty(trials), np.empty(trials)
+    for i in range(trials):
         message = int(rng.integers(book.num_messages))
         key = int(rng.integers(book.num_keys))
-        tx = encode(book, message, key, rng)
-        departures = simulate_channel(tx.codeword, model, rng)
-        out.append(
-            DetectionTrial(
-                hypothesis=Hypothesis.MESSAGE,
-                observation=departures,
-                llr=willie_llr(book, departures, model, arrival_rate),
-            )
-        )
-        arrivals = poisson_arrivals(arrival_rate, book.n, rng)
-        departures = simulate_channel(arrivals, model, rng)
-        out.append(
-            DetectionTrial(
-                hypothesis=Hypothesis.NO_MESSAGE,
-                observation=departures,
-                llr=willie_llr(book, departures, model, arrival_rate),
-            )
-        )
-    return out
-
-
-def _split_scores(trials: list[DetectionTrial]):
-    null = np.array([t.llr for t in trials if t.hypothesis is Hypothesis.NO_MESSAGE])
-    alt = np.array([t.llr for t in trials if t.hypothesis is Hypothesis.MESSAGE])
-    if null.size == 0 or alt.size == 0:
-        raise ParameterError("need trials under both hypotheses")
+        departures = simulate_channel(encode(book, message, key, rng).codeword, model, rng)
+        alt[i] = willie_llr(book, departures, model, arrival_rate)
+        departures = simulate_channel(poisson_arrivals(arrival_rate, book.n, rng), model, rng)
+        null[i] = willie_llr(book, departures, model, arrival_rate)
     return null, alt
 
 
@@ -186,26 +143,41 @@ def tv_distance_estimate(null_scores, alt_scores) -> float:
     return float(max(0.0, np.max(f0 - f1)))
 
 
-def summarize_detection(trials: list[DetectionTrial], book: Codebook) -> DetectionReport:
-    null, alt = _split_scores(trials)
-    return DetectionReport(
-        auc=rank_auc(null, alt),
-        tv_estimate=tv_distance_estimate(null, alt),
-        trials_per_hypothesis=min(null.size, alt.size),
-        codebook_total_bits=book.bits_message + book.bits_dummy + book.bits_key,
-    )
+def summarize_detection(null_scores, alt_scores) -> dict[str, tuple[float, float]]:
+    """Every statistic of a detection run, as ``{metric: (value, stderr)}``.
 
+    The metrics, in the order the detection sweep emits them:
 
-def detection_experiment(
-    book: Codebook,
-    model: ServiceModel,
-    arrival_rate: float,
-    trials: int,
-    rng: np.random.Generator,
-) -> DetectionReport:
-    """Full detection run: simulate, score, and summarize both hypotheses."""
-    if trials < 100:
-        raise ParameterError(f"need trials >= 100 for a stable summary, got {trials}")
-    return summarize_detection(
-        run_detection_trials(book, model, arrival_rate, trials, rng), book
-    )
+    - ``auc``: the rank AUC of the message llr scores against the no-message
+      ones; stderr: the DeLong placement-value SE.
+    - ``tv_estimate``: the plug-in total-variation estimate; stderr: the
+      plug-in scale sqrt(0.5/n0 + 0.5/n1)/2, which is not a derived standard
+      error.
+    - ``llr_infeasible_fraction``: the share of no-message blocks that no
+      codeword could have produced (llr = -inf); stderr: 0.
+    - ``mean_llr_null`` and ``mean_llr_message``: the llr means, the
+      no-message one over its finite scores only; stderr: the sample SE.
+      Each is present only when it has more than one score.
+
+    Each hypothesis needs at least 2 trials (scores).
+    """
+    null = np.asarray(null_scores, dtype=np.float64)
+    alt = np.asarray(alt_scores, dtype=np.float64)
+    if null.size < 2 or alt.size < 2:
+        raise ParameterError(
+            f"need at least 2 trials per hypothesis, got {null.size} no-message "
+            f"and {alt.size} message scores"
+        )
+    # keep the means finite and report the -inf null mass separately
+    finite_null = null[np.isfinite(null)]
+    out = {
+        "auc": (rank_auc(null, alt), auc_stderr(null, alt)),
+        "tv_estimate": (
+            tv_distance_estimate(null, alt), math.sqrt(0.5 / null.size + 0.5 / alt.size) / 2.0
+        ),
+        "llr_infeasible_fraction": (1.0 - finite_null.size / null.size, 0.0),
+    }
+    for name, scores in (("mean_llr_null", finite_null), ("mean_llr_message", alt)):
+        if scores.size > 1:
+            out[name] = (float(scores.mean()), float(scores.std(ddof=1) / math.sqrt(scores.size)))
+    return out

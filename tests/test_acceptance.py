@@ -36,7 +36,7 @@ from covertq.rates import (
     kl_to_exponential,
     min_key_rate_mm1,
 )
-from covertq.warden import Hypothesis, rank_auc, run_detection_trials
+from covertq.warden import rank_auc, run_detection_trials
 
 from oracles import des_departures
 
@@ -141,16 +141,12 @@ def test_criterion_5_detection_tracks_resolvability(capsys):
 
     under_book = generate_codebook(200, 2, 1, 1, arrival_rate=LAM, seed=5001)
     rng = np.random.default_rng(5002)
-    under = run_detection_trials(under_book, WILLIE, LAM, trials, rng)
-    llr0 = np.array([t.llr for t in under if t.hypothesis is Hypothesis.NO_MESSAGE])
-    llr1 = np.array([t.llr for t in under if t.hypothesis is Hypothesis.MESSAGE])
+    llr0, llr1 = run_detection_trials(under_book, WILLIE, LAM, trials, rng)
     auc_under = rank_auc(llr0, llr1)
 
     over_book = generate_codebook(4, 7, 7, 6, arrival_rate=LAM, seed=5003)
     rng = np.random.default_rng(5004)
-    over = run_detection_trials(over_book, WILLIE, LAM, trials, rng)
-    llr0 = np.array([t.llr for t in over if t.hypothesis is Hypothesis.NO_MESSAGE])
-    llr1 = np.array([t.llr for t in over if t.hypothesis is Hypothesis.MESSAGE])
+    llr0, llr1 = run_detection_trials(over_book, WILLIE, LAM, trials, rng)
     auc_over = rank_auc(llr0, llr1)
     null_mean = llr0[np.isfinite(llr0)].mean()
 

@@ -77,6 +77,29 @@ class TestGenerate:
         with pytest.raises(ParameterError):
             generate_codebook(0, 1, 0, 0, arrival_rate=1.0, seed=0)
 
+    @pytest.mark.parametrize("n, widths", [
+        (4, (2.0, 0, 0)),
+        (4, (0, 0, 1.5)),
+        (4.0, (1, 0, 0)),
+        (True, (1, 0, 0)),
+        (4, (True, 0, 0)),
+        (4, (0, np.bool_(True), 0)),
+        (np.float64(4.0), (1, 0, 0)),
+    ])
+    def test_non_integer_sizes_are_parameter_errors(self, n, widths):
+        with pytest.raises(ParameterError):
+            generate_codebook(n, *widths, arrival_rate=1.0, seed=0)
+
+    @pytest.mark.parametrize("n, widths", [(4, (2, 0, 1)), (BLOCK_CELLS // 2, (0, 0, 2))])
+    def test_numpy_integer_sizes_are_accepted(self, tmp_path, n, widths):
+        # stored as Python ints: a chunk of one pair's keys and the snapshot need them
+        book = generate_codebook(np.int64(n), *np.array(widths), arrival_rate=1.0, seed=0)
+        want = generate_codebook(n, *widths, arrival_rate=1.0, seed=0)
+        sizes = (book.n, book.bits_message, book.bits_dummy, book.bits_key)
+        assert sizes == (n, *widths) and all(type(v) is int for v in sizes)
+        assert np.array_equal(book.arrival_epochs, want.arrival_epochs)
+        save_codebook_spec(book, str(tmp_path / "book.json"))
+
     def test_index_layout_is_key_minor(self):
         book = small_book(widths=(2, 1, 3))
         # adjacent keys are adjacent rows; dummy then message are higher strides

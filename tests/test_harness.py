@@ -344,6 +344,19 @@ class TestCli:
         assert cli_main(["--config", str(cfg)]) == 2
         assert json.loads(capsys.readouterr().err)["error_category"] == "config"
 
+    @pytest.mark.parametrize("flags, cap_bits, code, category", [
+        (["--trials", "1"], 20, 2, "parameter"),  # one score per hypothesis has no spread
+        (["--trials", "2"], 3, 4, "resource-limit"),  # a 2^4 book over a 2^3 cap
+    ])
+    def test_run_time_error_exit_code_and_diagnostic(self, tmp_path, capsys, flags, cap_bits,
+                                                     code, category):
+        cfg = self._write_config(tmp_path, n_list=[4], width_list=[[2, 1, 1]],
+                                 enumeration_cap_bits=cap_bits)
+        assert cli_main(["--config", str(cfg), "--experiment", "detection_sweep", *flags]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error_category"] == category
+
     def test_missing_config_file(self, capsys):
         assert cli_main(["--config", "/no/such/file.json"]) == 2
         assert json.loads(capsys.readouterr().err)["error_category"] == "config"

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from covertq.codec import generate_codebook
+from covertq.codec import encode, generate_codebook
 from covertq.errors import ParameterError
+from covertq.harness import ExperimentConfig, run
 from covertq.laws import info_density_sample
 from covertq.queueing import (
     ServiceModel,
@@ -14,10 +15,7 @@ from covertq.queueing import (
     simulate_channel,
 )
 from covertq.warden import (
-    DetectionReport,
-    Hypothesis,
     auc_stderr,
-    detection_experiment,
     rank_auc,
     run_detection_trials,
     summarize_detection,
@@ -27,6 +25,21 @@ from covertq.warden import (
 
 LAM = 0.5
 WILLIE = ServiceModel.exponential(2.0)
+
+
+def replay_observations(book, trials, seed):
+    """``run_detection_trials``' blocks, drawn trial by trial in its order.
+
+    Returns the (null, alt) lists of observed departure gaps.
+    """
+    rng = np.random.default_rng(seed)
+    null, alt = [], []
+    for _ in range(trials):
+        message = int(rng.integers(book.num_messages))
+        key = int(rng.integers(book.num_keys))
+        alt.append(simulate_channel(encode(book, message, key, rng).codeword, WILLIE, rng))
+        null.append(simulate_channel(poisson_arrivals(LAM, book.n, rng), WILLIE, rng))
+    return null, alt
 
 
 class TestLlr:
@@ -63,7 +76,7 @@ class TestLlr:
 
     def test_detector_never_sees_a_key(self):
         # structural covertness check: no key parameter anywhere in the API
-        for fn in (willie_llr, run_detection_trials, detection_experiment):
+        for fn in (willie_llr, run_detection_trials, summarize_detection):
             assert "key" not in inspect.signature(fn).parameters
 
 
@@ -129,11 +142,9 @@ class TestDetectionExperiment:
     def test_under_resolved_codebook_is_detected(self):
         book = generate_codebook(200, 2, 1, 1, arrival_rate=LAM, seed=51)
         rng = np.random.default_rng(52)
-        report = detection_experiment(book, WILLIE, LAM, 150, rng)
-        assert isinstance(report, DetectionReport)
-        assert report.auc > 0.6
-        assert report.trials_per_hypothesis == 150
-        assert report.codebook_total_bits == 4
+        null, alt = run_detection_trials(book, WILLIE, LAM, 150, rng)
+        assert null.shape == alt.shape == (150,)
+        assert summarize_detection(null, alt)["auc"][0] > 0.6
 
     def test_tv_shrinks_as_codebook_grows(self):
         # same block length, growing randomness: the output mixture approaches
@@ -143,8 +154,8 @@ class TestDetectionExperiment:
         for bits, seed in rng_seeds.items():
             book = generate_codebook(4, bits - 2, 1, 1, arrival_rate=LAM, seed=seed)
             rng = np.random.default_rng(seed + 100)
-            report = detection_experiment(book, WILLIE, LAM, 400, rng)
-            tvs.append(report.tv_estimate)
+            null, alt = run_detection_trials(book, WILLIE, LAM, 400, rng)
+            tvs.append(summarize_detection(null, alt)["tv_estimate"][0])
         slack = 2 * math.sqrt(0.5 / 400)
         assert tvs[1] <= tvs[0] + slack
         assert tvs[2] <= tvs[1] + slack
@@ -154,18 +165,10 @@ class TestDetectionExperiment:
         # the likelihood ratio is the optimal test: no moment statistic of the
         # block should out-rank it (up to Monte Carlo noise)
         book = generate_codebook(50, 3, 1, 0, arrival_rate=LAM, seed=56)
-        rng = np.random.default_rng(57)
-        trials = run_detection_trials(book, WILLIE, LAM, 400, rng)
-        llr0 = np.array([t.llr for t in trials if t.hypothesis is Hypothesis.NO_MESSAGE])
-        llr1 = np.array([t.llr for t in trials if t.hypothesis is Hypothesis.MESSAGE])
-        mean0 = np.array([t.observation.values.mean() for t in trials
-                          if t.hypothesis is Hypothesis.NO_MESSAGE])
-        mean1 = np.array([t.observation.values.mean() for t in trials
-                          if t.hypothesis is Hypothesis.MESSAGE])
-        var0 = np.array([t.observation.values.var() for t in trials
-                         if t.hypothesis is Hypothesis.NO_MESSAGE])
-        var1 = np.array([t.observation.values.var() for t in trials
-                         if t.hypothesis is Hypothesis.MESSAGE])
+        llr0, llr1 = run_detection_trials(book, WILLIE, LAM, 400, np.random.default_rng(57))
+        obs0, obs1 = replay_observations(book, 400, 57)
+        mean0, mean1 = ([d.values.mean() for d in obs] for obs in (obs0, obs1))
+        var0, var1 = ([d.values.var() for d in obs] for obs in (obs0, obs1))
         auc_llr = rank_auc(llr0, llr1)
         se = auc_stderr(llr0, llr1)
         for x0, x1 in ((mean0, mean1), (var0, var1)):
@@ -175,15 +178,33 @@ class TestDetectionExperiment:
     def test_summarize_requires_both_hypotheses(self):
         book = generate_codebook(8, 1, 0, 0, arrival_rate=LAM, seed=58)
         rng = np.random.default_rng(59)
-        trials = [t for t in run_detection_trials(book, WILLIE, LAM, 5, rng)
-                  if t.hypothesis is Hypothesis.MESSAGE]
+        _, alt = run_detection_trials(book, WILLIE, LAM, 5, rng)
         with pytest.raises(ParameterError):
-            summarize_detection(trials, book)
+            summarize_detection(np.empty(0), alt)
 
-    def test_minimum_trial_count_enforced(self):
-        book = generate_codebook(8, 1, 0, 0, arrival_rate=LAM, seed=60)
+    @pytest.mark.parametrize("sizes", [(1, 5), (5, 1), (1, 1)])
+    def test_summarize_needs_two_scores_per_hypothesis(self, sizes):
         with pytest.raises(ParameterError):
-            detection_experiment(book, WILLIE, LAM, 99, np.random.default_rng(0))
+            summarize_detection(np.zeros(sizes[0]), np.ones(sizes[1]))
+
+    def test_arrays_replay_the_per_trial_draws(self):
+        # the draw order criterion 5's pinned seeds rely on: per trial, the
+        # encoded block and its services, then a Poisson block and its services
+        book = generate_codebook(6, 2, 1, 1, arrival_rate=LAM, seed=63)
+        null, alt = run_detection_trials(book, WILLIE, LAM, 40, np.random.default_rng(64))
+        obs0, obs1 = replay_observations(book, 40, 64)
+        for got, obs in ((null, obs0), (alt, obs1)):
+            assert got.dtype == np.float64 and got.shape == (40,)
+            want = np.array([willie_llr(book, d, WILLIE, LAM) for d in obs])
+            assert np.array_equal(got, want)
+        # the summary's keys are the rows a sweep at this shape emits, in order
+        rows = run(ExperimentConfig(
+            experiment="detection_sweep", arrival_rate=LAM, mu1=1.0, mu2=2.0,
+            n_list=(6,), width_list=((2, 1, 1),), trials=40, master_seed=65,
+        ))
+        assert list(summarize_detection(null, alt)) == [row.metric for row in rows] == [
+            "auc", "tv_estimate", "llr_infeasible_fraction", "mean_llr_null", "mean_llr_message",
+        ]
 
 
 class TestWillieInfoDensity:
@@ -194,5 +215,5 @@ class TestWillieInfoDensity:
         for _ in range(200):
             arrivals = poisson_arrivals(LAM, 400, rng)
             dep = simulate_channel(arrivals, WILLIE, rng)
-            values.append(info_density_sample(arrivals, dep, WILLIE, LAM).per_packet_value)
+            values.append(info_density_sample(arrivals, dep, WILLIE, LAM))
         assert np.mean(values) == pytest.approx(math.log(4.0), rel=0.05)
