@@ -30,12 +30,7 @@ from .errors import (
     UnsupportedLawError,
 )
 from .harness import ExperimentConfig, ResultRow, emit, load_rows, reproduce_metric, run
-from .laws import (
-    conditional_log_density,
-    info_density_sample,
-    poisson_log_density,
-    sample_info_densities,
-)
+from .laws import info_density_sample, poisson_log_density, sample_info_densities
 from .queueing import (
     ServiceKind,
     ServiceModel,

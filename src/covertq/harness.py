@@ -108,6 +108,9 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not (_is_number(v, numbers.Integral) and v >= least):
                 raise ConfigError(f"{name} must be an integer >= {least}, got {v!r}")
+        if self.experiment == "detection_sweep" and self.trials < 2:
+            raise ConfigError(f"detection_sweep needs trials >= 2, one score per hypothesis "
+                              f"has no spread; got {self.trials}")
         if self.arrival_rate >= min(self.mu1, self.mu2):
             raise InstabilityError(
                 f"arrival rate {self.arrival_rate} >= min service rate "
@@ -407,13 +410,14 @@ def _run_point(config: ExperimentConfig, param_index: int) -> list[ResultRow]:
 def run(config: ExperimentConfig) -> list[ResultRow]:
     """Execute the experiment and return rows in deterministic order."""
     indices = range(len(param_points(config)))
-    if config.workers == 1:
+    workers = min(config.workers, len(indices))  # a pool forks all its workers at once
+    if workers <= 1:
         chunks = [_run_point(config, i) for i in indices]
     else:
         # imported here: it costs every `import covertq` 15 ms otherwise
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_point, config, i) for i in indices]
             chunks = [f.result() for f in futures]  # merge in param order
     return [row for chunk in chunks for row in chunk]

@@ -100,6 +100,23 @@ def erlang_kl_closed_form(shape, rate_mean_inverse, rate):
     )
 
 
+def conditional_log_density(arrival_gaps, departure_gaps, log_density):
+    """log p(D | A) of one block: the sum of ``log_density`` (an elementwise
+    array function) at the services s_k = D_k - max(0, t_k - d_{k-1}).
+
+    The per-trial scorer the library had before its kernel took one column of
+    departures per candidate: it rebuilds the idle time before each service
+    from the gaps instead of forming d_k - max(t_k, d_{k-1}) from the epochs.
+    """
+    a = np.asarray(arrival_gaps, dtype=np.float64)
+    gaps = np.asarray(departure_gaps, dtype=np.float64)
+    t = np.cumsum(a)
+    d = np.cumsum(gaps)
+    dprev = np.concatenate([[0.0], d[:-1]])
+    services = gaps - np.maximum(t - dprev, 0.0)
+    return float(log_density(services).sum())
+
+
 def scan_scores_exponential(arrival_epochs, departure_gaps, rate):
     """Exp(rate) log p(D | A_c) for every column c of (n, C) arrival epochs.
 

@@ -303,8 +303,6 @@ class TestDecode:
         assert errors / trials < 1e-3
 
     def test_reported_likelihood_is_maximal(self):
-        from covertq.laws import conditional_log_density
-
         book = small_book(n=12, widths=(2, 1, 1))
         rng = np.random.default_rng(15)
         channel = ServiceModel.exponential(2.0)
@@ -312,7 +310,7 @@ class TestDecode:
             tx = encode(book, int(rng.integers(4)), 0, rng)
             dep = simulate_channel(tx.codeword, channel, rng)
             got = decode(book, dep, 0, ServiceModel.exponential(2.0))
-            truth = conditional_log_density(tx.codeword, dep, ServiceModel.exponential(2.0))
+            truth = oracles.conditional_log_density(tx.codeword, dep, channel.log_density)
             assert got.log_likelihood >= truth - 1e-9
             assert got.feasible_count >= 1  # the true codeword is always feasible
 

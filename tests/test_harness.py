@@ -1,14 +1,16 @@
+import concurrent.futures
 import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from covertq import harness, queueing
+from covertq import codec, harness, queueing
 from covertq.cli import main as cli_main
 from covertq.codec import decode, encode, generate_codebook
 from covertq.errors import ConfigError, InstabilityError, OutputError
@@ -127,6 +129,37 @@ class TestDeterminism:
         emit(rows1, str(p1))
         emit(rows2, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("experiment, points", [
+        ("region_table", 1), ("info_density", 4), ("detection_sweep", 2),
+    ])
+    def test_at_most_one_process_per_point(self, monkeypatch, experiment, points):
+        pools = []
+
+        class InlinePool:
+            """Records the pool size asked for and runs each task at once."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        cfg = base_config(experiment=experiment, n_list=(6, 10), width_list=((2, 1, 1),),
+                          trials=20)
+        assert len(param_points(cfg)) == points
+        rows = run(replace(cfg, workers=5000))
+        assert pools == ([] if points == 1 else [points])
+        assert rows == run(cfg)
 
     def test_different_seed_changes_stochastic_rows(self):
         cfg1 = base_config(experiment="info_density", n_list=(20,), trials=40, master_seed=1)
@@ -345,7 +378,7 @@ class TestCli:
         assert json.loads(capsys.readouterr().err)["error_category"] == "config"
 
     @pytest.mark.parametrize("flags, cap_bits, code, category", [
-        (["--trials", "1"], 20, 2, "parameter"),  # one score per hypothesis has no spread
+        (["--trials", "1"], 20, 2, "config"),  # one score per hypothesis has no spread
         (["--trials", "2"], 3, 4, "resource-limit"),  # a 2^4 book over a 2^3 cap
     ])
     def test_run_time_error_exit_code_and_diagnostic(self, tmp_path, capsys, flags, cap_bits,
@@ -356,6 +389,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert json.loads(err)["error_category"] == category
+
+    def test_single_detection_trial_rejected_before_any_codebook(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        built = []
+        monkeypatch.setattr(codec, "generate_codebook", lambda *a, **k: built.append(a))
+        cfg = self._write_config(tmp_path, n_list=[4], width_list=[[20, 0, 0]])
+        assert cli_main(["--config", str(cfg), "--experiment", "detection_sweep",
+                         "--trials", "1"]) == 2
+        assert json.loads(capsys.readouterr().err)["error_category"] == "config"
+        assert built == []
 
     def test_missing_config_file(self, capsys):
         assert cli_main(["--config", "/no/such/file.json"]) == 2

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from covertq.errors import ParameterError, StructuralError, UnsupportedLawError
 from covertq.laws import (
-    conditional_log_density,
     conditional_log_density_batch,
     info_density_sample,
     poisson_log_density,
@@ -22,7 +21,20 @@ from covertq.queueing import (
     trial_blocks,
 )
 
+import oracles
+
 EXP1 = ServiceModel.exponential(1.0)
+
+
+def kernel_log_density(arrivals, departures, model):
+    """log p(D | A) of one block: one column of the kernel, with its own
+    column of departures."""
+    epochs = np.cumsum(np.asarray(arrivals))[:, None]
+    return float(conditional_log_density_batch(epochs, np.asarray(departures)[:, None], model)[0])
+
+
+def oracle_log_density(arrivals, departures, model):
+    return oracles.conditional_log_density(arrivals, departures, model.log_density)
 
 
 class TestConditionalLogDensity:
@@ -30,12 +42,15 @@ class TestConditionalLogDensity:
         # services (0.5, 2.0) at rate 1: total = 2*log(1) - 2.5
         a = TimeSequence([1.0, 1.0])
         d = TimeSequence([1.5, 2.5])
-        assert conditional_log_density(a, d, EXP1) == pytest.approx(-2.5, abs=1e-12)
+        assert kernel_log_density(a, d, EXP1) == pytest.approx(-2.5, abs=1e-12)
+        # the same block with departures shared by every column
+        shared = conditional_log_density_batch(a.epochs[:, None], d, EXP1)
+        assert shared[0] == pytest.approx(-2.5, abs=1e-12)
 
     def test_departure_before_arrival_is_infeasible(self):
         a = TimeSequence([1.0, 1.0])
         d = TimeSequence([0.5, 0.1])  # second departure epoch 0.6 < arrival epoch 2
-        assert conditional_log_density(a, d, EXP1) == -math.inf
+        assert kernel_log_density(a, d, EXP1) == -math.inf
 
     def test_round_trip_recovers_true_services(self):
         # gap->epoch conversion costs a few ulps, nothing more
@@ -45,18 +60,18 @@ class TestConditionalLogDensity:
             a = TimeSequence(rng.exponential(2.0, n))
             s = TimeSequence(rng.exponential(1.0, n))
             dep, _ = push_through_queue(a, s)
-            got = conditional_log_density(a, dep, EXP1)
+            got = kernel_log_density(a, dep, EXP1)
             want = float(np.sum(math.log(1.0) - 1.0 * s.values))
             assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
     def test_length_mismatch(self):
         with pytest.raises(StructuralError):
-            conditional_log_density(TimeSequence([1.0]), TimeSequence([1.0, 2.0]), EXP1)
+            kernel_log_density(TimeSequence([1.0]), TimeSequence([1.0, 2.0]), EXP1)
 
     def test_deterministic_law_rejected(self):
         a = TimeSequence([1.0])
         with pytest.raises(UnsupportedLawError):
-            conditional_log_density(a, TimeSequence([1.5]), ServiceModel.deterministic(2.0))
+            kernel_log_density(a, TimeSequence([1.5]), ServiceModel.deterministic(2.0))
 
     def test_erlang_law_value(self):
         # single packet, idle start: s = D - A; Erlang-2 density at s
@@ -65,7 +80,7 @@ class TestConditionalLogDensity:
         d = TimeSequence([1.7])
         s = 0.7
         want = math.log(4.0) + math.log(s) - 2.0 * s  # k=2, stage rate 2
-        assert conditional_log_density(a, d, model) == pytest.approx(want, abs=1e-12)
+        assert kernel_log_density(a, d, model) == pytest.approx(want, abs=1e-12)
 
     def test_feasibility_monotone_in_first_departure(self):
         rng = np.random.default_rng(22)
@@ -73,10 +88,10 @@ class TestConditionalLogDensity:
             a = TimeSequence(rng.exponential(2.0, 20))
             s = TimeSequence(rng.exponential(1.0, 20))
             dep, _ = push_through_queue(a, s)
-            assert np.isfinite(conditional_log_density(a, dep, EXP1))
+            assert np.isfinite(kernel_log_density(a, dep, EXP1))
             shifted = dep.values.copy()
             shifted[0] += rng.uniform(0.01, 5.0)
-            assert np.isfinite(conditional_log_density(a, TimeSequence(shifted), EXP1))
+            assert np.isfinite(kernel_log_density(a, TimeSequence(shifted), EXP1))
 
 
 class TestBatchScan:
@@ -89,7 +104,7 @@ class TestBatchScan:
         dep = simulate_channel(a, EXP1, rng)
         batch = conditional_log_density_batch(epochs, dep, EXP1)
         for c in range(0, count, 7):
-            scalar = conditional_log_density(TimeSequence(gaps[c]), dep, EXP1)
+            scalar = oracle_log_density(gaps[c], dep, EXP1)
             assert batch[c] == pytest.approx(scalar, rel=1e-12, abs=1e-12)
 
     def test_agrees_for_nonexponential_law(self):
@@ -102,7 +117,7 @@ class TestBatchScan:
         dep = simulate_channel(a, model, rng)
         batch = conditional_log_density_batch(epochs, dep, model)
         for c in range(count):
-            scalar = conditional_log_density(TimeSequence(gaps[c]), dep, model)
+            scalar = oracle_log_density(gaps[c], dep, model)
             if math.isinf(scalar):
                 assert batch[c] == -math.inf
             else:
@@ -113,6 +128,10 @@ class TestBatchScan:
             conditional_log_density_batch(np.ones(5), TimeSequence([1.0]), EXP1)
         with pytest.raises(StructuralError):
             conditional_log_density_batch(np.ones((3, 4)), TimeSequence([1.0, 1.0]), EXP1)
+        with pytest.raises(StructuralError):  # one departure column per candidate, or one shared
+            conditional_log_density_batch(np.ones((3, 4)), np.ones((3, 3)), EXP1)
+        with pytest.raises(StructuralError):
+            conditional_log_density_batch(np.ones((3, 4)), np.ones((3, 4, 1)), EXP1)
 
 
 class TestPoissonLogDensity:
@@ -137,6 +156,14 @@ class TestPoissonLogDensity:
                 base, rel=1e-12
             )
 
+    def test_reads_blocks_down_axis_zero(self):
+        x = np.random.default_rng(31).exponential(1.0, (7, 5))
+        block = poisson_log_density(x, 0.7)
+        assert block.shape == (5,)
+        for j in range(5):
+            assert block[j] == poisson_log_density(TimeSequence(x[:, j]), 0.7)
+            assert block[j] == poisson_log_density(x[:, j], 0.7)
+
     def test_matches_differential_entropy(self):
         # -E[log q]/n -> 1 - log(rate) for Exp(rate) draws
         rng = np.random.default_rng(26)
@@ -156,6 +183,14 @@ class TestInfoDensity:
         a = TimeSequence([1.0, 1.0])
         d = TimeSequence([0.5, 0.1])
         assert info_density_sample(a, d, EXP1, 0.5) == -math.inf
+
+    def test_shape_validation(self):
+        with pytest.raises(StructuralError):
+            info_density_sample(np.ones(3), np.ones(4), EXP1, 0.5)
+        with pytest.raises(StructuralError):
+            info_density_sample(np.ones((3, 2)), np.ones((3, 3)), EXP1, 0.5)
+        with pytest.raises(StructuralError):
+            info_density_sample(np.ones(0), np.ones(0), EXP1, 0.5)
 
     def test_mean_approaches_log_rate_ratio(self):
         # per-packet mean -> log(mu1 / lam) as n grows
@@ -198,7 +233,7 @@ def per_trial_densities(n, rate, model, trials, seed):
             arrivals = TimeSequence(gaps[:, j])
             dep, _ = push_through_queue(arrivals, TimeSequence(services[:, j]))
             values.append(info_density_sample(arrivals, dep, model, rate))
-            cond = conditional_log_density(arrivals, dep, model)
+            cond = oracle_log_density(arrivals, dep, model)
             scales.append((abs(cond) + abs(poisson_log_density(dep, rate))) / n)
     return np.array(values), np.array(scales)
 

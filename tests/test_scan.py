@@ -1,7 +1,9 @@
 """The tiled codebook scan and its two reductions, against the oracles.
 
 ``conditional_log_density_batch`` and ``scan_tiles`` are checked against the
-per-packet loop they replaced (``oracles.scan_scores*``); ``willie_llr``
+per-packet loop they replaced (``oracles.scan_scores*``), and the kernel's
+per-column path and ``info_density_sample`` against the per-trial scorer
+(``oracles.conditional_log_density``); ``willie_llr``
 against a one-shot log-sum-exp of the oracle's scores; ``decode`` against
 ``np.argmax`` over the oracle's strided gather of the key's sub-book.
 
@@ -23,7 +25,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from covertq.codec import decode, generate_codebook
-from covertq.laws import SCAN_TILE, conditional_log_density_batch, scan_tiles
+from covertq.laws import SCAN_TILE, conditional_log_density_batch, info_density_sample, scan_tiles
 from covertq.queueing import ServiceKind, ServiceModel, TimeSequence, simulate_channel
 from covertq.warden import willie_llr
 
@@ -67,19 +69,21 @@ def oracle_scores(epochs, departures, model):
     return oracles.scan_scores(epochs, departures.values, model.log_density)
 
 
-def assert_scores_match(got, want, epochs, departures, model):
-    """Identical -inf sets; elsewhere agreement to 1e-12 of the scan's size.
+def scan_size(want, terms, model, n, last_departure):
+    """A score's size: its magnitude, ``terms`` (the sum of its per-packet
+    terms' magnitudes), and rate * n * d_n for the epochs the kernel
+    subtracts."""
+    return np.abs(want) + terms + model.rate * n * last_departure
 
-    The size is the score, the sum of its per-packet terms' magnitudes, and
-    rate * n * d_n for the epochs the kernel subtracts.
-    """
+
+def abs_log_density(model):
+    return lambda s: np.abs(model.log_density(s))
+
+
+def assert_scores_match(got, want, size):
+    """Identical -inf sets; elsewhere agreement to 1e-12 of each score's size."""
     infeasible = np.isneginf(want)
     assert np.array_equal(np.isneginf(got), infeasible)
-    terms = oracles.scan_scores(
-        epochs, departures.values, lambda s: np.abs(model.log_density(s))
-    )
-    n = len(departures)
-    size = np.abs(want) + terms + model.rate * n * departures.epochs[-1]
     got, want, size = got[~infeasible], want[~infeasible], size[~infeasible]
     ok = np.abs(got - want) <= 1e-12 * size
     assert ok.all(), (got[~ok], want[~ok])
@@ -100,7 +104,8 @@ class TestKernel:
         epochs, departures = draw_scan(model, n, count, grid, seed)
         want = oracle_scores(epochs, departures, model)
         got = conditional_log_density_batch(epochs, departures, model)
-        assert_scores_match(got, want, epochs, departures, model)
+        terms = oracles.scan_scores(epochs, departures.values, abs_log_density(model))
+        assert_scores_match(got, want, scan_size(want, terms, model, n, departures.epochs[-1]))
         assert np.isfinite(want[0])  # the candidate that was sent is feasible
         if grid:
             assert np.array_equal(got, want)  # exact arithmetic: the same bits
@@ -123,6 +128,63 @@ class TestKernel:
         assert np.isneginf(got[1:3]).all()
         # s_k = 0 when t = d: inside the exponential law's support only
         assert np.isfinite(got[3]) and (law == "exponential") == np.isfinite(got[0])
+
+
+def draw_trials(model, n, count, grid, seed):
+    """(n, count) arrival gaps and one column of departure gaps each: the
+    even columns pushed through the model's queue, the odd columns' outputs
+    then reversed among themselves, so most of them are infeasible."""
+    rng = np.random.default_rng(seed)
+    if grid:
+        gaps = rng.integers(0, 257, (n, count)) / 64.0
+        services = grid_services(model, rng, n * count).reshape(n, count)
+    else:
+        gaps = rng.exponential(1.0 / LAM, (n, count))
+        services = model.sample(rng, n * count).values.reshape(n, count)
+    departures = np.empty((n, count))
+    for c in range(count):
+        epochs, _ = oracles.des_departures(gaps[:, c], services[:, c])
+        departures[:, c] = np.diff(epochs, prepend=0.0)
+    departures[:, 1::2] = departures[:, 1::2][:, ::-1]
+    return gaps, departures
+
+
+class TestPerColumn:
+    """The kernel with a column of departures per candidate, and the
+    information density of a block of trials built on it, column by column
+    against the per-trial oracle.  Unit-scale laws only: at a 1e12 rate the
+    two forms of s_k can disagree on a support boundary; those cases are
+    checked against a per-trial replay through the library in test_laws."""
+
+    @given(
+        count=st.integers(1, 40),
+        n=st.integers(1, 6),
+        law=st.sampled_from(sorted(LAWS)),
+        grid=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_oracle_column_by_column(self, count, n, law, grid, seed):
+        assume(grid or law != "erlang")
+        model = LAWS[law]
+        gaps, departures = draw_trials(model, n, count, grid, seed)
+        want = np.array([
+            oracles.conditional_log_density(gaps[:, c], departures[:, c], model.log_density)
+            for c in range(count)
+        ])
+        terms = np.array([
+            oracles.conditional_log_density(gaps[:, c], departures[:, c], abs_log_density(model))
+            for c in range(count)
+        ])
+        size = scan_size(want, terms, model, n, departures.sum(axis=0))
+        got = conditional_log_density_batch(np.cumsum(gaps, axis=0), departures, model)
+        assert_scores_match(got, want, size)
+        assert np.isfinite(want[::2]).all()  # the columns that were sent are feasible
+        if grid:
+            assert np.array_equal(got, want)  # exact arithmetic: the same bits
+        reference = n * math.log(LAM) - LAM * departures.sum(axis=0)
+        density = info_density_sample(gaps, departures, model, LAM)
+        assert_scores_match(density, (want - reference) / n, (size + np.abs(reference)) / n)
 
 
 def mixture_llr(epochs, departures, model):

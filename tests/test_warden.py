@@ -7,7 +7,7 @@ import pytest
 from covertq.codec import encode, generate_codebook
 from covertq.errors import ParameterError
 from covertq.harness import ExperimentConfig, run
-from covertq.laws import info_density_sample
+from covertq.laws import info_density_sample, poisson_log_density
 from covertq.queueing import (
     ServiceModel,
     TimeSequence,
@@ -22,6 +22,8 @@ from covertq.warden import (
     tv_distance_estimate,
     willie_llr,
 )
+
+import oracles
 
 LAM = 0.5
 WILLIE = ServiceModel.exponential(2.0)
@@ -59,15 +61,21 @@ class TestLlr:
     def test_llr_is_symmetric_mixture_not_max(self):
         # mixture over B codewords is at most log-sum-exp; for an observation
         # produced by codeword 0 it must dominate the 1/B-weighted term alone
-        from covertq.laws import conditional_log_density, poisson_log_density
-
         book = generate_codebook(12, 2, 0, 1, arrival_rate=LAM, seed=43)
         rng = np.random.default_rng(44)
         dep = simulate_channel(book.codeword(1, 0, 0), WILLIE, rng)
         llr = willie_llr(book, dep, WILLIE, LAM)
         null = poisson_log_density(dep, LAM)
-        single = conditional_log_density(book.codeword(1, 0, 0), dep, WILLIE) - null
-        assert llr >= single - math.log(book.total) - 1e-9
+        single = oracles.conditional_log_density(book.codeword(1, 0, 0), dep, WILLIE.log_density)
+        assert llr >= single - null - math.log(book.total) - 1e-9
+
+    def test_plain_gap_array_scores_as_its_time_sequence(self):
+        # decode takes a 1-d gap array too; the warden reads it the same way
+        book = generate_codebook(6, 3, 1, 1, arrival_rate=LAM, seed=46)
+        rng = np.random.default_rng(47)
+        for arrivals in (book.codeword(2, 1, 0), poisson_arrivals(LAM, 6, rng)):
+            dep = simulate_channel(arrivals, WILLIE, rng)
+            assert willie_llr(book, dep.values, WILLIE, LAM) == willie_llr(book, dep, WILLIE, LAM)
 
     def test_infeasible_observation_gives_minus_inf(self):
         book = generate_codebook(4, 1, 0, 0, arrival_rate=LAM, seed=45)
