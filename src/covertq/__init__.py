@@ -34,10 +34,8 @@ from .laws import info_density_sample, poisson_log_density, sample_info_densitie
 from .queueing import (
     ServiceKind,
     ServiceModel,
-    TimeSequence,
     departure_epochs,
     poisson_arrivals,
-    push_through_queue,
     simulate_block,
     simulate_channel,
 )

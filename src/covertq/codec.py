@@ -36,7 +36,7 @@ from .errors import (
     StructuralError,
 )
 from .laws import scan_tiles
-from .queueing import BLOCK_CELLS, ServiceModel, TimeSequence
+from .queueing import BLOCK_CELLS, ServiceModel
 
 __all__ = [
     "CODEBOOK_CAP_BITS",
@@ -104,7 +104,7 @@ class Codebook:
         self._check_indices(w, wt, k)
         return k * self.num_pairs + w * self.num_dummies + wt
 
-    def codeword(self, w: int, wt: int, k: int) -> TimeSequence:
+    def codeword(self, w: int, wt: int, k: int) -> np.ndarray:
         """The gaps of codeword (w, wt, k), differenced from its epoch column.
 
         They can differ from the drawn gaps in the last ulp, but their running
@@ -112,7 +112,7 @@ class Codebook:
         epoch a before it and a gap g >= 0, and then fl(a + fl(b - a)) = b.
         """
         epochs = self.arrival_epochs[:, self.column(w, wt, k)]
-        return TimeSequence(np.diff(epochs, prepend=0.0))
+        return np.diff(epochs, prepend=0.0)
 
     def draw_dummy(self, rng: np.random.Generator) -> int:
         """A uniform dummy index; nothing is drawn when there are no dummy bits."""
@@ -256,7 +256,7 @@ class Transmission:
     message: int
     dummy: int
     key: int
-    codeword: TimeSequence
+    codeword: np.ndarray
 
 
 def encode(book: Codebook, message: int, key: int, rng: np.random.Generator) -> Transmission:
@@ -285,7 +285,7 @@ class DecodeResult:
 
 def decode(
     book: Codebook,
-    departures: TimeSequence | np.ndarray,
+    departures: np.ndarray,
     key: int,
     model: ServiceModel,
 ) -> DecodeResult:
@@ -295,9 +295,9 @@ def decode(
     the departures given the candidate's arrivals, and returns the argmax with
     first-index (lexicographic) tie-breaking.
 
-    ``departures`` holds the n inter-departure gaps: a ``TimeSequence``, whose
-    values were checked when it was made, or a 1-d float array that the
-    library made, such as a column of ``queueing.simulate_block``.
+    ``departures`` holds the n inter-departure gaps, such as the output of
+    ``queueing.simulate_channel`` or a column of ``queueing.simulate_block``;
+    only their shape is checked here.
     """
     if not (0 <= key < book.num_keys):
         raise StructuralError(f"key index {key} out of range [0, {book.num_keys})")

@@ -65,8 +65,12 @@ def service_from_dict(payload: dict) -> ServiceModel:
 
 
 def _is_number(value, kind=numbers.Real) -> bool:
-    """True for a number of ``kind``; a bool is not a number in a config."""
-    return isinstance(value, kind) and not isinstance(value, (bool, np.bool_))
+    """True for a finite number of ``kind``; a bool is not a number in a config."""
+    try:
+        return (isinstance(value, kind) and not isinstance(value, (bool, np.bool_))
+                and math.isfinite(value))
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def _int_list(name: str, value) -> tuple[int, ...]:
@@ -101,7 +105,7 @@ class ExperimentConfig:
             )
         for name in ("arrival_rate", "mu1", "mu2"):
             v = getattr(self, name)
-            if not (_is_number(v) and v > 0 and math.isfinite(v)):
+            if not (_is_number(v) and v > 0):
                 raise ConfigError(f"{name} must be positive and finite, got {v!r}")
         for name, least in (("trials", 1), ("master_seed", 0), ("workers", 1),
                             ("enumeration_cap_bits", 0)):
@@ -170,10 +174,6 @@ class ExperimentConfig:
         if not isinstance(payload, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
         return payload
-
-    @classmethod
-    def from_file(cls, path: str) -> "ExperimentConfig":
-        return cls.from_dict(cls.load_payload(path))
 
 
 @dataclass(frozen=True)
@@ -286,7 +286,7 @@ def _run_region_table(config: ExperimentConfig, param_index: int) -> list[Result
         _row(config, "no_key_needed", base, 1.0 if rates.no_key_needed(spec) else 0.0, 0.0, 1),
     ]
     # boundary of the (R, R_K) region, sampled on a message-rate grid
-    threshold = lam * (math.log(config.mu2 / config.mu1) + divergence)
+    threshold = lam * (rates.log_ratio(config.mu2, config.mu1) + divergence)
     for j in range(21):
         r = capacity * j / 20.0
         if spec.kind is rates.RegionKind.MM1:

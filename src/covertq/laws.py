@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import ParameterError, StructuralError
-from .queueing import ServiceKind, ServiceModel, TimeSequence, simulate_block, trial_blocks
+from .queueing import ServiceKind, ServiceModel, simulate_block, trial_blocks
 
 __all__ = ["SCAN_TILE", "conditional_log_density_batch", "scan_tiles", "poisson_log_density",
            "info_density_sample", "sample_info_densities"]
@@ -41,14 +41,14 @@ def conditional_log_density_batch(arrival_epochs: np.ndarray, departures, model:
     arrival_epochs : (n, C) float array
         Column c holds candidate c's cumulative arrival epochs.  Packet-major
         layout so each per-packet slice is contiguous.
-    departures : inter-departure gaps: a TimeSequence or (n,) float array
-        shared by every candidate, or an (n, C) float array whose column c
-        belongs to candidate c
+    departures : inter-departure gaps: an (n,) float array shared by every
+        candidate, or an (n, C) float array whose column c belongs to
+        candidate c
     model : ServiceModel with a density
     work : optional (3, W) float array with W >= C
-        Scratch space for the exponential law with shared departures, so that
-        a caller scanning tile after tile allocates once.  The scores are then
-        written into ``work[0, :C]``.
+        Scratch space for shared departures, so that a caller scanning tile
+        after tile allocates once.  The scores are then written into
+        ``work[0, :C]``.
 
     Returns
     -------
@@ -63,18 +63,27 @@ def conditional_log_density_batch(arrival_epochs: np.ndarray, departures, model:
         raise StructuralError(f"need (n, C) arrival epochs with (n,) or (n, C) departures, "
                               f"got {ta.shape} and {gaps.shape}")
     n, count = ta.shape
-    if gaps.ndim == 2 or model.kind is not ServiceKind.EXPONENTIAL:
+    if gaps.ndim == 2:
         # one pass over the whole block: every s_k, then the density's sum
-        d = np.cumsum(gaps, axis=0).reshape(n, -1)
+        d = np.cumsum(gaps, axis=0)
         prev = np.zeros_like(d)
         prev[1:] = d[:-1]
         return model.log_density(d - np.maximum(ta, prev)).sum(axis=0)
-    # hot path (codebook-sized scans): two accumulators, the sum of the s_k
-    # and their minimum, which is negative iff the candidate is infeasible
+    # shared departures (codebook-sized scans): one (C,) row of s_k per packet
     d = np.cumsum(gaps).tolist()
     if work is None:
         work = np.empty((3, count))
     scores, s, low = work[0, :count], work[1, :count], work[2, :count]
+    if model.kind is not ServiceKind.EXPONENTIAL:
+        # the rows' log densities, added in the order of the block formula's sum
+        np.copyto(scores, model.log_density(d[0] - np.maximum(ta[0], 0.0)))
+        for k in range(1, n):
+            np.maximum(ta[k], d[k - 1], out=s)
+            np.subtract(d[k], s, out=s)
+            np.add(scores, model.log_density(s), out=scores)
+        return scores
+    # exponential: two accumulators, the sum of the s_k and their minimum,
+    # which is negative iff the candidate is infeasible
     rate = model.rate
     np.maximum(ta[0], 0.0, out=scores)
     np.subtract(d[0], scores, out=scores)
@@ -90,8 +99,7 @@ def conditional_log_density_batch(arrival_epochs: np.ndarray, departures, model:
     return scores
 
 
-def scan_tiles(arrival_epochs: np.ndarray, departures: TimeSequence | np.ndarray,
-               model: ServiceModel):
+def scan_tiles(arrival_epochs: np.ndarray, departures: np.ndarray, model: ServiceModel):
     """Score the candidates in column tiles of ``SCAN_TILE``.
 
     Yields ``(start, scores)`` where ``scores`` is
@@ -111,8 +119,7 @@ def scan_tiles(arrival_epochs: np.ndarray, departures: TimeSequence | np.ndarray
 def poisson_log_density(gaps, rate: float):
     """log of the i.i.d. Exp(rate) product density of the gaps down axis 0.
 
-    A float for (n,) gaps (a TimeSequence or an array), a (T,) array for
-    packet-major (n, T) gaps.
+    A float for (n,) gaps, a (T,) array for packet-major (n, T) gaps.
     """
     if not (rate > 0.0 and math.isfinite(rate)):
         raise ParameterError(f"rate must be positive and finite, got {rate}")

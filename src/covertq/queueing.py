@@ -9,19 +9,21 @@ the server for ``S_k``.  Departure epochs obey the Lindley-type recursion
 with d_0 = 0.  The idle gap seen by packet k is U_k = max(0, t_k - d_{k-1}),
 so the inter-departure time decomposes as D_k = U_k + S_k.
 
-All sequences are in seconds; rates are per second.  The recursion is kept in
-its sequential form on purpose: reassociating the arithmetic (e.g. a prefix-max
-formulation) changes last-ulp rounding, and downstream consumers rely on the
-exact float semantics of this evaluation order.
+All sequences are in seconds; rates are per second.  Gap sequences are plain
+float64 arrays, (n,) for one block or packet-major (n, T) for T blocks.  Gaps
+are checked (non-empty, finite, non-negative) where they enter the simulator:
+``departure_epochs``, ``simulate_channel`` and ``simulate_block``; downstream
+code checks shapes only.  The recursion is kept
+in its sequential form on purpose: reassociating the arithmetic (e.g. a
+prefix-max formulation) changes last-ulp rounding, and downstream consumers
+rely on the exact float semantics of this evaluation order.
 
 The recursion has two loops, both on the arrival epochs t_k (a sequential
 running sum, the same floats as adding the gaps one at a time):
 
-- a scalar loop over packets, for a 1-d input (one block), chosen by
-  ``ndim``;
-- for a packet-major ``(n, T)`` input (T independent blocks, one per column),
-  a loop over the packet index k that applies each step to all T columns at
-  once.
+- a scalar loop over packets, for a 1-d input (one block);
+- for a packet-major ``(n, T)`` input, a loop over the packet index k that
+  applies each step to all T columns at once.
 
 Each element sees the same max-then-add on the same operands in both, so
 every column of a 2-d call is bit-identical to the scalar loop on that column.
@@ -43,14 +45,12 @@ import numpy as np
 from .errors import ParameterError, StructuralError, UnsupportedLawError
 
 __all__ = [
-    "TimeSequence",
     "ServiceKind",
     "ServiceModel",
     "BLOCK_CELLS",
     "trial_blocks",
     "poisson_arrivals",
     "departure_epochs",
-    "push_through_queue",
     "simulate_channel",
     "simulate_block",
 ]
@@ -84,32 +84,6 @@ def _as_times(values, what: str, ndims=(1,)) -> np.ndarray:
     if np.any(arr < 0.0):
         raise StructuralError(f"{what} must be non-negative")
     return arr
-
-
-@dataclass(frozen=True)
-class TimeSequence:
-    """Immutable 1-d array of non-negative gap times (seconds)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_times(self.values, "time sequence").copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.values, dtype=dtype)
-
-    @property
-    def epochs(self) -> np.ndarray:
-        """Cumulative times t_k = x_1 + ... + x_k."""
-        return np.cumsum(self.values)
 
 
 class ServiceKind(enum.Enum):
@@ -177,14 +151,8 @@ class ServiceModel:
     def has_density(self) -> bool:
         return self.kind is not ServiceKind.DETERMINISTIC
 
-    def sample(self, rng: np.random.Generator, n: int) -> TimeSequence:
-        """Draw n i.i.d. service times."""
-        if n < 1:
-            raise StructuralError(f"need n >= 1 service times, got {n}")
-        return TimeSequence(self._draw(rng, n))
-
-    def _draw(self, rng: np.random.Generator, size) -> np.ndarray:
-        """i.i.d. service times filling ``size`` in C order, unchecked."""
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
+        """i.i.d. service times filling ``size`` (an int or a shape), in C order."""
         if self.kind is ServiceKind.EXPONENTIAL:
             return rng.exponential(1.0 / self.rate, size=size)
         if self.kind is ServiceKind.ERLANG:
@@ -225,13 +193,13 @@ class ServiceModel:
         return np.where((x >= lo) & (x <= hi), level, -np.inf)
 
 
-def poisson_arrivals(rate: float, n: int, rng: np.random.Generator) -> TimeSequence:
+def poisson_arrivals(rate: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Inter-arrival gaps of a Poisson process: n i.i.d. Exp(rate) draws."""
     if not (rate > 0.0 and math.isfinite(rate)):
         raise ParameterError(f"arrival rate must be positive and finite, got {rate}")
     if n < 1:
         raise StructuralError(f"need n >= 1 arrivals, got {n}")
-    return TimeSequence(rng.exponential(1.0 / rate, size=n))
+    return rng.exponential(1.0 / rate, size=n)
 
 
 # Narrowest block the vectorised loop takes; narrower blocks run the scalar
@@ -304,30 +272,18 @@ def departure_epochs(arrival_gaps, service_times):
     return d, np.maximum(t - dprev, 0.0)
 
 
-def push_through_queue(arrivals: TimeSequence, services: TimeSequence):
-    """Run packets through the queue.
-
-    Returns ``(departures, idles)``: inter-departure gaps D_k (as a
-    TimeSequence) and the idle gaps U_k.  Identities: D_k = U_k + S_k up to
-    last-ulp rounding, and sum(D) = last departure epoch.
-    """
-    d, u = departure_epochs(arrivals.values, services.values)
-    gaps = np.diff(d, prepend=0.0)
-    return TimeSequence(gaps), TimeSequence(u)
+def _simulate(arrival_gaps, model: ServiceModel, rng: np.random.Generator, ndim: int):
+    a = _as_times(arrival_gaps, "arrival gaps", ndims=(ndim,))
+    d = _departures(np.cumsum(a, axis=0), model.sample(rng, a.shape))
+    return np.diff(d, axis=0, prepend=0.0)
 
 
-def simulate_channel(
-    arrivals: TimeSequence, model: ServiceModel, rng: np.random.Generator
-) -> TimeSequence:
-    """Sample service times from the channel law and push arrivals through."""
-    services = model.sample(rng, len(arrivals))
-    departures, _ = push_through_queue(arrivals, services)
-    return departures
+def simulate_channel(arrivals, model: ServiceModel, rng: np.random.Generator) -> np.ndarray:
+    """Inter-departure gaps of one block of (n,) arrival gaps, with n services drawn."""
+    return _simulate(arrivals, model, rng, 1)
 
 
-def simulate_block(
-    arrival_gaps, model: ServiceModel, rng: np.random.Generator
-) -> np.ndarray:
+def simulate_block(arrival_gaps, model: ServiceModel, rng: np.random.Generator) -> np.ndarray:
     """Inter-departure gaps of T blocks pushed through T independent queues.
 
     ``arrival_gaps`` is packet-major ``(n, T)``: column j is one block.  The
@@ -335,6 +291,4 @@ def simulate_block(
     the result equals ``simulate_channel`` on column j given the same service
     times.
     """
-    a = _as_times(arrival_gaps, "arrival gaps", ndims=(2,))
-    d = _departures(np.cumsum(a, axis=0), model._draw(rng, a.shape))
-    return np.diff(d, axis=0, prepend=0.0)
+    return _simulate(arrival_gaps, model, rng, 2)

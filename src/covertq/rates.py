@@ -44,7 +44,14 @@ __all__ = [
     "in_region",
     "choose_dummy_rate",
     "no_key_needed",
+    "log_ratio",
 ]
+
+
+def log_ratio(a: float, b: float) -> float:
+    """ln(a/b) of two positive finite floats, also where a/b leaves the float range."""
+    ratio = a / b
+    return math.log(ratio) if 0.0 < ratio < math.inf else math.log(a) - math.log(b)
 
 
 def _check_rate(name: str, value: float):
@@ -118,7 +125,7 @@ def covert_capacity(arrival_rate: float, mu1: float) -> float:
         raise InstabilityError(
             f"arrival rate {arrival_rate} >= service rate {mu1}: queue unstable"
         )
-    return arrival_rate * math.log(mu1 / arrival_rate)
+    return arrival_rate * log_ratio(mu1, arrival_rate)
 
 
 def min_key_rate_mm1(arrival_rate: float, mu1: float, mu2: float) -> float:
@@ -130,7 +137,7 @@ def min_key_rate_mm1(arrival_rate: float, mu1: float, mu2: float) -> float:
         raise InstabilityError(
             f"arrival rate {arrival_rate} >= min service rate {min(mu1, mu2)}"
         )
-    return max(0.0, arrival_rate * math.log(mu2 / mu1))
+    return max(0.0, arrival_rate * log_ratio(mu2, mu1))
 
 
 def kl_to_exponential(model: ServiceModel, rate: float) -> float:
@@ -147,7 +154,7 @@ def kl_to_exponential(model: ServiceModel, rate: float) -> float:
     if model.kind is ServiceKind.EXPONENTIAL:
         # D(Exp(a) || Exp(b)) = ln(a/b) + b/a - 1
         a = model.rate
-        return math.log(a / rate) + rate / a - 1.0
+        return log_ratio(a, rate) + rate / a - 1.0
     if model.kind is ServiceKind.ERLANG:
         # Erlang with k stages, mean 1/a: entropy and cross-entropy in closed form
         from scipy.special import digamma  # scipy costs most of a cold import
@@ -158,7 +165,7 @@ def kl_to_exponential(model: ServiceModel, rate: float) -> float:
         return (
             math.log(theta)
             - math.lgamma(k)
-            + (k - 1) * float(digamma(k))
+            + (k - 1) * float(digamma(float(k)))  # an int beyond int64 has no psi loop
             - k
             - math.log(rate)
             + rate / a
@@ -180,7 +187,7 @@ def kl_to_exponential(model: ServiceModel, rate: float) -> float:
 
 def _key_threshold(point: RatePoint, spec: RegionSpec) -> float:
     lam = point.arrival_rate
-    base = lam * math.log(spec.mu2 / spec.mu1)
+    base = lam * log_ratio(spec.mu2, spec.mu1)
     if spec.kind is RegionKind.MG1:
         base += lam * spec.willie_divergence()
     return max(0.0, base)
@@ -224,7 +231,7 @@ def choose_dummy_rate(point: RatePoint, spec: RegionSpec) -> float:
         )
     lam = point.arrival_rate
     upper = covert_capacity(lam, spec.mu1) - point.message_rate
-    resolvability = lam * (math.log(spec.mu2 / lam) + spec.willie_divergence())
+    resolvability = lam * (log_ratio(spec.mu2, lam) + spec.willie_divergence())
     lower = max(0.0, resolvability - point.message_rate - point.key_rate)
     if lower > upper:
         raise InfeasibleRateError(
@@ -235,6 +242,11 @@ def choose_dummy_rate(point: RatePoint, spec: RegionSpec) -> float:
 
 
 def no_key_needed(spec: RegionSpec) -> bool:
-    """True when positive message rates are achievable with zero key rate."""
-    gap = math.log(spec.mu1 / spec.mu2) - spec.willie_divergence()
+    """True when every message rate below capacity is achievable with zero key rate.
+
+    The test is ln(mu1/mu2) > D(P_W || Exp(mu2)), with D = 0 for MM1, and its
+    margin is strict: at equality every such rate is achievable too.  An MG1
+    spec that fails it may still reach some message rates with zero key rate.
+    """
+    gap = log_ratio(spec.mu1, spec.mu2) - spec.willie_divergence()
     return gap > 0.0

@@ -25,7 +25,7 @@ import numpy as np
 from .codec import Codebook, encode
 from .errors import ParameterError
 from .laws import poisson_log_density, scan_tiles
-from .queueing import ServiceModel, TimeSequence, poisson_arrivals, simulate_channel
+from .queueing import ServiceModel, poisson_arrivals, simulate_channel
 
 __all__ = [
     "willie_llr",
@@ -41,7 +41,7 @@ _EXP_FLOOR = -700.0
 
 def willie_llr(
     book: Codebook,
-    observation: TimeSequence,
+    observation: np.ndarray,
     model: ServiceModel,
     arrival_rate: float,
 ) -> float:
@@ -98,32 +98,26 @@ def run_detection_trials(
     return null, alt
 
 
+def _wins(order, x):
+    """For each x, how many of the sorted scores ``order`` lie below it, ties counting 1/2."""
+    below = np.searchsorted(order, x, side="left")
+    return below + 0.5 * (np.searchsorted(order, x, side="right") - below)
+
+
 def rank_auc(null_scores, alt_scores) -> float:
     """P[alt score > null score] with tie-halving (Mann-Whitney statistic)."""
     x0 = np.asarray(null_scores, dtype=np.float64)
     x1 = np.asarray(alt_scores, dtype=np.float64)
-    order = np.sort(x0)
-    # count, for each alt score, how many null scores fall strictly below/at it
-    below = np.searchsorted(order, x1, side="left")
-    at_or_below = np.searchsorted(order, x1, side="right")
-    wins = below + 0.5 * (at_or_below - below)
-    return float(wins.sum() / (x0.size * x1.size))
+    return float(_wins(np.sort(x0), x1).sum() / (x0.size * x1.size))
 
 
 def auc_stderr(null_scores, alt_scores) -> float:
     """DeLong-style standard error of the rank AUC."""
     x0 = np.asarray(null_scores, dtype=np.float64)
     x1 = np.asarray(alt_scores, dtype=np.float64)
-    o0, o1 = np.sort(x0), np.sort(x1)
     # placement values: each alt score's quantile among nulls and vice versa
-    v10 = (
-        np.searchsorted(o0, x1, side="left")
-        + 0.5 * (np.searchsorted(o0, x1, side="right") - np.searchsorted(o0, x1, side="left"))
-    ) / x0.size
-    v01 = 1.0 - (
-        np.searchsorted(o1, x0, side="left")
-        + 0.5 * (np.searchsorted(o1, x0, side="right") - np.searchsorted(o1, x0, side="left"))
-    ) / x1.size
+    v10 = _wins(np.sort(x0), x1) / x0.size
+    v01 = 1.0 - _wins(np.sort(x1), x0) / x1.size
     var = v10.var(ddof=1) / x1.size + v01.var(ddof=1) / x0.size
     return float(math.sqrt(max(var, 0.0)))
 

@@ -19,7 +19,7 @@ from covertq.codec import (
 )
 from covertq.errors import OutputError, ParameterError, ResourceLimitError, StructuralError
 from covertq.laws import sample_info_densities
-from covertq.queueing import BLOCK_CELLS, ServiceModel, TimeSequence, simulate_channel
+from covertq.queueing import BLOCK_CELLS, ServiceModel, simulate_channel
 
 import oracles
 
@@ -140,7 +140,7 @@ class TestChunkedGenerator:
             for wt in range(book.num_dummies):
                 for k in range(book.num_keys):
                     column = book.arrival_epochs[:, book.column(w, wt, k)]
-                    got = book.codeword(w, wt, k).epochs
+                    got = np.cumsum(book.codeword(w, wt, k))
                     assert np.array_equal(got.view(np.uint64), column.view(np.uint64))
 
     @given(a=st.floats(0.0, 1e300), gap=st.floats(0.0, 1e300))
@@ -240,7 +240,7 @@ class TestEncode:
         tx = encode(book, 5, 2, rng)
         assert tx.message == 5 and tx.key == 2
         row = book.index(tx.message, tx.dummy, tx.key)
-        assert np.array_equal(tx.codeword.epochs, np.cumsum(oracles.flat_codewords(book)[row]))
+        assert np.array_equal(np.cumsum(tx.codeword), np.cumsum(oracles.flat_codewords(book)[row]))
 
     def test_no_dummy_bits_means_zero_dummy(self):
         book = generate_codebook(8, 2, 0, 1, arrival_rate=1.0, seed=1)
@@ -317,7 +317,7 @@ class TestDecode:
     def test_all_infeasible_flags_failure(self):
         book = small_book(n=4, widths=(2, 0, 0))
         # a departure block faster than any codeword's first arrival
-        dep = TimeSequence([1e-12, 1e-12, 1e-12, 1e-12])
+        dep = np.full(4, 1e-12)
         got = decode(book, dep, 0, BOB)
         assert got.failed
         assert got.log_likelihood == -math.inf
@@ -344,11 +344,11 @@ class TestDecode:
 
     def test_key_and_length_validation(self):
         book = small_book()
-        dep = TimeSequence(np.ones(16))
+        dep = np.ones(16)
         with pytest.raises(StructuralError):
             decode(book, dep, 4, BOB)
         with pytest.raises(StructuralError):
-            decode(book, TimeSequence(np.ones(4)), 0, BOB)
+            decode(book, np.ones(4), 0, BOB)
 
 
 class TestErrorBounds:

@@ -25,7 +25,7 @@ from covertq.harness import (
     service_from_dict,
     service_to_dict,
 )
-from covertq.queueing import ServiceModel, TimeSequence, simulate_block
+from covertq.queueing import ServiceModel, simulate_block
 
 
 def base_config(**overrides):
@@ -223,9 +223,9 @@ class TestSweeps:
         rng = harness._point_rng(cfg, 0, 0)
         sent = [encode(book, int(rng.integers(book.num_messages)),
                        int(rng.integers(book.num_keys)), rng) for _ in range(cfg.trials)]
-        departures = simulate_block(np.stack([tx.codeword.values for tx in sent], axis=1),
+        departures = simulate_block(np.stack([tx.codeword for tx in sent], axis=1),
                                     bob, rng)
-        got = [decode(book, TimeSequence(departures[:, j]), tx.key, bob)
+        got = [decode(book, departures[:, j], tx.key, bob)
                for j, tx in enumerate(sent)]
         errors = sum(r.message != tx.message for r, tx in zip(got, sent))
         pair_errors = sum((r.message, r.dummy) != (tx.message, tx.dummy)
@@ -358,6 +358,8 @@ class TestCli:
         ("enumeration_cap_bits", True),
         ("n_list", [True]),
         ("width_list", [[True, 1, 1]]),
+        ("mu2", 10**400),  # no finite float holds it
+        ("trials", 10**400),
     ])
     def test_malformed_field_exit_code_and_diagnostic(self, tmp_path, capsys, field, value):
         fields = dict(experiment="decode_sweep", n_list=[4], width_list=[[1, 1, 1]])
@@ -370,6 +372,7 @@ class TestCli:
     @pytest.mark.parametrize("law", [
         {"kind": "exponential"},
         {"kind": "erlang", "rate": 2.0, "shape": True},
+        {"kind": "erlang", "rate": 2.0, "shape": 10**400},
         5,
     ])
     def test_malformed_service_law_exit_code_and_diagnostic(self, tmp_path, capsys, law):

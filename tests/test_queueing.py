@@ -10,10 +10,8 @@ from covertq.errors import ParameterError, StructuralError, UnsupportedLawError
 from covertq.queueing import (
     BLOCK_CELLS,
     ServiceModel,
-    TimeSequence,
     departure_epochs,
     poisson_arrivals,
-    push_through_queue,
     simulate_block,
     simulate_channel,
     trial_blocks,
@@ -22,52 +20,55 @@ from covertq.queueing import (
 from oracles import des_departures
 
 
-class TestTimeSequence:
-    def test_copies_and_freezes(self):
-        raw = np.array([1.0, 2.0])
-        seq = TimeSequence(raw)
-        raw[0] = 99.0
-        assert seq.values[0] == 1.0
-        with pytest.raises(ValueError):
-            seq.values[0] = 5.0
+EXP1 = ServiceModel.exponential(1.0)
+
+
+class TestGapChecks:
+    """Gap values are checked where outside gaps enter the simulator."""
 
     def test_rejects_bad_shapes_and_values(self):
-        with pytest.raises(StructuralError):
-            TimeSequence(np.ones((2, 2)))
-        with pytest.raises(StructuralError):
-            TimeSequence([])
-        with pytest.raises(StructuralError):
-            TimeSequence([1.0, -0.5])
-        with pytest.raises(StructuralError):
-            TimeSequence([1.0, np.inf])
+        bad_values = ([], [1.0, -0.5], [1.0, np.inf], [1.0, np.nan])
+        for gaps in (np.ones((2, 2)), *bad_values):
+            with pytest.raises(StructuralError):
+                simulate_channel(gaps, EXP1, np.random.default_rng(0))
+        for gaps in (np.ones((2, 2, 2)), *bad_values):
+            ok = np.ones(np.shape(gaps))
+            with pytest.raises(StructuralError):
+                departure_epochs(gaps, ok)
+            with pytest.raises(StructuralError):
+                departure_epochs(ok, gaps)
 
-    def test_epochs(self):
-        seq = TimeSequence([1.0, 0.5, 2.0])
-        np.testing.assert_allclose(seq.epochs, [1.0, 1.5, 3.5])
+    def test_simulate_channel_takes_a_plain_array(self):
+        gaps = np.array([1.0, 0.5, 2.0])
+        dep = simulate_channel(gaps, EXP1, np.random.default_rng(1))
+        services = EXP1.sample(np.random.default_rng(1), 3)
+        assert type(dep) is np.ndarray and dep.dtype == np.float64 and dep.shape == (3,)
+        assert np.array_equal(dep, np.diff(departure_epochs(gaps, services)[0], prepend=0.0))
+        assert np.array_equal(gaps, [1.0, 0.5, 2.0])  # the input is not written to
 
 
 class TestServiceModel:
     def test_deterministic_is_point_mass(self):
         model = ServiceModel.deterministic(2.0)
         got = model.sample(np.random.default_rng(0), 3)
-        np.testing.assert_array_equal(got.values, [0.5, 0.5, 0.5])
+        np.testing.assert_array_equal(got, [0.5, 0.5, 0.5])
 
     def test_exponential_mean(self):
         rng = np.random.default_rng(11)
         x = ServiceModel.exponential(2.0).sample(rng, 1_000_000)
-        assert x.values.mean() == pytest.approx(0.5, rel=0.01)
+        assert x.mean() == pytest.approx(0.5, rel=0.01)
 
     def test_erlang_mean_and_variance(self):
         # k stages => mean 1/rate, variance 1/(k * rate^2)
         rng = np.random.default_rng(12)
-        x = ServiceModel.erlang(1.0, shape=4).sample(rng, 1_000_000).values
+        x = ServiceModel.erlang(1.0, shape=4).sample(rng, 1_000_000)
         assert x.mean() == pytest.approx(1.0, rel=0.01)
         assert x.var() == pytest.approx(0.25, rel=0.02)
 
     def test_uniform_support_and_mean(self):
         rng = np.random.default_rng(13)
         model = ServiceModel.uniform(2.0, halfwidth=0.2)
-        x = model.sample(rng, 100_000).values
+        x = model.sample(rng, 100_000)
         assert x.min() >= 0.3 and x.max() <= 0.7
         assert x.mean() == pytest.approx(0.5, rel=0.01)
 
@@ -96,45 +97,58 @@ class TestServiceModel:
         assert model.log_density(np.array([0.5]))[0] == pytest.approx(math.log(2.0) - 1.0)
 
 
+def departure_gaps(arrivals, services):
+    """Inter-departure gaps D_k and idle gaps U_k of one block."""
+    d, u = departure_epochs(arrivals, services)
+    return np.diff(d, prepend=0.0), u
+
+
 class TestPushThroughQueue:
+    """Departure and idle gaps of one block, from ``departure_epochs``."""
+
     def test_busy_server_example(self):
         # second packet arrives at t=2 while the first departs at 1.5:
         # no waiting, but the 2.0 service delays its departure to 4.0
-        dep, idle = push_through_queue(TimeSequence([1.0, 1.0]), TimeSequence([0.5, 2.0]))
-        np.testing.assert_allclose(dep.values, [1.5, 2.5])
-        np.testing.assert_allclose(idle.values, [1.0, 0.5])
+        dep, idle = departure_gaps([1.0, 1.0], [0.5, 2.0])
+        np.testing.assert_allclose(dep, [1.5, 2.5])
+        np.testing.assert_allclose(idle, [1.0, 0.5])
 
     def test_back_to_back_example(self):
         # burst arrival: only the first packet sees idle time
-        dep, idle = push_through_queue(TimeSequence([1.0, 0.0, 0.0]), TimeSequence([1.0, 1.0, 1.0]))
-        np.testing.assert_allclose(dep.values, [2.0, 1.0, 1.0])
-        np.testing.assert_allclose(idle.values, [1.0, 0.0, 0.0])
+        dep, idle = departure_gaps([1.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+        np.testing.assert_allclose(dep, [2.0, 1.0, 1.0])
+        np.testing.assert_allclose(idle, [1.0, 0.0, 0.0])
 
     def test_length_mismatch(self):
         with pytest.raises(StructuralError):
-            push_through_queue(TimeSequence([1.0, 1.0]), TimeSequence([1.0]))
+            departure_epochs([1.0, 1.0], [1.0])
 
     def test_single_packet(self):
-        dep, idle = push_through_queue(TimeSequence([0.7]), TimeSequence([0.4]))
-        assert dep.values[0] == pytest.approx(1.1)
-        assert idle.values[0] == pytest.approx(0.7)
+        dep, idle = departure_gaps([0.7], [0.4])
+        assert dep[0] == pytest.approx(1.1)
+        assert idle[0] == pytest.approx(0.7)
 
     def test_departure_gap_dominates_service(self):
         rng = np.random.default_rng(2)
-        a = TimeSequence(rng.exponential(2.0, 500))
-        s = TimeSequence(rng.exponential(1.0, 500))
-        dep, idle = push_through_queue(a, s)
-        assert np.all(dep.values >= s.values - 1e-12)
-        np.testing.assert_allclose(dep.values, idle.values + s.values, rtol=0, atol=1e-9)
+        a = rng.exponential(2.0, 500)
+        s = rng.exponential(1.0, 500)
+        dep, idle = departure_gaps(a, s)
+        assert np.all(dep >= s - 1e-12)
+        np.testing.assert_allclose(dep, idle + s, rtol=0, atol=1e-9)
 
     def test_idle_zero_means_gap_equals_service(self):
         rng = np.random.default_rng(3)
-        a = TimeSequence(rng.exponential(0.5, 500))  # heavy load => many busy periods
-        s = TimeSequence(rng.exponential(1.0, 500))
-        dep, idle = push_through_queue(a, s)
-        busy = idle.values == 0.0
+        a = rng.exponential(0.5, 500)  # heavy load => many busy periods
+        s = rng.exponential(1.0, 500)
+        dep, idle = departure_gaps(a, s)
+        busy = idle == 0.0
         assert busy.any()
-        np.testing.assert_allclose(dep.values[busy], s.values[busy], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(dep[busy], s[busy], rtol=0, atol=1e-9)
+
+    def test_epochs(self):
+        # with instant service each departure epoch is its arrival epoch
+        d, _ = departure_epochs([1.0, 0.5, 2.0], np.zeros(3))
+        np.testing.assert_allclose(d, [1.0, 1.5, 3.5])
 
     def test_departure_epochs_strictly_increase(self):
         rng = np.random.default_rng(4)
@@ -252,10 +266,10 @@ class TestBatchedRecursion:
         model = ServiceModel.erlang(1.0, shape=2)
         gaps = np.random.default_rng(14).exponential(2.0, (n, T))
         got = simulate_block(gaps, model, np.random.default_rng(15))
-        services = model.sample(np.random.default_rng(15), n * T).values.reshape(n, T)
+        services = model.sample(np.random.default_rng(15), n * T).reshape(n, T)
         for j in range(T):
-            dep, _ = push_through_queue(TimeSequence(gaps[:, j]), TimeSequence(services[:, j]))
-            assert np.array_equal(got[:, j], dep.values)
+            dep, _ = departure_gaps(gaps[:, j], services[:, j])
+            assert np.array_equal(got[:, j], dep)
 
     def test_trial_blocks_cover_trials_within_the_cell_budget(self):
         for n, trials in ((1, 5), (16, 2000), (3000, 50), (100_000, 3)):
@@ -270,7 +284,7 @@ class TestSimulateChannel:
         arrivals = poisson_arrivals(0.5, 200, rng)
         fast = ServiceModel.exponential(1e9)
         dep = simulate_channel(arrivals, fast, rng)
-        np.testing.assert_allclose(dep.values, arrivals.values, atol=1e-6)
+        np.testing.assert_allclose(dep, arrivals, atol=1e-6)
 
     def test_poisson_arrivals_validation(self):
         rng = np.random.default_rng(9)
@@ -284,4 +298,4 @@ class TestSimulateChannel:
         rng = np.random.default_rng(10)
         arrivals = poisson_arrivals(0.5, 20_000, rng)
         dep = simulate_channel(arrivals, ServiceModel.exponential(1.0), rng)
-        assert dep.values.sum() == pytest.approx(arrivals.values.sum(), rel=0.02)
+        assert dep.sum() == pytest.approx(arrivals.sum(), rel=0.02)

@@ -279,6 +279,43 @@ class TestNoKeyNeeded:
         assert math.log(1.2) > 0.11593151565841244
         assert no_key_needed(spec_wide)
 
+    def test_matches_in_region_at_zero_key_rate_on_a_grid(self):
+        # True iff every message rate below capacity is in the region with
+        # zero key rate; the margin is strict, so an MM1 tie mu1 == mu2 is
+        # False although every such rate is in
+        laws = (None, lambda mu2: ServiceModel.erlang(mu2, shape=2),
+                lambda mu2: ServiceModel.erlang(mu2, shape=6),
+                lambda mu2: ServiceModel.uniform(mu2, halfwidth=0.5 / mu2))
+        for mu1 in (0.8, 1.0, 1.1, 1.5, 2.0, 4.0):
+            for mu2 in (0.8, 1.0, 1.5, 2.0):
+                for law in laws:
+                    spec = (mm1_spec(mu1, mu2) if law is None else
+                            RegionSpec(mu1, mu2, kind=RegionKind.MG1, willie_service=law(mu2)))
+                    tie = law is None and mu1 == mu2
+                    for lam in (0.1 * mu1, 0.5 * mu1, 0.9 * mu1):
+                        capacity = covert_capacity(lam, mu1)
+                        every = all(in_region(RatePoint(lam, capacity * j / 20, 0.0), spec)
+                                    for j in range(20))
+                        assert no_key_needed(spec) == (every and not tie), (mu1, mu2, law, lam)
+
+    def test_mg1_reaches_some_rates_without_key(self):
+        # the message rate pays the key threshold itself: some rates are in
+        # the region with zero key rate, but not every one
+        model = ServiceModel.erlang(1.5, shape=2)
+        spec = RegionSpec(mu1=1.0, mu2=1.5, kind=RegionKind.MG1, willie_service=model)
+        assert in_region(RatePoint(0.5, 0.3, 0.0), spec)
+        assert not in_region(RatePoint(0.5, 0.0, 0.0), spec)
+        assert not no_key_needed(spec)
+
+    def test_rate_ratios_beyond_the_float_range(self):
+        # 1e300 / 1e-300 overflows and its inverse underflows to 0; the log
+        # ratio is still about +-1381.6
+        assert no_key_needed(mm1_spec(mu1=1e300, mu2=1e-300))
+        assert not no_key_needed(mm1_spec(mu1=1e-300, mu2=1e300))
+        assert min_key_rate_mm1(1e-301, 1e300, 1e-300) == 0.0
+        assert min_key_rate_mm1(1e-301, 1e-300, 1e300) == pytest.approx(1e-301 * 600 * math.log(10))
+        assert covert_capacity(1e-300, 1e300) == pytest.approx(1e-300 * 600 * math.log(10))
+
 
 def test_import_leaves_scipy_unloaded():
     # scipy is most of a cold import; only the uniform and Erlang divergences use it

@@ -17,6 +17,7 @@ where the two kernels' equally accurate s_k can differ in relative terms.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 
 from covertq.codec import decode, generate_codebook
 from covertq.laws import SCAN_TILE, conditional_log_density_batch, info_density_sample, scan_tiles
-from covertq.queueing import ServiceKind, ServiceModel, TimeSequence, simulate_channel
+from covertq.queueing import ServiceKind, ServiceModel, simulate_channel
 from covertq.warden import willie_llr
 
 import oracles
@@ -57,16 +58,16 @@ def draw_scan(model, n, count, grid, seed):
         services = grid_services(model, rng, n)
     else:
         gaps = rng.exponential(1.0 / LAM, (count, n))
-        services = model.sample(rng, n).values
+        services = model.sample(rng, n)
     departures, _ = oracles.des_departures(gaps[0], services)
     epochs = np.ascontiguousarray(np.cumsum(gaps, axis=1).T)
-    return epochs, TimeSequence(np.diff(departures, prepend=0.0))
+    return epochs, np.diff(departures, prepend=0.0)
 
 
 def oracle_scores(epochs, departures, model):
     if model.kind is ServiceKind.EXPONENTIAL:
-        return oracles.scan_scores_exponential(epochs, departures.values, model.rate)
-    return oracles.scan_scores(epochs, departures.values, model.log_density)
+        return oracles.scan_scores_exponential(epochs, departures, model.rate)
+    return oracles.scan_scores(epochs, departures, model.log_density)
 
 
 def scan_size(want, terms, model, n, last_departure):
@@ -104,8 +105,9 @@ class TestKernel:
         epochs, departures = draw_scan(model, n, count, grid, seed)
         want = oracle_scores(epochs, departures, model)
         got = conditional_log_density_batch(epochs, departures, model)
-        terms = oracles.scan_scores(epochs, departures.values, abs_log_density(model))
-        assert_scores_match(got, want, scan_size(want, terms, model, n, departures.epochs[-1]))
+        terms = oracles.scan_scores(epochs, departures, abs_log_density(model))
+        last_departure = np.cumsum(departures)[-1]
+        assert_scores_match(got, want, scan_size(want, terms, model, n, last_departure))
         assert np.isfinite(want[0])  # the candidate that was sent is feasible
         if grid:
             assert np.array_equal(got, want)  # exact arithmetic: the same bits
@@ -117,8 +119,8 @@ class TestKernel:
     @pytest.mark.parametrize("law", sorted(LAWS))
     def test_arrival_one_ulp_after_departure_is_infeasible(self, law):
         model = LAWS[law]
-        departures = TimeSequence([1.25, 0.75, 1.0])
-        d = departures.epochs
+        departures = np.array([1.25, 0.75, 1.0])
+        d = np.cumsum(departures)
         columns = [d, d.copy(), d.copy(), d - 0.75]  # the last: services all 0.75
         columns[1][1] = np.nextafter(d[1], np.inf)  # packet 2 arrives 1 ulp too late
         columns[2][2] = np.nextafter(d[2], np.inf)
@@ -128,6 +130,31 @@ class TestKernel:
         assert np.isneginf(got[1:3]).all()
         # s_k = 0 when t = d: inside the exponential law's support only
         assert np.isfinite(got[3]) and (law == "exponential") == np.isfinite(got[0])
+
+    @pytest.mark.parametrize("law", ["erlang", "uniform"])
+    @pytest.mark.parametrize("n", [4, 32, 200])
+    def test_shared_departures_score_like_one_column_each(self, law, n):
+        # the per-packet loop adds the rows' log densities in the order the
+        # whole-block formula sums them, so both give the same bits
+        model = LAWS[law]
+        epochs, departures = draw_scan(model, n, 500, grid=False, seed=n)
+        shared = conditional_log_density_batch(epochs, departures, model)
+        columns = np.repeat(departures[:, None], 500, axis=1)
+        assert np.array_equal(shared, conditional_log_density_batch(epochs, columns, model))
+        assert np.isfinite(shared[0])
+
+    def test_shared_departures_scan_in_small_memory(self):
+        # one n = 200 tile: the per-packet loop keeps (SCAN_TILE,) temporaries,
+        # where forming every s_k at once took over 200 MB
+        epochs, departures = draw_scan(LAWS["erlang"], 200, SCAN_TILE, grid=False, seed=3)
+        work = np.empty((3, SCAN_TILE))
+        tracemalloc.start()
+        try:
+            conditional_log_density_batch(epochs, departures, LAWS["erlang"], work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, peak
 
 
 def draw_trials(model, n, count, grid, seed):
@@ -140,7 +167,7 @@ def draw_trials(model, n, count, grid, seed):
         services = grid_services(model, rng, n * count).reshape(n, count)
     else:
         gaps = rng.exponential(1.0 / LAM, (n, count))
-        services = model.sample(rng, n * count).values.reshape(n, count)
+        services = model.sample(rng, n * count).reshape(n, count)
     departures = np.empty((n, count))
     for c in range(count):
         epochs, _ = oracles.des_departures(gaps[:, c], services[:, c])
@@ -191,7 +218,7 @@ def mixture_llr(epochs, departures, model):
     """One-shot log-sum-exp of the oracle's scores, minus log q(D)."""
     scores = oracle_scores(epochs, departures, model)
     top = scores.max()
-    null = departures.values.size * math.log(LAM) - LAM * departures.values.sum()
+    null = departures.size * math.log(LAM) - LAM * departures.sum()
     if top == -math.inf:
         return -math.inf
     return top + math.log(np.exp(scores - top).sum()) - math.log(scores.size) - null
@@ -214,10 +241,10 @@ class TestWillieLlr:
         if observed == "message":
             arrivals = book.codeword(int(rng.integers(book.total)), 0, 0)
         else:
-            arrivals = TimeSequence(rng.exponential(1.0 / LAM, n))
+            arrivals = rng.exponential(1.0 / LAM, n)
         departures = simulate_channel(arrivals, model, rng)
         if observed == "infeasible":
-            departures = TimeSequence(np.full(n, 1e-12))
+            departures = np.full(n, 1e-12)
         columns = np.sort(rng.permutation(book.total)[:count])
         epochs = np.ascontiguousarray(book.arrival_epochs[:, columns])
         shuffled = np.ascontiguousarray(epochs[:, rng.permutation(count)])
@@ -249,10 +276,10 @@ class TestDecode:
             book = replace(book, arrival_epochs=oracles.key_major_epochs(codewords, book.num_keys))
         key = int(rng.integers(book.num_keys))
         sent = int(rng.integers(book.num_pairs))
-        arrivals = TimeSequence(codewords[sent * book.num_keys + key])
+        arrivals = codewords[sent * book.num_keys + key]
         if grid:
-            departures, _ = oracles.des_departures(arrivals.values, grid_services(model, rng, n))
-            departures = TimeSequence(np.diff(departures, prepend=0.0))
+            departures, _ = oracles.des_departures(arrivals, grid_services(model, rng, n))
+            departures = np.diff(departures, prepend=0.0)
         else:
             departures = simulate_channel(arrivals, model, rng)
         scores = oracle_scores(oracles.key_sub_book(codewords, key, book.num_keys),
@@ -269,10 +296,10 @@ class TestDecode:
     def test_all_infeasible_observation_fails_to_message_zero(self):
         # a two-tile key block, and departures faster than every first arrival
         book = generate_codebook(3, 15, 1, 1, arrival_rate=LAM, seed=5)
-        departures = TimeSequence([1e-12] * 3)
+        departures = np.full(3, 1e-12)
         scores = oracles.scan_scores_exponential(
             oracles.key_sub_book(oracles.flat_codewords(book), 1, book.num_keys),
-            departures.values, 2.0,
+            departures, 2.0,
         )
         assert np.isneginf(scores).all()
         got = decode(book, departures, 1, LAWS["exponential"])

@@ -10,7 +10,6 @@ from covertq.harness import ExperimentConfig, run
 from covertq.laws import info_density_sample, poisson_log_density
 from covertq.queueing import (
     ServiceModel,
-    TimeSequence,
     poisson_arrivals,
     simulate_channel,
 )
@@ -69,17 +68,9 @@ class TestLlr:
         single = oracles.conditional_log_density(book.codeword(1, 0, 0), dep, WILLIE.log_density)
         assert llr >= single - null - math.log(book.total) - 1e-9
 
-    def test_plain_gap_array_scores_as_its_time_sequence(self):
-        # decode takes a 1-d gap array too; the warden reads it the same way
-        book = generate_codebook(6, 3, 1, 1, arrival_rate=LAM, seed=46)
-        rng = np.random.default_rng(47)
-        for arrivals in (book.codeword(2, 1, 0), poisson_arrivals(LAM, 6, rng)):
-            dep = simulate_channel(arrivals, WILLIE, rng)
-            assert willie_llr(book, dep.values, WILLIE, LAM) == willie_llr(book, dep, WILLIE, LAM)
-
     def test_infeasible_observation_gives_minus_inf(self):
         book = generate_codebook(4, 1, 0, 0, arrival_rate=LAM, seed=45)
-        dep = TimeSequence([1e-12] * 4)
+        dep = np.full(4, 1e-12)
         assert willie_llr(book, dep, WILLIE, LAM) == -math.inf
 
     def test_detector_never_sees_a_key(self):
@@ -175,8 +166,8 @@ class TestDetectionExperiment:
         book = generate_codebook(50, 3, 1, 0, arrival_rate=LAM, seed=56)
         llr0, llr1 = run_detection_trials(book, WILLIE, LAM, 400, np.random.default_rng(57))
         obs0, obs1 = replay_observations(book, 400, 57)
-        mean0, mean1 = ([d.values.mean() for d in obs] for obs in (obs0, obs1))
-        var0, var1 = ([d.values.var() for d in obs] for obs in (obs0, obs1))
+        mean0, mean1 = ([d.mean() for d in obs] for obs in (obs0, obs1))
+        var0, var1 = ([d.var() for d in obs] for obs in (obs0, obs1))
         auc_llr = rank_auc(llr0, llr1)
         se = auc_stderr(llr0, llr1)
         for x0, x1 in ((mean0, mean1), (var0, var1)):
