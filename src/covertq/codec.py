@@ -35,7 +35,7 @@ from .errors import (
     ResourceLimitError,
     StructuralError,
 )
-from .laws import scan_tiles
+from .laws import reduce_tiles
 from .queueing import BLOCK_CELLS, ServiceModel
 
 __all__ = [
@@ -144,6 +144,24 @@ def _check_sizes(n: int, bits_message: int, bits_dummy: int, bits_key: int) -> l
     return [int(value) for _, value, _ in sizes]
 
 
+def _sum_rows(gaps: np.ndarray, out: np.ndarray):
+    """``np.cumsum(gaps.T, axis=0, out=out)``: the same additions in the same
+    order, so the same bits.
+
+    ``np.cumsum`` walks the chunk one codeword at a time.  When the chunk has
+    at least as many codewords as packets it is faster to add it one packet
+    row at a time: n ufunc calls over all its codewords (at n=4, 0.12 ms per
+    chunk against 0.67 ms).
+    """
+    rows = gaps.T
+    if rows.shape[0] > rows[0].size:
+        np.cumsum(rows, axis=0, out=out)
+        return
+    np.copyto(out[0], rows[0])
+    for i in range(1, rows.shape[0]):
+        np.add(out[i - 1], rows[i], out=out[i])
+
+
 def generate_codebook(
     n: int,
     bits_message: int,
@@ -185,7 +203,7 @@ def generate_codebook(
         q = min(p + pair_step, pairs)
         for k in range(0, keys, key_step):
             gaps = rng.exponential(1.0 / arrival_rate, size=(q - p, key_step, n))
-            np.cumsum(gaps.T, axis=0, out=epochs[:, k:k + key_step, p:q])
+            _sum_rows(gaps, epochs[:, k:k + key_step, p:q])
     epochs = epochs.reshape(n, keys * pairs)
     epochs.setflags(write=False)
     return Codebook(
@@ -283,6 +301,13 @@ class DecodeResult:
         return self.feasible_count == 0
 
 
+def _argmax_partial(start: int, scores: np.ndarray) -> tuple[int, float, int]:
+    """A tile's first argmax (as a column of the scan), its maximum, and its
+    count of feasible candidates."""
+    j = int(np.argmax(scores))  # first occurrence == smallest (w, wt)
+    return start + j, float(scores[j]), int(np.count_nonzero(scores > -np.inf))
+
+
 def decode(
     book: Codebook,
     departures: np.ndarray,
@@ -309,11 +334,10 @@ def decode(
     pairs = book.num_pairs
     block = book.arrival_epochs[:, key * pairs:(key + 1) * pairs]
     best, top, feasible = 0, -math.inf, 0
-    for start, scores in scan_tiles(block, gaps, model):
-        j = int(np.argmax(scores))  # first occurrence == smallest (w, wt)
-        if scores[j] > top:  # strict: an earlier tile keeps its ties
-            best, top = start + j, float(scores[j])
-        feasible += int(np.count_nonzero(scores > -np.inf))
+    for tile_best, tile_top, tile_feasible in reduce_tiles(block, gaps, model, _argmax_partial):
+        if tile_top > top:  # strict: an earlier tile keeps its ties
+            best, top = tile_best, tile_top
+        feasible += tile_feasible
     return DecodeResult(
         message=best >> book.bits_dummy,
         dummy=best & (book.num_dummies - 1),

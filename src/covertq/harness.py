@@ -325,6 +325,11 @@ def _binomial_se(p: float, trials: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / trials)
 
 
+def _max_codewords(config: ExperimentConfig) -> int:
+    """2^cap, where ``generate_codebook`` refuses 2^63 codewords and more anyway."""
+    return 1 << min(config.enumeration_cap_bits, 62)
+
+
 def _run_decode_sweep(config: ExperimentConfig, param_index: int) -> list[ResultRow]:
     point = param_points(config)[param_index]
     n = point["n"]
@@ -351,7 +356,7 @@ def _run_decode_sweep(config: ExperimentConfig, param_index: int) -> list[Result
 
     book = codec.generate_codebook(
         n, *widths, arrival_rate=lam, seed=_book_seed(config, param_index),
-        max_codewords=1 << config.enumeration_cap_bits,
+        max_codewords=_max_codewords(config),
     )
     message_errors = 0
     pair_errors = 0
@@ -388,7 +393,7 @@ def _run_detection_sweep(config: ExperimentConfig, param_index: int) -> list[Res
     rng = _point_rng(config, param_index, 0)
     book = codec.generate_codebook(
         n, *widths, arrival_rate=lam, seed=_book_seed(config, param_index),
-        max_codewords=1 << config.enumeration_cap_bits,
+        max_codewords=_max_codewords(config),
     )
     null, alt = warden.run_detection_trials(book, config.willie_service, lam, config.trials, rng)
     return [_row(config, metric, params, value, stderr, config.trials)

@@ -18,18 +18,22 @@ exponential-service queue), i.e. i.i.d. Exp(rate) gaps.
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 
 from .errors import ParameterError, StructuralError
 from .queueing import ServiceKind, ServiceModel, simulate_block, trial_blocks
 
-__all__ = ["SCAN_TILE", "conditional_log_density_batch", "scan_tiles", "poisson_log_density",
-           "info_density_sample", "sample_info_densities"]
+__all__ = ["SCAN_TILE", "conditional_log_density_batch", "scan_threads", "reduce_tiles",
+           "poisson_log_density", "info_density_sample", "sample_info_densities"]
 
-# Columns per tile of a codebook scan.  At n=4 a tile's epochs (1 MiB) and its
-# three work arrays (256 KiB each) stay in a 4 MiB L2 cache across the scan.
-SCAN_TILE = 1 << 15
+# Columns per tile of a codebook scan.  At n=4 a tile's three work arrays
+# (512 KiB each) stay in a 2 MiB L2 cache while its epochs stream past.  Each
+# ufunc call of a threaded scan reacquires the GIL, so a tile half this size
+# scaled worse on two threads.
+SCAN_TILE = 1 << 16
 
 
 def conditional_log_density_batch(arrival_epochs: np.ndarray, departures, model: ServiceModel,
@@ -99,21 +103,72 @@ def conditional_log_density_batch(arrival_epochs: np.ndarray, departures, model:
     return scores
 
 
-def scan_tiles(arrival_epochs: np.ndarray, departures: np.ndarray, model: ServiceModel):
-    """Score the candidates in column tiles of ``SCAN_TILE``.
+def scan_threads() -> int:
+    """Threads for a codebook scan: one per CPU this process may run on.
 
-    Yields ``(start, scores)`` where ``scores`` is
-    ``conditional_log_density_batch`` of columns ``start:start + len(scores)``
-    against the shared ``departures``.  A tile's epochs and work arrays stay
-    in cache while its n packets are scanned.  All tiles share one work
-    array, so each yielded array may be overwritten by the next tile: reduce
-    it (in place if useful) first.
+    A module rule, not an option; ``taskset`` limits it.  The results of
+    ``reduce_tiles`` do not depend on it.
     """
-    count = arrival_epochs.shape[1]
-    work = np.empty((3, min(count, SCAN_TILE)))
-    for start in range(0, count, SCAN_TILE):
-        tile = arrival_epochs[:, start:start + SCAN_TILE]
-        yield start, conditional_log_density_batch(tile, departures, model, work)
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call outside Linux
+        return os.cpu_count() or 1
+
+
+def reduce_tiles(arrival_epochs: np.ndarray, departures: np.ndarray, model: ServiceModel,
+                 reduce) -> list:
+    """``[reduce(start, scores) for each column tile]``, in tile order.
+
+    ``scores`` is ``conditional_log_density_batch`` of the ``SCAN_TILE``
+    columns ``start:start + len(scores)`` against the shared ``(n,)``
+    ``departures``.  It lives in a work array that the next tile overwrites,
+    so ``reduce`` returns a small partial (and may reduce in place).  A tile's
+    epochs and work arrays stay in cache while its n packets are scanned.
+
+    The tiles are handed out one at a time to ``scan_threads()`` threads,
+    each with its own work array; numpy releases the GIL inside the kernel's
+    ufuncs.  A scan of one tile runs on the calling thread.  The threads
+    start and end within the call: a pool kept between calls would be
+    inherited without its threads by the forked workers of ``harness.run``.
+    An exception in a thread is raised on the calling thread: the one from
+    the earliest tile when several tiles fail.
+    """
+    ta = arrival_epochs
+    if ta.ndim != 2 or np.shape(departures) != ta.shape[:1]:
+        raise StructuralError(f"need (n, C) arrival epochs with (n,) departures, "
+                              f"got {ta.shape} and {np.shape(departures)}")
+    starts = range(0, ta.shape[1], SCAN_TILE)
+    threads = min(len(starts), scan_threads())
+    works = np.empty((threads, 3, min(ta.shape[1], SCAN_TILE)))
+    partials, errors = [None] * len(starts), {}
+    order = iter(range(len(starts)))  # shared: a stalled thread holds up one tile
+    lock = threading.Lock()
+
+    def scan(work):
+        while True:
+            with lock:
+                i = None if errors else next(order, None)
+            if i is None:
+                return
+            try:
+                tile = ta[:, starts[i]:starts[i] + SCAN_TILE]
+                scores = conditional_log_density_batch(tile, departures, model, work)
+                partials[i] = reduce(starts[i], scores)
+            except BaseException as exc:  # raised on the calling thread below
+                errors[i] = exc
+                return
+
+    if threads == 1:
+        scan(works[0])
+    else:
+        pool = [threading.Thread(target=scan, args=(work,)) for work in works]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return partials
 
 
 def poisson_log_density(gaps, rate: float):

@@ -140,11 +140,26 @@ def min_key_rate_mm1(arrival_rate: float, mu1: float, mu2: float) -> float:
     return max(0.0, arrival_rate * log_ratio(mu2, mu1))
 
 
+def _erlang_shape_term(k: int) -> float:
+    """log k - lgamma(k) + (k - 1) psi(k) - k, from its Stirling series.
+
+    The closed form cancels lgamma(k) against (k - 1) psi(k), two terms of
+    size k log k, and loses all its digits by k = 10^16.  The series is
+    (1/2) log(k / 2 pi) - 1/2 + 1/(2k) + sum_j B_2j (k^-2j / (2j) - k^(1-2j) / (2j - 1))
+    with B_2j the Bernoulli numbers.  From k = 100 on, its terms to k^-6 are
+    within 1e-16 of the sum.
+    """
+    x = 1 / k  # k may be past the float range
+    tail = x * (1 / 3 + x * (1 / 12 + x * (1 / 90 + x * (-1 / 120 + x * (-1 / 210 + x / 252)))))
+    return 0.5 * (math.log(k) - math.log(2.0 * math.pi) - 1.0) + tail
+
+
 def kl_to_exponential(model: ServiceModel, rate: float) -> float:
     """KL divergence D(model || Exp(rate)) in nats.
 
-    Closed forms for exponential and Erlang laws; adaptive quadrature for the
-    uniform law.  The deterministic law has infinite divergence.
+    Closed forms for exponential and Erlang laws (a Stirling series for
+    Erlang shapes from 100 on); adaptive quadrature for the uniform law.
+    The deterministic law has infinite divergence.
     """
     _check_rate("rate", rate)
     if model.kind is ServiceKind.DETERMINISTIC:
@@ -157,15 +172,17 @@ def kl_to_exponential(model: ServiceModel, rate: float) -> float:
         return log_ratio(a, rate) + rate / a - 1.0
     if model.kind is ServiceKind.ERLANG:
         # Erlang with k stages, mean 1/a: entropy and cross-entropy in closed form
-        from scipy.special import digamma  # scipy costs most of a cold import
-
         k = int(model.shape)
         a = model.rate
+        if k >= 100:
+            return _erlang_shape_term(k) + log_ratio(a, rate) + rate / a
+        from scipy.special import digamma  # scipy costs most of a cold import
+
         theta = k * a
         return (
             math.log(theta)
             - math.lgamma(k)
-            + (k - 1) * float(digamma(float(k)))  # an int beyond int64 has no psi loop
+            + (k - 1) * float(digamma(float(k)))
             - k
             - math.log(rate)
             + rate / a

@@ -24,7 +24,7 @@ import numpy as np
 
 from .codec import Codebook, encode
 from .errors import ParameterError
-from .laws import poisson_log_density, scan_tiles
+from .laws import poisson_log_density, reduce_tiles
 from .queueing import ServiceModel, poisson_arrivals, simulate_channel
 
 __all__ = [
@@ -39,6 +39,19 @@ __all__ = [
 _EXP_FLOOR = -700.0
 
 
+def _exp_partial(start: int, scores: np.ndarray) -> tuple[float, float]:
+    """A tile's log-sum-exp partial: its maximum m and sum of exp(score - m)."""
+    top = float(scores.max())
+    if top == -math.inf:
+        return top, 0.0  # no feasible codeword in this tile
+    np.subtract(scores, top, out=scores)
+    # exp() takes a slow path for -inf and for results below the normal
+    # range; a floor of -700 adds under C * 1e-304 to a sum of at least 1
+    np.maximum(scores, _EXP_FLOOR, out=scores)
+    np.exp(scores, out=scores)
+    return top, float(scores.sum())
+
+
 def willie_llr(
     book: Codebook,
     observation: np.ndarray,
@@ -47,24 +60,19 @@ def willie_llr(
 ) -> float:
     """Mixture-vs-stationary log likelihood ratio of one observed block.
 
-    The log-sum-exp over the codebook streams over the scan's column tiles:
-    a running maximum and a sum of exp(score - maximum), rescaled whenever a
-    tile raises the maximum.
+    The log-sum-exp over the codebook is reduced per column tile of the scan
+    to (maximum, sum of exp(score - maximum)).  The partials are combined in
+    tile order for any thread count, so the llr's bits do not depend on it.
     """
     top, total = -math.inf, 0.0
-    for _, scores in scan_tiles(book.arrival_epochs, observation, model):
-        tile_top = float(scores.max())
+    for tile_top, tile_total in reduce_tiles(book.arrival_epochs, observation, model,
+                                             _exp_partial):
         if tile_top == -math.inf:
-            continue  # no feasible codeword in this tile
+            continue
         if tile_top > top:
-            total *= math.exp(top - tile_top)
-            top = tile_top
-        np.subtract(scores, top, out=scores)
-        # exp() takes a slow path for -inf and for results below the normal
-        # range; a floor of -700 adds under C * 1e-304 to a sum of at least 1
-        np.maximum(scores, _EXP_FLOOR, out=scores)
-        np.exp(scores, out=scores)
-        total += float(scores.sum())
+            total, top = total * math.exp(top - tile_top) + tile_total, tile_top
+        else:
+            total += tile_total * math.exp(tile_top - top)
     if top == -math.inf:
         mixture = -math.inf  # no codeword could have produced this block
     else:

@@ -339,6 +339,18 @@ class TestCli:
         assert cli_main(["--config", str(cfg), "--seed", "77", "--out", str(out)]) == 0
         assert load_rows(str(out), "csv")[0].seed == 77
 
+    @pytest.mark.parametrize("experiment", ["decode_sweep", "detection_sweep"])
+    def test_huge_enumeration_cap_runs_like_a_cap_of_twenty(self, tmp_path, capsys, experiment):
+        # 10^300 passes the config as a finite number; 2^cap is never formed
+        outputs = []
+        for cap in (20, 10**300):
+            cfg = self._write_config(tmp_path, experiment=experiment, n_list=[4],
+                                     width_list=[[1, 0, 0]], enumeration_cap_bits=cap)
+            out = tmp_path / f"rows{len(outputs)}.csv"
+            assert cli_main(["--config", str(cfg), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_invalid_config_exit_code_and_diagnostic(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, arrival_rate=5.0)  # unstable
         code = cli_main(["--config", str(cfg)])
@@ -423,8 +435,28 @@ def test_import_leaves_process_pools_unloaded():
     # a process pool is only needed for workers > 1; its modules cost every cold import
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = ("import sys, covertq; print(sorted(m for m in sys.modules"
-             " if m in ('concurrent.futures.process', 'multiprocessing')))")
+    # nor do the scan's threads need an executor or a queue
+    probe = ("import sys, covertq; print(sorted(m for m in sys.modules if m in"
+             " ('concurrent.futures', 'concurrent.futures.process', 'multiprocessing', 'queue')))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_forked_workers_finish_after_threaded_scans():
+    # harness.run forks its workers from a process whose scans ran on threads;
+    # a thread pool kept between scans would be inherited without its threads,
+    # and the workers' first scan would wait on it for ever
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = (
+        "from covertq import ExperimentConfig, laws, run\n"
+        "laws.scan_threads = lambda: 2  # threads on a one-CPU host too\n"
+        "cfg = dict(experiment='detection_sweep', arrival_rate=0.5, mu1=1.0, mu2=2.0,\n"
+        "           width_list=[[9, 8, 0]], trials=2, master_seed=4)  # two tiles per scan\n"
+        "run(ExperimentConfig.from_dict(dict(cfg, n_list=[2])))\n"
+        "print(len(run(ExperimentConfig.from_dict(dict(cfg, n_list=[2, 3], workers=2)))))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert int(out.stdout) > 0

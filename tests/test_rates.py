@@ -108,6 +108,20 @@ class TestKlToExponential:
         assert got == pytest.approx(0.11593151565841244, abs=1e-12)
         assert got == pytest.approx(erlang_kl_closed_form(2, 2.0, 2.0), abs=1e-12)
 
+    @pytest.mark.parametrize("shape", [1, 2, 10, 99, 100, 101, 10**3, 10**12, 10**14, 10**16,
+                                       10**20, 10**100, 10**300])
+    @pytest.mark.parametrize("rate", [2.0, 0.7])
+    def test_erlang_against_mpmath_at_any_shape(self, shape, rate):
+        # the closed form up to 99 stages, the Stirling series from 100 on; the
+        # reference cancels two terms of size k log k, so it carries k's digits
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(340):
+            k, a, r = mpmath.mpf(shape), mpmath.mpf(2), mpmath.mpf(rate)
+            want = float(mpmath.log(k * a) - mpmath.loggamma(k) + (k - 1) * mpmath.digamma(k)
+                         - k - mpmath.log(r) + r / a)
+        got = kl_to_exponential(ServiceModel.erlang(2.0, shape=shape), rate)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15)  # abs: D = 0 at k = 1, rate 2
+
     def test_erlang_scale_invariance(self):
         for rate in (0.25, 1.0, 7.0):
             got = kl_to_exponential(ServiceModel.erlang(rate, shape=2), rate)

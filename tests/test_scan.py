@@ -1,11 +1,12 @@
 """The tiled codebook scan and its two reductions, against the oracles.
 
-``conditional_log_density_batch`` and ``scan_tiles`` are checked against the
+``conditional_log_density_batch`` and ``reduce_tiles`` are checked against the
 per-packet loop they replaced (``oracles.scan_scores*``), and the kernel's
 per-column path and ``info_density_sample`` against the per-trial scorer
 (``oracles.conditional_log_density``); ``willie_llr``
 against a one-shot log-sum-exp of the oracle's scores; ``decode`` against
 ``np.argmax`` over the oracle's strided gather of the key's sub-book.
+``TestThreads`` checks that both keep their bits on 1, 2 and 3 threads.
 
 Two kinds of data are drawn.  Continuous data (exponential gaps) checks the
 float agreement.  Grid data (multiples of 1/64, or of 1/2 where ties are
@@ -17,6 +18,8 @@ where the two kernels' equally accurate s_k can differ in relative terms.
 """
 
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -25,8 +28,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from covertq.codec import decode, generate_codebook
-from covertq.laws import SCAN_TILE, conditional_log_density_batch, info_density_sample, scan_tiles
+from covertq import laws
+from covertq.codec import Codebook, decode, generate_codebook
+from covertq.errors import StructuralError
+from covertq.laws import SCAN_TILE, conditional_log_density_batch, info_density_sample, reduce_tiles
 from covertq.queueing import ServiceKind, ServiceModel, simulate_channel
 from covertq.warden import willie_llr
 
@@ -111,8 +116,8 @@ class TestKernel:
         assert np.isfinite(want[0])  # the candidate that was sent is feasible
         if grid:
             assert np.array_equal(got, want)  # exact arithmetic: the same bits
-        # each tile overwrites the last one's scores: copy them as they come
-        tiles = [(start, scores.copy()) for start, scores in scan_tiles(epochs, departures, model)]
+        # each tile overwrites its thread's last scores: copy them as they come
+        tiles = reduce_tiles(epochs, departures, model, lambda start, scores: (start, scores.copy()))
         assert [start for start, _ in tiles] == list(range(0, count, SCAN_TILE))
         assert np.array_equal(np.concatenate([scores for _, scores in tiles]), got)
 
@@ -305,3 +310,103 @@ class TestDecode:
         got = decode(book, departures, 1, LAWS["exponential"])
         assert (got.message, got.dummy) == (0, 0)
         assert got.failed and got.log_likelihood == -math.inf
+
+
+@pytest.fixture
+def scan_threads(monkeypatch):
+    """Sets the scan's thread count, the module rule, to a given value."""
+    return lambda count: monkeypatch.setattr(laws, "scan_threads", lambda: count)
+
+
+def tied_book(model, count, n, seed):
+    """A book of ``count`` half-integer codewords, and departures from its last
+    one, with exact ties at the top score across tiles: the best codeword is
+    copied into the second and the third tile and into the last column.
+    When there is more than one tile, the first tile arrives after every
+    departure and is all infeasible."""
+    rng = np.random.default_rng(seed)
+    epochs = np.cumsum(rng.integers(0, 6, (n, count)) / 2.0, axis=0)
+    departures, _ = oracles.des_departures(np.diff(epochs[:, -1], prepend=0.0),
+                                           grid_services(model, rng, n))
+    if count > SCAN_TILE:
+        epochs[:, :SCAN_TILE] += departures[-1] + 1.0
+    departures = np.diff(departures, prepend=0.0)
+    best = int(np.argmax(oracle_scores(epochs, departures, model)))
+    for column in (SCAN_TILE + 1, 2 * SCAN_TILE + 1, count - 1):
+        if column < count:
+            epochs[:, column] = epochs[:, best]
+    bits = max(0, math.ceil(math.log2(count)))
+    book = Codebook(n=n, bits_message=bits, bits_dummy=0, bits_key=0, arrival_rate=LAM,
+                    seed=seed, arrival_epochs=epochs)
+    return book, departures
+
+
+class TestThreads:
+    """Every thread count gives the same bits: the partials are reduced per
+    tile and combined in tile order."""
+
+    @pytest.mark.parametrize("count", WIDTHS)
+    @pytest.mark.parametrize("law", ["exponential", "erlang"])
+    def test_llr_and_decode_bits_do_not_depend_on_threads(self, scan_threads, count, law):
+        model = LAWS[law]
+        book, departures = tied_book(model, count, 3, seed=count)
+        scores = oracle_scores(book.arrival_epochs, departures, model)
+        got = []
+        for threads in (1, 2, 3):
+            scan_threads(threads)
+            llr = willie_llr(book, departures, model, LAM)
+            result = decode(book, departures, 0, model)
+            got.append((llr.hex(), result))
+        assert got[1] == got[0] and got[2] == got[0]
+        assert llr == pytest.approx(mixture_llr(book.arrival_epochs, departures, model),
+                                    rel=1e-12, abs=1e-12)
+        assert (result.message, result.log_likelihood) == (int(np.argmax(scores)), scores.max())
+        assert result.feasible_count == np.isfinite(scores).sum()
+        if count > SCAN_TILE + 1:  # the top score in more than one tile
+            assert np.count_nonzero(scores == scores.max()) >= 2
+
+    def test_each_tile_is_reduced_once_under_contention(self, monkeypatch, scan_threads):
+        # more threads than cores and 4-column tiles, with the interpreter
+        # switching threads as often as it can: a tile handed out twice or
+        # not at all, or a partial stored at another's index, shows
+        monkeypatch.setattr(laws, "SCAN_TILE", 4)
+        scan_threads(7)
+        epochs, departures = draw_scan(LAWS["exponential"], 2, 4001, grid=True, seed=4)
+        want = conditional_log_density_batch(epochs, departures, LAWS["exponential"])
+        seen = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            partials = reduce_tiles(epochs, departures, LAWS["exponential"],
+                                    lambda start, scores: seen.append(start) or scores.copy())
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(seen) == list(range(0, 4001, 4))
+        assert np.array_equal(np.concatenate(partials), want)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_an_error_in_a_tile_is_raised_on_the_calling_thread(self, monkeypatch, scan_threads,
+                                                               threads):
+        scan_threads(threads)
+        kernel = laws.conditional_log_density_batch
+        calls = []
+
+        def failing(tile, departures, model, work):
+            calls.append(tile.shape[1])
+            if len(calls) == 2:
+                raise FloatingPointError("tile failed")
+            return kernel(tile, departures, model, work)
+
+        monkeypatch.setattr(laws, "conditional_log_density_batch", failing)
+        epochs, departures = draw_scan(LAWS["exponential"], 2, 3 * SCAN_TILE, grid=True, seed=1)
+        alive = threading.active_count()
+        with pytest.raises(FloatingPointError, match="tile failed"):
+            reduce_tiles(epochs, departures, LAWS["exponential"], lambda start, scores: start)
+        assert threading.active_count() == alive  # every thread was joined
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_shapes_are_checked_before_any_tile(self, scan_threads, threads):
+        scan_threads(threads)
+        epochs, departures = draw_scan(LAWS["exponential"], 2, 2 * SCAN_TILE, grid=True, seed=2)
+        with pytest.raises(StructuralError):
+            reduce_tiles(epochs, departures[:1], LAWS["exponential"], pytest.fail)
