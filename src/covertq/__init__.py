@@ -41,13 +41,12 @@ from .queueing import (
 )
 from .rates import (
     RatePoint,
-    RegionKind,
     RegionSpec,
     choose_dummy_rate,
     covert_capacity,
     in_region,
     kl_to_exponential,
-    min_key_rate_mm1,
+    min_key_rate,
     no_key_needed,
 )
 from .warden import (

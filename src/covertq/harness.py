@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import codec, laws, rates, warden
-from .errors import ConfigError, InstabilityError, OutputError
+from .errors import ConfigError, InstabilityError, OutputError, ResourceLimitError
 from .queueing import ServiceKind, ServiceModel, simulate_block, trial_blocks
 
 __all__ = [
@@ -40,6 +40,8 @@ EXPERIMENTS = ("region_table", "info_density", "decode_sweep", "detection_sweep"
 _EXPERIMENT_CODE = {name: i for i, name in enumerate(EXPERIMENTS)}
 _BOOK_STREAM = 1 << 20  # stream id reserved for codebook seeds
 _FORMATS = ("csv", "jsonlines")
+_MAX_PACKETS_BITS = 32  # n x trials per parameter point
+_MAX_CELLS_BITS = 28  # n x codewords of an enumerated codebook
 
 
 def service_to_dict(model: ServiceModel) -> dict:
@@ -146,6 +148,16 @@ class ExperimentConfig:
             raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
         if self.output_format not in _FORMATS:
             raise ConfigError(f"output_format must be one of {_FORMATS}")
+        n = max(self.n_list, default=0) if self.experiment != "region_table" else 0
+        if n * self.trials > 1 << _MAX_PACKETS_BITS:
+            raise ResourceLimitError(f"n={n} x trials={self.trials} packets exceeds the "
+                                     f"budget of 2^{_MAX_PACKETS_BITS} per point")
+        for bits in map(sum, self.width_list):
+            enumerated = self.experiment == "detection_sweep" or (
+                self.experiment == "decode_sweep" and bits <= self.enumeration_cap_bits)
+            if enumerated and (bits > _MAX_CELLS_BITS or n << bits > 1 << _MAX_CELLS_BITS):
+                raise ResourceLimitError(f"a codebook of n={n} x 2^{bits} codewords exceeds "
+                                         f"the budget of 2^{_MAX_CELLS_BITS} cells")
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
@@ -230,35 +242,14 @@ def _base_params(config: ExperimentConfig) -> dict:
     }
 
 
-def _region_spec(config: ExperimentConfig) -> rates.RegionSpec:
-    if config.willie_service.kind is ServiceKind.EXPONENTIAL:
-        return rates.RegionSpec(mu1=config.mu1, mu2=config.mu2)
-    return rates.RegionSpec(
-        mu1=config.mu1,
-        mu2=config.mu2,
-        kind=rates.RegionKind.MG1,
-        willie_service=config.willie_service,
-    )
-
-
 def param_points(config: ExperimentConfig) -> list[dict]:
     """Enumerate the parameter points the experiment sweeps over."""
     if config.experiment == "region_table":
         return [{}]
     if config.experiment == "info_density":
         return [{"side": side, "n": n} for side in ("bob", "willie") for n in config.n_list]
-    points = []
-    for n in config.n_list:
-        for widths in config.width_list:
-            points.append(
-                {
-                    "n": n,
-                    "bits_message": widths[0],
-                    "bits_dummy": widths[1],
-                    "bits_key": widths[2],
-                }
-            )
-    return points
+    return [{"n": n, "bits_message": w[0], "bits_dummy": w[1], "bits_key": w[2]}
+            for n in config.n_list for w in config.width_list]
 
 
 def _row(config, metric, params, value, stderr, trials) -> ResultRow:
@@ -275,27 +266,20 @@ def _row(config, metric, params, value, stderr, trials) -> ResultRow:
 
 def _run_region_table(config: ExperimentConfig, param_index: int) -> list[ResultRow]:
     lam = config.arrival_rate
-    spec = _region_spec(config)
+    spec = rates.RegionSpec(config.mu1, config.mu2, config.willie_service)
     base = _base_params(config)
     capacity = rates.covert_capacity(lam, config.mu1)
-    divergence = spec.willie_divergence()
-    rows = [
+    key_rate = rates.min_key_rate(lam, spec)
+    return [
         _row(config, "covert_capacity", base, capacity, 0.0, 1),
-        _row(config, "min_key_rate", base, rates.min_key_rate_mm1(lam, config.mu1, config.mu2), 0.0, 1),
-        _row(config, "willie_divergence", base, divergence, 0.0, 1),
+        _row(config, "min_key_rate", base, key_rate, 0.0, 1),
+        _row(config, "willie_divergence", base, spec.willie_divergence(), 0.0, 1),
         _row(config, "no_key_needed", base, 1.0 if rates.no_key_needed(spec) else 0.0, 0.0, 1),
+    ] + [  # the region's boundary on a message-rate grid: one key threshold at every R
+        _row(config, "boundary_key_rate", dict(base, message_rate=capacity * j / 20.0),
+             key_rate, 0.0, 1)
+        for j in range(21)
     ]
-    # boundary of the (R, R_K) region, sampled on a message-rate grid
-    threshold = lam * (rates.log_ratio(config.mu2, config.mu1) + divergence)
-    for j in range(21):
-        r = capacity * j / 20.0
-        if spec.kind is rates.RegionKind.MM1:
-            rk = max(0.0, threshold)
-        else:
-            rk = max(0.0, threshold - r)
-        params = dict(base, message_rate=r)
-        rows.append(_row(config, "boundary_key_rate", params, rk, 0.0, 1))
-    return rows
 
 
 def _run_info_density(config: ExperimentConfig, param_index: int) -> list[ResultRow]:

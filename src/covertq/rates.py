@@ -3,18 +3,16 @@
 All rates are in nats/second; a block of n packets at arrival rate lam spans
 n/lam seconds on average, so nats/packet values convert by multiplying by lam.
 
-For exponential cross traffic everywhere (M/M/1 at both observers, legitimate
-receiver service rate mu1, adversary service rate mu2), a message rate R is
-achievable with key rate R_K iff
+The receiver's queue serves Exp(mu1); the adversary's serves a law P_W of mean
+1/mu2, with D = D(P_W || Exp(mu2)) (0 for Exp(mu2)).  A codebook at message,
+dummy and key rates R, R_0, R_K must be decodable, R + R_0 <= lam ln(mu1/lam),
+and resolvable (soft covering), R + R_0 + R_K >= lam (ln(mu2/lam) + D).  With
+R_0 >= 0 eliminated, R is achievable with key rate R_K iff
 
-    0 <= R < lam * ln(mu1/lam)          (decodability)
-    R_K  >  max(0, lam * ln(mu2/mu1))   (undetectability; >= 0 when the max is 0)
+    0 <= R < lam * ln(mu1/lam)
+    R_K  >  max(0, lam * (ln(mu2/mu1) + D)),
 
-For a general adversary service law P_W with mean 1/mu2, the shared-randomness
-constraint stiffens by the divergence of P_W from the exponential of the same
-mean and binds the sum of the two rates:
-
-    R + R_K > max(0, lam * (ln(mu2/mu1) + D(P_W || Exp(mu2)))).
+one key threshold for every law, which does not depend on R.
 
 Strictness convention: the strict ">" applies to positive thresholds; a zero
 threshold admits equality (R_K = 0 is allowed when no key is needed).
@@ -22,7 +20,6 @@ threshold admits equality (R_K = 0 is allowed when no key is needed).
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -36,10 +33,9 @@ from .queueing import ServiceKind, ServiceModel
 
 __all__ = [
     "RatePoint",
-    "RegionKind",
     "RegionSpec",
     "covert_capacity",
-    "min_key_rate_mm1",
+    "min_key_rate",
     "kl_to_exponential",
     "in_region",
     "choose_dummy_rate",
@@ -78,42 +74,29 @@ class RatePoint:
             raise ParameterError("key_rate and dummy_rate must be non-negative")
 
 
-class RegionKind(enum.Enum):
-    MM1 = "mm1"
-    MG1 = "mg1"
-
-
 @dataclass(frozen=True)
 class RegionSpec:
-    """Channel pair: receiver rate mu1, adversary rate mu2 (+ law for MG1)."""
+    """Channel pair: receiver rate mu1, adversary rate mu2 and law (default Exp(mu2))."""
 
     mu1: float
     mu2: float
-    kind: RegionKind = RegionKind.MM1
     willie_service: ServiceModel | None = None
 
     def __post_init__(self):
         _check_rate("mu1", self.mu1)
         _check_rate("mu2", self.mu2)
-        if self.kind is RegionKind.MG1:
-            if self.willie_service is None:
-                raise ParameterError("MG1 region needs an adversary service law")
-            if not self.willie_service.has_density:
-                raise UnsupportedLawError(
-                    "MG1 region needs a service law with a density"
-                )
-            if not math.isclose(self.willie_service.rate, self.mu2, rel_tol=1e-12):
-                raise ParameterError(
-                    f"adversary service law rate {self.willie_service.rate} "
-                    f"must equal mu2={self.mu2}"
-                )
-        elif self.willie_service is not None:
-            raise ParameterError("willie_service only applies to the MG1 region")
+        if self.willie_service is None:
+            object.__setattr__(self, "willie_service", ServiceModel.exponential(self.mu2))
+        if not self.willie_service.has_density:
+            raise UnsupportedLawError("the region needs a service law with a density")
+        if not math.isclose(self.willie_service.rate, self.mu2, rel_tol=1e-12):
+            raise ParameterError(
+                f"adversary service law rate {self.willie_service.rate} "
+                f"must equal mu2={self.mu2}"
+            )
 
     def willie_divergence(self) -> float:
-        """KL of the adversary's service law from Exp(mu2); 0 for MM1."""
-        if self.kind is RegionKind.MM1:
-            return 0.0
+        """KL of the adversary's service law from Exp(mu2); exactly 0 for Exp(mu2)."""
         return kl_to_exponential(self.willie_service, self.mu2)
 
 
@@ -128,16 +111,19 @@ def covert_capacity(arrival_rate: float, mu1: float) -> float:
     return arrival_rate * log_ratio(mu1, arrival_rate)
 
 
-def min_key_rate_mm1(arrival_rate: float, mu1: float, mu2: float) -> float:
-    """Least key rate supporting covertness: max(0, lam * ln(mu2/mu1)) nats/s."""
+def min_key_rate(arrival_rate: float, spec: RegionSpec) -> float:
+    """Least key rate for covertness at any message rate: max(0, lam * (ln(mu2/mu1) + D))."""
     _check_rate("arrival_rate", arrival_rate)
-    _check_rate("mu1", mu1)
-    _check_rate("mu2", mu2)
-    if arrival_rate >= min(mu1, mu2):
+    if arrival_rate >= min(spec.mu1, spec.mu2):
         raise InstabilityError(
-            f"arrival rate {arrival_rate} >= min service rate {min(mu1, mu2)}"
+            f"arrival rate {arrival_rate} >= min service rate {min(spec.mu1, spec.mu2)}"
         )
-    return max(0.0, arrival_rate * log_ratio(mu2, mu1))
+    return _least_key_rate(arrival_rate, spec)
+
+
+def _least_key_rate(arrival_rate: float, spec: RegionSpec) -> float:
+    """The key threshold of ``min_key_rate``, without its stability check."""
+    return max(0.0, arrival_rate * (log_ratio(spec.mu2, spec.mu1) + spec.willie_divergence()))
 
 
 def _erlang_shape_term(k: int) -> float:
@@ -202,31 +188,16 @@ def kl_to_exponential(model: ServiceModel, rate: float) -> float:
     return value
 
 
-def _key_threshold(point: RatePoint, spec: RegionSpec) -> float:
-    lam = point.arrival_rate
-    base = lam * log_ratio(spec.mu2, spec.mu1)
-    if spec.kind is RegionKind.MG1:
-        base += lam * spec.willie_divergence()
-    return max(0.0, base)
-
-
 def in_region(point: RatePoint, spec: RegionSpec) -> bool:
     """Membership in the achievable (R, R_K) region."""
     lam = point.arrival_rate
-    if point.message_rate < 0.0:
+    # no positive capacity without a stable receiver queue
+    if point.message_rate < 0.0 or lam >= spec.mu1:
         return False
-    if lam >= spec.mu1:
-        return False  # no positive capacity without a stable receiver queue
     if point.message_rate >= covert_capacity(lam, spec.mu1):
         return False
-    threshold = _key_threshold(point, spec)
-    if spec.kind is RegionKind.MM1:
-        budget = point.key_rate
-    else:
-        budget = point.message_rate + point.key_rate
-    if threshold > 0.0:
-        return budget > threshold
-    return budget >= 0.0
+    threshold = _least_key_rate(lam, spec)
+    return threshold == 0.0 or point.key_rate > threshold
 
 
 def choose_dummy_rate(point: RatePoint, spec: RegionSpec) -> float:
@@ -238,8 +209,9 @@ def choose_dummy_rate(point: RatePoint, spec: RegionSpec) -> float:
         R + R_0 <= lam * ln(mu1/lam)                       (decodable)
         R + R_0 + R_K >= lam * (ln(mu2/lam) + divergence)  (resolvable)
 
-    Raises the infeasible-rate error when the point is outside the region or
-    the interval is empty.
+    The two bind R_K alone, so the interval is non-empty exactly in the
+    region.  Raises the infeasible-rate error when the point is outside it, or
+    when rounding at the key threshold leaves the interval empty.
     """
     if not in_region(point, spec):
         raise InfeasibleRateError(
@@ -261,9 +233,10 @@ def choose_dummy_rate(point: RatePoint, spec: RegionSpec) -> float:
 def no_key_needed(spec: RegionSpec) -> bool:
     """True when every message rate below capacity is achievable with zero key rate.
 
-    The test is ln(mu1/mu2) > D(P_W || Exp(mu2)), with D = 0 for MM1, and its
-    margin is strict: at equality every such rate is achievable too.  An MG1
-    spec that fails it may still reach some message rates with zero key rate.
+    The test is ln(mu1/mu2) > D(P_W || Exp(mu2)), the key threshold's sign; it
+    does not depend on the arrival rate or the message rate.  Its margin is
+    strict: at equality the threshold is 0 and every such rate is achievable
+    too.  Past equality every message rate needs a positive key rate.
     """
     gap = log_ratio(spec.mu1, spec.mu2) - spec.willie_divergence()
     return gap > 0.0

@@ -19,6 +19,7 @@ from covertq.codec import (
     mm1_log_output_ratio_bound,
     random_coding_error_bounds,
 )
+from covertq.errors import InfeasibleRateError
 from covertq.harness import ExperimentConfig, emit, run
 from covertq.laws import sample_info_densities
 from covertq.queueing import (
@@ -29,12 +30,12 @@ from covertq.queueing import (
 )
 from covertq.rates import (
     RatePoint,
-    RegionKind,
     RegionSpec,
+    choose_dummy_rate,
     covert_capacity,
     in_region,
     kl_to_exponential,
-    min_key_rate_mm1,
+    min_key_rate,
 )
 from covertq.warden import rank_auc, run_detection_trials
 
@@ -168,9 +169,9 @@ def test_criterion_6_closed_forms_and_region(capsys):
     # calculus argmax: lam* = mu1/e, value mu1/e
     lam_star = MU1 / math.e
     checks.append(("argmax", abs(covert_capacity(lam_star, MU1) - MU1 / math.e) < 1e-12))
-    key = min_key_rate_mm1(LAM, MU1, MU2)
+    key = min_key_rate(LAM, RegionSpec(MU1, MU2))
     checks.append(("key-rate", abs(key - 0.34657359027997264) < 1e-12))
-    checks.append(("key-rate-zero", min_key_rate_mm1(0.5, 2.0, 1.0) == 0.0))
+    checks.append(("key-rate-zero", min_key_rate(0.5, RegionSpec(2.0, 1.0)) == 0.0))
 
     # Erlang-2 divergence: quadrature oracle and frozen closed form
     from oracles import kl_by_quadrature
@@ -193,24 +194,34 @@ def test_criterion_6_closed_forms_and_region(capsys):
     mc = float(np.mean(-math.log(0.4) - (math.log(MU2) - MU2 * draws)))
     checks.append(("uniform-kl", abs(kl_uni - mc) < 1e-3 * max(1.0, abs(mc))))
 
-    # Theorem-2 predicate with an exponential adversary degenerates to the
-    # exponential threshold on R + R_K: verify on a 50x50 grid
-    spec = RegionSpec(mu1=MU1, mu2=MU2, kind=RegionKind.MG1,
-                      willie_service=ServiceModel.exponential(MU2))
-    theta = LAM * math.log(MU2 / MU1)
-    grid_ok = True
-    for r in np.linspace(0.0, 0.45, 50):
-        for rk in np.linspace(0.0, 0.9, 50):
-            want = (r < cap) and (r + rk > theta if theta > 0 else r + rk >= 0)
-            if in_region(RatePoint(LAM, float(r), float(rk)), spec) != want:
-                grid_ok = False
-    checks.append(("mg1-grid", grid_ok))
+    # The region on a 50x50 grid, for three adversary laws: R below capacity
+    # and R_K above lam * (ln(mu2/mu1) + D), the key threshold that the
+    # decodability and resolvability constraints on the dummy rate leave; and
+    # in the region exactly where a dummy rate meets both constraints
+    for name, law in (("exp", ServiceModel.exponential(MU2)),
+                      ("erlang2", ServiceModel.erlang(MU2, shape=2)),
+                      ("uniform", ServiceModel.uniform(MU2, halfwidth=0.2))):
+        spec = RegionSpec(MU1, MU2, law)
+        theta = LAM * (math.log(MU2 / MU1) + kl_to_exponential(law, MU2))
+        grid_ok = True
+        for r in np.linspace(0.0, 0.45, 50):
+            for rk in np.linspace(0.0, 0.9, 50):
+                point = RatePoint(LAM, float(r), float(rk))
+                inside = in_region(point, spec)
+                try:
+                    choose_dummy_rate(point, spec)
+                    reachable = True
+                except InfeasibleRateError:
+                    reachable = False
+                want = (r < cap) and (rk > theta if theta > 0 else True)
+                grid_ok &= inside == want and inside == reachable
+        checks.append((f"region-grid-{name}", grid_ok))
 
     failed = [name for name, ok in checks if not ok]
     report(
         capsys, 6, not failed,
         f"capacity/key-rate/argmax at 1e-12, erlang KL at 1e-6, uniform KL vs "
-        f"1e7-sample MC at 3 digits, 50x50 MG1 grid"
+        f"1e7-sample MC at 3 digits, 50x50 region grid for 3 laws"
         + (f"; FAILED: {failed}" if failed else ""),
     )
 

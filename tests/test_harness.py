@@ -13,7 +13,7 @@ import pytest
 from covertq import codec, harness, queueing
 from covertq.cli import main as cli_main
 from covertq.codec import decode, encode, generate_codebook
-from covertq.errors import ConfigError, InstabilityError, OutputError
+from covertq.errors import ConfigError, InstabilityError, OutputError, ResourceLimitError
 from covertq.harness import (
     ExperimentConfig,
     ResultRow,
@@ -82,6 +82,22 @@ class TestConfig:
         assert cfg.willie_service == model
         assert service_from_dict(service_to_dict(model)) == model
 
+    def test_size_budget_edges(self):
+        # at most 2^32 packets (n x trials) per point and 2^28 cells
+        # (n x codewords) per enumerated codebook
+        base_config(experiment="info_density", n_list=(2**16, 3), trials=2**16)
+        base_config(experiment="detection_sweep", n_list=(2**8,), width_list=((10, 10, 0),))
+        base_config(experiment="decode_sweep", n_list=(2**8,), width_list=((10, 10, 0),))
+        base_config(experiment="decode_sweep", n_list=(2**8,), width_list=((40, 0, 0),))  # bounds
+        base_config(n_list=(2**40,), trials=2**40)  # a region table runs no trials
+        with pytest.raises(ResourceLimitError, match="packets"):
+            base_config(experiment="info_density", n_list=(2**16, 3), trials=2**16 + 1)
+        with pytest.raises(ResourceLimitError, match="cells"):
+            base_config(experiment="detection_sweep", n_list=(2**8,), width_list=((10, 10, 1),))
+        with pytest.raises(ResourceLimitError, match="cells"):
+            base_config(experiment="decode_sweep", n_list=(2**8,), width_list=((10, 10, 1),),
+                        enumeration_cap_bits=21)
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(dict(experiment="region_table", arrival_rate=0.5,
@@ -100,12 +116,20 @@ class TestRegionTable:
         assert len(boundary) == 21
         assert all(r.value == pytest.approx(0.34657359, abs=1e-8) for r in boundary)
 
-    def test_mg1_boundary_depends_on_message_rate(self):
-        cfg = base_config(willie_service=ServiceModel.erlang(2.0, shape=2))
-        rows = [r for r in run(cfg) if r.metric == "boundary_key_rate"]
-        values = [r.value for r in rows]
-        assert values[0] > values[-1]  # key budget shrinks as R absorbs it
-        assert values == sorted(values, reverse=True)
+    def test_exponential_and_erlang_shape_one_give_one_table(self):
+        # one law, two spellings: the same rows but for the law's name
+        exp_rows = run(base_config(willie_service=ServiceModel.exponential(2.0)))
+        erlang_rows = run(base_config(willie_service=ServiceModel.erlang(2.0, shape=1)))
+        assert [(r.metric, r.value) for r in exp_rows] == [
+            (r.metric, r.value) for r in erlang_rows]
+
+    def test_boundary_adds_the_divergence_at_every_message_rate(self):
+        rows = run(base_config(willie_service=ServiceModel.erlang(2.0, shape=2)))
+        by_metric = {r.metric: r.value for r in rows}
+        assert by_metric["min_key_rate"] == pytest.approx(
+            0.5 * (math.log(2.0) + by_metric["willie_divergence"]), abs=1e-8)
+        boundary = [r.value for r in rows if r.metric == "boundary_key_rate"]
+        assert boundary == [by_metric["min_key_rate"]] * 21
 
 
 class TestDeterminism:
@@ -404,6 +428,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert json.loads(err)["error_category"] == category
+
+    @pytest.mark.parametrize("fields", [
+        dict(experiment="info_density", n_list=[10**10], trials=1),
+        dict(experiment="decode_sweep", n_list=[2**30], width_list=[[40, 0, 0]], trials=8),
+        dict(experiment="decode_sweep", n_list=[16], width_list=[[10, 9, 6]],
+             enumeration_cap_bits=30),
+        dict(experiment="detection_sweep", n_list=[4], width_list=[[1, 1, 1], [10**6, 0, 0]]),
+    ])
+    def test_config_over_the_size_budget_exits_4_at_load(self, tmp_path, capsys, monkeypatch,
+                                                          fields):
+        monkeypatch.setattr("covertq.cli.run", lambda config: pytest.fail("the config ran"))
+        cfg = self._write_config(tmp_path, **fields)
+        assert cli_main(["--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error_category"] == "resource-limit"
 
     def test_single_detection_trial_rejected_before_any_codebook(self, tmp_path, capsys,
                                                                   monkeypatch):

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from covertq.errors import (
@@ -17,13 +19,12 @@ from covertq.errors import (
 from covertq.queueing import ServiceModel
 from covertq.rates import (
     RatePoint,
-    RegionKind,
     RegionSpec,
     choose_dummy_rate,
     covert_capacity,
     in_region,
     kl_to_exponential,
-    min_key_rate_mm1,
+    min_key_rate,
     no_key_needed,
 )
 
@@ -68,21 +69,28 @@ class TestCovertCapacity:
 
 class TestMinKeyRate:
     def test_reference_value(self):
-        assert min_key_rate_mm1(0.5, 1.0, 2.0) == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
+        assert min_key_rate(0.5, mm1_spec(1.0, 2.0)) == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
 
     def test_zero_when_adversary_is_slower(self):
-        assert min_key_rate_mm1(0.5, 2.0, 1.0) == 0.0
-        assert min_key_rate_mm1(0.5, 1.0, 1.0) == 0.0
+        assert min_key_rate(0.5, mm1_spec(2.0, 1.0)) == 0.0
+        assert min_key_rate(0.5, mm1_spec(1.0, 1.0)) == 0.0
 
     def test_monotone_in_adversary_rate(self):
-        values = [min_key_rate_mm1(0.5, 1.0, mu2) for mu2 in (1.0, 1.5, 2.0, 4.0)]
+        values = [min_key_rate(0.5, mm1_spec(1.0, mu2)) for mu2 in (1.0, 1.5, 2.0, 4.0)]
         assert values == sorted(values)
+
+    def test_adds_the_divergence_of_the_law(self):
+        model = ServiceModel.erlang(2.0, shape=2)
+        got = min_key_rate(0.5, RegionSpec(1.0, 2.0, model))
+        assert got == pytest.approx(0.5 * (math.log(2.0) + 0.11593151565841244), abs=1e-12)
 
     def test_instability_raises(self):
         with pytest.raises(InstabilityError):
-            min_key_rate_mm1(1.0, 1.0, 2.0)
+            min_key_rate(1.0, mm1_spec(1.0, 2.0))
         with pytest.raises(InstabilityError):
-            min_key_rate_mm1(0.8, 1.0, 0.5)
+            min_key_rate(0.8, mm1_spec(1.0, 0.5))
+        with pytest.raises(ParameterError):
+            min_key_rate(0.0, mm1_spec(1.0, 2.0))
 
 
 class TestKlToExponential:
@@ -185,39 +193,37 @@ class TestInRegion:
         assert in_region(RatePoint(0.5, 0.0, 0.0), mm1_spec(mu1=1.0, mu2=0.9))
 
     def test_mg1_with_exponential_law_adds_nothing(self):
-        spec_mm1 = mm1_spec()
-        spec_mg1 = RegionSpec(
-            mu1=1.0, mu2=2.0, kind=RegionKind.MG1,
-            willie_service=ServiceModel.exponential(2.0),
-        )
+        # a spec given Exp(mu2) explicitly is the default spec
+        spec_default = mm1_spec()
+        spec_law = RegionSpec(mu1=1.0, mu2=2.0, willie_service=ServiceModel.exponential(2.0))
+        assert spec_default == spec_law
+        assert spec_law.willie_divergence() == 0.0
         rng = np.random.default_rng(32)
         for _ in range(200):
             r = float(rng.uniform(0.0, 0.4))
             rk = float(rng.uniform(0.0, 0.8))
             point = RatePoint(0.5, r, rk)
-            # same threshold, but MG1 budgets R + R_K instead of R_K alone
-            mm1_sum_oracle = (
-                0.0 <= r < covert_capacity(0.5, 1.0)
-                and r + rk > max(0.0, 0.5 * math.log(2.0))
-            )
-            assert in_region(point, spec_mg1) == mm1_sum_oracle
-            assert in_region(point, spec_mm1) == (
-                0.0 <= r < covert_capacity(0.5, 1.0) and rk > 0.5 * math.log(2.0)
-            )
+            want = 0.0 <= r < covert_capacity(0.5, 1.0) and rk > 0.5 * math.log(2.0)
+            assert in_region(point, spec_law) == in_region(point, spec_default) == want
+
+    def test_threshold_does_not_depend_on_message_rate(self):
+        # R does not pay for the key: R_K just above the threshold is enough at
+        # every R below capacity, and R_K just below it at none
+        model = ServiceModel.erlang(1.5, shape=2)
+        spec = RegionSpec(mu1=1.0, mu2=1.5, willie_service=model)
+        theta = min_key_rate(0.5, spec)
+        assert theta > 0.0
+        for r in np.linspace(0.0, covert_capacity(0.5, 1.0), 20, endpoint=False):
+            assert in_region(RatePoint(0.5, float(r), theta + 1e-9), spec)
+            assert not in_region(RatePoint(0.5, float(r), theta - 1e-9), spec)
 
     def test_mg1_spec_validation(self):
         with pytest.raises(ParameterError):
-            RegionSpec(mu1=1.0, mu2=2.0, kind=RegionKind.MG1)
-        with pytest.raises(ParameterError):
-            RegionSpec(
-                mu1=1.0, mu2=2.0, kind=RegionKind.MG1,
-                willie_service=ServiceModel.exponential(1.0),  # rate != mu2
-            )
+            RegionSpec(mu1=1.0, mu2=2.0, willie_service=ServiceModel.exponential(1.0))  # rate != mu2
         with pytest.raises(UnsupportedLawError):
-            RegionSpec(
-                mu1=1.0, mu2=2.0, kind=RegionKind.MG1,
-                willie_service=ServiceModel.deterministic(2.0),
-            )
+            RegionSpec(mu1=1.0, mu2=2.0, willie_service=ServiceModel.deterministic(2.0))
+        with pytest.raises(ParameterError):
+            RegionSpec(mu1=0.0, mu2=2.0)
 
 
 class TestChooseDummyRate:
@@ -262,20 +268,51 @@ class TestChooseDummyRate:
             choose_dummy_rate(RatePoint(0.5, 0.1, 0.0), mm1_spec())
 
     def test_mg1_empty_interval_raises(self):
-        # high message rate: decodability cap binds before the masking floor
+        # high message rate with no key: the masking floor lies above the
+        # decodability cap, so the point is outside the region
         model = ServiceModel.erlang(2.0, shape=2)
-        spec = RegionSpec(mu1=1.0, mu2=2.0, kind=RegionKind.MG1, willie_service=model)
+        spec = RegionSpec(mu1=1.0, mu2=2.0, willie_service=model)
         kl = kl_to_exponential(model, 2.0)
         cap = covert_capacity(0.5, 1.0)
         point = RatePoint(0.5, cap - 1e-6, key_rate=0.0)
-        # in the stated region (R + R_K above the sum threshold)...
-        assert in_region(point, spec) == (cap - 1e-6 > 0.5 * (math.log(2.0) + kl))
-        if in_region(point, spec):
-            # ...but R0 would have to exceed the decodability slack
-            need = 0.5 * (math.log(4.0) + kl) - (cap - 1e-6)
-            assert need > 1e-6
-            with pytest.raises(InfeasibleRateError):
-                choose_dummy_rate(point, spec)
+        need = 0.5 * (math.log(4.0) + kl) - (cap - 1e-6)
+        assert need > 1e-6
+        assert not in_region(point, spec)
+        with pytest.raises(InfeasibleRateError):
+            choose_dummy_rate(point, spec)
+
+
+LAWS = st.one_of(
+    st.just(ServiceModel.exponential),
+    st.integers(1, 12).map(lambda k: lambda mu2: ServiceModel.erlang(mu2, shape=k)),
+    st.floats(0.05, 1.0).map(lambda h: lambda mu2: ServiceModel.uniform(mu2, halfwidth=h / mu2)),
+)
+
+
+@given(lam=st.floats(0.05, 5.0), mu1=st.floats(0.05, 20.0), mu2=st.floats(0.05, 20.0),
+       law=LAWS, r_frac=st.floats(-0.1, 1.1), key_rate=st.floats(0.0, 10.0))
+@settings(max_examples=300, deadline=None)
+def test_in_region_exactly_where_a_dummy_rate_exists(lam, mu1, mu2, law, r_frac, key_rate):
+    # in the region iff some R_0 >= 0 meets both constraints (with R below
+    # capacity), and then choose_dummy_rate finds one; away from rounding at
+    # the key threshold
+    spec = RegionSpec(mu1, mu2, law(mu2))
+    divergence = spec.willie_divergence()
+    assume(abs(key_rate - lam * (math.log(mu2 / mu1) + divergence)) > 1e-9)
+    cap = lam * math.log(mu1 / lam) if lam < mu1 else 0.0
+    resolvability = lam * (math.log(mu2 / lam) + divergence)
+    r = r_frac * cap if cap > 0.0 else r_frac
+    point = RatePoint(lam, r, key_rate)
+    exists = 0.0 <= r < cap and max(0.0, resolvability - r - key_rate) <= cap - r
+    try:
+        r0 = choose_dummy_rate(point, spec)
+    except InfeasibleRateError:
+        r0 = None
+    assert in_region(point, spec) == exists == (r0 is not None)
+    if r0 is not None:
+        assert r0 >= 0.0
+        assert r + r0 <= cap + 1e-12
+        assert r + r0 + key_rate >= resolvability - 1e-12
 
 
 class TestNoKeyNeeded:
@@ -286,25 +323,24 @@ class TestNoKeyNeeded:
 
     def test_mg1_divergence_penalty(self):
         model = ServiceModel.erlang(1.0, shape=2)
-        spec = RegionSpec(mu1=1.05, mu2=1.0, kind=RegionKind.MG1, willie_service=model)
+        spec = RegionSpec(mu1=1.05, mu2=1.0, willie_service=model)
         # ln(1.05) ~ 0.0488 < 0.1159: the shape penalty eats the rate advantage
         assert not no_key_needed(spec)
-        spec_wide = RegionSpec(mu1=1.2, mu2=1.0, kind=RegionKind.MG1, willie_service=model)
+        spec_wide = RegionSpec(mu1=1.2, mu2=1.0, willie_service=model)
         assert math.log(1.2) > 0.11593151565841244
         assert no_key_needed(spec_wide)
 
     def test_matches_in_region_at_zero_key_rate_on_a_grid(self):
         # True iff every message rate below capacity is in the region with
-        # zero key rate; the margin is strict, so an MM1 tie mu1 == mu2 is
-        # False although every such rate is in
+        # zero key rate; the margin is strict, so an exponential tie
+        # mu1 == mu2 is False although every such rate is in
         laws = (None, lambda mu2: ServiceModel.erlang(mu2, shape=2),
                 lambda mu2: ServiceModel.erlang(mu2, shape=6),
                 lambda mu2: ServiceModel.uniform(mu2, halfwidth=0.5 / mu2))
         for mu1 in (0.8, 1.0, 1.1, 1.5, 2.0, 4.0):
             for mu2 in (0.8, 1.0, 1.5, 2.0):
                 for law in laws:
-                    spec = (mm1_spec(mu1, mu2) if law is None else
-                            RegionSpec(mu1, mu2, kind=RegionKind.MG1, willie_service=law(mu2)))
+                    spec = RegionSpec(mu1, mu2, None if law is None else law(mu2))
                     tie = law is None and mu1 == mu2
                     for lam in (0.1 * mu1, 0.5 * mu1, 0.9 * mu1):
                         capacity = covert_capacity(lam, mu1)
@@ -312,22 +348,13 @@ class TestNoKeyNeeded:
                                     for j in range(20))
                         assert no_key_needed(spec) == (every and not tie), (mu1, mu2, law, lam)
 
-    def test_mg1_reaches_some_rates_without_key(self):
-        # the message rate pays the key threshold itself: some rates are in
-        # the region with zero key rate, but not every one
-        model = ServiceModel.erlang(1.5, shape=2)
-        spec = RegionSpec(mu1=1.0, mu2=1.5, kind=RegionKind.MG1, willie_service=model)
-        assert in_region(RatePoint(0.5, 0.3, 0.0), spec)
-        assert not in_region(RatePoint(0.5, 0.0, 0.0), spec)
-        assert not no_key_needed(spec)
-
     def test_rate_ratios_beyond_the_float_range(self):
         # 1e300 / 1e-300 overflows and its inverse underflows to 0; the log
         # ratio is still about +-1381.6
         assert no_key_needed(mm1_spec(mu1=1e300, mu2=1e-300))
         assert not no_key_needed(mm1_spec(mu1=1e-300, mu2=1e300))
-        assert min_key_rate_mm1(1e-301, 1e300, 1e-300) == 0.0
-        assert min_key_rate_mm1(1e-301, 1e-300, 1e300) == pytest.approx(1e-301 * 600 * math.log(10))
+        assert min_key_rate(1e-301, mm1_spec(1e300, 1e-300)) == 0.0
+        assert min_key_rate(1e-301, mm1_spec(1e-300, 1e300)) == pytest.approx(1e-301 * 600 * math.log(10))
         assert covert_capacity(1e-300, 1e300) == pytest.approx(1e-300 * 600 * math.log(10))
 
 
