@@ -11,6 +11,7 @@ from .codec import (
     DecodingErrorBounds,
     Transmission,
     decode,
+    decode_block,
     encode,
     generate_codebook,
     load_codebook,
@@ -55,6 +56,7 @@ from .warden import (
     summarize_detection,
     tv_distance_estimate,
     willie_llr,
+    willie_llr_block,
 )
 
 __version__ = "0.1.0"

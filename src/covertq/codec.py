@@ -13,6 +13,9 @@ differenced from its epoch column when it is sent.  The encoder draws the dummy
 index uniformly per transmission; the decoder searches the sub-codebook
 exhaustively for the (message, dummy) pair maximizing the conditional log
 density of the observed departures, breaking ties toward the smallest index.
+``decode_block`` decodes many observations at once: those sent under one key
+share one scan of its key block, in the (observation group x column tile)
+units of ``laws.reduce_tiles``; ``decode`` is its one-observation call.
 
 Enumeration is capped (default 2^20 codewords).  Beyond the cap, decoding
 performance is certified by two-sided information-spectrum bounds on the
@@ -48,6 +51,7 @@ __all__ = [
     "encode",
     "DecodeResult",
     "decode",
+    "decode_block",
     "DecodingErrorBounds",
     "random_coding_error_bounds",
     "mm1_log_output_ratio_bound",
@@ -301,11 +305,58 @@ class DecodeResult:
         return self.feasible_count == 0
 
 
-def _argmax_partial(start: int, scores: np.ndarray) -> tuple[int, float, int]:
-    """A tile's first argmax (as a column of the scan), its maximum, and its
-    count of feasible candidates."""
-    j = int(np.argmax(scores))  # first occurrence == smallest (w, wt)
-    return start + j, float(scores[j]), int(np.count_nonzero(scores > -np.inf))
+def _argmax_partial(start: int, scores: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per row of a unit: its first argmax (as a column of the scan), its
+    maximum, and its count of feasible candidates."""
+    best = np.argmax(scores, axis=1)  # first occurrence == smallest (w, wt)
+    return (start + best, scores[np.arange(best.size), best],
+            np.count_nonzero(scores > -np.inf, axis=1))
+
+
+def decode_block(
+    book: Codebook,
+    departures: np.ndarray,
+    keys,
+    model: ServiceModel,
+) -> list[DecodeResult]:
+    """``decode`` of every column of the packet-major ``(n, T)`` departures,
+    column j under ``keys[j]``.
+
+    The observations sent under one key are scanned together over its key
+    block, in trial order, so each result is bit for bit the one ``decode``
+    gives for that column alone.
+    """
+    gaps = np.asarray(departures, dtype=np.float64)
+    keys = np.asarray(keys)
+    if gaps.ndim != 2 or gaps.shape[0] != book.n or keys.shape != gaps.shape[1:]:
+        raise StructuralError(f"need (n={book.n}, T) departures with (T,) keys, "
+                              f"got {gaps.shape} and {keys.shape}")
+    if keys.size and not (np.issubdtype(keys.dtype, np.integer)
+                          and 0 <= keys.min() and keys.max() < book.num_keys):
+        raise StructuralError(f"key indices must be integers in [0, {book.num_keys})")
+    pairs = book.num_pairs
+    best = np.empty(keys.size, dtype=np.int64)
+    top = np.empty(keys.size)
+    feasible = np.empty(keys.size, dtype=np.int64)
+    for key in sorted(set(keys.tolist())):  # np.unique would import numpy.ma (0.5 MB)
+        rows = np.flatnonzero(keys == key)
+        block = book.arrival_epochs[:, key * pairs:(key + 1) * pairs]
+        done = 0
+        for tiles in reduce_tiles(block, gaps[:, rows], model, _argmax_partial):
+            group_best, group_top, group_feasible = tiles[0]
+            for tile_best, tile_top, tile_feasible in tiles[1:]:
+                later = tile_top > group_top  # strict: an earlier tile keeps its ties
+                group_best = np.where(later, tile_best, group_best)
+                group_top = np.where(later, tile_top, group_top)
+                group_feasible = group_feasible + tile_feasible
+            group = rows[done:done + group_best.size]
+            best[group], top[group], feasible[group] = group_best, group_top, group_feasible
+            done += group_best.size
+    return [
+        DecodeResult(message=b >> book.bits_dummy, dummy=b & (book.num_dummies - 1),
+                     log_likelihood=t, feasible_count=f)
+        for b, t, f in zip(best.tolist(), top.tolist(), feasible.tolist())
+    ]
 
 
 def decode(
@@ -322,7 +373,8 @@ def decode(
 
     ``departures`` holds the n inter-departure gaps, such as the output of
     ``queueing.simulate_channel`` or a column of ``queueing.simulate_block``;
-    only their shape is checked here.
+    only their shape is checked here.  This is the one-column call of
+    ``decode_block``.
     """
     if not (0 <= key < book.num_keys):
         raise StructuralError(f"key index {key} out of range [0, {book.num_keys})")
@@ -331,19 +383,7 @@ def decode(
         raise StructuralError(
             f"length mismatch: departures of shape {gaps.shape} vs n={book.n}"
         )
-    pairs = book.num_pairs
-    block = book.arrival_epochs[:, key * pairs:(key + 1) * pairs]
-    best, top, feasible = 0, -math.inf, 0
-    for tile_best, tile_top, tile_feasible in reduce_tiles(block, gaps, model, _argmax_partial):
-        if tile_top > top:  # strict: an earlier tile keeps its ties
-            best, top = tile_best, tile_top
-        feasible += tile_feasible
-    return DecodeResult(
-        message=best >> book.bits_dummy,
-        dummy=best & (book.num_dummies - 1),
-        log_likelihood=top,
-        feasible_count=feasible,
-    )
+    return decode_block(book, gaps[:, None], [key], model)[0]
 
 
 def mm1_log_output_ratio_bound(arrival_rate: float, mu1: float) -> float:

@@ -7,7 +7,9 @@ across parameter points and rows are merged in parameter order, so a run is
 byte-identical for any worker count.
 
 Numbers are emitted with 9 significant digits, in a fixed column order, as CSV
-or JSON lines.
+or JSON lines.  Every emitted value and stderr is finite: a point whose rates
+push a statistic out of the float range raises ``ParameterError`` naming the
+metric and the point, and no row of the run is returned.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import codec, laws, rates, warden
-from .errors import ConfigError, InstabilityError, OutputError, ResourceLimitError
+from .errors import ConfigError, InstabilityError, OutputError, ParameterError, ResourceLimitError
 from .queueing import ServiceKind, ServiceModel, simulate_block, trial_blocks
 
 __all__ = [
@@ -40,6 +42,7 @@ EXPERIMENTS = ("region_table", "info_density", "decode_sweep", "detection_sweep"
 _EXPERIMENT_CODE = {name: i for i, name in enumerate(EXPERIMENTS)}
 _BOOK_STREAM = 1 << 20  # stream id reserved for codebook seeds
 _FORMATS = ("csv", "jsonlines")
+_MAX_BLOCK_BITS = 24  # n: a float64 (n,) array of one block is then at most 128 MB
 _MAX_PACKETS_BITS = 32  # n x trials per parameter point
 _MAX_CELLS_BITS = 28  # n x codewords of an enumerated codebook
 
@@ -149,6 +152,9 @@ class ExperimentConfig:
         if self.output_format not in _FORMATS:
             raise ConfigError(f"output_format must be one of {_FORMATS}")
         n = max(self.n_list, default=0) if self.experiment != "region_table" else 0
+        if n > 1 << _MAX_BLOCK_BITS:
+            raise ResourceLimitError(f"block length n={n} exceeds the budget of "
+                                     f"2^{_MAX_BLOCK_BITS} packets per block")
         if n * self.trials > 1 << _MAX_PACKETS_BITS:
             raise ResourceLimitError(f"n={n} x trials={self.trials} packets exceeds the "
                                      f"budget of 2^{_MAX_PACKETS_BITS} per point")
@@ -346,7 +352,7 @@ def _run_decode_sweep(config: ExperimentConfig, param_index: int) -> list[Result
     pair_errors = 0
     # draw a block of trials as codec.encode would (message, key, then dummy),
     # gather their epoch columns, push them through the queue at once, then
-    # decode each departure column
+    # decode the block's departure columns together
     for block in trial_blocks(n, t):
         sent = [
             (int(rng.integers(book.num_messages)), int(rng.integers(book.num_keys)),
@@ -356,8 +362,8 @@ def _run_decode_sweep(config: ExperimentConfig, param_index: int) -> list[Result
         columns = [book.column(w, wt, k) for w, k, wt in sent]
         arrivals = np.diff(book.arrival_epochs[:, columns], axis=0, prepend=0.0)
         departures = simulate_block(arrivals, bob, rng)
-        for (message, key, dummy), gaps in zip(sent, departures.T):
-            result = codec.decode(book, gaps, key, bob)
+        results = codec.decode_block(book, departures, [key for _, key, _ in sent], bob)
+        for (message, _, dummy), result in zip(sent, results):
             message_errors += result.message != message
             pair_errors += (result.message, result.dummy) != (message, dummy)
     p_msg = message_errors / t
@@ -393,7 +399,15 @@ _RUNNERS = {
 
 
 def _run_point(config: ExperimentConfig, param_index: int) -> list[ResultRow]:
-    return _RUNNERS[config.experiment](config, param_index)
+    rows = _RUNNERS[config.experiment](config, param_index)
+    for row in rows:
+        if not (math.isfinite(row.value) and math.isfinite(row.stderr)):
+            raise ParameterError(
+                f"{row.metric} at {config.experiment} point {row.params} is not finite "
+                f"(value {row.value}, stderr {row.stderr}): the rates leave the float range "
+                f"this statistic needs"
+            )
+    return rows
 
 
 def run(config: ExperimentConfig) -> list[ResultRow]:

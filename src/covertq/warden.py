@@ -13,6 +13,11 @@ summarized by the rank AUC of the llr scores and a plug-in estimate of the
 total-variation distance (the best achievable advantage of any threshold test
 on the llr).
 
+``willie_llr_block`` scores many observations in one codebook scan, in the
+(observation group x column tile) units of ``laws.reduce_tiles``;
+``willie_llr`` is its one-observation call, and ``run_detection_trials``
+draws its trials block by block and scores each block with one call.
+
 No operation here takes a key argument; the observer never has one.
 """
 
@@ -23,12 +28,13 @@ import math
 import numpy as np
 
 from .codec import Codebook, encode
-from .errors import ParameterError
+from .errors import ParameterError, StructuralError
 from .laws import poisson_log_density, reduce_tiles
-from .queueing import ServiceModel, poisson_arrivals, simulate_channel
+from .queueing import ServiceModel, poisson_arrivals, simulate_channel, trial_blocks
 
 __all__ = [
     "willie_llr",
+    "willie_llr_block",
     "run_detection_trials",
     "summarize_detection",
     "rank_auc",
@@ -39,17 +45,63 @@ __all__ = [
 _EXP_FLOOR = -700.0
 
 
-def _exp_partial(start: int, scores: np.ndarray) -> tuple[float, float]:
-    """A tile's log-sum-exp partial: its maximum m and sum of exp(score - m)."""
-    top = float(scores.max())
-    if top == -math.inf:
-        return top, 0.0  # no feasible codeword in this tile
-    np.subtract(scores, top, out=scores)
+def _exp_partial(start: int, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a unit, its log-sum-exp partial: the maximum m and the sum
+    of exp(score - m); (-inf, 0) for a row with no feasible codeword."""
+    top = scores.max(axis=1)
+    live = top > -np.inf
+    np.subtract(scores, np.where(live, top, 0.0)[:, None], out=scores)
     # exp() takes a slow path for -inf and for results below the normal
     # range; a floor of -700 adds under C * 1e-304 to a sum of at least 1
     np.maximum(scores, _EXP_FLOOR, out=scores)
     np.exp(scores, out=scores)
-    return top, float(scores.sum())
+    return top, np.where(live, scores.sum(axis=1), 0.0)
+
+
+def _log_mixture(partials, count: int) -> float:
+    """log of the mean of exp(score) over ``count`` codewords, from one
+    observation's (m, sum) partials in tile order."""
+    top, total = -math.inf, 0.0
+    for tile_top, tile_total in partials:
+        if tile_top == -math.inf:
+            continue
+        if tile_top > top:
+            total, top = total * math.exp(top - tile_top) + tile_total, tile_top
+        else:
+            total += tile_total * math.exp(tile_top - top)
+    if top == -math.inf:
+        return -math.inf  # no codeword could have produced this block
+    return top + math.log(total) - math.log(count)
+
+
+def willie_llr_block(
+    book: Codebook,
+    observations: np.ndarray,
+    model: ServiceModel,
+    arrival_rate: float,
+) -> np.ndarray:
+    """``willie_llr`` of every column of the packet-major ``(n, T)``
+    observations, as a (T,) array, in one scan of the codebook.
+
+    The log-sum-exp over the codebook is reduced per (observation group,
+    column tile) unit to (maximum, sum of exp(score - maximum)) per
+    observation.  Each observation's partials are combined in tile order for
+    any grouping and thread count, so its llr's bits depend on neither.
+    """
+    obs = np.asarray(observations, dtype=np.float64)
+    if obs.ndim != 2 or obs.shape[0] != book.n:
+        raise StructuralError(f"need (n={book.n}, T) observations, got {obs.shape}")
+    count = book.arrival_epochs.shape[1]
+    mixtures = [
+        _log_mixture(partials, count)
+        for tiles in reduce_tiles(book.arrival_epochs, obs, model, _exp_partial)
+        # transposed: one observation's (m, sum) partials, in tile order
+        for partials in zip(*(zip(tops.tolist(), totals.tolist()) for tops, totals in tiles))
+    ]
+    # q(D) column by column: the (n, T) form sums down axis 0 in another
+    # order than an (n,) sum, which can move the last bit
+    return np.array([mixture - poisson_log_density(column, arrival_rate)
+                     for mixture, column in zip(mixtures, obs.T)])
 
 
 def willie_llr(
@@ -58,26 +110,12 @@ def willie_llr(
     model: ServiceModel,
     arrival_rate: float,
 ) -> float:
-    """Mixture-vs-stationary log likelihood ratio of one observed block.
-
-    The log-sum-exp over the codebook is reduced per column tile of the scan
-    to (maximum, sum of exp(score - maximum)).  The partials are combined in
-    tile order for any thread count, so the llr's bits do not depend on it.
-    """
-    top, total = -math.inf, 0.0
-    for tile_top, tile_total in reduce_tiles(book.arrival_epochs, observation, model,
-                                             _exp_partial):
-        if tile_top == -math.inf:
-            continue
-        if tile_top > top:
-            total, top = total * math.exp(top - tile_top) + tile_total, tile_top
-        else:
-            total += tile_total * math.exp(tile_top - top)
-    if top == -math.inf:
-        mixture = -math.inf  # no codeword could have produced this block
-    else:
-        mixture = top + math.log(total) - math.log(book.arrival_epochs.shape[1])
-    return mixture - poisson_log_density(observation, arrival_rate)
+    """Mixture-vs-stationary log likelihood ratio of one observed block: the
+    one-column call of ``willie_llr_block``."""
+    obs = np.asarray(observation, dtype=np.float64)
+    if obs.shape != (book.n,):
+        raise StructuralError(f"need (n={book.n},) observed gaps, got {obs.shape}")
+    return float(willie_llr_block(book, obs[:, None], model, arrival_rate)[0])
 
 
 def run_detection_trials(
@@ -91,18 +129,25 @@ def run_detection_trials(
 
     Returns the ``(null, alt)`` llr arrays.  Trial i draws a message, a key,
     ``encode``'s dummy and the services of that codeword (``alt[i]``), then
-    a Poisson block and its services (``null[i]``).
+    a Poisson block and its services (``null[i]``).  The trials are drawn in
+    that order, in the blocks of ``queueing.trial_blocks`` (which bound the
+    observations held at once), and each block's 2 x (its trials)
+    observations are scored by one ``willie_llr_block`` call.
     """
     if trials < 1:
         raise ParameterError(f"need trials >= 1, got {trials}")
     null, alt = np.empty(trials), np.empty(trials)
-    for i in range(trials):
-        message = int(rng.integers(book.num_messages))
-        key = int(rng.integers(book.num_keys))
-        departures = simulate_channel(encode(book, message, key, rng).codeword, model, rng)
-        alt[i] = willie_llr(book, departures, model, arrival_rate)
-        departures = simulate_channel(poisson_arrivals(arrival_rate, book.n, rng), model, rng)
-        null[i] = willie_llr(book, departures, model, arrival_rate)
+    for block in trial_blocks(book.n, trials):
+        observations = np.empty((2 * (block.stop - block.start), book.n))  # alt, null, alt, ...
+        for i in range(0, len(observations), 2):
+            message = int(rng.integers(book.num_messages))
+            key = int(rng.integers(book.num_keys))
+            codeword = encode(book, message, key, rng).codeword
+            observations[i] = simulate_channel(codeword, model, rng)
+            observations[i + 1] = simulate_channel(poisson_arrivals(arrival_rate, book.n, rng),
+                                                   model, rng)
+        llr = willie_llr_block(book, observations.T, model, arrival_rate)
+        alt[block], null[block] = llr[0::2], llr[1::2]
     return null, alt
 
 

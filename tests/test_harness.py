@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -90,6 +91,9 @@ class TestConfig:
         base_config(experiment="decode_sweep", n_list=(2**8,), width_list=((10, 10, 0),))
         base_config(experiment="decode_sweep", n_list=(2**8,), width_list=((40, 0, 0),))  # bounds
         base_config(n_list=(2**40,), trials=2**40)  # a region table runs no trials
+        base_config(experiment="info_density", n_list=(2**24,), trials=2)  # one block <= 2^24
+        with pytest.raises(ResourceLimitError, match="block length"):
+            base_config(experiment="info_density", n_list=(2**24 + 1,), trials=2)
         with pytest.raises(ResourceLimitError, match="packets"):
             base_config(experiment="info_density", n_list=(2**16, 3), trials=2**16 + 1)
         with pytest.raises(ResourceLimitError, match="cells"):
@@ -435,6 +439,9 @@ class TestCli:
         dict(experiment="decode_sweep", n_list=[16], width_list=[[10, 9, 6]],
              enumeration_cap_bits=30),
         dict(experiment="detection_sweep", n_list=[4], width_list=[[1, 1, 1], [10**6, 0, 0]]),
+        # one block of 2^31 packets: 2 trials are within the packet budget
+        dict(experiment="info_density", n_list=[2**31], trials=2),
+        dict(experiment="decode_sweep", n_list=[2**31], width_list=[[40, 0, 0]], trials=2),
     ])
     def test_config_over_the_size_budget_exits_4_at_load(self, tmp_path, capsys, monkeypatch,
                                                           fields):
@@ -444,6 +451,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert json.loads(err)["error_category"] == "resource-limit"
+
+    def test_non_finite_statistic_exits_2_and_writes_no_rows(self, tmp_path, capsys):
+        # rates near the top of the float range: the no-message llrs reach
+        # -8e292 and their sample SE overflows, which was emitted as Infinity
+        cfg = self._write_config(tmp_path, experiment="detection_sweep", arrival_rate=2.8e16,
+                                 mu1=1.75e19, mu2=1.7976931348623157e308, n_list=[13],
+                                 width_list=[[0, 0, 1]], trials=3)
+        out = tmp_path / "rows.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+            assert cli_main(["--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.count("\n") == 1
+        diagnostic = json.loads(captured.err)
+        assert diagnostic["error_category"] == "parameter"
+        assert "mean_llr_null" in diagnostic["message"] and "'n': 13" in diagnostic["message"]
 
     def test_single_detection_trial_rejected_before_any_codebook(self, tmp_path, capsys,
                                                                   monkeypatch):

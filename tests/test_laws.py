@@ -134,8 +134,10 @@ class TestBatchScan:
             conditional_log_density_batch(np.ones((3, 4)), np.array([1.0, 1.0]), EXP1)
         with pytest.raises(StructuralError):  # one departure column per candidate, or one shared
             conditional_log_density_batch(np.ones((3, 4)), np.ones((3, 3)), EXP1)
+        with pytest.raises(StructuralError):  # g shared observations are (n, g, 1)
+            conditional_log_density_batch(np.ones((3, 4)), np.ones((3, 4, 2)), EXP1)
         with pytest.raises(StructuralError):
-            conditional_log_density_batch(np.ones((3, 4)), np.ones((3, 4, 1)), EXP1)
+            conditional_log_density_batch(np.ones((3, 4)), np.ones((2, 4, 1)), EXP1)
 
 
 class TestPoissonLogDensity:

@@ -20,6 +20,7 @@ from covertq.warden import (
     summarize_detection,
     tv_distance_estimate,
     willie_llr,
+    willie_llr_block,
 )
 
 import oracles
@@ -75,7 +76,7 @@ class TestLlr:
 
     def test_detector_never_sees_a_key(self):
         # structural covertness check: no key parameter anywhere in the API
-        for fn in (willie_llr, run_detection_trials, summarize_detection):
+        for fn in (willie_llr, willie_llr_block, run_detection_trials, summarize_detection):
             assert "key" not in inspect.signature(fn).parameters
 
 
