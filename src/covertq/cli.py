@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import (
@@ -72,8 +73,11 @@ def main(argv: list[str] | None = None) -> int:
             emit(rows, config.output_path, config.output_format)
             print(f"wrote {len(rows)} rows to {config.output_path}")
         else:
-            for row in rows:
-                print(json.dumps(row.to_dict(), separators=(",", ":"), sort_keys=True))
+            try:
+                emit(rows, None, "jsonlines")
+            except OutputError:  # a closed stdout: Python's flush at exit would fail again
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                raise
         return 0
     except CovertqError as exc:
         print(

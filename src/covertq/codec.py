@@ -17,10 +17,10 @@ density of the observed departures, breaking ties toward the smallest index.
 share one scan of its key block, in the (observation group x column tile)
 units of ``laws.reduce_tiles``; ``decode`` is its one-observation call.
 
-Enumeration is capped (default 2^20 codewords).  Beyond the cap, decoding
-performance is certified by two-sided information-spectrum bounds on the
-random-codebook ML error (``random_coding_error_bounds``) instead of by
-simulation.
+Enumeration is capped at 2^20 codewords and 2^28 cells (n x codewords).
+Beyond the cap, decoding performance is certified by two-sided
+information-spectrum bounds on the random-codebook ML error
+(``random_coding_error_bounds``) instead of by simulation.
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ __all__ = [
     "mm1_log_output_ratio_bound",
 ]
 
-CODEBOOK_CAP_BITS = 20
+CODEBOOK_CAP_BITS = 20  # log2 of the most codewords a book may have
+_MAX_CELLS_BITS = 28  # log2 of n x codewords: a float64 book of at most 2 GB
 
 _FORMAT_TAG = "covertq-codebook"
 _FORMAT_VERSION = 1
@@ -148,6 +149,16 @@ def _check_sizes(n: int, bits_message: int, bits_dummy: int, bits_key: int) -> l
     return [int(value) for _, value, _ in sizes]
 
 
+def _check_book_size(n: int, total_bits: int):
+    """Refuse a book of n x 2^total_bits cells past the cap; cells are checked first."""
+    if total_bits > _MAX_CELLS_BITS or n << total_bits > 1 << _MAX_CELLS_BITS:
+        raise ResourceLimitError(f"a codebook of n={n} x 2^{total_bits} codewords exceeds "
+                                 f"the budget of 2^{_MAX_CELLS_BITS} cells")
+    if total_bits > CODEBOOK_CAP_BITS:
+        raise ResourceLimitError(f"a codebook of 2^{total_bits} codewords exceeds the "
+                                 f"enumeration cap of 2^{CODEBOOK_CAP_BITS}")
+
+
 def _sum_rows(gaps: np.ndarray, out: np.ndarray):
     """``np.cumsum(gaps.T, axis=0, out=out)``: the same additions in the same
     order, so the same bits.
@@ -173,23 +184,17 @@ def generate_codebook(
     bits_key: int,
     arrival_rate: float,
     seed: int,
-    max_codewords: int = 1 << CODEBOOK_CAP_BITS,
 ) -> Codebook:
     """Draw the full codebook from the seed.
 
-    Raises the resource-limit error when the index space exceeds
-    ``max_codewords``; large-rate regimes must use the certified bounds
-    instead of enumeration.
+    Raises the resource-limit error for a book of more than 2^20 codewords or
+    2^28 cells; large-rate regimes must use the certified bounds instead of
+    enumeration.
     """
     n, bits_message, bits_dummy, bits_key = _check_sizes(n, bits_message, bits_dummy, bits_key)
     if not (arrival_rate > 0.0 and math.isfinite(arrival_rate)):
         raise ParameterError(f"arrival rate must be positive, got {arrival_rate}")
-    total_bits = bits_message + bits_dummy + bits_key
-    if total_bits >= 63 or (1 << total_bits) > max_codewords:
-        raise ResourceLimitError(
-            f"codebook of 2^{total_bits} codewords exceeds the enumeration cap "
-            f"of {max_codewords}"
-        )
+    _check_book_size(n, bits_message + bits_dummy + bits_key)
     keys, pairs = 1 << bits_key, 1 << (bits_message + bits_dummy)
     rng = np.random.default_rng(seed)
     # The gaps are drawn in flat index order, whole codewords at a time and at
@@ -250,7 +255,7 @@ def _snapshot_field(payload: dict, name: str, path: str):
     return value
 
 
-def load_codebook(path: str, max_codewords: int = 1 << CODEBOOK_CAP_BITS) -> Codebook:
+def load_codebook(path: str) -> Codebook:
     """Regenerate a codebook from its persisted snapshot."""
     try:
         with open(path) as fh:
@@ -268,7 +273,7 @@ def load_codebook(path: str, max_codewords: int = 1 << CODEBOOK_CAP_BITS) -> Cod
               ("n", "bits_message", "bits_dummy", "bits_key", "arrival_rate", "seed")}
     if fields["seed"] < 0:
         raise StructuralError(f"codebook snapshot {path}: bad seed {fields['seed']!r}")
-    return generate_codebook(**fields, max_codewords=max_codewords)
+    return generate_codebook(**fields)
 
 
 @dataclass(frozen=True)

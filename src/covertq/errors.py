@@ -44,7 +44,7 @@ class InfeasibleRateError(CovertqError):
 
 
 class ResourceLimitError(CovertqError):
-    """Request exceeds an explicit resource cap (codebook enumeration size)."""
+    """Request exceeds an explicit resource cap (codebook size, packets per point)."""
 
     category = "resource-limit"
 

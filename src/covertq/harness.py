@@ -18,12 +18,15 @@ import csv
 import json
 import math
 import numbers
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import codec, laws, rates, warden
-from .errors import ConfigError, InstabilityError, OutputError, ParameterError, ResourceLimitError
+from .errors import (ConfigError, InstabilityError, OutputError, ParameterError,
+                     ResourceLimitError, UnsupportedLawError)
 from .queueing import ServiceKind, ServiceModel, simulate_block, trial_blocks
 
 __all__ = [
@@ -44,7 +47,6 @@ _BOOK_STREAM = 1 << 20  # stream id reserved for codebook seeds
 _FORMATS = ("csv", "jsonlines")
 _MAX_BLOCK_BITS = 24  # n: a float64 (n,) array of one block is then at most 128 MB
 _MAX_PACKETS_BITS = 32  # n x trials per parameter point
-_MAX_CELLS_BITS = 28  # n x codewords of an enumerated codebook
 
 
 def service_to_dict(model: ServiceModel) -> dict:
@@ -101,7 +103,6 @@ class ExperimentConfig:
     output_path: str | None = None
     output_format: str = "csv"
     workers: int = 1
-    enumeration_cap_bits: int = codec.CODEBOOK_CAP_BITS
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -112,8 +113,7 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not (_is_number(v) and v > 0):
                 raise ConfigError(f"{name} must be positive and finite, got {v!r}")
-        for name, least in (("trials", 1), ("master_seed", 0), ("workers", 1),
-                            ("enumeration_cap_bits", 0)):
+        for name, least in (("trials", 1), ("master_seed", 0), ("workers", 1)):
             v = getattr(self, name)
             if not (_is_number(v, numbers.Integral) and v >= least):
                 raise ConfigError(f"{name} must be an integer >= {least}, got {v!r}")
@@ -133,6 +133,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"willie_service rate {self.willie_service.rate} must equal mu2={self.mu2}"
             )
+        if not self.willie_service.has_density and self.experiment != "decode_sweep":
+            raise UnsupportedLawError(f"{self.experiment} needs a willie_service law with a "
+                                      f"density, got {self.willie_service.kind.value}")
         if not isinstance(self.width_list, (list, tuple)):
             raise ConfigError(f"width_list must be a list, got {self.width_list!r}")
         object.__setattr__(self, "n_list", _int_list("n_list", self.n_list))
@@ -159,11 +162,10 @@ class ExperimentConfig:
             raise ResourceLimitError(f"n={n} x trials={self.trials} packets exceeds the "
                                      f"budget of 2^{_MAX_PACKETS_BITS} per point")
         for bits in map(sum, self.width_list):
-            enumerated = self.experiment == "detection_sweep" or (
-                self.experiment == "decode_sweep" and bits <= self.enumeration_cap_bits)
-            if enumerated and (bits > _MAX_CELLS_BITS or n << bits > 1 << _MAX_CELLS_BITS):
-                raise ResourceLimitError(f"a codebook of n={n} x 2^{bits} codewords exceeds "
-                                         f"the budget of 2^{_MAX_CELLS_BITS} cells")
+            # past the cap a decode_sweep point certifies bounds instead of enumerating
+            if self.experiment == "detection_sweep" or (
+                    self.experiment == "decode_sweep" and bits <= codec.CODEBOOK_CAP_BITS):
+                codec._check_book_size(n, bits)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
@@ -208,7 +210,7 @@ class ResultRow:
         return {
             "experiment": self.experiment,
             "metric": self.metric,
-            "params": self.params,
+            "params": dict(sorted(self.params.items())),
             "value": _round9(self.value),
             "stderr": _round9(self.stderr),
             "trials": self.trials,
@@ -217,9 +219,7 @@ class ResultRow:
 
 
 def _round9(x: float) -> float:
-    if not math.isfinite(x):
-        return x
-    return float(f"{x:.9g}")
+    return float(f"{x:.9g}")  # inf and nan too: "inf" and "nan" parse back
 
 
 def _fmt9(x: float) -> str:
@@ -315,11 +315,6 @@ def _binomial_se(p: float, trials: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / trials)
 
 
-def _max_codewords(config: ExperimentConfig) -> int:
-    """2^cap, where ``generate_codebook`` refuses 2^63 codewords and more anyway."""
-    return 1 << min(config.enumeration_cap_bits, 62)
-
-
 def _run_decode_sweep(config: ExperimentConfig, param_index: int) -> list[ResultRow]:
     point = param_points(config)[param_index]
     n = point["n"]
@@ -330,7 +325,7 @@ def _run_decode_sweep(config: ExperimentConfig, param_index: int) -> list[Result
     rng = _point_rng(config, param_index, 0)
     t = config.trials
 
-    if sum(widths) > config.enumeration_cap_bits:
+    if sum(widths) > codec.CODEBOOK_CAP_BITS:
         # beyond the enumeration cap: certify the ML error instead of simulating
         samples = laws.sample_info_densities(n, lam, bob, t, rng)
         pair_bits = widths[0] + widths[1]
@@ -345,9 +340,7 @@ def _run_decode_sweep(config: ExperimentConfig, param_index: int) -> list[Result
         ]
 
     book = codec.generate_codebook(
-        n, *widths, arrival_rate=lam, seed=_book_seed(config, param_index),
-        max_codewords=_max_codewords(config),
-    )
+        n, *widths, arrival_rate=lam, seed=_book_seed(config, param_index))
     message_errors = 0
     pair_errors = 0
     # draw a block of trials as codec.encode would (message, key, then dummy),
@@ -382,9 +375,7 @@ def _run_detection_sweep(config: ExperimentConfig, param_index: int) -> list[Res
     lam = config.arrival_rate
     rng = _point_rng(config, param_index, 0)
     book = codec.generate_codebook(
-        n, *widths, arrival_rate=lam, seed=_book_seed(config, param_index),
-        max_codewords=_max_codewords(config),
-    )
+        n, *widths, arrival_rate=lam, seed=_book_seed(config, param_index))
     null, alt = warden.run_detection_trials(book, config.willie_service, lam, config.trials, rng)
     return [_row(config, metric, params, value, stderr, config.trials)
             for metric, (value, stderr) in warden.summarize_detection(null, alt).items()]
@@ -399,7 +390,10 @@ _RUNNERS = {
 
 
 def _run_point(config: ExperimentConfig, param_index: int) -> list[ResultRow]:
-    rows = _RUNNERS[config.experiment](config, param_index)
+    # an overflow's or a nan's warning would print before the diagnostic; a
+    # row such a value reaches fails the finite check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _RUNNERS[config.experiment](config, param_index)
     for row in rows:
         if not (math.isfinite(row.value) and math.isfinite(row.stderr)):
             raise ParameterError(
@@ -449,35 +443,27 @@ def reproduce_metric(config: ExperimentConfig, row: ResultRow) -> float:
 _COLUMNS = ("experiment", "metric", "params", "value", "stderr", "trials", "seed")
 
 
-def emit(rows: list[ResultRow], path: str, output_format: str = "csv"):
-    """Write rows to ``path`` as CSV or JSON lines (9 significant digits)."""
+def emit(rows: list[ResultRow], path: str | None, output_format: str = "csv"):
+    """Write rows to ``path``, or to stdout when it is None, as CSV or JSON
+    lines (9 significant digits)."""
     if output_format not in _FORMATS:
         raise ConfigError(f"output_format must be one of {_FORMATS}")
     try:
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="") if path is not None else nullcontext(sys.stdout) as fh:
             if output_format == "csv":
                 writer = csv.writer(fh)
                 writer.writerow(_COLUMNS)
                 for row in rows:
-                    writer.writerow(
-                        [
-                            row.experiment,
-                            row.metric,
-                            json.dumps(row.params, sort_keys=True, separators=(",", ":")),
-                            _fmt9(row.value),
-                            _fmt9(row.stderr),
-                            row.trials,
-                            row.seed,
-                        ]
-                    )
+                    writer.writerow([row.experiment, row.metric,
+                                     json.dumps(row.params, sort_keys=True, separators=(",", ":")),
+                                     _fmt9(row.value), _fmt9(row.stderr), row.trials, row.seed])
             else:
                 for row in rows:
-                    payload = row.to_dict()
-                    payload["params"] = dict(sorted(payload["params"].items()))
-                    fh.write(json.dumps(payload, separators=(",", ":")))
-                    fh.write("\n")
+                    fh.write(json.dumps(row.to_dict(), separators=(",", ":")) + "\n")
+            fh.flush()  # a closed stdout fails here, inside the try, not at exit
     except OSError as exc:
-        raise OutputError(f"cannot write results to {path}: {exc}") from exc
+        where = "stdout" if path is None else path
+        raise OutputError(f"cannot write results to {where}: {exc}") from exc
 
 
 def load_rows(path: str, output_format: str = "csv") -> list[ResultRow]:

@@ -163,6 +163,7 @@ def reduce_tiles(arrival_epochs: np.ndarray, departures: np.ndarray, model: Serv
     between calls would be inherited without its threads by the forked
     workers of ``harness.run``.  An exception in a thread is raised on the
     calling thread: the one from the earliest unit when several units fail.
+    Every thread handles floating-point errors as the calling thread does.
     """
     ta = arrival_epochs
     if ta.ndim != 2 or ta.shape[1] == 0 or np.ndim(departures) != 2 \
@@ -176,6 +177,7 @@ def reduce_tiles(arrival_epochs: np.ndarray, departures: np.ndarray, model: Serv
     # at least one group per thread, whatever the book's width
     wave = group * max(threads, _WAVE_PARTIALS // (group * tiles))
     works = np.empty((threads, 3, min(departures.shape[1], group) * width))
+    caller_errstate = np.geterr()  # a new thread would start with numpy's default
 
     def scan_wave(wave_departures):
         units = -(-wave_departures.shape[1] // group) * tiles
@@ -184,20 +186,21 @@ def reduce_tiles(arrival_epochs: np.ndarray, departures: np.ndarray, model: Serv
         lock = threading.Lock()
 
         def scan(work):
-            while True:
-                with lock:
-                    i = None if errors else next(order, None)
-                if i is None:
-                    return
-                try:
-                    first, start = i // tiles * group, i % tiles * SCAN_TILE
-                    scores = conditional_log_density_batch(
-                        ta[:, start:start + SCAN_TILE],
-                        wave_departures[:, first:first + group, None], model, work)
-                    partials[i] = reduce(start, scores)
-                except BaseException as exc:  # raised on the calling thread below
-                    errors[i] = exc
-                    return
+            with np.errstate(**caller_errstate):
+                while True:
+                    with lock:
+                        i = None if errors else next(order, None)
+                    if i is None:
+                        return
+                    try:
+                        first, start = i // tiles * group, i % tiles * SCAN_TILE
+                        scores = conditional_log_density_batch(
+                            ta[:, start:start + SCAN_TILE],
+                            wave_departures[:, first:first + group, None], model, work)
+                        partials[i] = reduce(start, scores)
+                    except BaseException as exc:  # raised on the calling thread below
+                        errors[i] = exc
+                        return
 
         pool = [threading.Thread(target=scan, args=(work,)) for work in works[1:units]]
         for thread in pool:

@@ -178,13 +178,12 @@ class ServiceModel:
         if self.kind is ServiceKind.ERLANG:
             k = int(self.shape)
             theta = k * self.rate  # stage rate
+            try:  # lgamma(k) overflows from k near 2.6e305
+                norm = k * math.log(theta) - math.lgamma(k)
+            except OverflowError as exc:
+                raise ParameterError(f"erlang shape {k} is past the float range") from exc
             safe = np.where(x > 0.0, x, 1.0)  # keep log() off the invalid domain
-            out = (
-                k * math.log(theta)
-                - math.lgamma(k)
-                + (k - 1) * np.log(safe)
-                - theta * x
-            )
+            out = norm + (k - 1) * np.log(safe) - theta * x
             return np.where(x > 0.0, out, -np.inf)
         # uniform
         m = 1.0 / self.rate

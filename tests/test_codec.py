@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from covertq.codec import (
     Codebook,
     decode,
+    decode_block,
     encode,
     generate_codebook,
     load_codebook,
@@ -64,12 +65,11 @@ class TestGenerate:
         assert book.index(0, 0, 0) == 0
 
     def test_cap_enforced(self):
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match="codewords exceeds the enumeration cap"):
             generate_codebook(4, 10, 10, 1, arrival_rate=1.0, seed=0)
-        # explicit override allows more
-        book = generate_codebook(2, 10, 10, 1, arrival_rate=1.0, seed=0,
-                                 max_codewords=1 << 21)
-        assert book.total == 1 << 21
+        # 2^20 codewords are within the cap, but not at n=2^9: 2^29 cells
+        with pytest.raises(ResourceLimitError, match="cells"):
+            generate_codebook(2**9, 10, 10, 0, arrival_rate=0.5, seed=0)
 
     def test_width_validation(self):
         with pytest.raises(ParameterError):
@@ -290,16 +290,16 @@ class TestDecode:
         lam = 0.5
         book = generate_codebook(50, 4, 2, 1, arrival_rate=lam, seed=13)
         rng = np.random.default_rng(14)
-        errors = 0
         trials = 10_000
+        sent, departures = [], []
         for _ in range(trials):
             w = int(rng.integers(book.num_messages))
             k = int(rng.integers(book.num_keys))
             tx = encode(book, w, k, rng)
-            dep = simulate_channel(tx.codeword, BOB, rng)
-            got = decode(book, dep, k, BOB)
-            if (got.message, got.dummy) != (w, tx.dummy):
-                errors += 1
+            departures.append(simulate_channel(tx.codeword, BOB, rng))
+            sent.append((w, tx.dummy, k))
+        results = decode_block(book, np.stack(departures, axis=1), [k for *_, k in sent], BOB)
+        errors = sum((got.message, got.dummy) != (w, wt) for got, (w, wt, _) in zip(results, sent))
         assert errors / trials < 1e-3
 
     def test_reported_likelihood_is_maximal(self):

@@ -83,6 +83,11 @@ class TestConfig:
         assert cfg.willie_service == model
         assert service_from_dict(service_to_dict(model)) == model
 
+    def test_decode_sweep_accepts_a_law_with_no_density(self):
+        # the decoder scores Bob's exponential queue, never the warden's law
+        base_config(experiment="decode_sweep", n_list=(4,), width_list=((2, 1, 1),),
+                    willie_service=ServiceModel.deterministic(2.0))
+
     def test_size_budget_edges(self):
         # at most 2^32 packets (n x trials) per point and 2^28 cells
         # (n x codewords) per enumerated codebook
@@ -99,13 +104,15 @@ class TestConfig:
         with pytest.raises(ResourceLimitError, match="cells"):
             base_config(experiment="detection_sweep", n_list=(2**8,), width_list=((10, 10, 1),))
         with pytest.raises(ResourceLimitError, match="cells"):
-            base_config(experiment="decode_sweep", n_list=(2**8,), width_list=((10, 10, 1),),
-                        enumeration_cap_bits=21)
+            base_config(experiment="decode_sweep", n_list=(2**9,), width_list=((10, 10, 0),))
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(dict(experiment="region_table", arrival_rate=0.5,
                                             mu1=1.0, mu2=2.0, bogus=1))
+        with pytest.raises(ConfigError, match="enumeration_cap_bits"):  # the cap is not a knob
+            ExperimentConfig.from_dict(dict(experiment="region_table", arrival_rate=0.5,
+                                            mu1=1.0, mu2=2.0, enumeration_cap_bits=20))
 
 
 class TestRegionTable:
@@ -358,26 +365,31 @@ class TestCli:
     def test_stdout_mode_is_jsonlines(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
         assert cli_main(["--config", str(cfg)]) == 0
-        first = capsys.readouterr().out.strip().split("\n")[0]
-        assert json.loads(first)["experiment"] == "region_table"
+        stdout = capsys.readouterr().out
+        first = stdout.strip().split("\n")[0]
+        assert list(json.loads(first)) == ["experiment", "metric", "params", "value", "stderr",
+                                           "trials", "seed"]
+        # the same bytes as a JSON-lines file
+        out = tmp_path / "rows.jsonl"
+        assert cli_main(["--config", str(cfg), "--out", str(out), "--format", "jsonlines"]) == 0
+        assert out.read_text() == stdout
+
+    def test_closed_stdout_exits_7_with_one_diagnostic(self, tmp_path):
+        # `covertq --config ... | head -n 1`: the reader is gone before the rows come
+        proc = subprocess.Popen([sys.executable, "-m", "covertq", "--config",
+                                 str(self._write_config(tmp_path))],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait() == 7
+        assert err.count("\n") == 1
+        assert json.loads(err)["error_category"] == "output"
 
     def test_flag_overrides_win(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, master_seed=3)
         out = tmp_path / "rows.csv"
         assert cli_main(["--config", str(cfg), "--seed", "77", "--out", str(out)]) == 0
         assert load_rows(str(out), "csv")[0].seed == 77
-
-    @pytest.mark.parametrize("experiment", ["decode_sweep", "detection_sweep"])
-    def test_huge_enumeration_cap_runs_like_a_cap_of_twenty(self, tmp_path, capsys, experiment):
-        # 10^300 passes the config as a finite number; 2^cap is never formed
-        outputs = []
-        for cap in (20, 10**300):
-            cfg = self._write_config(tmp_path, experiment=experiment, n_list=[4],
-                                     width_list=[[1, 0, 0]], enumeration_cap_bits=cap)
-            out = tmp_path / f"rows{len(outputs)}.csv"
-            assert cli_main(["--config", str(cfg), "--out", str(out)]) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
 
     def test_invalid_config_exit_code_and_diagnostic(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, arrival_rate=5.0)  # unstable
@@ -395,7 +407,7 @@ class TestCli:
         ("trials", True),
         ("master_seed", True),
         ("workers", True),
-        ("enumeration_cap_bits", True),
+        ("output_format", True),
         ("n_list", [True]),
         ("width_list", [[True, 1, 1]]),
         ("mu2", 10**400),  # no finite float holds it
@@ -420,14 +432,12 @@ class TestCli:
         assert cli_main(["--config", str(cfg)]) == 2
         assert json.loads(capsys.readouterr().err)["error_category"] == "config"
 
-    @pytest.mark.parametrize("flags, cap_bits, code, category", [
+    @pytest.mark.parametrize("flags, book_bits, code, category", [
         (["--trials", "1"], 20, 2, "config"),  # one score per hypothesis has no spread
-        (["--trials", "2"], 3, 4, "resource-limit"),  # a 2^4 book over a 2^3 cap
     ])
-    def test_run_time_error_exit_code_and_diagnostic(self, tmp_path, capsys, flags, cap_bits,
+    def test_run_time_error_exit_code_and_diagnostic(self, tmp_path, capsys, flags, book_bits,
                                                      code, category):
-        cfg = self._write_config(tmp_path, n_list=[4], width_list=[[2, 1, 1]],
-                                 enumeration_cap_bits=cap_bits)
+        cfg = self._write_config(tmp_path, n_list=[4], width_list=[[book_bits, 0, 0]])
         assert cli_main(["--config", str(cfg), "--experiment", "detection_sweep", *flags]) == code
         err = capsys.readouterr().err
         assert err.count("\n") == 1
@@ -436,12 +446,13 @@ class TestCli:
     @pytest.mark.parametrize("fields", [
         dict(experiment="info_density", n_list=[10**10], trials=1),
         dict(experiment="decode_sweep", n_list=[2**30], width_list=[[40, 0, 0]], trials=8),
-        dict(experiment="decode_sweep", n_list=[16], width_list=[[10, 9, 6]],
-             enumeration_cap_bits=30),
+        dict(experiment="detection_sweep", n_list=[16], width_list=[[10, 9, 6]]),
         dict(experiment="detection_sweep", n_list=[4], width_list=[[1, 1, 1], [10**6, 0, 0]]),
         # one block of 2^31 packets: 2 trials are within the packet budget
         dict(experiment="info_density", n_list=[2**31], trials=2),
         dict(experiment="decode_sweep", n_list=[2**31], width_list=[[40, 0, 0]], trials=2),
+        # 2^21 codewords at its second point, within the cells but over the codeword cap
+        dict(experiment="detection_sweep", n_list=[4], width_list=[[7, 7, 6], [21, 0, 0]]),
     ])
     def test_config_over_the_size_budget_exits_4_at_load(self, tmp_path, capsys, monkeypatch,
                                                           fields):
@@ -460,7 +471,7 @@ class TestCli:
                                  width_list=[[0, 0, 1]], trials=3)
         out = tmp_path / "rows.csv"
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+            warnings.simplefilter("error", RuntimeWarning)  # the overflow must not warn
             assert cli_main(["--config", str(cfg), "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
@@ -476,8 +487,22 @@ class TestCli:
         cfg = self._write_config(tmp_path, n_list=[4], width_list=[[20, 0, 0]])
         assert cli_main(["--config", str(cfg), "--experiment", "detection_sweep",
                          "--trials", "1"]) == 2
-        assert json.loads(capsys.readouterr().err)["error_category"] == "config"
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error_category"] == "config"
         assert built == []
+
+    @pytest.mark.parametrize("experiment", ["region_table", "info_density", "detection_sweep"])
+    def test_law_with_no_density_exits_6_at_load(self, tmp_path, capsys, monkeypatch,
+                                                 experiment):
+        monkeypatch.setattr("covertq.cli.run", lambda config: pytest.fail("the config ran"))
+        cfg = self._write_config(tmp_path, experiment=experiment, n_list=[4],
+                                 width_list=[[2, 1, 1]],
+                                 willie_service={"kind": "deterministic", "rate": 2.0})
+        assert cli_main(["--config", str(cfg)]) == 6
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error_category"] == "unsupported-law"
 
     def test_missing_config_file(self, capsys):
         assert cli_main(["--config", "/no/such/file.json"]) == 2

@@ -88,6 +88,11 @@ class TestServiceModel:
         assert model.log_density(np.array([-1.0, 0.0]))[1] == -np.inf  # x=0 has density 0 for k>1
         assert np.isfinite(model.log_density(np.array([0.4]))[0])
 
+    def test_erlang_density_past_the_float_range_is_a_parameter_error(self):
+        # a config's shape may be any integer a float holds, up to 1.8e308
+        with pytest.raises(ParameterError, match="float range"):
+            ServiceModel.erlang(1.0, shape=10**306).log_density(np.array([1.0]))
+
     def test_deterministic_has_no_density(self):
         with pytest.raises(UnsupportedLawError):
             ServiceModel.deterministic(1.0).log_density(np.array([1.0]))
