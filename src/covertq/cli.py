@@ -71,13 +71,16 @@ def main(argv: list[str] | None = None) -> int:
         rows = run(config)
         if config.output_path:
             emit(rows, config.output_path, config.output_format)
-            print(f"wrote {len(rows)} rows to {config.output_path}")
-        else:
-            try:
+        try:
+            if config.output_path:
+                print(f"wrote {len(rows)} rows to {config.output_path}", flush=True)
+            else:
                 emit(rows, None, "jsonlines")
-            except OutputError:  # a closed stdout: Python's flush at exit would fail again
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-                raise
+        except (OSError, OutputError) as exc:
+            # a closed stdout: Python's flush at exit would fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise exc if isinstance(exc, OutputError) else OutputError(
+                f"cannot write to stdout: {exc}")
         return 0
     except CovertqError as exc:
         print(

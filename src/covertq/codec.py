@@ -9,12 +9,12 @@ flat index order
 but only their running sums are stored: the arrival epochs, key-major, in
 column k * 2^(bits_message + bits_dummy) + w * 2^bits_dummy + wt, so the
 decoder's key-k sub-codebook is a contiguous key block.  A codeword's gaps are
-differenced from its epoch column when it is sent.  The encoder draws the dummy
-index uniformly per transmission; the decoder searches the sub-codebook
+differenced from its epoch column when it is sent: by ``encode``, or a block
+at a time by ``Codebook.send``.  The decoder searches the sub-codebook
 exhaustively for the (message, dummy) pair maximizing the conditional log
 density of the observed departures, breaking ties toward the smallest index.
-``decode_block`` decodes many observations at once: those sent under one key
-share one scan of its key block, in the (observation group x column tile)
+``decode_block`` decodes many observations into arrays: those sent under one
+key share one scan of its key block, in the (observation group x column tile)
 units of ``laws.reduce_tiles``; ``decode`` is its one-observation call.
 
 Enumeration is capped at 2^20 codewords and 2^28 cells (n x codewords).
@@ -122,6 +122,17 @@ class Codebook:
     def draw_dummy(self, rng: np.random.Generator) -> int:
         """A uniform dummy index; nothing is drawn when there are no dummy bits."""
         return int(rng.integers(self.num_dummies)) if self.bits_dummy > 0 else 0
+
+    def send(self, rng: np.random.Generator, count: int) -> tuple[np.ndarray, ...]:
+        """``count`` transmissions, each drawing a uniform message, a uniform key,
+        then ``draw_dummy`` (``encode``'s draws).  Returns their ``(messages,
+        dummies, keys)`` and their codewords' packet-major ``(n, count)`` gaps."""
+        sent = [(int(rng.integers(self.num_messages)), int(rng.integers(self.num_keys)),
+                 self.draw_dummy(rng)) for _ in range(count)]
+        messages, keys, dummies = np.array(sent, dtype=np.int64).reshape(-1, 3).T
+        columns = [self.column(w, wt, k) for w, k, wt in sent]
+        return messages, dummies, keys, np.diff(self.arrival_epochs[:, columns], axis=0,
+                                                prepend=0.0)
 
     def _check_indices(self, w: int, wt: int, k: int):
         if not (0 <= w < self.num_messages):
@@ -323,13 +334,14 @@ def decode_block(
     departures: np.ndarray,
     keys,
     model: ServiceModel,
-) -> list[DecodeResult]:
+) -> tuple[np.ndarray, ...]:
     """``decode`` of every column of the packet-major ``(n, T)`` departures,
     column j under ``keys[j]``.
 
-    The observations sent under one key are scanned together over its key
-    block, in trial order, so each result is bit for bit the one ``decode``
-    gives for that column alone.
+    Returns ``DecodeResult``'s fields as (T,) arrays: ``(messages, dummies,
+    log_likelihood, feasible)``.  The observations sent under one key are
+    scanned together over its key block, in trial order, so each column's
+    values are bit for bit the ones ``decode`` gives for that column alone.
     """
     gaps = np.asarray(departures, dtype=np.float64)
     keys = np.asarray(keys)
@@ -357,11 +369,7 @@ def decode_block(
             group = rows[done:done + group_best.size]
             best[group], top[group], feasible[group] = group_best, group_top, group_feasible
             done += group_best.size
-    return [
-        DecodeResult(message=b >> book.bits_dummy, dummy=b & (book.num_dummies - 1),
-                     log_likelihood=t, feasible_count=f)
-        for b, t, f in zip(best.tolist(), top.tolist(), feasible.tolist())
-    ]
+    return best >> book.bits_dummy, best & (book.num_dummies - 1), top, feasible
 
 
 def decode(
@@ -381,14 +389,14 @@ def decode(
     only their shape is checked here.  This is the one-column call of
     ``decode_block``.
     """
-    if not (0 <= key < book.num_keys):
-        raise StructuralError(f"key index {key} out of range [0, {book.num_keys})")
     gaps = np.asarray(departures, dtype=np.float64)
     if gaps.shape != (book.n,):
         raise StructuralError(
             f"length mismatch: departures of shape {gaps.shape} vs n={book.n}"
         )
-    return decode_block(book, gaps[:, None], [key], model)[0]
+    # decode_block checks the key
+    return DecodeResult(*(field[0].item() for field in
+                          decode_block(book, gaps[:, None], [key], model)))
 
 
 def mm1_log_output_ratio_bound(arrival_rate: float, mu1: float) -> float:

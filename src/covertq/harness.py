@@ -26,7 +26,7 @@ import numpy as np
 
 from . import codec, laws, rates, warden
 from .errors import (ConfigError, InstabilityError, OutputError, ParameterError,
-                     ResourceLimitError, UnsupportedLawError)
+                     ResourceLimitError, StructuralError, UnsupportedLawError)
 from .queueing import ServiceKind, ServiceModel, simulate_block, trial_blocks
 
 __all__ = [
@@ -341,26 +341,15 @@ def _run_decode_sweep(config: ExperimentConfig, param_index: int) -> list[Result
 
     book = codec.generate_codebook(
         n, *widths, arrival_rate=lam, seed=_book_seed(config, param_index))
-    message_errors = 0
-    pair_errors = 0
-    # draw a block of trials as codec.encode would (message, key, then dummy),
-    # gather their epoch columns, push them through the queue at once, then
-    # decode the block's departure columns together
+    message_errors = pair_errors = 0
     for block in trial_blocks(n, t):
-        sent = [
-            (int(rng.integers(book.num_messages)), int(rng.integers(book.num_keys)),
-             book.draw_dummy(rng))
-            for _ in range(block.stop - block.start)
-        ]
-        columns = [book.column(w, wt, k) for w, k, wt in sent]
-        arrivals = np.diff(book.arrival_epochs[:, columns], axis=0, prepend=0.0)
-        departures = simulate_block(arrivals, bob, rng)
-        results = codec.decode_block(book, departures, [key for _, key, _ in sent], bob)
-        for (message, _, dummy), result in zip(sent, results):
-            message_errors += result.message != message
-            pair_errors += (result.message, result.dummy) != (message, dummy)
-    p_msg = message_errors / t
-    p_pair = pair_errors / t
+        messages, dummies, keys, codewords = book.send(rng, block.stop - block.start)
+        got_messages, got_dummies, _, _ = codec.decode_block(
+            book, simulate_block(codewords, bob, rng), keys, bob)
+        wrong = got_messages != messages
+        message_errors += np.count_nonzero(wrong)
+        pair_errors += np.count_nonzero(wrong | (got_dummies != dummies))
+    p_msg, p_pair = message_errors / t, pair_errors / t
     return [
         _row(config, "message_error_rate", params, p_msg, _binomial_se(p_msg, t), t),
         _row(config, "pair_error_rate", params, p_pair, _binomial_se(p_pair, t), t),
@@ -467,31 +456,31 @@ def emit(rows: list[ResultRow], path: str | None, output_format: str = "csv"):
 
 
 def load_rows(path: str, output_format: str = "csv") -> list[ResultRow]:
-    """Parse rows previously written by ``emit``."""
+    """Parse rows previously written by ``emit``.  A line that is not such a
+    row raises ``StructuralError`` naming the path and the line."""
     if output_format not in _FORMATS:
         raise ConfigError(f"output_format must be one of {_FORMATS}")
     rows = []
     try:
         with open(path, newline="") as fh:
             if output_format == "csv":
-                for record in csv.DictReader(fh):
-                    rows.append(
-                        ResultRow(
-                            experiment=record["experiment"],
-                            metric=record["metric"],
-                            params=json.loads(record["params"]),
-                            value=float(record["value"]),
-                            stderr=float(record["stderr"]),
-                            trials=int(record["trials"]),
-                            seed=int(record["seed"]),
-                        )
-                    )
+                reader = csv.DictReader(fh)
+                records = ((reader.line_num, record) for record in reader)
             else:
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    payload = json.loads(line)
-                    rows.append(ResultRow(**payload))
+                records = ((number, line) for number, line in enumerate(fh, 1) if line.strip())
+            for number, record in records:
+                try:
+                    if output_format == "jsonlines":
+                        record = json.loads(record)
+                    rows.append(ResultRow(
+                        experiment=record["experiment"], metric=record["metric"],
+                        params=json.loads(record["params"]) if output_format == "csv"
+                        else record["params"],
+                        value=float(record["value"]), stderr=float(record["stderr"]),
+                        trials=int(record["trials"]), seed=int(record["seed"])))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise StructuralError(f"{path} line {number} is not a result row: "
+                                          f"{exc!r}") from exc
     except OSError as exc:
         raise OutputError(f"cannot read results from {path}: {exc}") from exc
     return rows

@@ -16,7 +16,7 @@ on the llr).
 ``willie_llr_block`` scores many observations in one codebook scan, in the
 (observation group x column tile) units of ``laws.reduce_tiles``;
 ``willie_llr`` is its one-observation call, and ``run_detection_trials``
-draws its trials block by block and scores each block with one call.
+sends and simulates its trials block by block and scores each with one call.
 
 No operation here takes a key argument; the observer never has one.
 """
@@ -27,10 +27,10 @@ import math
 
 import numpy as np
 
-from .codec import Codebook, encode
+from .codec import Codebook
 from .errors import ParameterError, StructuralError
 from .laws import poisson_log_density, reduce_tiles
-from .queueing import ServiceModel, poisson_arrivals, simulate_channel, trial_blocks
+from .queueing import ServiceModel, simulate_block, trial_blocks
 
 __all__ = [
     "willie_llr",
@@ -127,27 +127,26 @@ def run_detection_trials(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Score ``trials`` blocks per hypothesis through the observer's queue.
 
-    Returns the ``(null, alt)`` llr arrays.  Trial i draws a message, a key,
-    ``encode``'s dummy and the services of that codeword (``alt[i]``), then
-    a Poisson block and its services (``null[i]``).  The trials are drawn in
-    that order, in the blocks of ``queueing.trial_blocks`` (which bound the
-    observations held at once), and each block's 2 x (its trials)
-    observations are scored by one ``willie_llr_block`` call.
+    Returns the ``(null, alt)`` llr arrays.  The trials run in the blocks of
+    ``queueing.trial_blocks``, which bound the observations held at once.
+    For a block of T trials it draws, in this order: ``Codebook.send``'s T
+    transmissions and their ``(n, T)`` services (``alt``), then an ``(n, T)``
+    block of Exp(arrival_rate) gaps and its ``(n, T)`` services (``null``).
+    The block's 2T observations are scored by one ``willie_llr_block`` call.
     """
     if trials < 1:
         raise ParameterError(f"need trials >= 1, got {trials}")
+    if not (arrival_rate > 0.0 and math.isfinite(arrival_rate)):
+        raise ParameterError(f"arrival rate must be positive and finite, got {arrival_rate}")
     null, alt = np.empty(trials), np.empty(trials)
     for block in trial_blocks(book.n, trials):
-        observations = np.empty((2 * (block.stop - block.start), book.n))  # alt, null, alt, ...
-        for i in range(0, len(observations), 2):
-            message = int(rng.integers(book.num_messages))
-            key = int(rng.integers(book.num_keys))
-            codeword = encode(book, message, key, rng).codeword
-            observations[i] = simulate_channel(codeword, model, rng)
-            observations[i + 1] = simulate_channel(poisson_arrivals(arrival_rate, book.n, rng),
-                                                   model, rng)
-        llr = willie_llr_block(book, observations.T, model, arrival_rate)
-        alt[block], null[block] = llr[0::2], llr[1::2]
+        count = block.stop - block.start
+        *_, codewords = book.send(rng, count)  # the warden never sees the indices
+        sent = simulate_block(codewords, model, rng)
+        poisson = rng.exponential(1.0 / arrival_rate, size=(book.n, count))
+        llr = willie_llr_block(book, np.hstack([sent, simulate_block(poisson, model, rng)]),
+                               model, arrival_rate)
+        alt[block], null[block] = llr[:count], llr[count:]
     return null, alt
 
 

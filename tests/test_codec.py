@@ -257,6 +257,20 @@ class TestEncode:
         counts = np.bincount(draws, minlength=16)
         assert chisquare(counts).pvalue > 0.01
 
+    @pytest.mark.parametrize("widths", [(3, 2, 2), (2, 0, 1), (0, 0, 0)])
+    def test_send_is_encode_of_a_uniform_message_and_key_per_trial(self, widths):
+        book = small_book(n=5, widths=widths)
+        sender = np.random.default_rng(9)
+        messages, dummies, keys, gaps = book.send(sender, 40)
+        assert gaps.shape == (5, 40)
+        rng = np.random.default_rng(9)
+        for j in range(40):
+            tx = encode(book, int(rng.integers(book.num_messages)),
+                        int(rng.integers(book.num_keys)), rng)
+            assert (messages[j], dummies[j], keys[j]) == (tx.message, tx.dummy, tx.key)
+            assert gaps[:, j].tobytes() == tx.codeword.tobytes()
+        assert sender.random() == rng.random()  # and it drew nothing more
+
     def test_out_of_range_rejected(self):
         book = small_book()
         rng = np.random.default_rng(8)
@@ -298,8 +312,10 @@ class TestDecode:
             tx = encode(book, w, k, rng)
             departures.append(simulate_channel(tx.codeword, BOB, rng))
             sent.append((w, tx.dummy, k))
-        results = decode_block(book, np.stack(departures, axis=1), [k for *_, k in sent], BOB)
-        errors = sum((got.message, got.dummy) != (w, wt) for got, (w, wt, _) in zip(results, sent))
+        messages, dummies, _, _ = decode_block(book, np.stack(departures, axis=1),
+                                               [k for *_, k in sent], BOB)
+        w, wt, _ = np.array(sent).T
+        errors = np.count_nonzero((messages != w) | (dummies != wt))
         assert errors / trials < 1e-3
 
     def test_reported_likelihood_is_maximal(self):

@@ -19,7 +19,7 @@ import os
 import tempfile
 import warnings
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from covertq.cli import main as cli_main
@@ -114,6 +114,11 @@ def test_from_dict_returns_a_config_or_a_covertq_error(payload):
     assert isinstance(config, ExperimentConfig)
 
 
+# no shrink phase: each example runs the CLI, and shrinking a failing one took
+# over 5 minutes; the failing example is reported as drawn
+CLI_PHASES = (Phase.explicit, Phase.reuse, Phase.generate)
+
+
 def run_cli(payload, *flags):
     """Exit code and stdout lines of ``covertq --config``, after checking its stderr."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -133,7 +138,8 @@ def run_cli(payload, *flags):
 
 
 @given(payload=payloads(experiment=st.just("region_table"), output_path=False))
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow],
+          phases=CLI_PHASES)
 def test_cli_maps_every_region_table_config_to_an_exit_code(payload):
     code, rows = run_cli(payload)
     if code == 0:
@@ -141,7 +147,8 @@ def test_cli_maps_every_region_table_config_to_an_exit_code(payload):
 
 
 @given(payload=payloads(experiment=st.sampled_from(EXPERIMENTS), output_path=False, runs=True))
-@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow],
+          phases=CLI_PHASES)
 def test_cli_maps_every_config_to_an_exit_code(payload):
     # one worker: a process pool per example would cost more than the runs.
     # Rates near the ends of the float range overflow in numpy, which must not warn

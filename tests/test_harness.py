@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -14,7 +15,8 @@ import pytest
 from covertq import codec, harness, queueing
 from covertq.cli import main as cli_main
 from covertq.codec import decode, encode, generate_codebook
-from covertq.errors import ConfigError, InstabilityError, OutputError, ResourceLimitError
+from covertq.errors import (ConfigError, InstabilityError, OutputError, ResourceLimitError,
+                            StructuralError)
 from covertq.harness import (
     ExperimentConfig,
     ResultRow,
@@ -269,14 +271,15 @@ class TestSweeps:
         assert rows["message_error_rate"] == errors / cfg.trials
         assert rows["pair_error_rate"] == pair_errors / cfg.trials
 
-    def test_decode_sweep_checks_times_per_block_not_per_trial(self, monkeypatch):
+    @pytest.mark.parametrize("experiment", ["decode_sweep", "detection_sweep"])
+    def test_sweep_checks_times_per_block_not_per_trial(self, monkeypatch, experiment):
         calls = []
         check = queueing._as_times
         monkeypatch.setattr(queueing, "_as_times", lambda *a, **k: calls.append(1) or check(*a, **k))
         counts = []
         for trials in (3, 90):  # one block each
             calls.clear()
-            run(base_config(experiment="decode_sweep", n_list=(8,), width_list=((2, 1, 1),),
+            run(base_config(experiment=experiment, n_list=(8,), width_list=((2, 1, 1),),
                             trials=trials))
             counts.append(len(calls))
         assert counts[0] == counts[1]
@@ -338,6 +341,34 @@ class TestEmit:
         emit([], str(path), "csv")
         assert path.read_text() == "experiment,metric,params,value,stderr,trials,seed\n"
 
+    @pytest.mark.parametrize("fmt, bad", [
+        ("csv", "no params column"),
+        ("csv", "non-numeric value"),
+        ("jsonlines", "missing keys"),
+        ("jsonlines", "not JSON"),
+        ("jsonlines", "non-numeric value"),
+    ])
+    def test_malformed_row_raises_structural_error_naming_the_line(self, tmp_path, fmt, bad):
+        row = self._rows()[0].to_dict()
+        if fmt == "csv":
+            header = "experiment,metric,params,value,stderr,trials,seed\n"
+            text = {
+                "no params column": "experiment,metric,value,stderr,trials,seed\n"
+                                    "region_table,covert_capacity,0.3,0,1,9\n",
+                "non-numeric value": header + 'region_table,covert_capacity,"{}",abc,0,1,9\n',
+            }[bad]
+        else:
+            line = {
+                "missing keys": json.dumps({"experiment": "region_table", "metric": "auc"}),
+                "not JSON": "wrote 25 rows",
+                "non-numeric value": json.dumps(dict(row, value="abc")),
+            }[bad]
+            text = json.dumps(row) + "\n" + line + "\n"
+        path = tmp_path / "rows.txt"
+        path.write_text(text)
+        with pytest.raises(StructuralError, match=re.escape(f"{path} line 2 ")):
+            load_rows(str(path), fmt)
+
     def test_unwritable_path_raises_with_context(self):
         with pytest.raises(OutputError, match="/nonexistent"):
             emit(self._rows(), "/nonexistent/dir/rows.csv", "csv")
@@ -384,6 +415,20 @@ class TestCli:
         assert proc.wait() == 7
         assert err.count("\n") == 1
         assert json.loads(err)["error_category"] == "output"
+
+    def test_closed_stdout_after_writing_the_file_exits_7(self, tmp_path):
+        # `covertq --config ... --out rows.csv | true`: the rows reach the
+        # file, and the report line finds no reader
+        out = tmp_path / "rows.csv"
+        proc = subprocess.Popen([sys.executable, "-m", "covertq", "--config",
+                                 str(self._write_config(tmp_path)), "--out", str(out)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait() == 7
+        assert err.count("\n") == 1
+        assert json.loads(err)["error_category"] == "output"
+        assert len(load_rows(str(out), "csv")) == 25
 
     def test_flag_overrides_win(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, master_seed=3)
@@ -468,7 +513,7 @@ class TestCli:
         # -8e292 and their sample SE overflows, which was emitted as Infinity
         cfg = self._write_config(tmp_path, experiment="detection_sweep", arrival_rate=2.8e16,
                                  mu1=1.75e19, mu2=1.7976931348623157e308, n_list=[13],
-                                 width_list=[[0, 0, 1]], trials=3)
+                                 width_list=[[0, 0, 1]], trials=3, master_seed=7)
         out = tmp_path / "rows.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)  # the overflow must not warn

@@ -25,7 +25,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -36,7 +36,8 @@ from covertq import laws
 from covertq.codec import Codebook, decode, decode_block, encode, generate_codebook
 from covertq.errors import StructuralError
 from covertq.laws import SCAN_TILE, conditional_log_density_batch, info_density_sample, reduce_tiles
-from covertq.queueing import ServiceKind, ServiceModel, poisson_arrivals, simulate_channel
+from covertq.queueing import (ServiceKind, ServiceModel, simulate_block, simulate_channel,
+                             trial_blocks)
 from covertq.warden import run_detection_trials, willie_llr, willie_llr_block
 
 import oracles
@@ -479,8 +480,9 @@ def draw_block(model, widths, n, trials, grid, seed):
     return book, codewords, observations, keys
 
 
-def outcome(result):
-    return result.message, result.dummy, result.log_likelihood.hex(), result.feasible_count
+def outcome(message, dummy, log_likelihood, feasible):
+    """One decoded observation, its log likelihood by its bits."""
+    return int(message), int(dummy), float(log_likelihood).hex(), int(feasible)
 
 
 class TestBlocks:
@@ -510,15 +512,16 @@ class TestBlocks:
             got = decode_block(book, observations, keys, model)
             want = [decode(book, observations[:, j], int(key), model)
                     for j, key in enumerate(keys)]
-        assert [outcome(r) for r in got] == [outcome(r) for r in want]
+        assert all(array.shape == (trials,) for array in got)
+        assert [outcome(*row) for row in zip(*got)] == [outcome(*astuple(r)) for r in want]
         if grid:  # exact arithmetic: the oracle's argmax, maximum and feasible count
-            for result, column, key in zip(got, observations.T, keys):
+            for message, dummy, top, feasible, column, key in zip(*got, observations.T, keys):
                 scores = oracle_scores(oracles.key_sub_book(codewords, key, book.num_keys),
                                        column, model)
                 best = int(np.argmax(scores))
-                assert (result.message, result.dummy) == divmod(best, book.num_dummies)
-                assert result.log_likelihood == scores[best]
-                assert result.feasible_count == np.isfinite(scores).sum()
+                assert (message, dummy) == divmod(best, book.num_dummies)
+                assert top == scores[best]
+                assert feasible == np.isfinite(scores).sum()
 
     @given(
         law=st.sampled_from(sorted(LAWS)),
@@ -565,12 +568,11 @@ class TestBlocks:
         keys = np.ones(9, dtype=int)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            results = decode_block(book, observations, keys, model)
+            messages, dummies, top, feasible = decode_block(book, observations, keys, model)
             llr = willie_llr_block(book, observations, model, LAM)
-        assert not results[0].failed and np.isfinite(llr[0])
-        for result in results[1:]:
-            assert (result.message, result.dummy) == (0, 0)
-            assert result.failed and result.log_likelihood == -math.inf
+        assert feasible[0] > 0 and np.isfinite(llr[0])
+        assert (messages[1:] == 0).all() and (dummies[1:] == 0).all()
+        assert (feasible[1:] == 0).all() and np.isneginf(top[1:]).all()
         assert np.isneginf(llr[1:]).all()
 
     @pytest.mark.parametrize("count", [1, 3, 8, 9, 20])
@@ -607,7 +609,7 @@ class TestBlocks:
         tracemalloc.start()
         try:
             llr = willie_llr_block(book, observations, model, LAM)
-            results = decode_block(book, observations, keys, model)
+            decoded = decode_block(book, observations, keys, model)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -615,22 +617,29 @@ class TestBlocks:
         # and the waves keep each observation's bits
         for j in range(0, 256, 5):
             assert llr[j].hex() == willie_llr(book, observations[:, j], model, LAM).hex()
-            assert results[j] == decode(book, observations[:, j], int(keys[j]), model)
+            assert outcome(*(array[j] for array in decoded)) == outcome(
+                *astuple(decode(book, observations[:, j], int(keys[j]), model)))
 
     def test_criterion_5_narrow_book_llrs_are_the_per_observation_ones(self):
         # criterion 5's under-resolved half, 16 codewords at n=200: its first
         # 400 trials are two trial blocks of several hundred observations,
-        # each scored in one unit; two slices of them, replayed one at a time
+        # each scored in one unit; two slices of them, replayed through the
+        # public calls and scored one at a time
         model = ServiceModel.exponential(2.0)
         book = generate_codebook(200, 2, 1, 1, arrival_rate=LAM, seed=5001)
         null, alt = run_detection_trials(book, model, LAM, 400, np.random.default_rng(5002))
         rng = np.random.default_rng(5002)
-        for i in range(360):
-            message = int(rng.integers(book.num_messages))
-            key = int(rng.integers(book.num_keys))
-            sent = simulate_channel(encode(book, message, key, rng).codeword, model, rng)
-            poisson = simulate_channel(poisson_arrivals(LAM, book.n, rng), model, rng)
-            if i < 20 or i >= 320:
-                assert alt[i].hex() == willie_llr(book, sent, model, LAM).hex()
-                assert null[i].hex() == willie_llr(book, poisson, model, LAM).hex()
+        blocks = list(trial_blocks(book.n, 400))
+        assert len(blocks) == 2
+        for block in blocks:
+            count = block.stop - block.start
+            codewords = [encode(book, int(rng.integers(book.num_messages)),
+                                int(rng.integers(book.num_keys)), rng).codeword
+                         for _ in range(count)]
+            sent = simulate_block(np.stack(codewords, axis=1), model, rng)
+            poisson = simulate_block(rng.exponential(1.0 / LAM, size=(book.n, count)), model, rng)
+            for j, i in enumerate(range(block.start, block.stop)):
+                if i < 20 or i >= 320:
+                    assert alt[i].hex() == willie_llr(book, sent[:, j], model, LAM).hex()
+                    assert null[i].hex() == willie_llr(book, poisson[:, j], model, LAM).hex()
 

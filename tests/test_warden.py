@@ -11,7 +11,9 @@ from covertq.laws import info_density_sample, poisson_log_density
 from covertq.queueing import (
     ServiceModel,
     poisson_arrivals,
+    simulate_block,
     simulate_channel,
+    trial_blocks,
 )
 from covertq.warden import (
     auc_stderr,
@@ -30,17 +32,22 @@ WILLIE = ServiceModel.exponential(2.0)
 
 
 def replay_observations(book, trials, seed):
-    """``run_detection_trials``' blocks, drawn trial by trial in its order.
+    """``run_detection_trials``' blocks, replayed through the public calls:
+    per trial ``encode`` of a uniform message and key, the stacked codewords
+    through ``simulate_block``, then a Poisson block through ``simulate_block``.
 
     Returns the (null, alt) lists of observed departure gaps.
     """
     rng = np.random.default_rng(seed)
     null, alt = [], []
-    for _ in range(trials):
-        message = int(rng.integers(book.num_messages))
-        key = int(rng.integers(book.num_keys))
-        alt.append(simulate_channel(encode(book, message, key, rng).codeword, WILLIE, rng))
-        null.append(simulate_channel(poisson_arrivals(LAM, book.n, rng), WILLIE, rng))
+    for block in trial_blocks(book.n, trials):
+        count = block.stop - block.start
+        codewords = [encode(book, int(rng.integers(book.num_messages)),
+                            int(rng.integers(book.num_keys)), rng).codeword
+                     for _ in range(count)]
+        alt.extend(simulate_block(np.stack(codewords, axis=1), WILLIE, rng).T)
+        poisson = rng.exponential(1.0 / LAM, size=(book.n, count))
+        null.extend(simulate_block(poisson, WILLIE, rng).T)
     return null, alt
 
 
@@ -188,8 +195,8 @@ class TestDetectionExperiment:
             summarize_detection(np.zeros(sizes[0]), np.ones(sizes[1]))
 
     def test_arrays_replay_the_per_trial_draws(self):
-        # the draw order criterion 5's pinned seeds rely on: per trial, the
-        # encoded block and its services, then a Poisson block and its services
+        # the draw order criterion 5's pinned seeds rely on: per trial block,
+        # the sent blocks and their services, then Poisson blocks and theirs
         book = generate_codebook(6, 2, 1, 1, arrival_rate=LAM, seed=63)
         null, alt = run_detection_trials(book, WILLIE, LAM, 40, np.random.default_rng(64))
         obs0, obs1 = replay_observations(book, 40, 64)
