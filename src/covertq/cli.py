@@ -12,31 +12,18 @@ import json
 import os
 import sys
 
-from .errors import (
-    ConfigError,
-    CovertqError,
-    InfeasibleRateError,
-    InstabilityError,
-    OutputError,
-    ParameterError,
-    ResourceLimitError,
-    StructuralError,
-    UnsupportedLawError,
-)
+from .errors import ConfigError, CovertqError, OutputError
 from .harness import EXPERIMENTS, ExperimentConfig, emit, run
 
-_EXIT_CODES = (
-    ((ConfigError, ParameterError, StructuralError), 2),
-    ((InstabilityError,), 3),
-    ((ResourceLimitError,), 4),
-    ((InfeasibleRateError,), 5),
-    ((UnsupportedLawError,), 6),
-    ((OutputError,), 7),
-)
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """A malformed flag is a config error: one JSON line, exit 2, no usage text."""
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="covertq",
         description="Covert queueing timing-channel experiments",
     )
@@ -65,9 +52,8 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        config = _load_config(args)
+        config = _load_config(build_parser().parse_args(argv))
         rows = run(config)
         if config.output_path:
             emit(rows, config.output_path, config.output_format)
@@ -87,10 +73,7 @@ def main(argv: list[str] | None = None) -> int:
             json.dumps({"error_category": exc.category, "message": str(exc)}),
             file=sys.stderr,
         )
-        for types, code in _EXIT_CODES:
-            if isinstance(exc, types):
-                return code
-        return 1
+        return exc.exit_code
 
 
 if __name__ == "__main__":

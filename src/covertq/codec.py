@@ -16,6 +16,8 @@ density of the observed departures, breaking ties toward the smallest index.
 ``decode_block`` decodes many observations into arrays: those sent under one
 key share one scan of its key block, in the (observation group x column tile)
 units of ``laws.reduce_tiles``; ``decode`` is its one-observation call.
+Sizes, counts and the arrival rate follow ``queueing``'s count and rate rules,
+and ``decode_block`` checks its departures with its gap rule, once per call.
 
 Enumeration is capped at 2^20 codewords and 2^28 cells (n x codewords).
 Beyond the cap, decoding performance is certified by two-sided
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,7 @@ from .errors import (
     StructuralError,
 )
 from .laws import reduce_tiles
-from .queueing import BLOCK_CELLS, ServiceModel
+from .queueing import BLOCK_CELLS, ServiceModel, _as_times, _check_count, _check_rate
 
 __all__ = [
     "CODEBOOK_CAP_BITS",
@@ -128,9 +129,9 @@ class Codebook:
         then ``draw_dummy`` (``encode``'s draws).  Returns their ``(messages,
         dummies, keys)`` and their codewords' packet-major ``(n, count)`` gaps."""
         sent = [(int(rng.integers(self.num_messages)), int(rng.integers(self.num_keys)),
-                 self.draw_dummy(rng)) for _ in range(count)]
+                 self.draw_dummy(rng)) for _ in range(_check_count("count", count, 0))]
         messages, keys, dummies = np.array(sent, dtype=np.int64).reshape(-1, 3).T
-        columns = [self.column(w, wt, k) for w, k, wt in sent]
+        columns = keys * self.num_pairs + (messages << self.bits_dummy) + dummies
         return messages, dummies, keys, np.diff(self.arrival_epochs[:, columns], axis=0,
                                                 prepend=0.0)
 
@@ -141,23 +142,6 @@ class Codebook:
             raise StructuralError(f"dummy index {wt} out of range [0, {self.num_dummies})")
         if not (0 <= k < self.num_keys):
             raise StructuralError(f"key index {k} out of range [0, {self.num_keys})")
-
-
-def _check_sizes(n: int, bits_message: int, bits_dummy: int, bits_key: int) -> list[int]:
-    """n >= 1 and widths >= 0, each an integer (numpy's too) and not a bool.
-
-    Returns them as Python ints.
-    """
-    sizes = (
-        ("n", n, 1),
-        ("bits_message", bits_message, 0),
-        ("bits_dummy", bits_dummy, 0),
-        ("bits_key", bits_key, 0),
-    )
-    for name, value, least in sizes:
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
-            raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
-    return [int(value) for _, value, _ in sizes]
 
 
 def _check_book_size(n: int, total_bits: int):
@@ -202,9 +186,11 @@ def generate_codebook(
     2^28 cells; large-rate regimes must use the certified bounds instead of
     enumeration.
     """
-    n, bits_message, bits_dummy, bits_key = _check_sizes(n, bits_message, bits_dummy, bits_key)
-    if not (arrival_rate > 0.0 and math.isfinite(arrival_rate)):
-        raise ParameterError(f"arrival rate must be positive, got {arrival_rate}")
+    n = _check_count("n", n, 1)
+    bits_message = _check_count("bits_message", bits_message, 0)
+    bits_dummy = _check_count("bits_dummy", bits_dummy, 0)
+    bits_key = _check_count("bits_key", bits_key, 0)
+    _check_rate("arrival_rate", arrival_rate)
     _check_book_size(n, bits_message + bits_dummy + bits_key)
     keys, pairs = 1 << bits_key, 1 << (bits_message + bits_dummy)
     rng = np.random.default_rng(seed)
@@ -343,9 +329,9 @@ def decode_block(
     scanned together over its key block, in trial order, so each column's
     values are bit for bit the ones ``decode`` gives for that column alone.
     """
-    gaps = np.asarray(departures, dtype=np.float64)
+    gaps = _as_times(departures, "departures", ndims=(2,))
     keys = np.asarray(keys)
-    if gaps.ndim != 2 or gaps.shape[0] != book.n or keys.shape != gaps.shape[1:]:
+    if gaps.shape[0] != book.n or keys.shape != gaps.shape[1:]:
         raise StructuralError(f"need (n={book.n}, T) departures with (T,) keys, "
                               f"got {gaps.shape} and {keys.shape}")
     if keys.size and not (np.issubdtype(keys.dtype, np.integer)
@@ -385,9 +371,9 @@ def decode(
     first-index (lexicographic) tie-breaking.
 
     ``departures`` holds the n inter-departure gaps, such as the output of
-    ``queueing.simulate_channel`` or a column of ``queueing.simulate_block``;
-    only their shape is checked here.  This is the one-column call of
-    ``decode_block``.
+    ``queueing.simulate_channel`` or a column of ``queueing.simulate_block``.
+    Their shape is checked here, and their values (finite, non-negative) by
+    ``decode_block``, whose one-column call this is.
     """
     gaps = np.asarray(departures, dtype=np.float64)
     if gaps.shape != (book.n,):
@@ -411,10 +397,10 @@ def mm1_log_output_ratio_bound(arrival_rate: float, mu1: float) -> float:
 
     so the log-ratio is bounded by -log(1 - lam/mu1).
     """
-    if not (0.0 < arrival_rate < mu1):
-        raise ParameterError(
-            f"need 0 < arrival_rate < mu1, got {arrival_rate} vs {mu1}"
-        )
+    _check_rate("arrival_rate", arrival_rate)
+    _check_rate("mu1", mu1)
+    if arrival_rate >= mu1:
+        raise ParameterError(f"need arrival_rate < mu1, got {arrival_rate} vs {mu1}")
     return -math.log1p(-arrival_rate / mu1)
 
 
@@ -459,8 +445,8 @@ def random_coding_error_bounds(
     samples = np.asarray(per_packet_info, dtype=np.float64)
     if samples.ndim != 1 or samples.size == 0:
         raise StructuralError("need a non-empty 1-d array of information densities")
-    if message_bits < 0:
-        raise ParameterError(f"message_bits must be >= 0, got {message_bits}")
+    n = _check_count("n", n, 1)
+    message_bits = _check_count("message_bits", message_bits, 0)
     i_tot = np.sort(samples * n)
     trials = i_tot.size
     log_m = message_bits * math.log(2.0)

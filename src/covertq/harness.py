@@ -27,7 +27,8 @@ import numpy as np
 from . import codec, laws, rates, warden
 from .errors import (ConfigError, InstabilityError, OutputError, ParameterError,
                      ResourceLimitError, StructuralError, UnsupportedLawError)
-from .queueing import ServiceKind, ServiceModel, simulate_block, trial_blocks
+from .queueing import (ServiceKind, ServiceModel, _check_count, _check_rate, _is_number,
+                       simulate_block, trial_blocks)
 
 __all__ = [
     "EXPERIMENTS",
@@ -71,15 +72,6 @@ def service_from_dict(payload: dict) -> ServiceModel:
     return ServiceModel(kind=kind, rate=rate, shape=shape, halfwidth=halfwidth)
 
 
-def _is_number(value, kind=numbers.Real) -> bool:
-    """True for a finite number of ``kind``; a bool is not a number in a config."""
-    try:
-        return (isinstance(value, kind) and not isinstance(value, (bool, np.bool_))
-                and math.isfinite(value))
-    except OverflowError:  # an integer too large for a float
-        return False
-
-
 def _int_list(name: str, value) -> tuple[int, ...]:
     if not (isinstance(value, (list, tuple))
             and all(_is_number(v, numbers.Integral) for v in value)):
@@ -109,14 +101,13 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}"
             )
-        for name in ("arrival_rate", "mu1", "mu2"):
-            v = getattr(self, name)
-            if not (_is_number(v) and v > 0):
-                raise ConfigError(f"{name} must be positive and finite, got {v!r}")
-        for name, least in (("trials", 1), ("master_seed", 0), ("workers", 1)):
-            v = getattr(self, name)
-            if not (_is_number(v, numbers.Integral) and v >= least):
-                raise ConfigError(f"{name} must be an integer >= {least}, got {v!r}")
+        try:  # the library's rules, reported as a config error
+            for name in ("arrival_rate", "mu1", "mu2"):
+                _check_rate(name, getattr(self, name))
+            for name, least in (("trials", 1), ("master_seed", 0), ("workers", 1)):
+                _check_count(name, getattr(self, name), least)
+        except ParameterError as exc:
+            raise ConfigError(str(exc)) from None
         if self.experiment == "detection_sweep" and self.trials < 2:
             raise ConfigError(f"detection_sweep needs trials >= 2, one score per hypothesis "
                               f"has no spread; got {self.trials}")

@@ -20,6 +20,11 @@ of partials.  A score's bits depend on neither g nor the thread count.
 The reference measure for information densities is the stationary no-message
 output: a Poisson process of the arrival rate (Burke's theorem for the
 exponential-service queue), i.e. i.i.d. Exp(rate) gaps.
+
+Rates, counts and gaps follow ``queueing``'s three rules, checked once per
+call of ``poisson_log_density``, ``info_density_sample`` and
+``sample_info_densities``.  The kernel and ``reduce_tiles`` run once per unit
+of a scan and check shapes only.
 """
 
 from __future__ import annotations
@@ -31,8 +36,9 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .errors import ParameterError, StructuralError
-from .queueing import ServiceKind, ServiceModel, simulate_block, trial_blocks
+from .errors import StructuralError
+from .queueing import (ServiceKind, ServiceModel, _as_times, _check_count, _check_rate,
+                       simulate_block, trial_blocks)
 
 __all__ = ["SCAN_TILE", "conditional_log_density_batch", "scan_threads", "reduce_tiles",
            "poisson_log_density", "info_density_sample", "sample_info_densities"]
@@ -224,8 +230,7 @@ def poisson_log_density(gaps, rate: float):
 
     A float for (n,) gaps, a (T,) array for packet-major (n, T) gaps.
     """
-    if not (rate > 0.0 and math.isfinite(rate)):
-        raise ParameterError(f"rate must be positive and finite, got {rate}")
+    _check_rate("rate", rate)
     x = np.asarray(gaps, dtype=np.float64)
     return x.shape[0] * math.log(rate) - rate * x.sum(axis=0)
 
@@ -239,10 +244,10 @@ def info_density_sample(arrivals, departures, model: ServiceModel, reference_rat
     gives a float, or packet-major (n, T) for T blocks, which gives a (T,)
     array.  Each block is one column of the kernel.
     """
-    a = np.asarray(arrivals, dtype=np.float64)
-    gaps = np.asarray(departures, dtype=np.float64)
-    if a.ndim not in (1, 2) or a.shape != gaps.shape or a.size == 0:
-        raise StructuralError(f"need non-empty (n,) or (n, T) gaps of one shape, "
+    a = _as_times(arrivals, "arrival gaps", ndims=(1, 2))
+    gaps = _as_times(departures, "departures", ndims=(1, 2))
+    if a.shape != gaps.shape:
+        raise StructuralError(f"need (n,) or (n, T) gaps of one shape, "
                               f"got {a.shape} and {gaps.shape}")
     n = a.shape[0]
     cond = conditional_log_density_batch(
@@ -264,12 +269,9 @@ def sample_info_densities(n: int, arrival_rate: float, model: ServiceModel, tria
     its packet-major (n, T) arrival gaps, then its (n, T) service times, and
     is scored by one ``info_density_sample`` call, one column per trial.
     """
-    if n < 1:
-        raise StructuralError(f"need n >= 1 packets, got {n}")
-    if not (arrival_rate > 0.0 and math.isfinite(arrival_rate)):
-        raise ParameterError(f"arrival rate must be positive and finite, got {arrival_rate}")
-    if trials < 1:
-        raise ParameterError(f"need trials >= 1, got {trials}")
+    n = _check_count("n", n, 1)
+    _check_rate("arrival_rate", arrival_rate)
+    trials = _check_count("trials", trials, 1)
     out = np.empty(trials)
     for block in trial_blocks(n, trials):
         arrivals = rng.exponential(1.0 / arrival_rate, size=(n, block.stop - block.start))

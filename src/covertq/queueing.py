@@ -10,13 +10,20 @@ with d_0 = 0.  The idle gap seen by packet k is U_k = max(0, t_k - d_{k-1}),
 so the inter-departure time decomposes as D_k = U_k + S_k.
 
 All sequences are in seconds; rates are per second.  Gap sequences are plain
-float64 arrays, (n,) for one block or packet-major (n, T) for T blocks.  Gaps
-are checked (non-empty, finite, non-negative) where they enter the simulator:
-``departure_epochs``, ``simulate_channel`` and ``simulate_block``; downstream
-code checks shapes only.  The recursion is kept
-in its sequential form on purpose: reassociating the arithmetic (e.g. a
-prefix-max formulation) changes last-ulp rounding, and downstream consumers
-rely on the exact float semantics of this evaluation order.
+float64 arrays, (n,) for one block or packet-major (n, T) for T blocks.
+
+This module holds the package's three input rules, applied once per call at
+each public entry and never per trial or per observation: ``_check_rate``
+(a finite number > 0, not a bool), ``_check_count`` (an integer >= a least
+value, not a bool) and ``_as_times`` (non-empty, finite, non-negative gaps).
+The simulator (``departure_epochs``, ``simulate_channel``, ``simulate_block``)
+and the scorers (``codec.decode_block``, ``warden.willie_llr_block``,
+``laws.info_density_sample``) check their gaps with ``_as_times``.
+
+The recursion is kept in its sequential form on purpose: reassociating the
+arithmetic (e.g. a prefix-max formulation) changes last-ulp rounding, and
+downstream consumers rely on the exact float semantics of this evaluation
+order.
 
 The recursion has two loops, both on the arrival epochs t_k (a sequential
 running sum, the same floats as adding the gaps one at a time):
@@ -38,6 +45,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +78,28 @@ def trial_blocks(n: int, trials: int):
     width = max(1, BLOCK_CELLS // n)
     for start in range(0, trials, width):
         yield slice(start, min(start + width, trials))
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    """True for a finite number of ``kind``; a bool is not a number."""
+    try:
+        return (isinstance(value, kind) and not isinstance(value, (bool, np.bool_))
+                and math.isfinite(value))
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def _check_rate(name: str, value):
+    """Refuse a rate that is not a finite number > 0."""
+    if not (_is_number(value) and value > 0):
+        raise ParameterError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _check_count(name: str, value, least: int) -> int:
+    """An integer >= ``least`` (numpy's too, never a bool), as a Python int."""
+    if not (_is_number(value, numbers.Integral) and value >= least):
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def _as_times(values, what: str, ndims=(1,)) -> np.ndarray:
@@ -111,11 +141,9 @@ class ServiceModel:
     halfwidth: float | None = None
 
     def __post_init__(self):
-        if not (self.rate > 0.0 and math.isfinite(self.rate)):
-            raise ParameterError(f"service rate must be positive and finite, got {self.rate}")
+        _check_rate("service rate", self.rate)
         if self.kind is ServiceKind.ERLANG:
-            if self.shape is None or self.shape < 1 or self.shape != int(self.shape):
-                raise ParameterError(f"erlang shape must be a positive integer, got {self.shape}")
+            _check_count("erlang shape", self.shape, 1)
         elif self.shape is not None:
             raise ParameterError(f"shape only applies to erlang, got kind={self.kind.value}")
         if self.kind is ServiceKind.UNIFORM:
@@ -194,11 +222,8 @@ class ServiceModel:
 
 def poisson_arrivals(rate: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Inter-arrival gaps of a Poisson process: n i.i.d. Exp(rate) draws."""
-    if not (rate > 0.0 and math.isfinite(rate)):
-        raise ParameterError(f"arrival rate must be positive and finite, got {rate}")
-    if n < 1:
-        raise StructuralError(f"need n >= 1 arrivals, got {n}")
-    return rng.exponential(1.0 / rate, size=n)
+    _check_rate("rate", rate)
+    return rng.exponential(1.0 / rate, size=_check_count("n", n, 1))
 
 
 # Narrowest block the vectorised loop takes; narrower blocks run the scalar

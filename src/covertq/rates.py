@@ -29,7 +29,7 @@ from .errors import (
     ParameterError,
     UnsupportedLawError,
 )
-from .queueing import ServiceKind, ServiceModel
+from .queueing import ServiceKind, ServiceModel, _check_rate
 
 __all__ = [
     "RatePoint",
@@ -48,11 +48,6 @@ def log_ratio(a: float, b: float) -> float:
     """ln(a/b) of two positive finite floats, also where a/b leaves the float range."""
     ratio = a / b
     return math.log(ratio) if 0.0 < ratio < math.inf else math.log(a) - math.log(b)
-
-
-def _check_rate(name: str, value: float):
-    if not (value > 0.0 and math.isfinite(value)):
-        raise ParameterError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,8 @@ on the llr).
 (observation group x column tile) units of ``laws.reduce_tiles``;
 ``willie_llr`` is its one-observation call, and ``run_detection_trials``
 sends and simulates its trials block by block and scores each with one call.
+The observations' gaps are checked once per ``willie_llr_block`` call, and
+the rate and trial count once per ``run_detection_trials`` call.
 
 No operation here takes a key argument; the observer never has one.
 """
@@ -30,7 +32,8 @@ import numpy as np
 from .codec import Codebook
 from .errors import ParameterError, StructuralError
 from .laws import poisson_log_density, reduce_tiles
-from .queueing import ServiceModel, simulate_block, trial_blocks
+from .queueing import (ServiceModel, _as_times, _check_count, _check_rate, simulate_block,
+                       trial_blocks)
 
 __all__ = [
     "willie_llr",
@@ -88,8 +91,8 @@ def willie_llr_block(
     observation.  Each observation's partials are combined in tile order for
     any grouping and thread count, so its llr's bits depend on neither.
     """
-    obs = np.asarray(observations, dtype=np.float64)
-    if obs.ndim != 2 or obs.shape[0] != book.n:
+    obs = _as_times(observations, "observations", ndims=(2,))
+    if obs.shape[0] != book.n:
         raise StructuralError(f"need (n={book.n}, T) observations, got {obs.shape}")
     count = book.arrival_epochs.shape[1]
     mixtures = [
@@ -98,10 +101,10 @@ def willie_llr_block(
         # transposed: one observation's (m, sum) partials, in tile order
         for partials in zip(*(zip(tops.tolist(), totals.tolist()) for tops, totals in tiles))
     ]
-    # q(D) column by column: the (n, T) form sums down axis 0 in another
-    # order than an (n,) sum, which can move the last bit
-    return np.array([mixture - poisson_log_density(column, arrival_rate)
-                     for mixture, column in zip(mixtures, obs.T)])
+    # q(D) summed down the columns of an observation-major copy: the same
+    # additions, in the same order, as the (n,) sum of each column alone
+    return np.array(mixtures) - poisson_log_density(np.ascontiguousarray(obs.T).T,
+                                                    arrival_rate)
 
 
 def willie_llr(
@@ -134,10 +137,8 @@ def run_detection_trials(
     block of Exp(arrival_rate) gaps and its ``(n, T)`` services (``null``).
     The block's 2T observations are scored by one ``willie_llr_block`` call.
     """
-    if trials < 1:
-        raise ParameterError(f"need trials >= 1, got {trials}")
-    if not (arrival_rate > 0.0 and math.isfinite(arrival_rate)):
-        raise ParameterError(f"arrival rate must be positive and finite, got {arrival_rate}")
+    trials = _check_count("trials", trials, 1)
+    _check_rate("arrival_rate", arrival_rate)
     null, alt = np.empty(trials), np.empty(trials)
     for block in trial_blocks(book.n, trials):
         count = block.stop - block.start

@@ -1,0 +1,98 @@
+"""Every public entry applies the package's three input rules at its call.
+
+Gaps (non-empty, finite, non-negative) raise ``StructuralError``; counts (an
+integer >= its least value, never a bool) and rates (a finite number > 0,
+never a bool) raise ``ParameterError``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from covertq.codec import (decode, decode_block, generate_codebook, mm1_log_output_ratio_bound,
+                           random_coding_error_bounds)
+from covertq.errors import ParameterError, StructuralError
+from covertq.laws import info_density_sample, sample_info_densities
+from covertq.queueing import ServiceModel, poisson_arrivals
+from covertq.warden import run_detection_trials, willie_llr, willie_llr_block
+
+EXP = ServiceModel.exponential(2.0)
+BOOK = generate_codebook(4, 2, 1, 1, arrival_rate=0.5, seed=3)
+INFO = np.array([0.4, 0.9, 0.6])  # per-packet information densities
+
+
+def rng():
+    return np.random.default_rng(0)
+
+
+def block(bad):
+    """(4, 3) gaps with one bad value in column 1."""
+    gaps = np.full((4, 3), 0.7)
+    gaps[2, 1] = bad
+    return gaps
+
+
+GAP_ENTRIES = {
+    "decode_block": lambda bad: decode_block(BOOK, block(bad), [0, 1, 0], EXP),
+    "decode": lambda bad: decode(BOOK, block(bad)[:, 1], 0, EXP),
+    "willie_llr_block": lambda bad: willie_llr_block(BOOK, block(bad), EXP, 0.5),
+    "willie_llr": lambda bad: willie_llr(BOOK, block(bad)[:, 1], EXP, 0.5),
+    "info_density_sample": lambda bad: info_density_sample(np.full((4, 3), 0.7), block(bad),
+                                                           EXP, 0.5),
+    "info_density_sample arrivals": lambda bad: info_density_sample(block(bad)[:, 1],
+                                                                    np.full(4, 0.7), EXP, 0.5),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+@pytest.mark.parametrize("entry", GAP_ENTRIES)
+def test_bad_gap_is_a_structural_error(entry, bad):
+    with pytest.raises(StructuralError):
+        GAP_ENTRIES[entry](bad)
+
+
+COUNT_ENTRIES = {
+    "generate_codebook n": lambda v: generate_codebook(v, 1, 0, 0, arrival_rate=0.5, seed=0),
+    "generate_codebook bits_key": lambda v: generate_codebook(4, 1, 0, v, arrival_rate=0.5,
+                                                              seed=0),
+    "Codebook.send": lambda v: BOOK.send(rng(), v),
+    "poisson_arrivals": lambda v: poisson_arrivals(0.5, v, rng()),
+    "sample_info_densities n": lambda v: sample_info_densities(v, 0.5, EXP, 3, rng()),
+    "sample_info_densities trials": lambda v: sample_info_densities(4, 0.5, EXP, v, rng()),
+    "run_detection_trials": lambda v: run_detection_trials(BOOK, EXP, 0.5, v, rng()),
+    "random_coding_error_bounds n": lambda v: random_coding_error_bounds(INFO, v, 2, 0.1),
+    "random_coding_error_bounds message_bits": lambda v: random_coding_error_bounds(INFO, 4, v,
+                                                                                    0.1),
+}
+
+
+@pytest.mark.parametrize("count", [2.5, True, np.bool_(True), -1], ids=repr)
+@pytest.mark.parametrize("entry", COUNT_ENTRIES)
+def test_bad_count_is_a_parameter_error(entry, count):
+    with pytest.raises(ParameterError):
+        COUNT_ENTRIES[entry](count)
+
+
+RATE_ENTRIES = {
+    "generate_codebook": lambda v: generate_codebook(4, 1, 0, 0, arrival_rate=v, seed=0),
+    "poisson_arrivals": lambda v: poisson_arrivals(v, 4, rng()),
+    "sample_info_densities": lambda v: sample_info_densities(4, v, EXP, 3, rng()),
+    "run_detection_trials": lambda v: run_detection_trials(BOOK, EXP, v, 3, rng()),
+    "mm1_log_output_ratio_bound arrival_rate": lambda v: mm1_log_output_ratio_bound(v, 2.0),
+    "mm1_log_output_ratio_bound mu1": lambda v: mm1_log_output_ratio_bound(0.5, v),
+}
+
+
+@pytest.mark.parametrize("rate", [True, math.nan, 0.0], ids=repr)
+@pytest.mark.parametrize("entry", RATE_ENTRIES)
+def test_bad_rate_is_a_parameter_error(entry, rate):
+    with pytest.raises(ParameterError):
+        RATE_ENTRIES[entry](rate)
+
+
+def test_numpy_counts_and_an_empty_send_are_accepted():
+    messages, dummies, keys, gaps = BOOK.send(rng(), np.int64(0))
+    assert gaps.shape == (4, 0) and messages.size == dummies.size == keys.size == 0
+    assert poisson_arrivals(0.5, np.int32(4), rng()).shape == (4,)
+    assert sample_info_densities(np.int64(4), 0.5, EXP, np.uint8(3), rng()).shape == (3,)

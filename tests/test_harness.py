@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from covertq import codec, harness, queueing
+from covertq import codec, harness, laws, queueing, warden
 from covertq.cli import main as cli_main
 from covertq.codec import decode, encode, generate_codebook
 from covertq.errors import (ConfigError, InstabilityError, OutputError, ResourceLimitError,
@@ -273,15 +273,25 @@ class TestSweeps:
 
     @pytest.mark.parametrize("experiment", ["decode_sweep", "detection_sweep"])
     def test_sweep_checks_times_per_block_not_per_trial(self, monkeypatch, experiment):
+        # the gap check, the codeword lookup and q(D) each run per block: a
+        # per-trial or per-observation call would count more at 90 trials
         calls = []
-        check = queueing._as_times
-        monkeypatch.setattr(queueing, "_as_times", lambda *a, **k: calls.append(1) or check(*a, **k))
+
+        def count(name, *owners):  # every module's own binding of the name
+            for owner in owners:
+                call = getattr(owner, name)
+                monkeypatch.setattr(owner, name, lambda *a, call=call, **k:
+                                    calls.append(name) or call(*a, **k))
+
+        count("_as_times", queueing, codec, laws, warden)
+        count("column", codec.Codebook)
+        count("poisson_log_density", laws, warden)
         counts = []
         for trials in (3, 90):  # one block each
             calls.clear()
             run(base_config(experiment=experiment, n_list=(8,), width_list=((2, 1, 1),),
                             trials=trials))
-            counts.append(len(calls))
+            counts.append(sorted(calls))
         assert counts[0] == counts[1]
 
 class TestReproduce:
@@ -548,6 +558,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert json.loads(err)["error_category"] == "unsupported-law"
+
+    @pytest.mark.parametrize("flags", [
+        ["--trials", "2.5"],
+        ["--seed", "x"],
+        ["--format", "xml"],
+        ["--bogus"],
+    ])
+    def test_malformed_flag_exits_2_with_one_diagnostic(self, tmp_path, capsys, flags):
+        # the documented JSON line, not argparse's usage text
+        assert cli_main(["--config", str(self._write_config(tmp_path)), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert json.loads(captured.err)["error_category"] == "config"
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(["--help"])
+        assert exit_.value.code == 0
+        assert "usage: covertq" in capsys.readouterr().out
 
     def test_missing_config_file(self, capsys):
         assert cli_main(["--config", "/no/such/file.json"]) == 2

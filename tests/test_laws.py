@@ -274,7 +274,7 @@ class TestBatchedInfoDensity:
         assert infeasible.any() and not infeasible.all()
 
     def test_block_length_validation(self):
-        with pytest.raises(StructuralError):
+        with pytest.raises(ParameterError):
             sample_info_densities(0, 0.5, EXP1, 10, np.random.default_rng(0))
         with pytest.raises(ParameterError):
             sample_info_densities(10, 0.0, EXP1, 10, np.random.default_rng(0))

@@ -295,7 +295,7 @@ class TestSimulateChannel:
         rng = np.random.default_rng(9)
         with pytest.raises(ParameterError):
             poisson_arrivals(0.0, 10, rng)
-        with pytest.raises(StructuralError):
+        with pytest.raises(ParameterError):
             poisson_arrivals(1.0, 0, rng)
 
     def test_output_rate_matches_input_rate_when_stable(self):
