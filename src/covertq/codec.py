@@ -15,7 +15,8 @@ exhaustively for the (message, dummy) pair maximizing the conditional log
 density of the observed departures, breaking ties toward the smallest index.
 ``decode_block`` decodes many observations into arrays: those sent under one
 key share one scan of its key block, in the (observation group x column tile)
-units of ``laws.reduce_tiles``; ``decode`` is its one-observation call.
+units of ``laws.reduce_tiles``, whose per-tile argmax partials are
+folded over the tile axis; ``decode`` is its one-observation call.
 Sizes, counts and the arrival rate follow ``queueing``'s count and rate rules,
 and ``decode_block`` checks its departures with its gap rule, once per call.
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +42,8 @@ from .errors import (
     StructuralError,
 )
 from .laws import reduce_tiles
-from .queueing import BLOCK_CELLS, ServiceModel, _as_times, _check_count, _check_rate
+from .queueing import (BLOCK_CELLS, ServiceModel, _as_times, _check_count, _check_rate,
+                       _is_number)
 
 __all__ = [
     "CODEBOOK_CAP_BITS",
@@ -244,10 +247,10 @@ def save_codebook_spec(book: Codebook, path: str):
 
 
 def _snapshot_field(payload: dict, name: str, path: str):
-    """A snapshot's integer field, or its real ``arrival_rate``; a bool is neither."""
+    """A snapshot's integer field, or its real ``arrival_rate``, by the
+    package's number rule: finite, and never a bool."""
     value = payload.get(name)
-    kind = (int, float) if name == "arrival_rate" else int
-    if not isinstance(value, kind) or isinstance(value, bool):
+    if not _is_number(value, numbers.Real if name == "arrival_rate" else numbers.Integral):
         raise StructuralError(f"codebook snapshot {path}: bad {name} {value!r}")
     return value
 
@@ -344,17 +347,13 @@ def decode_block(
     for key in sorted(set(keys.tolist())):  # np.unique would import numpy.ma (0.5 MB)
         rows = np.flatnonzero(keys == key)
         block = book.arrival_epochs[:, key * pairs:(key + 1) * pairs]
-        done = 0
-        for tiles in reduce_tiles(block, gaps[:, rows], model, _argmax_partial):
-            group_best, group_top, group_feasible = tiles[0]
-            for tile_best, tile_top, tile_feasible in tiles[1:]:
-                later = tile_top > group_top  # strict: an earlier tile keeps its ties
-                group_best = np.where(later, tile_best, group_best)
-                group_top = np.where(later, tile_top, group_top)
-                group_feasible = group_feasible + tile_feasible
-            group = rows[done:done + group_best.size]
-            best[group], top[group], feasible[group] = group_best, group_top, group_feasible
-            done += group_best.size
+        tile_best, tile_top, tile_feasible = reduce_tiles(
+            block, gaps[:, rows], model, _argmax_partial, (np.int64, np.float64, np.int64))
+        # the first tile with the maximum: a strict > fold over tiles keeps it
+        first = np.argmax(tile_top, axis=1)
+        pick = np.arange(rows.size)
+        best[rows], top[rows] = tile_best[pick, first], tile_top[pick, first]
+        feasible[rows] = tile_feasible.sum(axis=1)
     return best >> book.bits_dummy, best & (book.num_dummies - 1), top, feasible
 
 
@@ -443,8 +442,12 @@ def random_coding_error_bounds(
     linear in the codebook, so it survives averaging over the random ensemble.
     """
     samples = np.asarray(per_packet_info, dtype=np.float64)
-    if samples.ndim != 1 or samples.size == 0:
-        raise StructuralError("need a non-empty 1-d array of information densities")
+    if samples.ndim != 1 or samples.size == 0 or np.isnan(samples).any():
+        raise StructuralError("need a non-empty 1-d array of information densities, "
+                              "none NaN (-inf marks an infeasible trial)")
+    if not _is_number(log_output_ratio_bound):
+        raise ParameterError(f"log_output_ratio_bound must be a finite number, "
+                             f"got {log_output_ratio_bound!r}")
     n = _check_count("n", n, 1)
     message_bits = _check_count("message_bits", message_bits, 0)
     i_tot = np.sort(samples * n)

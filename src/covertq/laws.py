@@ -14,8 +14,9 @@ A codebook scan (``reduce_tiles``) works in units of g observations x one
 column tile of the book, with g = max(1, SCAN_TILE // tile width): every unit
 holds at most ``SCAN_TILE`` scores, so it stays in cache, and a narrow book
 scores thousands of observations per ufunc call where a wide one keeps one.
-The units are shared out to one thread per CPU, in waves of a bounded number
-of partials.  A score's bits depend on neither g nor the thread count.
+The units are shared out to one thread per CPU, and each unit's partials land
+in ``(T, tiles)`` arrays, 8 bytes per field per (observation, tile).  A
+score's bits depend on neither g nor the thread count.
 
 The reference measure for information densities is the stationary no-message
 output: a Poisson process of the arrival rate (Burke's theorem for the
@@ -32,7 +33,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -48,9 +48,6 @@ __all__ = ["SCAN_TILE", "conditional_log_density_batch", "scan_threads", "reduce
 # epochs stream past.  Each ufunc call of a threaded scan reacquires the GIL,
 # so a unit half this size scaled worse on two threads.
 SCAN_TILE = 1 << 16
-
-# (observation, tile) partials that a scan holds at once, about 1 MB of them
-_WAVE_PARTIALS = 1 << 12
 
 
 def conditional_log_density_batch(arrival_epochs: np.ndarray, departures, model: ServiceModel,
@@ -143,8 +140,9 @@ def scan_threads() -> int:
 
 
 def reduce_tiles(arrival_epochs: np.ndarray, departures: np.ndarray, model: ServiceModel,
-                 reduce) -> Iterator[list]:
-    """Per observation group, in order, ``[reduce(start, scores) for each column tile]``.
+                 reduce, dtypes) -> tuple[np.ndarray, ...]:
+    """``reduce``'s partials of every (observation, column tile) pair, as one
+    ``(T, tiles)`` array per field, of the given ``dtypes``.
 
     ``departures`` holds T observations, packet-major ``(n, T)``.  They are
     scored in groups of g = max(1, SCAN_TILE // tile width) consecutive
@@ -152,77 +150,69 @@ def reduce_tiles(arrival_epochs: np.ndarray, departures: np.ndarray, model: Serv
     ``scores`` is the ``(g, width)`` block of ``conditional_log_density_batch``
     for the group's observations against columns ``start:start + width``
     (the last group may hold fewer).  It lives in a work array that the next
-    unit overwrites, so ``reduce`` returns small partials, one per row (and
-    may reduce in place).  A unit's epochs and work arrays stay in cache while
-    its n packets are scanned.  The result is an iterator over the groups, in
-    observation order, each a list of its partials in tile order.  The shapes
-    are checked at the call.
+    unit overwrites, so ``reduce(start, scores)`` returns one ``(g,)`` array
+    per field (and may reduce in place), which lands at the unit's rows of
+    column ``start // SCAN_TILE``.  A unit's epochs and work arrays stay in
+    cache while its n packets are scanned.  The shapes are checked at the
+    call.  The result holds 8 bytes per field per (observation, tile), and a
+    book within the codebook cap has at most 16 tiles.
 
-    The groups are scanned in waves of about ``_WAVE_PARTIALS`` partials (at
-    least one group per thread), so the memory a scan holds does not grow
-    with T or the width of the book.
-    A wave's (group, tile) units are handed out one at a time to
-    ``scan_threads()`` threads, each with its own work array of at most
-    3 x ``SCAN_TILE`` floats; numpy releases the GIL inside the kernel's
-    ufuncs.  The calling thread is one of them, so a scan of one unit starts
-    no thread.  The other threads start and end within the wave: a pool kept
-    between calls would be inherited without its threads by the forked
-    workers of ``harness.run``.  An exception in a thread is raised on the
-    calling thread: the one from the earliest unit when several units fail.
-    Every thread handles floating-point errors as the calling thread does.
+    The (group, tile) units are handed out one at a time to ``scan_threads()``
+    threads, each with its own work array of at most 3 x ``SCAN_TILE``
+    floats; numpy releases the GIL inside the kernel's ufuncs.  The calling
+    thread is one of them, so a scan of one unit starts no thread.  The other
+    threads start and end within the call: a pool kept between calls would be
+    inherited without its threads by the forked workers of ``harness.run``.
+    An exception in a thread is raised on the calling thread: the one from
+    the earliest unit when several units fail.  Every thread handles
+    floating-point errors as the calling thread does.
     """
     ta = arrival_epochs
     if ta.ndim != 2 or ta.shape[1] == 0 or np.ndim(departures) != 2 \
             or departures.shape[0] != ta.shape[0]:
         raise StructuralError(f"need (n, C) arrival epochs, C >= 1, with (n, T) departures, "
                               f"got {ta.shape} and {np.shape(departures)}")
+    observations = departures.shape[1]
     width = min(ta.shape[1], SCAN_TILE)
     group = max(1, SCAN_TILE // width)
     tiles = -(-ta.shape[1] // SCAN_TILE)
-    threads = max(1, min(scan_threads(), -(-departures.shape[1] // group) * tiles))
-    # at least one group per thread, whatever the book's width
-    wave = group * max(threads, _WAVE_PARTIALS // (group * tiles))
-    works = np.empty((threads, 3, min(departures.shape[1], group) * width))
+    units = -(-observations // group) * tiles
+    partials = tuple(np.empty((observations, tiles), dtype=dtype) for dtype in dtypes)
+    works = np.empty((max(1, min(scan_threads(), units)), 3,
+                      min(observations, group) * width))
     caller_errstate = np.geterr()  # a new thread would start with numpy's default
+    errors = {}
+    order = iter(range(units))  # shared: a stalled thread holds up one unit
+    lock = threading.Lock()
 
-    def scan_wave(wave_departures):
-        units = -(-wave_departures.shape[1] // group) * tiles
-        partials, errors = [None] * units, {}
-        order = iter(range(units))  # shared: a stalled thread holds up one unit
-        lock = threading.Lock()
+    def scan(work):
+        with np.errstate(**caller_errstate):
+            while True:
+                with lock:
+                    i = None if errors else next(order, None)
+                if i is None:
+                    return
+                try:
+                    first, tile = i // tiles * group, i % tiles
+                    start = tile * SCAN_TILE
+                    scores = conditional_log_density_batch(
+                        ta[:, start:start + SCAN_TILE],
+                        departures[:, first:first + group, None], model, work)
+                    for out, field in zip(partials, reduce(start, scores)):
+                        out[first:first + group, tile] = field
+                except BaseException as exc:  # raised on the calling thread below
+                    errors[i] = exc
+                    return
 
-        def scan(work):
-            with np.errstate(**caller_errstate):
-                while True:
-                    with lock:
-                        i = None if errors else next(order, None)
-                    if i is None:
-                        return
-                    try:
-                        first, start = i // tiles * group, i % tiles * SCAN_TILE
-                        scores = conditional_log_density_batch(
-                            ta[:, start:start + SCAN_TILE],
-                            wave_departures[:, first:first + group, None], model, work)
-                        partials[i] = reduce(start, scores)
-                    except BaseException as exc:  # raised on the calling thread below
-                        errors[i] = exc
-                        return
-
-        pool = [threading.Thread(target=scan, args=(work,)) for work in works[1:units]]
-        for thread in pool:
-            thread.start()
-        scan(works[0])  # the calling thread is one of the scan's threads
-        for thread in pool:
-            thread.join()
-        if errors:
-            raise errors[min(errors)]
-        return [partials[i:i + tiles] for i in range(0, units, tiles)]
-
-    def waves():
-        for first in range(0, departures.shape[1], wave):
-            yield from scan_wave(departures[:, first:first + wave])
-
-    return waves()
+    pool = [threading.Thread(target=scan, args=(work,)) for work in works[1:]]
+    for thread in pool:
+        thread.start()
+    scan(works[0])  # the calling thread is one of the scan's threads
+    for thread in pool:
+        thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return partials
 
 
 def poisson_log_density(gaps, rate: float):

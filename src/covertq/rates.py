@@ -29,7 +29,7 @@ from .errors import (
     ParameterError,
     UnsupportedLawError,
 )
-from .queueing import ServiceKind, ServiceModel, _check_rate
+from .queueing import ServiceKind, ServiceModel, _check_rate, _is_number
 
 __all__ = [
     "RatePoint",
@@ -63,8 +63,8 @@ class RatePoint:
         _check_rate("arrival_rate", self.arrival_rate)
         for name in ("message_rate", "key_rate", "dummy_rate"):
             v = getattr(self, name)
-            if not (math.isfinite(v)):
-                raise ParameterError(f"{name} must be finite, got {v}")
+            if not _is_number(v):
+                raise ParameterError(f"{name} must be a finite number, got {v!r}")
         if self.key_rate < 0.0 or self.dummy_rate < 0.0:
             raise ParameterError("key_rate and dummy_rate must be non-negative")
 
@@ -138,9 +138,9 @@ def _erlang_shape_term(k: int) -> float:
 def kl_to_exponential(model: ServiceModel, rate: float) -> float:
     """KL divergence D(model || Exp(rate)) in nats.
 
-    Closed forms for exponential and Erlang laws (a Stirling series for
-    Erlang shapes from 100 on); adaptive quadrature for the uniform law.
-    The deterministic law has infinite divergence.
+    Closed forms for the exponential, Erlang and uniform laws (a Stirling
+    series for Erlang shapes from 100 on).  The deterministic law has infinite
+    divergence.
     """
     _check_rate("rate", rate)
     if model.kind is ServiceKind.DETERMINISTIC:
@@ -168,19 +168,10 @@ def kl_to_exponential(model: ServiceModel, rate: float) -> float:
             - math.log(rate)
             + rate / a
         )
-    # uniform: integrate f * log(f/g) over the (compact) support
-    from scipy.integrate import quad
-
-    m = model.mean
-    lo, hi = m - model.halfwidth, m + model.halfwidth
-    level = 1.0 / (2.0 * model.halfwidth)
-    log_level = math.log(level)
-
-    def integrand(x):
-        return level * (log_level - (math.log(rate) - rate * x))
-
-    value, err = quad(integrand, lo, hi, epsabs=1e-12, epsrel=1e-12)
-    return value
+    # uniform on m -/+ h, m = 1 / model.rate: D = -ln(2h) - ln(rate) + rate * m,
+    # with ln 2h split so that 2h cannot overflow
+    return (-(math.log(2.0) + math.log(model.halfwidth)) - math.log(rate)
+            + rate / model.rate)
 
 
 def in_region(point: RatePoint, spec: RegionSpec) -> bool:

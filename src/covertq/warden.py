@@ -14,7 +14,8 @@ total-variation distance (the best achievable advantage of any threshold test
 on the llr).
 
 ``willie_llr_block`` scores many observations in one codebook scan, in the
-(observation group x column tile) units of ``laws.reduce_tiles``;
+(observation group x column tile) units of ``laws.reduce_tiles``, and folds
+each observation's row of per-tile log-sum-exp partials;
 ``willie_llr`` is its one-observation call, and ``run_detection_trials``
 sends and simulates its trials block by block and scores each with one call.
 The observations' gaps are checked once per ``willie_llr_block`` call, and
@@ -95,12 +96,11 @@ def willie_llr_block(
     if obs.shape[0] != book.n:
         raise StructuralError(f"need (n={book.n}, T) observations, got {obs.shape}")
     count = book.arrival_epochs.shape[1]
-    mixtures = [
-        _log_mixture(partials, count)
-        for tiles in reduce_tiles(book.arrival_epochs, obs, model, _exp_partial)
-        # transposed: one observation's (m, sum) partials, in tile order
-        for partials in zip(*(zip(tops.tolist(), totals.tolist()) for tops, totals in tiles))
-    ]
+    tops, totals = reduce_tiles(book.arrival_epochs, obs, model, _exp_partial,
+                                (np.float64, np.float64))
+    # the scalar fold takes Python floats; converting row by row keeps few alive
+    mixtures = [_log_mixture(zip(top.tolist(), total.tolist()), count)
+                for top, total in zip(tops, totals)]
     # q(D) summed down the columns of an observation-major copy: the same
     # additions, in the same order, as the (n,) sum of each column alone
     return np.array(mixtures) - poisson_log_density(np.ascontiguousarray(obs.T).T,

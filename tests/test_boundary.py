@@ -15,6 +15,7 @@ from covertq.codec import (decode, decode_block, generate_codebook, mm1_log_outp
 from covertq.errors import ParameterError, StructuralError
 from covertq.laws import info_density_sample, sample_info_densities
 from covertq.queueing import ServiceModel, poisson_arrivals
+from covertq.rates import RatePoint
 from covertq.warden import run_detection_trials, willie_llr, willie_llr_block
 
 EXP = ServiceModel.exponential(2.0)
@@ -89,6 +90,28 @@ RATE_ENTRIES = {
 def test_bad_rate_is_a_parameter_error(entry, rate):
     with pytest.raises(ParameterError):
         RATE_ENTRIES[entry](rate)
+
+
+def test_nan_information_density_is_a_structural_error():
+    # -inf marks an infeasible trial: legal, and counted as an error
+    bounds = random_coding_error_bounds(np.array([0.5, -math.inf, 0.7]), 10, 3, 0.1)
+    assert bounds.lower == pytest.approx(1 / 3)
+    with pytest.raises(StructuralError):
+        random_coding_error_bounds(np.array([0.5, math.nan, 0.7]), 10, 3, 0.1)
+
+
+@pytest.mark.parametrize("bound", [math.nan, math.inf, True, "0.1"], ids=repr)
+def test_bad_log_output_ratio_bound_is_a_parameter_error(bound):
+    with pytest.raises(ParameterError):
+        random_coding_error_bounds(np.array([0.5, 0.6, 0.7]), 10, 3, bound)
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(False), "1", math.nan, math.inf], ids=repr)
+@pytest.mark.parametrize("name", ["message_rate", "key_rate", "dummy_rate"])
+def test_bad_rate_point_rate_is_a_parameter_error(name, value):
+    rates = {"message_rate": 0.5, "key_rate": 0.1, "dummy_rate": 0.0, name: value}
+    with pytest.raises(ParameterError):
+        RatePoint(0.5, **rates)
 
 
 def test_numpy_counts_and_an_empty_send_are_accepted():

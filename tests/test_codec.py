@@ -200,6 +200,8 @@ class TestPersistence:
         {"version": True},
         {"version": 2},
         {"format": None},
+        {"arrival_rate": math.nan},  # json.load reads NaN and Infinity
+        {"arrival_rate": math.inf},
     ])
     def test_bad_fields_are_structural_errors(self, tmp_path, change):
         path = tmp_path / "book.json"

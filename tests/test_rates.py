@@ -139,7 +139,7 @@ class TestKlToExponential:
         model = ServiceModel.uniform(2.0, halfwidth=0.2)
         got = kl_to_exponential(model, 2.0)
         want = uniform_kl_closed_form(0.5, 0.2, 2.0)
-        assert got == pytest.approx(want, abs=1e-9)
+        assert got == pytest.approx(want, abs=1e-12)
 
         def log_f(x):
             return np.where((x >= 0.3) & (x <= 0.7), -math.log(0.4), -math.inf)
@@ -152,6 +152,24 @@ class TestKlToExponential:
             np.random.default_rng(31),
         )
         assert got == pytest.approx(mc, abs=4 * se + 1e-4)
+
+    @pytest.mark.parametrize("halfwidth", [0.05, 0.2, 0.5])
+    @pytest.mark.parametrize("rate", [0.7, 2.0, 5.0])
+    def test_uniform_against_quadrature_oracle(self, halfwidth, rate):
+        model = ServiceModel.uniform(2.0, halfwidth=halfwidth)
+        lo, hi = 0.5 - halfwidth, 0.5 + halfwidth
+        want = kl_by_quadrature(
+            lambda x: -math.log(2.0 * halfwidth) if lo <= x <= hi else -math.inf,
+            lambda x: math.log(rate) - rate * x,
+            lo, hi,
+        )
+        assert kl_to_exponential(model, rate) == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+    def test_uniform_at_a_tiny_width_is_the_closed_form(self):
+        # adaptive quadrature read 20.336971465 here, 1e-8 off
+        got = kl_to_exponential(ServiceModel.uniform(2.0, halfwidth=1e-9), 2.0)
+        assert got == pytest.approx(uniform_kl_closed_form(0.5, 1e-9, 2.0), rel=1e-15)
+        assert got == pytest.approx(20.336971476, abs=1e-9)
 
     def test_nonnegative_across_family(self):
         for model in (

@@ -122,10 +122,15 @@ class TestKernel:
         if grid:
             assert np.array_equal(got, want)  # exact arithmetic: the same bits
         # each unit overwrites its thread's last scores: copy them as they come
-        [tiles] = reduce_tiles(epochs, departures[:, None], model,
-                               lambda start, scores: (start, scores[0].copy()))
-        assert [start for start, _ in tiles] == list(range(0, count, SCAN_TILE))
-        assert np.array_equal(np.concatenate([scores for _, scores in tiles]), got)
+        seen = {}
+
+        def keep(start, scores):
+            seen[start] = scores[0].copy()
+            return (np.full(len(scores), start),)
+
+        [starts] = reduce_tiles(epochs, departures[:, None], model, keep, (np.int64,))
+        assert starts.tolist() == [list(range(0, count, SCAN_TILE))]
+        assert np.array_equal(np.concatenate([seen[start] for start in starts[0]]), got)
 
     @pytest.mark.parametrize("law", sorted(LAWS))
     def test_arrival_one_ulp_after_departure_is_infeasible(self, law):
@@ -398,17 +403,26 @@ class TestThreads:
         epochs, departures = draw_scan(model, 2, 4001, grid=True, seed=4)
         observations = np.stack([departures, departures[::-1], 2.0 * departures], axis=1)
         seen = []
+
+        def summary(start, scores):
+            seen.append(start)
+            return np.full(len(scores), start), scores.max(axis=1), np.argmax(scores, axis=1)
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            groups = list(reduce_tiles(epochs, observations, model,
-                                       lambda start, scores: seen.append(start) or scores.copy()))
+            starts, tops, firsts = reduce_tiles(epochs, observations, model, summary,
+                                                (np.int64, np.float64, np.int64))
         finally:
             sys.setswitchinterval(interval)
         assert sorted(seen) == sorted(list(range(0, 4001, 4)) * 3)
-        for tiles, column in zip(groups, observations.T, strict=True):
+        assert starts.shape == (3, 1001)
+        for row, column in enumerate(observations.T):
             want = conditional_log_density_batch(epochs, column, model)
-            assert np.array_equal(np.concatenate(tiles, axis=1), want[None, :])
+            assert starts[row].tolist() == list(range(0, 4001, 4))
+            assert tops[row].tolist() == [want[s:s + 4].max() for s in range(0, 4001, 4)]
+            assert firsts[row].tolist() == [int(np.argmax(want[s:s + 4]))
+                                            for s in range(0, 4001, 4)]
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_an_error_in_a_tile_is_raised_on_the_calling_thread(self, monkeypatch, scan_threads,
@@ -427,8 +441,8 @@ class TestThreads:
         epochs, departures = draw_scan(LAWS["exponential"], 2, 3 * SCAN_TILE, grid=True, seed=1)
         alive = threading.active_count()
         with pytest.raises(FloatingPointError, match="tile failed"):
-            list(reduce_tiles(epochs, departures[:, None], LAWS["exponential"],
-                              lambda start, scores: start))
+            reduce_tiles(epochs, departures[:, None], LAWS["exponential"],
+                         lambda start, scores: (np.full(len(scores), start),), (np.int64,))
         assert threading.active_count() == alive  # every thread was joined
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -436,7 +450,7 @@ class TestThreads:
         scan_threads(threads)
         epochs, departures = draw_scan(LAWS["exponential"], 2, 2 * SCAN_TILE, grid=True, seed=2)
         with pytest.raises(StructuralError):
-            reduce_tiles(epochs, departures[:1], LAWS["exponential"], pytest.fail)
+            reduce_tiles(epochs, departures[:1], LAWS["exponential"], pytest.fail, (np.int64,))
 
 
 # SCAN_TILE in the block tests: units of a few observations, so that key
@@ -578,28 +592,37 @@ class TestBlocks:
     @pytest.mark.parametrize("count", [1, 3, 8, 9, 20])
     @pytest.mark.parametrize("trials", [1, 5, 17])
     def test_units_hold_at_most_scan_tile_scores(self, monkeypatch, count, trials):
-        # g = max(1, SCAN_TILE // tile width) observations x one tile, in
-        # observation-group order, then tile order
+        # g = max(1, SCAN_TILE // tile width) observations x one tile, each
+        # unit's partial at its rows of its tile's column
         monkeypatch.setattr(laws, "SCAN_TILE", 8)
         epochs, departures = draw_scan(LAWS["exponential"], 2, count, grid=True, seed=count)
         observations = np.repeat(departures[:, None], trials, axis=1)
-        groups = list(reduce_tiles(epochs, observations, LAWS["exponential"],
-                                   lambda start, scores: (start, scores.shape)))
+        units = []
+
+        def shape(start, scores):
+            units.append((start, scores.shape))
+            return tuple(np.full(len(scores), value) for value in (start, *scores.shape))
+
+        got = reduce_tiles(epochs, observations, LAWS["exponential"], shape,
+                           (np.int64, np.int64, np.int64))
         group = max(1, 8 // min(count, 8))
-        assert groups == [
-            [(start, (min(group, trials - first), min(8, count - start)))
+        want = [(start, (min(group, trials - first), min(8, count - start)))
+                for first in range(0, trials, group) for start in range(0, count, 8)]
+        assert sorted(units) == sorted(want)  # each unit once
+        assert all(rows * width <= 8 for _, (rows, width) in units)
+        assert [[tuple(field[j, t] for field in got) for t in range(got[0].shape[1])]
+                for j in range(trials)] == [
+            [(start, min(group, trials - j // group * group), min(8, count - start))
              for start in range(0, count, 8)]
-            for first in range(0, trials, group)
+            for j in range(trials)
         ]
-        assert all(rows * width <= 8 for tiles in groups for _, (rows, width) in tiles)
 
     def test_many_tile_scans_of_many_observations_in_small_memory(self, monkeypatch,
                                                                    scan_threads):
-        # 16 tiles of one observation each (8 per key block), 256
-        # observations: 6144 units, whose partials held all at once took
-        # 1.4 MB, where waves of 64 partials hold under 0.1 MB
+        # 16 tiles of one observation each (4 per key block), 256
+        # observations: 5120 units, whose partials held as Python objects took
+        # 1.4 MB, where the warden's two (256, 16) partial arrays take 64 KB
         monkeypatch.setattr(laws, "SCAN_TILE", 8)
-        monkeypatch.setattr(laws, "_WAVE_PARTIALS", 64)
         scan_threads(1)  # 8-column units run slower on two threads
         model = LAWS["exponential"]
         book = generate_codebook(2, 3, 2, 2, arrival_rate=LAM, seed=7)
@@ -614,7 +637,7 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 256 << 10, peak
-        # and the waves keep each observation's bits
+        # and the partial arrays keep each observation's bits
         for j in range(0, 256, 5):
             assert llr[j].hex() == willie_llr(book, observations[:, j], model, LAM).hex()
             assert outcome(*(array[j] for array in decoded)) == outcome(
