@@ -429,7 +429,7 @@ def random_coding_error_bounds(
         generated (codeword, departures) pairs.
     n : block length used to form the draws
     message_bits : log2 of the number of decoder hypotheses
-    log_output_ratio_bound : scalar
+    log_output_ratio_bound : scalar >= 0
         log sup_D p_out(D)/q(D) for the reference measure used in the
         information density (``mm1_log_output_ratio_bound`` for M/M/1).
 
@@ -445,8 +445,9 @@ def random_coding_error_bounds(
     if samples.ndim != 1 or samples.size == 0 or np.isnan(samples).any():
         raise StructuralError("need a non-empty 1-d array of information densities, "
                               "none NaN (-inf marks an infeasible trial)")
-    if not _is_number(log_output_ratio_bound):
-        raise ParameterError(f"log_output_ratio_bound must be a finite number, "
+    # sup p/q >= 1 for two densities: a negative log would certify too little
+    if not (_is_number(log_output_ratio_bound) and log_output_ratio_bound >= 0):
+        raise ParameterError(f"log_output_ratio_bound must be a finite number >= 0, "
                              f"got {log_output_ratio_bound!r}")
     n = _check_count("n", n, 1)
     message_bits = _check_count("message_bits", message_bits, 0)

@@ -18,14 +18,28 @@ The units are shared out to one thread per CPU, and each unit's partials land
 in ``(T, tiles)`` arrays, 8 bytes per field per (observation, tile).  A
 score's bits depend on neither g nor the thread count.
 
+A scan pays its Python prologue once per call, not once per unit: it checks
+shapes, takes the cumulative departures of all T observations in one cumsum
+and slices each group's operand (n Python floats for one observation) and
+each tile's epochs once; every unit then runs one private core,
+``_scan_unit``, which ``conditional_log_density_batch`` also calls on its
+shared forms.  The exponential core writes the -inf of an infeasible
+candidate without a masked move: min(min_k s_k, 0) * inf is NaN where the
+candidate is feasible and -inf where it is not, and ``fmin`` keeps the score
+beside a NaN, which is ``where(min_k s_k < 0, -inf, score)`` for every float.
+Grouped units (g > 1) whose rows are at least 256 columns wide run, on every
+scan thread, with a ufunc buffer of one row (rounded up to a multiple of 16),
+so that a (g, C) operation with a (g, 1) operand is not split across rows;
+each thread gives its old buffer size back when the scan ends.
+
 The reference measure for information densities is the stationary no-message
 output: a Poisson process of the arrival rate (Burke's theorem for the
 exponential-service queue), i.e. i.i.d. Exp(rate) gaps.
 
 Rates, counts and gaps follow ``queueing``'s three rules, checked once per
 call of ``poisson_log_density``, ``info_density_sample`` and
-``sample_info_densities``.  The kernel and ``reduce_tiles`` run once per unit
-of a scan and check shapes only.
+``sample_info_densities``.  The kernel and ``reduce_tiles`` check shapes
+only, once per call.
 """
 
 from __future__ import annotations
@@ -48,6 +62,9 @@ __all__ = ["SCAN_TILE", "conditional_log_density_batch", "scan_threads", "reduce
 # epochs stream past.  Each ufunc call of a threaded scan reacquires the GIL,
 # so a unit half this size scaled worse on two threads.
 SCAN_TILE = 1 << 16
+# The narrowest rows of a grouped unit that run with a one-row ufunc buffer:
+# 64-column units ran 20% slower with it on one thread.
+_ROW_BUFFER_MIN = 256
 
 
 def conditional_log_density_batch(arrival_epochs: np.ndarray, departures, model: ServiceModel,
@@ -92,15 +109,37 @@ def conditional_log_density_batch(arrival_epochs: np.ndarray, departures, model:
         prev = np.zeros_like(d)
         prev[1:] = d[:-1]
         return model.log_density(d - np.maximum(ta, prev)).sum(axis=0)
-    # shared departures (codebook-sized scans): one (g, C) block of s_k per
-    # packet, from the (C,) row of epochs and a (g, 1) column of departures
+    # shared departures: the scan unit's core, on the cumulative departures
     d = np.cumsum(gaps.reshape(n, -1, 1), axis=0)
     rows = d.shape[1]
-    # one observation: (C,) rows and Python floats, the ufunc operands with
-    # the least per-call overhead
-    shape, d = ((count,), d.ravel().tolist()) if rows == 1 else ((rows, count), d)
     if work is None:
         work = np.empty((3, rows * count))
+    scores = _scan_unit(ta, _departure_operand(d), model, work)
+    return scores.reshape(rows, count) if gaps.ndim == 3 else scores
+
+
+def _departure_operand(d: np.ndarray):
+    """The ``(n, g, 1)`` cumulative departures of g observations as
+    ``_scan_unit`` takes them: n Python floats when g = 1, the ufunc operands
+    with the least per-call overhead, else the array itself."""
+    return d.ravel().tolist() if d.shape[1] == 1 else d
+
+
+def _scan_unit(ta: np.ndarray, d, model: ServiceModel, work: np.ndarray) -> np.ndarray:
+    """The scores of one scan unit: log p(D | A_c) of every column c of the
+    ``(n, C)`` epochs ``ta`` against the cumulative departures ``d`` of one
+    or more observations, in the form of ``_departure_operand``.  They are
+    written into ``work[0]`` and returned as a (C,) view for one observation,
+    (g, C) for g.  Nothing is checked: ``conditional_log_density_batch`` and
+    ``reduce_tiles`` check their shapes once per call.
+
+    Each (observation, candidate) score takes the same operations in the same
+    order for any g: one (g, C) block of s_k per packet, from the (C,) row of
+    epochs and a (g, 1) column of departures.
+    """
+    n, count = ta.shape
+    rows = 1 if isinstance(d, list) else d.shape[1]
+    shape = (count,) if rows == 1 else (rows, count)
     scores, s, low = (w[:rows * count].reshape(shape) for w in work)
     if model.kind is not ServiceKind.EXPONENTIAL:
         # the rows' log densities, added in the order of the block formula's sum
@@ -109,22 +148,28 @@ def conditional_log_density_batch(arrival_epochs: np.ndarray, departures, model:
             np.maximum(ta[k], d[k - 1], out=s)
             np.subtract(d[k], s, out=s)
             np.add(scores, model.log_density(s), out=scores)
-    else:
-        # exponential: two accumulators, the sum of the s_k and their
-        # minimum, which is negative iff the candidate is infeasible
-        rate = model.rate
-        np.maximum(ta[0], 0.0, out=scores)
-        np.subtract(d[0], scores, out=scores)
-        np.copyto(low, scores)
-        for k in range(1, n):
-            np.maximum(ta[k], d[k - 1], out=s)
-            np.subtract(d[k], s, out=s)
-            np.add(scores, s, out=scores)
-            np.minimum(low, s, out=low)
-        np.multiply(scores, -rate, out=scores)
-        np.add(scores, n * math.log(rate), out=scores)
-        np.copyto(scores, -np.inf, where=low < 0.0)
-    return scores.reshape(rows, count) if gaps.ndim == 3 else scores
+        return scores
+    # exponential: two accumulators, the sum of the s_k and their minimum,
+    # which is negative iff the candidate is infeasible
+    rate = model.rate
+    np.maximum(ta[0], 0.0, out=scores)
+    np.subtract(d[0], scores, out=scores)
+    least = scores  # s_1 until the loop starts the minimum in ``low``
+    for k in range(1, n):
+        np.maximum(ta[k], d[k - 1], out=s)
+        np.subtract(d[k], s, out=s)
+        np.minimum(least, s, out=low)
+        least = low
+        np.add(scores, s, out=scores)
+    # -inf where the minimum is negative, in three SIMD passes where a masked
+    # move cannot vectorise: min(least, 0) * inf is NaN where the candidate is
+    # feasible and -inf where it is not, and fmin keeps a score beside a NaN
+    np.minimum(least, 0.0, out=low)
+    np.multiply(scores, -rate, out=scores)
+    np.add(scores, n * math.log(rate), out=scores)
+    with np.errstate(invalid="ignore"):  # 0 * inf, and fmin beside a NaN
+        np.multiply(low, np.inf, out=low)
+        return np.fmin(scores, low, out=scores)
 
 
 def scan_threads() -> int:
@@ -151,11 +196,13 @@ def reduce_tiles(arrival_epochs: np.ndarray, departures: np.ndarray, model: Serv
     for the group's observations against columns ``start:start + width``
     (the last group may hold fewer).  It lives in a work array that the next
     unit overwrites, so ``reduce(start, scores)`` returns one ``(g,)`` array
-    per field (and may reduce in place), which lands at the unit's rows of
-    column ``start // SCAN_TILE``.  A unit's epochs and work arrays stay in
-    cache while its n packets are scanned.  The shapes are checked at the
-    call.  The result holds 8 bytes per field per (observation, tile), and a
-    book within the codebook cap has at most 16 tiles.
+    per field and may reduce in place; it lands at
+    the unit's rows of column ``start // SCAN_TILE``.  A unit's epochs and
+    work arrays stay in cache while its n packets are scanned.  The shapes are
+    checked, and the departures' running sums taken, once per call.  Grouped
+    units at least 256 columns wide run with a one-row ufunc buffer (module
+    docstring).  The result holds 8 bytes per field per (observation, tile),
+    and a book within the codebook cap has at most 16 tiles.
 
     The (group, tile) units are handed out one at a time to ``scan_threads()``
     threads, each with its own work array of at most 3 x ``SCAN_TILE``
@@ -167,7 +214,7 @@ def reduce_tiles(arrival_epochs: np.ndarray, departures: np.ndarray, model: Serv
     the earliest unit when several units fail.  Every thread handles
     floating-point errors as the calling thread does.
     """
-    ta = arrival_epochs
+    ta = np.asarray(arrival_epochs, dtype=np.float64)  # no copy of a float64 book
     if ta.ndim != 2 or ta.shape[1] == 0 or np.ndim(departures) != 2 \
             or departures.shape[0] != ta.shape[0]:
         raise StructuralError(f"need (n, C) arrival epochs, C >= 1, with (n, T) departures, "
@@ -178,8 +225,18 @@ def reduce_tiles(arrival_epochs: np.ndarray, departures: np.ndarray, model: Serv
     tiles = -(-ta.shape[1] // SCAN_TILE)
     units = -(-observations // group) * tiles
     partials = tuple(np.empty((observations, tiles), dtype=dtype) for dtype in dtypes)
-    works = np.empty((max(1, min(scan_threads(), units)), 3,
-                      min(observations, group) * width))
+    rows = min(observations, group)
+    works = np.empty((max(1, min(scan_threads(), units)), 3, rows * width))
+    # the unit core's operands, once per call: the same sequential adds as a
+    # cumsum of each group's departures alone
+    d = np.cumsum(departures, axis=0, dtype=np.float64)
+    groups = [(first, _departure_operand(d[:, first:first + group, None]))
+              for first in range(0, observations, group)]
+    views = [ta[:, start:start + SCAN_TILE] for start in range(0, ta.shape[1], SCAN_TILE)]
+    # a (g, C) operation with a (g, 1) operand goes through the ufunc buffer
+    # whenever it spans two rows: a one-row buffer keeps it one row per call
+    # (a multiple of 16, which numpy 1.x requires); narrower rows ran slower
+    bufsize = -(-width // 16) * 16 if rows > 1 and width >= _ROW_BUFFER_MIN else None
     caller_errstate = np.geterr()  # a new thread would start with numpy's default
     errors = {}
     order = iter(range(units))  # shared: a stalled thread holds up one unit
@@ -187,22 +244,27 @@ def reduce_tiles(arrival_epochs: np.ndarray, departures: np.ndarray, model: Serv
 
     def scan(work):
         with np.errstate(**caller_errstate):
-            while True:
-                with lock:
-                    i = None if errors else next(order, None)
-                if i is None:
-                    return
-                try:
-                    first, tile = i // tiles * group, i % tiles
-                    start = tile * SCAN_TILE
-                    scores = conditional_log_density_batch(
-                        ta[:, start:start + SCAN_TILE],
-                        departures[:, first:first + group, None], model, work)
-                    for out, field in zip(partials, reduce(start, scores)):
-                        out[first:first + group, tile] = field
-                except BaseException as exc:  # raised on the calling thread below
-                    errors[i] = exc
-                    return
+            caller_bufsize = np.getbufsize()
+            if bufsize:
+                np.setbufsize(bufsize)
+            try:
+                while True:
+                    with lock:
+                        i = None if errors else next(order, None)
+                    if i is None:
+                        return
+                    try:
+                        first, operand = groups[i // tiles]
+                        tile = i % tiles
+                        scores = _scan_unit(views[tile], operand, model, work)
+                        fields = reduce(tile * SCAN_TILE, scores.reshape(-1, scores.shape[-1]))
+                        for out, field in zip(partials, fields):
+                            out[first:first + group, tile] = field
+                    except BaseException as exc:  # raised on the calling thread below
+                        errors[i] = exc
+                        return
+            finally:
+                np.setbufsize(caller_bufsize)
 
     pool = [threading.Thread(target=scan, args=(work,)) for work in works[1:]]
     for thread in pool:

@@ -146,6 +146,30 @@ def scan_scores_exponential(arrival_epochs, departure_gaps, rate):
     return scores
 
 
+def masked_exponential_scores(arrival_epochs, departure_gaps, rate):
+    """Exp(rate) log p(D | A_c) for every column c of (n, C) arrival epochs,
+    with the -inf of an infeasible candidate written by a mask.
+
+    The library's kernel before its infeasibility rule went branch-free: the
+    sum and the minimum of s_k = d_k - max(t_k, d_{k-1}), with d the running
+    sum of the gaps, then -inf wherever that minimum is below 0.  Its
+    additions are the library's, in the library's order, so the two agree bit
+    for bit on any input, NaN, signed zeros and infinities included.
+    """
+    ta = np.asarray(arrival_epochs, dtype=np.float64)
+    d = np.cumsum(np.asarray(departure_gaps, dtype=np.float64))
+    n = ta.shape[0]
+    total = least = None
+    prev = 0.0
+    for k in range(n):
+        s = d[k] - np.maximum(ta[k], prev)
+        total = s if k == 0 else total + s
+        least = s if k == 0 else np.minimum(least, s)
+        prev = d[k]
+    scores = total * -rate + n * math.log(rate)
+    return np.where(least < 0.0, -np.inf, scores)
+
+
 def scan_scores(arrival_epochs, departure_gaps, log_density):
     """Sum over packets of ``log_density`` (an elementwise array function) of
     s_k = D_k - max(0, t_k - d_{k-1}), for every column of (n, C) epochs."""

@@ -100,7 +100,7 @@ def test_nan_information_density_is_a_structural_error():
         random_coding_error_bounds(np.array([0.5, math.nan, 0.7]), 10, 3, 0.1)
 
 
-@pytest.mark.parametrize("bound", [math.nan, math.inf, True, "0.1"], ids=repr)
+@pytest.mark.parametrize("bound", [math.nan, math.inf, True, "0.1", -5.0, -1e-300], ids=repr)
 def test_bad_log_output_ratio_bound_is_a_parameter_error(bound):
     with pytest.raises(ParameterError):
         random_coding_error_bounds(np.array([0.5, 0.6, 0.7]), 10, 3, bound)

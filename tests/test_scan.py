@@ -9,7 +9,10 @@ against a one-shot log-sum-exp of the oracle's scores; ``decode`` against
 ``TestThreads`` checks that both keep their bits on 1, 2 and 3 threads, and
 ``TestBlocks`` that ``decode_block`` and ``willie_llr_block`` give each
 observation the bits of its one-observation call, for any grouping of the
-observations into units and any thread count.
+observations into units and any thread count.  ``TestInfeasibleRule`` checks
+the exponential kernel's branch-free -inf bit for bit against the masked rule
+it replaced (``oracles.masked_exponential_scores``), and ``TestBuffer`` the
+one-row ufunc buffer of grouped units and its restoration on every thread.
 
 Two kinds of data are drawn.  Continuous data (exponential gaps) checks the
 float agreement.  Grid data (multiples of 1/64, or of 1/2 where ties are
@@ -428,16 +431,16 @@ class TestThreads:
     def test_an_error_in_a_tile_is_raised_on_the_calling_thread(self, monkeypatch, scan_threads,
                                                                threads):
         scan_threads(threads)
-        kernel = laws.conditional_log_density_batch
+        unit = laws._scan_unit
         calls = []
 
         def failing(tile, departures, model, work):
             calls.append(tile.shape[1])
             if len(calls) == 2:
                 raise FloatingPointError("tile failed")
-            return kernel(tile, departures, model, work)
+            return unit(tile, departures, model, work)
 
-        monkeypatch.setattr(laws, "conditional_log_density_batch", failing)
+        monkeypatch.setattr(laws, "_scan_unit", failing)
         epochs, departures = draw_scan(LAWS["exponential"], 2, 3 * SCAN_TILE, grid=True, seed=1)
         alive = threading.active_count()
         with pytest.raises(FloatingPointError, match="tile failed"):
@@ -666,3 +669,172 @@ class TestBlocks:
                     assert alt[i].hex() == willie_llr(book, sent[:, j], model, LAM).hex()
                     assert null[i].hex() == willie_llr(book, poisson[:, j], model, LAM).hex()
 
+
+
+@pytest.mark.parametrize("tile", [8, SCAN_TILE])
+@pytest.mark.parametrize("law", ["exponential", "uniform"])
+def test_a_float32_book_scans_as_its_float64_values(monkeypatch, scan_threads, tile, law):
+    # a Codebook takes epochs of any float dtype; every scan works on their
+    # float64 values, as the kernel does.  Tile 8: one observation per unit
+    monkeypatch.setattr(laws, "SCAN_TILE", tile)
+    scan_threads(2)
+    model = LAWS[law]
+    book, _, observations, keys = draw_block(model, (4, 1, 1), 3, 9, False, seed=8)
+    book32 = replace(book, arrival_epochs=book.arrival_epochs.astype(np.float32))
+    book64 = replace(book, arrival_epochs=book32.arrival_epochs.astype(np.float64))
+    assert not np.array_equal(book32.arrival_epochs, book.arrival_epochs)
+    # one field per column of a tile: the scores themselves
+    fields = reduce_tiles(book32.arrival_epochs, observations, model,
+                          lambda start, scores: scores.T.copy(), (np.float64,) * min(tile, 64))
+    scores = np.stack(fields, axis=-1).reshape(9, 64)
+    for got, column in zip(scores, observations.T):
+        want = conditional_log_density_batch(book32.arrival_epochs, column, model)
+        assert got.tobytes() == want.tobytes()
+    assert willie_llr_block(book32, observations, model, LAM).tobytes() == \
+        willie_llr_block(book64, observations, model, LAM).tobytes()
+    for got, want in zip(decode_block(book32, observations, keys, model),
+                         decode_block(book64, observations, keys, model)):
+        assert got.tobytes() == want.tobytes()
+
+
+def edge_scan(n, count, seed):
+    """(n, count) half-integer epochs and (n, 4) departure gaps whose s_k sit
+    on the support's edge: gaps of 0.0 and -0.0, columns that tie with an
+    observation's departures (s_k = 0), a first tile (of 8 columns, or all but
+    those two) that arrives after every departure, and an observation of zero
+    gaps, against which only the last candidate, of zero epochs, is feasible."""
+    rng = np.random.default_rng(seed)
+    gaps = rng.integers(0, 3, (n, 4)) / 2.0
+    gaps[:, 3] = 0.0
+    gaps[(gaps == 0.0) & (rng.random((n, 4)) < 0.5)] = -0.0
+    epochs = np.cumsum(rng.integers(1, 4, (n, count)) / 2.0, axis=0)
+    epochs[:, -2] = np.cumsum(gaps[:, 0])
+    epochs[:, -1] = 0.0
+    epochs[:, :min(8, count - 2)] += 1.0 + gaps.sum(axis=0).max()
+    return epochs, gaps
+
+
+class TestInfeasibleRule:
+    """The exponential kernel's branch-free -inf, bit for bit against the
+    masked rule (``oracles.masked_exponential_scores``), with every
+    RuntimeWarning an error: the 0 * inf the rule relies on never surfaces."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("count", [3, 19])
+    @pytest.mark.parametrize("threads", [1, 2, 7])
+    def test_edges_score_like_the_masked_rule(self, monkeypatch, scan_threads, n, count, threads):
+        monkeypatch.setattr(laws, "SCAN_TILE", 8)  # 3 columns: g = 2; 19: three tiles
+        scan_threads(threads)
+        model = LAWS["exponential"]
+        epochs, gaps = edge_scan(n, count, seed=n * count)
+        want = np.stack([oracles.masked_exponential_scores(epochs, column, model.rate)
+                         for column in gaps.T])
+        assert np.isneginf(want[:, :min(8, count - 2)]).all()
+        assert np.isneginf(want[3, :-1]).all()
+        assert np.isfinite(want[0, -2]) and np.isfinite(want[3, -1])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error", RuntimeWarning)
+            grouped = conditional_log_density_batch(epochs, gaps[:, :, None], model)
+            columns = [conditional_log_density_batch(epochs, column, model)
+                       for column in gaps.T]
+            # one field per column of a tile: the scores themselves
+            fields = reduce_tiles(epochs, gaps, model, lambda start, scores: np.pad(
+                scores, ((0, 0), (0, 8 - scores.shape[1])), constant_values=np.nan).T,
+                (np.float64,) * 8)
+        scanned = np.stack(fields, axis=-1).reshape(4, -1)[:, :count]
+        for got in (grouped, np.stack(columns), scanned):
+            assert got.tobytes() == want.tobytes()
+        for got, column in zip(columns, gaps.T):  # and the per-packet oracle's values
+            assert np.array_equal(got, oracles.scan_scores_exponential(epochs, column, model.rate))
+
+    @given(n=st.integers(1, 4), g=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_nan_inf_and_signed_zeros_score_like_the_masked_rule(self, n, g, seed):
+        # the kernel checks shapes only: values no public call lets through,
+        # and sums that overflow, still take the masked rule's -inf set and bits
+        rng = np.random.default_rng(seed)
+        special = np.array([0.0, -0.0, 1.0, 0.5, 1e308, np.inf, -np.inf, np.nan, -1.0])
+        epochs = rng.choice(special, (n, 12))
+        gaps = rng.choice(special[:5], (n, g))
+        with np.errstate(all="ignore"):
+            want = np.stack([oracles.masked_exponential_scores(epochs, column, 2.0)
+                             for column in gaps.T])
+            got = [conditional_log_density_batch(epochs, gaps[:, :, None], LAWS["exponential"])]
+            if g == 1:
+                got.append(conditional_log_density_batch(epochs, gaps[:, 0], LAWS["exponential"]))
+        for scores in got:
+            scores = scores.reshape(want.shape)
+            assert np.array_equal(np.isnan(scores), np.isnan(want))
+            assert np.array_equal(scores, want, equal_nan=True)
+            assert np.array_equal(np.signbit(scores[~np.isnan(want)]),
+                                  np.signbit(want[~np.isnan(want)]))
+
+
+class TestBuffer:
+    """Grouped units at least 256 columns wide run with a one-row ufunc
+    buffer, on every scan thread, and every thread gives its old size back."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 7])
+    def test_grouped_units_run_with_a_one_row_buffer(self, monkeypatch, scan_threads, threads):
+        # 300-column rows, which numpy 1.x takes as a buffer only rounded up
+        # to 304; two observations per unit, four units
+        monkeypatch.setattr(laws, "SCAN_TILE", 600)
+        scan_threads(threads)
+        model = LAWS["exponential"]
+        epochs, departures = draw_scan(model, 3, 300, grid=False, seed=5)
+        rng = np.random.default_rng(5)
+        observations = np.column_stack([departures] + [
+            simulate_channel(rng.exponential(1.0 / LAM, 3), model, rng) for _ in range(6)])
+        sizes = []
+
+        def summary(start, scores):
+            sizes.append(np.getbufsize())
+            return scores.max(axis=1), np.argmax(scores, axis=1), scores.sum(axis=1)
+
+        before = np.getbufsize()
+        tops, firsts, sums = reduce_tiles(epochs, observations, model, summary,
+                                          (np.float64, np.int64, np.float64))
+        assert np.getbufsize() == before
+        assert sizes == [304] * 4
+        for j, column in enumerate(observations.T):
+            want = conditional_log_density_batch(epochs, column, model)
+            assert (tops[j, 0], firsts[j, 0]) == (want.max(), np.argmax(want))
+            assert sums[j, 0].hex() == want.sum().hex()
+        book = replace(generate_codebook(3, 8, 0, 0, arrival_rate=LAM, seed=5),
+                       arrival_epochs=epochs)
+        llrs = willie_llr_block(book, observations, model, LAM)
+        assert [x.hex() for x in llrs.tolist()] == [
+            willie_llr(book, column, model, LAM).hex() for column in observations.T]
+
+    @pytest.mark.parametrize("count, trials", [(255, 3), (300, 1)])
+    def test_other_units_keep_the_callers_buffer(self, scan_threads, count, trials):
+        # rows under 256 columns, and a unit of one observation
+        scan_threads(1)
+        epochs, departures = draw_scan(LAWS["exponential"], 2, count, grid=True, seed=count)
+        sizes = []
+
+        def top(start, scores):
+            sizes.append(np.getbufsize())
+            return (scores.max(axis=1),)
+
+        reduce_tiles(epochs, np.repeat(departures[:, None], trials, axis=1), LAWS["exponential"],
+                     top, (np.float64,))
+        assert sizes == [np.getbufsize()]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_the_callers_buffer_is_restored_on_return_and_on_error(self, scan_threads, threads):
+        scan_threads(threads)
+        epochs, departures = draw_scan(LAWS["exponential"], 2, 400, grid=True, seed=6)
+        observations = np.repeat(departures[:, None], 5, axis=1)
+        default = np.getbufsize()
+        np.setbufsize(4096)
+        try:
+            reduce_tiles(epochs, observations, LAWS["exponential"],
+                         lambda start, scores: (scores.max(axis=1),), (np.float64,))
+            assert np.getbufsize() == 4096
+            with pytest.raises(ZeroDivisionError):
+                reduce_tiles(epochs, observations, LAWS["exponential"],
+                             lambda start, scores: 1 / 0, (np.float64,))
+            assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(default)
