@@ -51,10 +51,8 @@ from .rates import (
     no_key_needed,
 )
 from .warden import (
-    rank_auc,
     run_detection_trials,
     summarize_detection,
-    tv_distance_estimate,
     willie_llr,
     willie_llr_block,
 )

@@ -160,6 +160,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
+        if not isinstance(payload, dict):
+            raise ConfigError(f"a config must be a dict, got {payload!r}")
         payload = dict(payload)
         known = set(cls.__dataclass_fields__)
         unknown = set(payload) - known

@@ -4,33 +4,34 @@ A FIFO queue fed with arrival epochs t and seen at departure epochs d (the
 running sums of the gaps A and D) had the service times s_k = d_k -
 max(t_k, d_{k-1}), with d_0 = 0.  The conditional density of D given A is the
 product of the service density at the s_k: -inf exactly when some s_k leaves
-the law's support (e.g. a departure before its arrival).  One kernel,
-``conditional_log_density_batch``, scores many candidates at once, against
-observed departures shared by all of them (a codebook scan, for the decoder
-and the warden) or against one column of departures each (a block of
-simulated trials, for the information density).
+the law's support (e.g. a departure before its arrival).  Candidates are
+scored in one of two ways.  A codebook scan, for the decoder and the warden,
+scores every codeword against observed departures that all of them share:
+``reduce_tiles`` is its one entry.  A block of simulated trials, for the
+information density, scores each candidate against its own column of
+departures: ``conditional_log_density_batch``.
 
-A codebook scan (``reduce_tiles``) works in units of g observations x one
-column tile of the book, with g = max(1, SCAN_TILE // tile width): every unit
-holds at most ``SCAN_TILE`` scores, so it stays in cache, and a narrow book
-scores thousands of observations per ufunc call where a wide one keeps one.
-The units are shared out to one thread per CPU, and each unit's partials land
-in ``(T, tiles)`` arrays, 8 bytes per field per (observation, tile).  A
-score's bits depend on neither g nor the thread count.
+A codebook scan works in units of g observations x one column tile of the
+book, with g = max(1, SCAN_TILE // tile width): every unit holds at most
+``SCAN_TILE`` scores, so it stays in cache, and a narrow book scores
+thousands of observations per ufunc call where a wide one keeps one.  The
+units are shared out to one thread per CPU, and each unit's partials land in
+``(T, tiles)`` arrays, 8 bytes per field per (observation, tile).  A score's
+bits depend on neither g nor the thread count.
 
 A scan pays its Python prologue once per call, not once per unit: it checks
 shapes, takes the cumulative departures of all T observations in one cumsum
 and slices each group's operand (n Python floats for one observation) and
 each tile's epochs once; every unit then runs one private core,
-``_scan_unit``, which ``conditional_log_density_batch`` also calls on its
-shared forms.  The exponential core writes the -inf of an infeasible
-candidate without a masked move: min(min_k s_k, 0) * inf is NaN where the
-candidate is feasible and -inf where it is not, and ``fmin`` keeps the score
-beside a NaN, which is ``where(min_k s_k < 0, -inf, score)`` for every float.
-Grouped units (g > 1) whose rows are at least 256 columns wide run, on every
-scan thread, with a ufunc buffer of one row (rounded up to a multiple of 16),
-so that a (g, C) operation with a (g, 1) operand is not split across rows;
-each thread gives its old buffer size back when the scan ends.
+``_scan_unit``, which nothing else calls.  The exponential core writes the
+-inf of an infeasible candidate without a masked move: min(min_k s_k, 0) *
+inf is NaN where the candidate is feasible and -inf where it is not, and
+``fmin`` keeps the score beside a NaN, which is ``where(min_k s_k < 0, -inf,
+score)`` for every float.  Grouped units (g > 1) whose rows are at least 256
+columns wide run, on every scan thread, with a ufunc buffer of one row
+(rounded up to a multiple of 16), so that a (g, C) operation with a (g, 1)
+operand is not split across rows; each thread gives its old buffer size back
+when the scan ends.
 
 The reference measure for information densities is the stationary no-message
 output: a Poisson process of the arrival rate (Burke's theorem for the
@@ -38,8 +39,8 @@ exponential-service queue), i.e. i.i.d. Exp(rate) gaps.
 
 Rates, counts and gaps follow ``queueing``'s three rules, checked once per
 call of ``poisson_log_density``, ``info_density_sample`` and
-``sample_info_densities``.  The kernel and ``reduce_tiles`` check shapes
-only, once per call.
+``sample_info_densities``.  ``conditional_log_density_batch`` and
+``reduce_tiles`` check shapes only, once per call.
 """
 
 from __future__ import annotations
@@ -67,71 +68,47 @@ SCAN_TILE = 1 << 16
 _ROW_BUFFER_MIN = 256
 
 
-def conditional_log_density_batch(arrival_epochs: np.ndarray, departures, model: ServiceModel,
-                                  work: np.ndarray | None = None) -> np.ndarray:
-    """log p(D | A_c) for many candidate arrival sequences at once.
+def conditional_log_density_batch(arrival_epochs: np.ndarray, departures: np.ndarray,
+                                  model: ServiceModel) -> np.ndarray:
+    """log p(D_c | A_c) of many candidates at once, each against its own
+    column of departures.
 
     Parameters
     ----------
     arrival_epochs : (n, C) float array
-        Column c holds candidate c's cumulative arrival epochs.  Packet-major
-        layout so each per-packet slice is contiguous.
-    departures : inter-departure gaps, one of
-        - (n,): one observation, shared by every candidate;
-        - (n, g, 1): g observations, each shared by every candidate (the
-          trailing axis broadcasts against the candidates);
-        - (n, C): column c belongs to candidate c alone.
+        Column c holds candidate c's cumulative arrival epochs.
+    departures : (n, C) float array
+        Column c holds the inter-departure gaps that candidate c is scored
+        against.
     model : ServiceModel with a density
-    work : optional (3, W) float array with W >= g * C
-        Scratch space for shared departures, so that a caller scanning unit
-        after unit allocates once.  The scores are then written into
-        ``work[0, :g * C]``.
 
     Returns
     -------
-    Log densities, -inf where infeasible: (C,) for one observation or per
-    candidate departures, (g, C) for g observations.
+    (C,) log densities, -inf where infeasible.
 
     Candidate c needs the service time s_k = d_k - max(t_k, d_{k-1}) for
-    packet k, which is negative exactly when t_k > d_k.  Each (observation,
-    candidate) score takes the same operations in the same order for any g.
+    packet k, which is negative exactly when t_k > d_k.  The block takes one
+    pass: every s_k, then the density's sum down the packets.  Candidates
+    that share their departures are scored by ``reduce_tiles``.
     """
     ta = np.asarray(arrival_epochs, dtype=np.float64)
     gaps = np.asarray(departures, dtype=np.float64)
-    if ta.ndim != 2 or not (gaps.shape in (ta.shape[:1], ta.shape)
-                            or (gaps.ndim == 3 and gaps.shape[::2] == (ta.shape[0], 1))):
-        raise StructuralError(f"need (n, C) arrival epochs with (n,), (n, g, 1) or (n, C) "
-                              f"departures, got {ta.shape} and {gaps.shape}")
-    n, count = ta.shape
-    if gaps.ndim == 2:
-        # one pass over the whole block: every s_k, then the density's sum
-        d = np.cumsum(gaps, axis=0)
-        prev = np.zeros_like(d)
-        prev[1:] = d[:-1]
-        return model.log_density(d - np.maximum(ta, prev)).sum(axis=0)
-    # shared departures: the scan unit's core, on the cumulative departures
-    d = np.cumsum(gaps.reshape(n, -1, 1), axis=0)
-    rows = d.shape[1]
-    if work is None:
-        work = np.empty((3, rows * count))
-    scores = _scan_unit(ta, _departure_operand(d), model, work)
-    return scores.reshape(rows, count) if gaps.ndim == 3 else scores
-
-
-def _departure_operand(d: np.ndarray):
-    """The ``(n, g, 1)`` cumulative departures of g observations as
-    ``_scan_unit`` takes them: n Python floats when g = 1, the ufunc operands
-    with the least per-call overhead, else the array itself."""
-    return d.ravel().tolist() if d.shape[1] == 1 else d
+    if ta.ndim != 2 or gaps.shape != ta.shape:
+        raise StructuralError(f"need (n, C) arrival epochs with (n, C) departures, "
+                              f"got {ta.shape} and {gaps.shape}")
+    d = np.cumsum(gaps, axis=0)
+    prev = np.zeros_like(d)
+    prev[1:] = d[:-1]
+    return model.log_density(d - np.maximum(ta, prev)).sum(axis=0)
 
 
 def _scan_unit(ta: np.ndarray, d, model: ServiceModel, work: np.ndarray) -> np.ndarray:
-    """The scores of one scan unit: log p(D | A_c) of every column c of the
-    ``(n, C)`` epochs ``ta`` against the cumulative departures ``d`` of one
-    or more observations, in the form of ``_departure_operand``.  They are
-    written into ``work[0]`` and returned as a (C,) view for one observation,
-    (g, C) for g.  Nothing is checked: ``conditional_log_density_batch`` and
-    ``reduce_tiles`` check their shapes once per call.
+    """The scores of one unit of ``reduce_tiles``: log p(D | A_c) of every
+    column c of the ``(n, C)`` epochs ``ta`` against the cumulative
+    departures ``d`` of one observation, as n Python floats, or of g, as an
+    ``(n, g, 1)`` array.  They are written into ``work[0]`` and returned as
+    a (C,) view for one observation, (g, C) for g.  Nothing is checked:
+    ``reduce_tiles`` checks its shapes once per call.
 
     Each (observation, candidate) score takes the same operations in the same
     order for any g: one (g, C) block of s_k per packet, from the (C,) row of
@@ -187,16 +164,17 @@ def scan_threads() -> int:
 def reduce_tiles(arrival_epochs: np.ndarray, departures: np.ndarray, model: ServiceModel,
                  reduce, dtypes) -> tuple[np.ndarray, ...]:
     """``reduce``'s partials of every (observation, column tile) pair, as one
-    ``(T, tiles)`` array per field, of the given ``dtypes``.
+    ``(T, tiles)`` array per field, of the given ``dtypes``: the one scan of
+    a codebook against observed departures, which all its candidates share.
 
     ``departures`` holds T observations, packet-major ``(n, T)``.  They are
     scored in groups of g = max(1, SCAN_TILE // tile width) consecutive
     columns, and the ``SCAN_TILE``-column tiles of the book one at a time:
-    ``scores`` is the ``(g, width)`` block of ``conditional_log_density_batch``
-    for the group's observations against columns ``start:start + width``
-    (the last group may hold fewer).  It lives in a work array that the next
-    unit overwrites, so ``reduce(start, scores)`` returns one ``(g,)`` array
-    per field and may reduce in place; it lands at
+    ``scores`` is the ``(g, width)`` block of log p(D_j | A_c) for the
+    group's observations j against columns c in ``start:start + width``
+    (the last group may hold fewer), -inf where infeasible.  It lives in a
+    work array that the next unit overwrites, so ``reduce(start, scores)``
+    returns one ``(g,)`` array per field and may reduce in place; it lands at
     the unit's rows of column ``start // SCAN_TILE``.  A unit's epochs and
     work arrays stay in cache while its n packets are scanned.  The shapes are
     checked, and the departures' running sums taken, once per call.  Grouped
@@ -206,7 +184,7 @@ def reduce_tiles(arrival_epochs: np.ndarray, departures: np.ndarray, model: Serv
 
     The (group, tile) units are handed out one at a time to ``scan_threads()``
     threads, each with its own work array of at most 3 x ``SCAN_TILE``
-    floats; numpy releases the GIL inside the kernel's ufuncs.  The calling
+    floats; numpy releases the GIL inside the unit core's ufuncs.  The calling
     thread is one of them, so a scan of one unit starts no thread.  The other
     threads start and end within the call: a pool kept between calls would be
     inherited without its threads by the forked workers of ``harness.run``.
@@ -228,10 +206,12 @@ def reduce_tiles(arrival_epochs: np.ndarray, departures: np.ndarray, model: Serv
     rows = min(observations, group)
     works = np.empty((max(1, min(scan_threads(), units)), 3, rows * width))
     # the unit core's operands, once per call: the same sequential adds as a
-    # cumsum of each group's departures alone
+    # cumsum of each group's departures alone.  A group of one observation
+    # passes n Python floats, the ufunc operands with the least per-call
+    # overhead; a larger one its (n, g, 1) array
     d = np.cumsum(departures, axis=0, dtype=np.float64)
-    groups = [(first, _departure_operand(d[:, first:first + group, None]))
-              for first in range(0, observations, group)]
+    groups = [(first, d[:, first].tolist() if min(group, observations - first) == 1
+               else d[:, first:first + group, None]) for first in range(0, observations, group)]
     views = [ta[:, start:start + SCAN_TILE] for start in range(0, ta.shape[1], SCAN_TILE)]
     # a (g, C) operation with a (g, 1) operand goes through the ufunc buffer
     # whenever it spans two rows: a one-row buffer keeps it one row per call

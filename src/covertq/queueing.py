@@ -141,16 +141,18 @@ class ServiceModel:
     halfwidth: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, ServiceKind):
+            raise ParameterError(f"service kind must be a ServiceKind, got {self.kind!r}")
         _check_rate("service rate", self.rate)
         if self.kind is ServiceKind.ERLANG:
             _check_count("erlang shape", self.shape, 1)
         elif self.shape is not None:
             raise ParameterError(f"shape only applies to erlang, got kind={self.kind.value}")
         if self.kind is ServiceKind.UNIFORM:
-            if self.halfwidth is None or not (0.0 < self.halfwidth <= 1.0 / self.rate):
+            if not (_is_number(self.halfwidth) and 0.0 < self.halfwidth <= 1.0 / self.rate):
                 # support must stay inside [0, inf)
                 raise ParameterError(
-                    f"uniform halfwidth must lie in (0, 1/rate], got {self.halfwidth}"
+                    f"uniform halfwidth must lie in (0, 1/rate], got {self.halfwidth!r}"
                 )
         elif self.halfwidth is not None:
             raise ParameterError(f"halfwidth only applies to uniform, got kind={self.kind.value}")

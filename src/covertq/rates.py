@@ -82,6 +82,9 @@ class RegionSpec:
         _check_rate("mu2", self.mu2)
         if self.willie_service is None:
             object.__setattr__(self, "willie_service", ServiceModel.exponential(self.mu2))
+        if not isinstance(self.willie_service, ServiceModel):
+            raise ParameterError(f"willie_service must be a service law, "
+                                 f"got {self.willie_service!r}")
         if not self.willie_service.has_density:
             raise UnsupportedLawError("the region needs a service law with a density")
         if not math.isclose(self.willie_service.rate, self.mu2, rel_tol=1e-12):

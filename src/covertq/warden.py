@@ -11,7 +11,9 @@ mixture over the *entire* codebook:
 with q the product-Exp(arrival_rate) stationary law.  Detection quality is
 summarized by the rank AUC of the llr scores and a plug-in estimate of the
 total-variation distance (the best achievable advantage of any threshold test
-on the llr).
+on the llr).  ``summarize_detection`` is the one public summary: it checks
+for at least 2 scores per hypothesis, and the private statistics it is built
+from check nothing.
 
 ``willie_llr_block`` scores many observations in one codebook scan, in the
 (observation group x column tile) units of ``laws.reduce_tiles``, and folds
@@ -41,9 +43,6 @@ __all__ = [
     "willie_llr_block",
     "run_detection_trials",
     "summarize_detection",
-    "rank_auc",
-    "auc_stderr",
-    "tv_distance_estimate",
 ]
 
 _EXP_FLOOR = -700.0
@@ -157,14 +156,14 @@ def _wins(order, x):
     return below + 0.5 * (np.searchsorted(order, x, side="right") - below)
 
 
-def rank_auc(null_scores, alt_scores) -> float:
+def _rank_auc(null_scores, alt_scores) -> float:
     """P[alt score > null score] with tie-halving (Mann-Whitney statistic)."""
     x0 = np.asarray(null_scores, dtype=np.float64)
     x1 = np.asarray(alt_scores, dtype=np.float64)
     return float(_wins(np.sort(x0), x1).sum() / (x0.size * x1.size))
 
 
-def auc_stderr(null_scores, alt_scores) -> float:
+def _auc_stderr(null_scores, alt_scores) -> float:
     """DeLong-style standard error of the rank AUC."""
     x0 = np.asarray(null_scores, dtype=np.float64)
     x1 = np.asarray(alt_scores, dtype=np.float64)
@@ -175,7 +174,7 @@ def auc_stderr(null_scores, alt_scores) -> float:
     return float(math.sqrt(max(var, 0.0)))
 
 
-def tv_distance_estimate(null_scores, alt_scores) -> float:
+def _tv_distance_estimate(null_scores, alt_scores) -> float:
     """Plug-in total-variation estimate: sup_t [F_null(t) - F_alt(t)].
 
     Equals the best advantage max_t (TPR - FPR) of thresholding the scores,
@@ -218,9 +217,9 @@ def summarize_detection(null_scores, alt_scores) -> dict[str, tuple[float, float
     # keep the means finite and report the -inf null mass separately
     finite_null = null[np.isfinite(null)]
     out = {
-        "auc": (rank_auc(null, alt), auc_stderr(null, alt)),
+        "auc": (_rank_auc(null, alt), _auc_stderr(null, alt)),
         "tv_estimate": (
-            tv_distance_estimate(null, alt), math.sqrt(0.5 / null.size + 0.5 / alt.size) / 2.0
+            _tv_distance_estimate(null, alt), math.sqrt(0.5 / null.size + 0.5 / alt.size) / 2.0
         ),
         "llr_infeasible_fraction": (1.0 - finite_null.size / null.size, 0.0),
     }

@@ -37,7 +37,7 @@ from covertq.rates import (
     kl_to_exponential,
     min_key_rate,
 )
-from covertq.warden import rank_auc, run_detection_trials
+from covertq.warden import run_detection_trials, summarize_detection
 
 from oracles import des_departures
 
@@ -143,12 +143,12 @@ def test_criterion_5_detection_tracks_resolvability(capsys):
     under_book = generate_codebook(200, 2, 1, 1, arrival_rate=LAM, seed=5001)
     rng = np.random.default_rng(5002)
     llr0, llr1 = run_detection_trials(under_book, WILLIE, LAM, trials, rng)
-    auc_under = rank_auc(llr0, llr1)
+    auc_under = summarize_detection(llr0, llr1)["auc"][0]
 
     over_book = generate_codebook(4, 7, 7, 6, arrival_rate=LAM, seed=5003)
     rng = np.random.default_rng(5004)
     llr0, llr1 = run_detection_trials(over_book, WILLIE, LAM, trials, rng)
-    auc_over = rank_auc(llr0, llr1)
+    auc_over = summarize_detection(llr0, llr1)["auc"][0]
     null_mean = llr0[np.isfinite(llr0)].mean()
 
     ok = auc_under > 0.6 and auc_over < 0.55 and abs(null_mean) < 0.05 * over_book.n

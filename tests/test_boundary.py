@@ -2,7 +2,10 @@
 
 Gaps (non-empty, finite, non-negative) raise ``StructuralError``; counts (an
 integer >= its least value, never a bool) and rates (a finite number > 0,
-never a bool) raise ``ParameterError``.
+never a bool) raise ``ParameterError``.  A service law, a region and a
+config refuse a malformed field when they are built, with the category of
+their module: ``ParameterError`` for the library's objects, ``ConfigError``
+for a config.
 """
 
 import math
@@ -12,10 +15,11 @@ import pytest
 
 from covertq.codec import (decode, decode_block, generate_codebook, mm1_log_output_ratio_bound,
                            random_coding_error_bounds)
-from covertq.errors import ParameterError, StructuralError
+from covertq.errors import ConfigError, ParameterError, StructuralError
+from covertq.harness import ExperimentConfig
 from covertq.laws import info_density_sample, sample_info_densities
 from covertq.queueing import ServiceModel, poisson_arrivals
-from covertq.rates import RatePoint
+from covertq.rates import RatePoint, RegionSpec
 from covertq.warden import run_detection_trials, willie_llr, willie_llr_block
 
 EXP = ServiceModel.exponential(2.0)
@@ -119,3 +123,24 @@ def test_numpy_counts_and_an_empty_send_are_accepted():
     assert gaps.shape == (4, 0) and messages.size == dummies.size == keys.size == 0
     assert poisson_arrivals(0.5, np.int32(4), rng()).shape == (4,)
     assert sample_info_densities(np.int64(4), 0.5, EXP, np.uint8(3), rng()).shape == (3,)
+
+
+SERVICE_LAWS = {
+    "kind as a string": lambda: ServiceModel("exponential", 2.0),
+    "bool halfwidth": lambda: ServiceModel.uniform(1.0, True),
+    "string halfwidth": lambda: ServiceModel.uniform(1.0, "a"),
+    "region law as a dict": lambda: RegionSpec(1.0, 2.0, {"kind": "exponential", "rate": 2.0}),
+}
+
+
+@pytest.mark.parametrize("entry", SERVICE_LAWS)
+def test_bad_service_law_is_a_parameter_error(entry):
+    with pytest.raises(ParameterError):
+        SERVICE_LAWS[entry]()
+
+
+@pytest.mark.parametrize("payload", ["abc", [1, 2], None], ids=repr)
+def test_bad_config_is_a_config_error(payload):
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(payload)
+

@@ -480,6 +480,7 @@ class TestCli:
         {"kind": "exponential"},
         {"kind": "erlang", "rate": 2.0, "shape": True},
         {"kind": "erlang", "rate": 2.0, "shape": 10**400},
+        {"kind": "uniform", "rate": 2.0, "halfwidth": True},
         5,
     ])
     def test_malformed_service_law_exit_code_and_diagnostic(self, tmp_path, capsys, law):

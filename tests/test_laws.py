@@ -10,6 +10,7 @@ from covertq.laws import (
     conditional_log_density_batch,
     info_density_sample,
     poisson_log_density,
+    reduce_tiles,
     sample_info_densities,
 )
 from covertq.queueing import (
@@ -21,6 +22,7 @@ from covertq.queueing import (
 )
 
 import oracles
+from scanning import shared_scores
 
 EXP1 = ServiceModel.exponential(1.0)
 
@@ -47,8 +49,8 @@ class TestConditionalLogDensity:
         a = np.array([1.0, 1.0])
         d = np.array([1.5, 2.5])
         assert kernel_log_density(a, d, EXP1) == pytest.approx(-2.5, abs=1e-12)
-        # the same block with departures shared by every column
-        shared = conditional_log_density_batch(np.cumsum(a)[:, None], d, EXP1)
+        # the same block scanned as a codebook: departures shared by every column
+        shared = shared_scores(np.cumsum(a)[:, None], d, EXP1)
         assert shared[0] == pytest.approx(-2.5, abs=1e-12)
 
     def test_departure_before_arrival_is_infeasible(self):
@@ -106,7 +108,7 @@ class TestBatchScan:
         epochs = np.ascontiguousarray(np.cumsum(gaps, axis=1).T)
         a = poisson_arrivals(0.5, n, rng)
         dep = simulate_channel(a, EXP1, rng)
-        batch = conditional_log_density_batch(epochs, dep, EXP1)
+        batch = shared_scores(epochs, dep, EXP1)
         for c in range(0, count, 7):
             scalar = oracle_log_density(gaps[c], dep, EXP1)
             assert batch[c] == pytest.approx(scalar, rel=1e-12, abs=1e-12)
@@ -119,7 +121,7 @@ class TestBatchScan:
         epochs = np.ascontiguousarray(np.cumsum(gaps, axis=1).T)
         a = poisson_arrivals(0.5, n, rng)
         dep = simulate_channel(a, model, rng)
-        batch = conditional_log_density_batch(epochs, dep, model)
+        batch = shared_scores(epochs, dep, model)
         for c in range(count):
             scalar = oracle_log_density(gaps[c], dep, model)
             if math.isinf(scalar):
@@ -132,12 +134,21 @@ class TestBatchScan:
             conditional_log_density_batch(np.ones(5), np.array([1.0]), EXP1)
         with pytest.raises(StructuralError):
             conditional_log_density_batch(np.ones((3, 4)), np.array([1.0, 1.0]), EXP1)
-        with pytest.raises(StructuralError):  # one departure column per candidate, or one shared
+        with pytest.raises(StructuralError):  # one departure column per candidate
             conditional_log_density_batch(np.ones((3, 4)), np.ones((3, 3)), EXP1)
-        with pytest.raises(StructuralError):  # g shared observations are (n, g, 1)
-            conditional_log_density_batch(np.ones((3, 4)), np.ones((3, 4, 2)), EXP1)
         with pytest.raises(StructuralError):
-            conditional_log_density_batch(np.ones((3, 4)), np.ones((2, 4, 1)), EXP1)
+            conditional_log_density_batch(np.ones((3, 4)), np.ones((3, 4, 2)), EXP1)
+        # departures shared by every candidate are reduce_tiles' to scan: the
+        # kernel refuses one observation, (n,), and g of them, (n, g, 1)
+        for shared in (np.ones(3), np.ones((3, 1, 1)), np.ones((3, 2, 1)), np.ones((3, 4, 1))):
+            with pytest.raises(StructuralError):
+                conditional_log_density_batch(np.ones((3, 4)), shared, EXP1)
+        # and reduce_tiles refuses mismatched shapes before any unit runs
+        for epochs, departures in [(np.ones(3), np.ones((3, 1))), (np.ones((3, 0)), np.ones((3, 1))),
+                                   (np.ones((3, 4)), np.ones(3)), (np.ones((3, 4)), np.ones((2, 1))),
+                                   (np.ones((3, 4)), np.ones((3, 2, 1)))]:
+            with pytest.raises(StructuralError):
+                reduce_tiles(epochs, departures, EXP1, pytest.fail, (np.int64,))
 
 
 class TestPoissonLogDensity:

@@ -1,8 +1,10 @@
 """The tiled codebook scan and its two reductions, against the oracles.
 
-``conditional_log_density_batch`` and ``reduce_tiles`` are checked against the
-per-packet loop they replaced (``oracles.scan_scores*``), and the kernel's
-per-column path and ``info_density_sample`` against the per-trial scorer
+``reduce_tiles``, the one scan of candidates against shared departures, is
+checked against the per-packet loop it replaced (``oracles.scan_scores*``),
+through ``scanning.shared_scores``, which copies every unit's scores out; the
+per-column kernel ``conditional_log_density_batch`` and
+``info_density_sample`` against the per-trial scorer
 (``oracles.conditional_log_density``); ``willie_llr``
 against a one-shot log-sum-exp of the oracle's scores; ``decode`` against
 ``np.argmax`` over the oracle's strided gather of the key's sub-book.
@@ -44,6 +46,7 @@ from covertq.queueing import (ServiceKind, ServiceModel, simulate_block, simulat
 from covertq.warden import run_detection_trials, willie_llr, willie_llr_block
 
 import oracles
+from scanning import shared_scores
 
 LAM = 0.5
 LAWS = {
@@ -117,7 +120,7 @@ class TestKernel:
         model = LAWS[law]
         epochs, departures = draw_scan(model, n, count, grid, seed)
         want = oracle_scores(epochs, departures, model)
-        got = conditional_log_density_batch(epochs, departures, model)
+        got = shared_scores(epochs, departures, model)
         terms = oracles.scan_scores(epochs, departures, abs_log_density(model))
         last_departure = np.cumsum(departures)[-1]
         assert_scores_match(got, want, scan_size(want, terms, model, n, last_departure))
@@ -144,7 +147,7 @@ class TestKernel:
         columns[1][1] = np.nextafter(d[1], np.inf)  # packet 2 arrives 1 ulp too late
         columns[2][2] = np.nextafter(d[2], np.inf)
         epochs = np.stack(columns, axis=1)
-        got = conditional_log_density_batch(epochs, departures, model)
+        got = shared_scores(epochs, departures, model)
         assert np.array_equal(got, oracle_scores(epochs, departures, model))
         assert np.isneginf(got[1:3]).all()
         # s_k = 0 when t = d: inside the exponential law's support only
@@ -157,7 +160,7 @@ class TestKernel:
         # whole-block formula sums them, so both give the same bits
         model = LAWS[law]
         epochs, departures = draw_scan(model, n, 500, grid=False, seed=n)
-        shared = conditional_log_density_batch(epochs, departures, model)
+        shared = shared_scores(epochs, departures, model)
         columns = np.repeat(departures[:, None], 500, axis=1)
         assert np.array_equal(shared, conditional_log_density_batch(epochs, columns, model))
         assert np.isfinite(shared[0])
@@ -172,21 +175,20 @@ class TestKernel:
         observations = np.stack([departures, departures[::-1],
                                  simulate_channel(rng.exponential(1.0 / LAM, n), model, rng)],
                                 axis=1)
-        work = np.empty((3, 3 * count + 5))
-        grouped = conditional_log_density_batch(epochs, observations[:, :, None], model, work)
+        # one unit of three observations, and three units of one
+        grouped = shared_scores(epochs, observations, model)
         assert grouped.shape == (3, count)
         for row, column in zip(grouped, observations.T):
-            assert np.array_equal(row, conditional_log_density_batch(epochs, column, model))
+            assert np.array_equal(row, shared_scores(epochs, column, model))
         assert np.isfinite(grouped[0, 0])
 
     def test_shared_departures_scan_in_small_memory(self):
         # one n = 200 tile: the per-packet loop keeps (SCAN_TILE,) temporaries,
         # where forming every s_k at once took over 200 MB
         epochs, departures = draw_scan(LAWS["erlang"], 200, SCAN_TILE, grid=False, seed=3)
-        work = np.empty((3, SCAN_TILE))
         tracemalloc.start()
         try:
-            conditional_log_density_batch(epochs, departures, LAWS["erlang"], work)
+            shared_scores(epochs, departures, LAWS["erlang"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -400,11 +402,13 @@ class TestThreads:
         # more threads than cores and 4-column tiles, with the interpreter
         # switching threads as often as it can: a unit handed out twice or
         # not at all, or a partial stored at another's index, shows
-        monkeypatch.setattr(laws, "SCAN_TILE", 4)
-        scan_threads(7)
         model = LAWS["exponential"]
         epochs, departures = draw_scan(model, 2, 4001, grid=True, seed=4)
         observations = np.stack([departures, departures[::-1], 2.0 * departures], axis=1)
+        scan_threads(1)
+        want = shared_scores(epochs, observations, model)  # one unit: the whole book
+        monkeypatch.setattr(laws, "SCAN_TILE", 4)
+        scan_threads(7)
         seen = []
 
         def summary(start, scores):
@@ -420,11 +424,10 @@ class TestThreads:
             sys.setswitchinterval(interval)
         assert sorted(seen) == sorted(list(range(0, 4001, 4)) * 3)
         assert starts.shape == (3, 1001)
-        for row, column in enumerate(observations.T):
-            want = conditional_log_density_batch(epochs, column, model)
+        for row, scores in enumerate(want):
             assert starts[row].tolist() == list(range(0, 4001, 4))
-            assert tops[row].tolist() == [want[s:s + 4].max() for s in range(0, 4001, 4)]
-            assert firsts[row].tolist() == [int(np.argmax(want[s:s + 4]))
+            assert tops[row].tolist() == [scores[s:s + 4].max() for s in range(0, 4001, 4)]
+            assert firsts[row].tolist() == [int(np.argmax(scores[s:s + 4]))
                                             for s in range(0, 4001, 4)]
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -688,7 +691,7 @@ def test_a_float32_book_scans_as_its_float64_values(monkeypatch, scan_threads, t
                           lambda start, scores: scores.T.copy(), (np.float64,) * min(tile, 64))
     scores = np.stack(fields, axis=-1).reshape(9, 64)
     for got, column in zip(scores, observations.T):
-        want = conditional_log_density_batch(book32.arrival_epochs, column, model)
+        want = shared_scores(book64.arrival_epochs, column, model)
         assert got.tobytes() == want.tobytes()
     assert willie_llr_block(book32, observations, model, LAM).tobytes() == \
         willie_llr_block(book64, observations, model, LAM).tobytes()
@@ -723,7 +726,6 @@ class TestInfeasibleRule:
     @pytest.mark.parametrize("count", [3, 19])
     @pytest.mark.parametrize("threads", [1, 2, 7])
     def test_edges_score_like_the_masked_rule(self, monkeypatch, scan_threads, n, count, threads):
-        monkeypatch.setattr(laws, "SCAN_TILE", 8)  # 3 columns: g = 2; 19: three tiles
         scan_threads(threads)
         model = LAWS["exponential"]
         epochs, gaps = edge_scan(n, count, seed=n * count)
@@ -734,9 +736,10 @@ class TestInfeasibleRule:
         assert np.isfinite(want[0, -2]) and np.isfinite(want[3, -1])
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error", RuntimeWarning)
-            grouped = conditional_log_density_batch(epochs, gaps[:, :, None], model)
-            columns = [conditional_log_density_batch(epochs, column, model)
-                       for column in gaps.T]
+            # the whole book in one unit: of four observations, and of one each
+            grouped = shared_scores(epochs, gaps, model)
+            columns = [shared_scores(epochs, column, model) for column in gaps.T]
+            monkeypatch.setattr(laws, "SCAN_TILE", 8)  # 3 columns: g = 2; 19: three tiles
             # one field per column of a tile: the scores themselves
             fields = reduce_tiles(epochs, gaps, model, lambda start, scores: np.pad(
                 scores, ((0, 0), (0, 8 - scores.shape[1])), constant_values=np.nan).T,
@@ -759,15 +762,11 @@ class TestInfeasibleRule:
         with np.errstate(all="ignore"):
             want = np.stack([oracles.masked_exponential_scores(epochs, column, 2.0)
                              for column in gaps.T])
-            got = [conditional_log_density_batch(epochs, gaps[:, :, None], LAWS["exponential"])]
-            if g == 1:
-                got.append(conditional_log_density_batch(epochs, gaps[:, 0], LAWS["exponential"]))
-        for scores in got:
-            scores = scores.reshape(want.shape)
-            assert np.array_equal(np.isnan(scores), np.isnan(want))
-            assert np.array_equal(scores, want, equal_nan=True)
-            assert np.array_equal(np.signbit(scores[~np.isnan(want)]),
-                                  np.signbit(want[~np.isnan(want)]))
+            scores = shared_scores(epochs, gaps, LAWS["exponential"])
+        assert np.array_equal(np.isnan(scores), np.isnan(want))
+        assert np.array_equal(scores, want, equal_nan=True)
+        assert np.array_equal(np.signbit(scores[~np.isnan(want)]),
+                              np.signbit(want[~np.isnan(want)]))
 
 
 class TestBuffer:
@@ -797,7 +796,7 @@ class TestBuffer:
         assert np.getbufsize() == before
         assert sizes == [304] * 4
         for j, column in enumerate(observations.T):
-            want = conditional_log_density_batch(epochs, column, model)
+            want = shared_scores(epochs, column, model)  # a unit of one observation
             assert (tops[j, 0], firsts[j, 0]) == (want.max(), np.argmax(want))
             assert sums[j, 0].hex() == want.sum().hex()
         book = replace(generate_codebook(3, 8, 0, 0, arrival_rate=LAM, seed=5),

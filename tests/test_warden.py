@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import covertq
+from covertq import warden
 from covertq.codec import encode, generate_codebook
 from covertq.errors import ParameterError
 from covertq.harness import ExperimentConfig, run
@@ -16,11 +18,11 @@ from covertq.queueing import (
     trial_blocks,
 )
 from covertq.warden import (
-    auc_stderr,
-    rank_auc,
+    _auc_stderr,
+    _rank_auc,
+    _tv_distance_estimate,
     run_detection_trials,
     summarize_detection,
-    tv_distance_estimate,
     willie_llr,
     willie_llr_block,
 )
@@ -89,11 +91,11 @@ class TestLlr:
 
 class TestRankStatistics:
     def test_auc_on_separated_samples(self):
-        assert rank_auc([0.0, 1.0], [5.0, 6.0]) == 1.0
-        assert rank_auc([5.0, 6.0], [0.0, 1.0]) == 0.0
+        assert _rank_auc([0.0, 1.0], [5.0, 6.0]) == 1.0
+        assert _rank_auc([5.0, 6.0], [0.0, 1.0]) == 0.0
 
     def test_auc_handles_ties(self):
-        assert rank_auc([1.0, 1.0], [1.0, 1.0]) == 0.5
+        assert _rank_auc([1.0, 1.0], [1.0, 1.0]) == 0.5
 
     def test_auc_matches_brute_force(self):
         rng = np.random.default_rng(46)
@@ -102,16 +104,16 @@ class TestRankStatistics:
         brute = np.mean([
             1.0 if b > a else (0.5 if b == a else 0.0) for a in x0 for b in x1
         ])
-        assert rank_auc(x0, x1) == pytest.approx(float(brute), abs=1e-12)
+        assert _rank_auc(x0, x1) == pytest.approx(float(brute), abs=1e-12)
 
     def test_tv_bounds_and_known_case(self):
         rng = np.random.default_rng(47)
         x0 = rng.normal(0.0, 1.0, 4000)
         x1 = rng.normal(0.0, 1.0, 4000) + 10.0
-        assert tv_distance_estimate(x0, x1) == pytest.approx(1.0, abs=1e-3)
+        assert _tv_distance_estimate(x0, x1) == pytest.approx(1.0, abs=1e-3)
         same = rng.normal(0.0, 1.0, 4000)
-        assert 0.0 <= tv_distance_estimate(same, same) <= 1.0
-        assert tv_distance_estimate(same, same) == 0.0
+        assert 0.0 <= _tv_distance_estimate(same, same) <= 1.0
+        assert _tv_distance_estimate(same, same) == 0.0
 
     def test_tv_against_gaussian_formula(self):
         # TV between N(0,1) and N(d,1) is 2*Phi(d/2) - 1
@@ -122,7 +124,7 @@ class TestRankStatistics:
         x0 = rng.normal(0.0, 1.0, 20000)
         x1 = rng.normal(d, 1.0, 20000)
         want = 2.0 * norm.cdf(d / 2.0) - 1.0
-        assert tv_distance_estimate(x0, x1) == pytest.approx(want, abs=0.02)
+        assert _tv_distance_estimate(x0, x1) == pytest.approx(want, abs=0.02)
 
 
 class TestDetectionExperiment:
@@ -138,12 +140,12 @@ class TestDetectionExperiment:
         scores = np.array(scores)
         finite = scores[np.isfinite(scores)]
         half = finite.size // 2
-        auc = rank_auc(finite[:half], finite[half:2 * half])
+        auc = _rank_auc(finite[:half], finite[half:2 * half])
         m = half
         null_se = math.sqrt((2 * m + 1) / (12.0 * m * m))
         assert abs(auc - 0.5) <= 3 * null_se
         # ECDF sup-distance of same-law samples stays under the binomial floor
-        tv = tv_distance_estimate(finite[:half], finite[half:2 * half])
+        tv = _tv_distance_estimate(finite[:half], finite[half:2 * half])
         assert tv <= 1.628 * math.sqrt(2.0 / m)
 
     def test_under_resolved_codebook_is_detected(self):
@@ -176,10 +178,10 @@ class TestDetectionExperiment:
         obs0, obs1 = replay_observations(book, 400, 57)
         mean0, mean1 = ([d.mean() for d in obs] for obs in (obs0, obs1))
         var0, var1 = ([d.var() for d in obs] for obs in (obs0, obs1))
-        auc_llr = rank_auc(llr0, llr1)
-        se = auc_stderr(llr0, llr1)
+        auc_llr = _rank_auc(llr0, llr1)
+        se = _auc_stderr(llr0, llr1)
         for x0, x1 in ((mean0, mean1), (var0, var1)):
-            auc_stat = max(rank_auc(x0, x1), 1.0 - rank_auc(x0, x1))
+            auc_stat = max(_rank_auc(x0, x1), 1.0 - _rank_auc(x0, x1))
             assert auc_llr >= auc_stat - 2 * se
 
     def test_summarize_requires_both_hypotheses(self):
@@ -193,6 +195,11 @@ class TestDetectionExperiment:
     def test_summarize_needs_two_scores_per_hypothesis(self, sizes):
         with pytest.raises(ParameterError):
             summarize_detection(np.zeros(sizes[0]), np.ones(sizes[1]))
+
+    def test_summarize_is_the_one_public_summary(self):
+        # the statistics it is built from check nothing: an empty side gives NaN
+        for name in ("rank_auc", "auc_stderr", "tv_distance_estimate"):
+            assert name not in warden.__all__ and not hasattr(covertq, name)
 
     def test_arrays_replay_the_per_trial_draws(self):
         # the draw order criterion 5's pinned seeds rely on: per trial block,
