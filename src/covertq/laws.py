@@ -20,8 +20,8 @@ units are shared out to one thread per CPU, and each unit's partials land in
 bits depend on neither g nor the thread count.
 
 A scan pays its Python prologue once per call, not once per unit: it checks
-shapes, takes the cumulative departures of all T observations in one cumsum
-and slices each group's operand (n Python floats for one observation) and
+shapes, takes the cumulative departures of all T observations in one running
+sum and slices each group's operand (n Python floats for one observation) and
 each tile's epochs once; every unit then runs one private core,
 ``_scan_unit``, which nothing else calls.  The exponential core writes the
 -inf of an infeasible candidate without a masked move: min(min_k s_k, 0) *
@@ -40,7 +40,17 @@ exponential-service queue), i.e. i.i.d. Exp(rate) gaps.
 Rates, counts and gaps follow ``queueing``'s three rules, checked once per
 call of ``poisson_log_density``, ``info_density_sample`` and
 ``sample_info_densities``.  ``conditional_log_density_batch`` and
-``reduce_tiles`` check shapes only, once per call.
+``reduce_tiles`` check shapes only, once per call.  Their running sums of
+departure gaps go through ``queueing._running_sum``, like every other.
+
+``sample_info_densities`` checks no gap it draws: each block of trials is one
+in-place pass through ``queueing``'s simulation core and the per-column
+scorer's core, ``_column_scores``, with bits equal to ``simulate_block``
+followed by ``info_density_sample``.  Two facts keep them equal.  The scorer
+reads the running sum of the simulated departure gaps, not the recursion's
+departure epochs, which differ after idle periods; and q(D) is
+``poisson_log_density`` of the gaps, not a function of d_n, since a
+one-column block sums its gaps pairwise.
 """
 
 from __future__ import annotations
@@ -53,7 +63,7 @@ import numpy as np
 
 from .errors import StructuralError
 from .queueing import (ServiceKind, ServiceModel, _as_times, _check_count, _check_rate,
-                       simulate_block, trial_blocks)
+                       _departure_gaps, _running_sum, trial_blocks)
 
 __all__ = ["SCAN_TILE", "conditional_log_density_batch", "scan_threads", "reduce_tiles",
            "poisson_log_density", "info_density_sample", "sample_info_densities"]
@@ -96,10 +106,21 @@ def conditional_log_density_batch(arrival_epochs: np.ndarray, departures: np.nda
     if ta.ndim != 2 or gaps.shape != ta.shape:
         raise StructuralError(f"need (n, C) arrival epochs with (n, C) departures, "
                               f"got {ta.shape} and {gaps.shape}")
-    d = np.cumsum(gaps, axis=0)
-    prev = np.zeros_like(d)
-    prev[1:] = d[:-1]
-    return model.log_density(d - np.maximum(ta, prev)).sum(axis=0)
+    d = _running_sum(gaps)
+    return _column_scores(ta, d, model, np.empty_like(d))
+
+
+def _column_scores(ta: np.ndarray, d: np.ndarray, model: ServiceModel,
+                   work: np.ndarray) -> np.ndarray:
+    """The core of ``conditional_log_density_batch``: log p(D_c | A_c) of every
+    column c of the ``(n, C)`` epochs ``ta`` against its own column of the
+    cumulative departures ``d``.  The s_k are formed in ``work``, which may
+    be ``ta`` itself.  Nothing is checked.
+    """
+    np.maximum(ta[0], 0.0, out=work[0])
+    np.maximum(ta[1:], d[:-1], out=work[1:])
+    np.subtract(d, work, out=work)
+    return model.log_density(work).sum(axis=0)
 
 
 def _scan_unit(ta: np.ndarray, d, model: ServiceModel, work: np.ndarray) -> np.ndarray:
@@ -206,10 +227,10 @@ def reduce_tiles(arrival_epochs: np.ndarray, departures: np.ndarray, model: Serv
     rows = min(observations, group)
     works = np.empty((max(1, min(scan_threads(), units)), 3, rows * width))
     # the unit core's operands, once per call: the same sequential adds as a
-    # cumsum of each group's departures alone.  A group of one observation
+    # running sum of each group's departures alone.  A group of one observation
     # passes n Python floats, the ufunc operands with the least per-call
     # overhead; a larger one its (n, g, 1) array
-    d = np.cumsum(departures, axis=0, dtype=np.float64)
+    d = _running_sum(np.asarray(departures, dtype=np.float64))
     groups = [(first, d[:, first].tolist() if min(group, observations - first) == 1
                else d[:, first:first + group, None]) for first in range(0, observations, group)]
     views = [ta[:, start:start + SCAN_TILE] for start in range(0, ta.shape[1], SCAN_TILE)]
@@ -282,9 +303,8 @@ def info_density_sample(arrivals, departures, model: ServiceModel, reference_rat
         raise StructuralError(f"need (n,) or (n, T) gaps of one shape, "
                               f"got {a.shape} and {gaps.shape}")
     n = a.shape[0]
-    cond = conditional_log_density_batch(
-        np.cumsum(a, axis=0).reshape(n, -1), gaps.reshape(n, -1), model
-    )
+    cond = conditional_log_density_batch(_running_sum(a.reshape(n, -1)), gaps.reshape(n, -1),
+                                         model)
     density = (cond - poisson_log_density(gaps, reference_rate)) / n  # -inf where cond is
     return float(density[0]) if a.ndim == 1 else density
 
@@ -299,14 +319,24 @@ def sample_info_densities(n: int, arrival_rate: float, model: ServiceModel, tria
 
     Trials run in the blocks of ``queueing.trial_blocks``.  Each block draws
     its packet-major (n, T) arrival gaps, then its (n, T) service times, and
-    is scored by one ``info_density_sample`` call, one column per trial.
+    its values are ``info_density_sample`` of the arrival gaps and
+    ``simulate_block``'s departure gaps, bit for bit (module docstring).  In
+    one pass, in place where it can: the gaps' running sum becomes the
+    arrival epochs; the departure recursion runs over the services; the
+    departures are differenced into gaps, which give q(D), and re-summed into
+    the departures array; the scorer forms the s_k over the epochs.  A block
+    holds three (n, T) arrays and the log density's temporaries.
     """
     n = _check_count("n", n, 1)
     _check_rate("arrival_rate", arrival_rate)
     trials = _check_count("trials", trials, 1)
     out = np.empty(trials)
     for block in trial_blocks(n, trials):
-        arrivals = rng.exponential(1.0 / arrival_rate, size=(n, block.stop - block.start))
-        departures = simulate_block(arrivals, model, rng)
-        out[block] = info_density_sample(arrivals, departures, model, arrival_rate)
+        t = rng.exponential(1.0 / arrival_rate, size=(n, block.stop - block.start))
+        d = model.sample(rng, t.shape)
+        with np.errstate(over="ignore"):  # an overflow is refused by _departure_gaps
+            gaps = _departure_gaps(_running_sum(t, out=t), d)
+        q = poisson_log_density(gaps, arrival_rate)
+        _running_sum(gaps, out=d)
+        out[block] = (_column_scores(t, d, model, t) - q) / n
     return out

@@ -1,14 +1,15 @@
 """Every public entry applies the package's three input rules at its call.
 
 Gaps (non-empty, finite, non-negative) raise ``StructuralError``; counts (an
-integer >= its least value, never a bool) and rates (a finite number > 0,
-never a bool) raise ``ParameterError``.  A service law, a region and a
+integer >= its least value, never a bool) and rates (a finite number > 0
+whose reciprocal is finite, never a bool) raise ``ParameterError``.  A service law, a region and a
 config refuse a malformed field when they are built, with the category of
 their module: ``ParameterError`` for the library's objects, ``ConfigError``
 for a config.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from covertq.codec import (decode, decode_block, generate_codebook, mm1_log_outp
 from covertq.errors import ConfigError, ParameterError, StructuralError
 from covertq.harness import ExperimentConfig
 from covertq.laws import info_density_sample, sample_info_densities
-from covertq.queueing import ServiceModel, poisson_arrivals
+from covertq.queueing import ServiceModel, poisson_arrivals, simulate_block
 from covertq.rates import RatePoint, RegionSpec
 from covertq.warden import run_detection_trials, willie_llr, willie_llr_block
 
@@ -86,14 +87,39 @@ RATE_ENTRIES = {
     "run_detection_trials": lambda v: run_detection_trials(BOOK, EXP, v, 3, rng()),
     "mm1_log_output_ratio_bound arrival_rate": lambda v: mm1_log_output_ratio_bound(v, 2.0),
     "mm1_log_output_ratio_bound mu1": lambda v: mm1_log_output_ratio_bound(0.5, v),
+    "ServiceModel.exponential": lambda v: ServiceModel.exponential(v),
 }
 
 
-@pytest.mark.parametrize("rate", [True, math.nan, 0.0], ids=repr)
+# 5e-324 is subnormal: its reciprocal, the mean gap, overflows to inf
+@pytest.mark.parametrize("rate", [True, math.nan, 0.0, 5e-324, np.float64(1e-309)], ids=repr)
 @pytest.mark.parametrize("entry", RATE_ENTRIES)
 def test_bad_rate_is_a_parameter_error(entry, rate):
-    with pytest.raises(ParameterError):
-        RATE_ENTRIES[entry](rate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ParameterError):
+            RATE_ENTRIES[entry](rate)
+
+
+def test_draws_past_the_float_range_are_a_parameter_error():
+    # 1 / 5.6e-309 is just under the largest float: a legal rate, whose gaps
+    # and their running sums can still overflow to inf
+    assert ServiceModel.exponential(5.6e-309).mean < math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no inf - inf on the way
+        with pytest.raises(ParameterError, match="overflow"):
+            sample_info_densities(16, 1e-308, EXP, 20, rng())
+        with pytest.raises(ParameterError, match="overflow"):
+            simulate_block(np.full((4, 3), 0.7), ServiceModel.exponential(1e-308), rng())
+
+
+@pytest.mark.parametrize("experiment, widths", [
+    ("info_density", []), ("decode_sweep", [[21, 0, 0]]), ("detection_sweep", [[2, 1, 1]])])
+def test_subnormal_config_rate_is_a_config_error(experiment, widths):
+    payload = dict(experiment=experiment, arrival_rate=5e-324, mu1=1.0, mu2=2.0, n_list=[4],
+                   width_list=widths)
+    with pytest.raises(ConfigError, match="arrival_rate"):
+        ExperimentConfig.from_dict(payload)
 
 
 def test_nan_information_density_is_a_structural_error():

@@ -271,10 +271,16 @@ class TestSweeps:
         assert rows["message_error_rate"] == errors / cfg.trials
         assert rows["pair_error_rate"] == pair_errors / cfg.trials
 
-    @pytest.mark.parametrize("experiment", ["decode_sweep", "detection_sweep"])
-    def test_sweep_checks_times_per_block_not_per_trial(self, monkeypatch, experiment):
+    @pytest.mark.parametrize("experiment, widths", [
+        ("decode_sweep", (2, 1, 1)),
+        ("detection_sweep", (2, 1, 1)),
+        ("info_density", (2, 1, 1)),
+        ("decode_sweep", (21, 0, 0)),
+    ], ids=["decode_sweep", "detection_sweep", "info_density", "decode_sweep past the cap"])
+    def test_sweep_checks_times_per_block_not_per_trial(self, monkeypatch, experiment, widths):
         # the gap check, the codeword lookup and q(D) each run per block: a
-        # per-trial or per-observation call would count more at 90 trials
+        # per-trial or per-observation call would count more at 90 trials.
+        # The information-density sampler checks none of its own draws
         calls = []
 
         def count(name, *owners):  # every module's own binding of the name
@@ -289,10 +295,12 @@ class TestSweeps:
         counts = []
         for trials in (3, 90):  # one block each
             calls.clear()
-            run(base_config(experiment=experiment, n_list=(8,), width_list=((2, 1, 1),),
+            run(base_config(experiment=experiment, n_list=(8,), width_list=(widths,),
                             trials=trials))
             counts.append(sorted(calls))
         assert counts[0] == counts[1]
+        if experiment == "info_density" or sum(widths) > codec.CODEBOOK_CAP_BITS:
+            assert "_as_times" not in counts[0]
 
 class TestReproduce:
     def test_every_row_reproduces_from_its_seed(self):
@@ -466,6 +474,7 @@ class TestCli:
         ("n_list", [True]),
         ("width_list", [[True, 1, 1]]),
         ("mu2", 10**400),  # no finite float holds it
+        ("arrival_rate", 5e-324),  # subnormal: the mean gap 1 / 5e-324 overflows
         ("trials", 10**400),
     ])
     def test_malformed_field_exit_code_and_diagnostic(self, tmp_path, capsys, field, value):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from covertq.laws import (
     sample_info_densities,
 )
 from covertq.queueing import (
+    BLOCK_CELLS,
     ServiceModel,
     departure_epochs,
     poisson_arrivals,
+    simulate_block,
     simulate_channel,
     trial_blocks,
 )
@@ -289,3 +292,39 @@ class TestBatchedInfoDensity:
             sample_info_densities(0, 0.5, EXP1, 10, np.random.default_rng(0))
         with pytest.raises(ParameterError):
             sample_info_densities(10, 0.0, EXP1, 10, np.random.default_rng(0))
+
+
+def public_block_densities(n, rate, model, trials, seed):
+    """The sampler's draws replayed through the public block calls: per block
+    its (n, T) arrival gaps, then ``simulate_block``'s services and gaps,
+    scored by one ``info_density_sample`` call."""
+    rng = np.random.default_rng(seed)
+    values = []
+    for block in trial_blocks(n, trials):
+        arrivals = rng.exponential(1.0 / rate, size=(n, block.stop - block.start))
+        values.append(info_density_sample(arrivals, simulate_block(arrivals, model, rng),
+                                          model, rate))
+    return np.concatenate(values)
+
+
+@pytest.mark.parametrize("law", sorted(LAWS))
+@pytest.mark.parametrize("n, trials", [
+    (40000, 3),  # blocks one column wide
+    (2000, 33),  # a 32-column block, then a one-column block
+    (16, 2000),  # one block with more columns than packets
+])
+def test_sampler_is_the_public_block_path_bit_for_bit(law, n, trials):
+    got = sample_info_densities(n, 0.5, LAWS[law], trials, np.random.default_rng(31))
+    assert np.array_equal(got, public_block_densities(n, 0.5, LAWS[law], trials, 31))
+
+
+@pytest.mark.parametrize("n, trials", [(2000, 300), (16, 2000)])
+def test_sampler_holds_at_most_six_block_arrays(n, trials):
+    block_bytes = 8 * min(n * trials, BLOCK_CELLS)
+    tracemalloc.start()
+    try:
+        sample_info_densities(n, 0.5, EXP1, trials, np.random.default_rng(32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * block_bytes, peak / block_bytes
