@@ -189,12 +189,20 @@ def generate_codebook(
         key_step, pair_step = keys, per_chunk // keys
     else:
         key_step, pair_step = 1 << (per_chunk.bit_length() - 1), 1
+    # A gap, or a running sum of gaps, can overflow to inf when the mean gap is
+    # near the top of the float range: the last row of epochs, the largest,
+    # is checked once, by its maximum (a mask of it would add 1 MB to a 2^20
+    # book's peak memory), and the sums run without a warning.
     epochs = np.empty((n, keys, pairs))
-    for p in range(0, pairs, pair_step):
-        q = min(p + pair_step, pairs)
-        for k in range(0, keys, key_step):
-            gaps = rng.exponential(1.0 / arrival_rate, size=(q - p, key_step, n))
-            _running_sum(gaps.T, out=epochs[:, k:k + key_step, p:q])
+    with np.errstate(over="ignore"):
+        for p in range(0, pairs, pair_step):
+            q = min(p + pair_step, pairs)
+            for k in range(0, keys, key_step):
+                gaps = rng.exponential(1.0 / arrival_rate, size=(q - p, key_step, n))
+                _running_sum(gaps.T, out=epochs[:, k:k + key_step, p:q])
+    if not math.isfinite(epochs[-1].max()):
+        raise ParameterError(f"codebook epochs overflow the float range within {n} packets: "
+                             f"the mean gap 1/arrival_rate is too large")
     epochs = epochs.reshape(n, keys * pairs)
     epochs.setflags(write=False)
     return Codebook(

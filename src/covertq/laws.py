@@ -43,14 +43,21 @@ call of ``poisson_log_density``, ``info_density_sample`` and
 ``reduce_tiles`` check shapes only, once per call.  Their running sums of
 departure gaps go through ``queueing._running_sum``, like every other.
 
-``sample_info_densities`` checks no gap it draws: each block of trials is one
-in-place pass through ``queueing``'s simulation core and the per-column
-scorer's core, ``_column_scores``, with bits equal to ``simulate_block``
-followed by ``info_density_sample``.  Two facts keep them equal.  The scorer
-reads the running sum of the simulated departure gaps, not the recursion's
-departure epochs, which differ after idle periods; and q(D) is
-``poisson_log_density`` of the gaps, not a function of d_n, since a
-one-column block sums its gaps pairwise.
+``sample_info_densities`` checks no gap it draws.  It runs the blocks of trials
+of ``queueing.trial_blocks`` through ``queueing``'s simulation core and the
+per-column scorer's core, ``_column_scores``, with bits equal to
+``simulate_block`` followed by ``info_density_sample``.  Blocks narrower than
+``_STACK_WIDTH`` columns (only n > 1024 has them) are set side by side in
+stacks of at most ``STACK_CELLS`` cells, so that one departure recursion, whose
+numpy calls cost about as much per packet row at 160 columns as at 32, serves
+several blocks; the stack is then scored in row pieces.  Three facts keep the
+bits equal.  The scorer reads the running sum of the simulated departure gaps,
+not the recursion's departure epochs, which differ after idle periods.  q(D) is
+``poisson_log_density`` of the gaps, not a function of d_n, since a one-column
+block sums its gaps pairwise.  And a sum down axis 0 of at least two columns
+adds its rows in order, like a running sum, so a sum over row pieces that
+carries each piece's total into the next piece's first row is the same sum; a
+one-column stack is scored in one piece.
 """
 
 from __future__ import annotations
@@ -62,11 +69,12 @@ import threading
 import numpy as np
 
 from .errors import StructuralError
-from .queueing import (ServiceKind, ServiceModel, _as_times, _check_count, _check_rate,
-                       _departure_gaps, _running_sum, trial_blocks)
+from .queueing import (BLOCK_CELLS, ServiceKind, ServiceModel, _as_times, _check_count,
+                       _check_rate, _checked_departures, _departure_gaps, _running_sum,
+                       trial_blocks)
 
-__all__ = ["SCAN_TILE", "conditional_log_density_batch", "scan_threads", "reduce_tiles",
-           "poisson_log_density", "info_density_sample", "sample_info_densities"]
+__all__ = ["SCAN_TILE", "STACK_CELLS", "conditional_log_density_batch", "scan_threads",
+           "reduce_tiles", "poisson_log_density", "info_density_sample", "sample_info_densities"]
 
 # Columns per tile of a codebook scan, and scores per unit of work.  At n=4 a
 # unit's three work arrays (512 KiB each) stay in a 2 MiB L2 cache while its
@@ -76,6 +84,23 @@ SCAN_TILE = 1 << 16
 # The narrowest rows of a grouped unit that run with a one-row ufunc buffer:
 # 64-column units ran 20% slower with it on one thread.
 _ROW_BUFFER_MIN = 256
+# Most cells in one stack of narrow trial blocks: five blocks.  A departure
+# recursion row cost 1.3 us at 32 columns and 1.5 us at 160, so at n=2000 one
+# stack of five 32-column blocks does the work of five recursions.  300 trials
+# there took 46 ms one block at a time, 30 ms in stacks of four blocks, 27 ms
+# in stacks of five and 25 ms in one stack.  But a stack holds two (n, W)
+# arrays: the process peak of 300-trial runs at n=2000 rose 4%, 7% and 17%,
+# against a 10% bound on the benchmark's peak memory.
+STACK_CELLS = 5 * BLOCK_CELLS
+# Blocks narrower than this many columns join stacks: only n > 1024 has
+# them.  Wider blocks already spread the recursion's per-row calls over many
+# columns; stacked, 327-column blocks (n=200) ran level and 4096-column blocks
+# (n=16) at 0.72x.
+_STACK_WIDTH = 64
+# Most cells in one row piece of a stack's draws or of its scoring, which
+# keeps a piece's temporaries in cache and out of peak memory: at n=2000 the
+# sampler's time was level from 2^13 to 2^16 cells.
+_PIECE_CELLS = BLOCK_CELLS // 4
 
 
 def conditional_log_density_batch(arrival_epochs: np.ndarray, departures: np.ndarray,
@@ -110,17 +135,24 @@ def conditional_log_density_batch(arrival_epochs: np.ndarray, departures: np.nda
     return _column_scores(ta, d, model, np.empty_like(d))
 
 
-def _column_scores(ta: np.ndarray, d: np.ndarray, model: ServiceModel,
-                   work: np.ndarray) -> np.ndarray:
+def _column_scores(ta: np.ndarray, d: np.ndarray, model: ServiceModel, work: np.ndarray,
+                   before=0.0, carry: np.ndarray | None = None) -> np.ndarray:
     """The core of ``conditional_log_density_batch``: log p(D_c | A_c) of every
     column c of the ``(n, C)`` epochs ``ta`` against its own column of the
     cumulative departures ``d``.  The s_k are formed in ``work``, which may
     be ``ta`` itself.  Nothing is checked.
+
+    A block of at least two columns may be scored in row pieces: ``before``
+    is the departure epoch before the piece, and ``carry`` the sum of the
+    rows above it, which the piece's sum goes on from (module docstring).
     """
-    np.maximum(ta[0], 0.0, out=work[0])
+    np.maximum(ta[0], before, out=work[0])
     np.maximum(ta[1:], d[:-1], out=work[1:])
     np.subtract(d, work, out=work)
-    return model.log_density(work).sum(axis=0)
+    density = model.log_density(work)
+    if carry is not None:
+        np.add(carry, density[0], out=density[0])
+    return density.sum(axis=0)
 
 
 def _scan_unit(ta: np.ndarray, d, model: ServiceModel, work: np.ndarray) -> np.ndarray:
@@ -309,6 +341,58 @@ def info_density_sample(arrivals, departures, model: ServiceModel, reference_rat
     return float(density[0]) if a.ndim == 1 else density
 
 
+def _trial_stacks(n: int, trials: int):
+    """Runs of consecutive ``trial_blocks`` that ``sample_info_densities``
+    sets side by side as one ``(n, W)`` stack, as lists of block slices.
+
+    Blocks from 2 to ``_STACK_WIDTH - 1`` columns wide join a stack while it
+    holds at most ``STACK_CELLS`` cells; any other block is a stack of its
+    own.  Only n > 1024 gives such blocks.
+    """
+    stack = []
+    for block in trial_blocks(n, trials):
+        alone = not 1 < block.stop - block.start < _STACK_WIDTH
+        if stack and (alone or n * (block.stop - stack[0].start) > STACK_CELLS):
+            yield stack
+            stack = []
+        stack.append(block)
+        if alone:
+            yield stack
+            stack = []
+    if stack:
+        yield stack
+
+
+def _stack_densities(t: np.ndarray, d: np.ndarray, model: ServiceModel,
+                     rate: float) -> np.ndarray:
+    """The per-packet information densities of the columns of a stack, from
+    its arrival epochs t and departure epochs d, which both become work
+    space.
+
+    The stack is taken in row pieces of at most ``_PIECE_CELLS`` cells; a
+    one-column stack, whose sums down axis 0 are pairwise, in one piece.
+    Each piece's departures are differenced into gaps, re-summed into d and
+    scored with the epochs, and its sums go on from the rows above it (module
+    docstring).  So the last piece's gaps sum to the sum of all the gaps,
+    which gives q(D) by ``poisson_log_density``'s formula.
+    """
+    n, width = t.shape
+    rows = n if width == 1 else max(1, _PIECE_CELLS // width)
+    gaps_cells = np.empty(min(n, rows) * width)
+    last = np.zeros(width)  # the recursion's epoch before the piece
+    scores = None
+    for k in range(0, n, rows):
+        piece = slice(k, min(k + rows, n))
+        gaps = _departure_gaps(d[piece], last, out=gaps_cells[:d[piece].size].reshape(-1, width))
+        np.copyto(last, d[piece.stop - 1])
+        above = d[k - 1] if k else None  # the re-summed epoch before the piece
+        _running_sum(gaps, out=d[piece], carry=above)
+        scores = _column_scores(t[piece], d[piece], model, t[piece],
+                                before=0.0 if above is None else above, carry=scores)
+    q = n * math.log(rate) - rate * gaps.sum(axis=0)
+    return (scores - q) / n
+
+
 def sample_info_densities(n: int, arrival_rate: float, model: ServiceModel, trials: int,
                           rng: np.random.Generator) -> np.ndarray:
     """Monte Carlo draws of the per-packet information density.
@@ -320,23 +404,42 @@ def sample_info_densities(n: int, arrival_rate: float, model: ServiceModel, tria
     Trials run in the blocks of ``queueing.trial_blocks``.  Each block draws
     its packet-major (n, T) arrival gaps, then its (n, T) service times, and
     its values are ``info_density_sample`` of the arrival gaps and
-    ``simulate_block``'s departure gaps, bit for bit (module docstring).  In
-    one pass, in place where it can: the gaps' running sum becomes the
-    arrival epochs; the departure recursion runs over the services; the
-    departures are differenced into gaps, which give q(D), and re-summed into
-    the departures array; the scorer forms the s_k over the epochs.  A block
-    holds three (n, T) arrays and the log density's temporaries.
+    ``simulate_block``'s departure gaps, bit for bit (module docstring).
+    Blocks run in the stacks of ``_trial_stacks``: narrow blocks side by
+    side, any other block alone.  Each block draws into its own columns of
+    the stack's two (n, W) arrays, in row pieces of at most ``_PIECE_CELLS``
+    cells, which consume the stream as one (n, T) draw does; the arrival
+    pieces are summed into epochs as they land.  One departure recursion
+    runs over the whole stack, in place over the services, and
+    ``_stack_densities`` scores the stack in row pieces.  So a stack holds
+    two (n, W) arrays of at most ``STACK_CELLS`` cells (a block's, if it is
+    alone), one piece of gaps and the log density's temporaries of a piece.
     """
     n = _check_count("n", n, 1)
     _check_rate("arrival_rate", arrival_rate)
     trials = _check_count("trials", trials, 1)
+    scale = 1.0 / arrival_rate
+    stacks = list(_trial_stacks(n, trials))
+    cells = n * max(stack[-1].stop - stack[0].start for stack in stacks)
+    # every stack reuses the same two arrays: the arrival epochs, and the
+    # services that the recursion turns into departure epochs
+    t_cells, d_cells = np.empty(cells), np.empty(cells)
     out = np.empty(trials)
-    for block in trial_blocks(n, trials):
-        t = rng.exponential(1.0 / arrival_rate, size=(n, block.stop - block.start))
-        d = model.sample(rng, t.shape)
-        with np.errstate(over="ignore"):  # an overflow is refused by _departure_gaps
-            gaps = _departure_gaps(_running_sum(t, out=t), d)
-        q = poisson_log_density(gaps, arrival_rate)
-        _running_sum(gaps, out=d)
-        out[block] = (_column_scores(t, d, model, t) - q) / n
+    for stack in stacks:
+        first = stack[0].start
+        t = t_cells[:n * (stack[-1].stop - first)].reshape(n, -1)
+        d = d_cells[:t.size].reshape(t.shape)
+        with np.errstate(over="ignore"):  # an overflow is refused by _checked_departures
+            for block in stack:
+                cols = slice(block.start - first, block.stop - first)
+                rows = max(1, _PIECE_CELLS // (block.stop - block.start))
+                for k in range(0, n, rows):
+                    piece = t[k:k + rows, cols]
+                    _running_sum(rng.exponential(scale, size=piece.shape), out=piece,
+                                 carry=t[k - 1, cols] if k else None)
+                for k in range(0, n, rows):
+                    piece = d[k:k + rows, cols]
+                    piece[...] = model.sample(rng, piece.shape)
+            _checked_departures(t, d)
+        out[first:stack[-1].stop] = _stack_densities(t, d, model, arrival_rate)
     return out

@@ -54,7 +54,10 @@ The scalar loop stays for single blocks, and for blocks narrower than
 ``_MIN_VECTOR_WIDTH`` columns: a vectorised step pays numpy's per-call
 overhead on every packet, about ten times the cost of a scalar step when the
 block is one column wide.  Batched callers cover their trials in blocks of at
-most ``BLOCK_CELLS`` packets (``trial_blocks``), which bounds their memory.
+most ``BLOCK_CELLS`` packets (``trial_blocks``), which bounds their memory;
+``laws.sample_info_densities`` sets blocks narrower than 64 columns side by
+side in stacks of at most ``laws.STACK_CELLS`` packets, so that one call of
+the recursion serves several of them, and its memory is bounded by that.
 """
 
 from __future__ import annotations
@@ -241,20 +244,33 @@ class ServiceModel:
 
 
 def poisson_arrivals(rate: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Inter-arrival gaps of a Poisson process: n i.i.d. Exp(rate) draws."""
+    """Inter-arrival gaps of a Poisson process: n i.i.d. Exp(rate) draws.
+
+    A draw can overflow to inf when the mean gap is near the top of the float
+    range; such draws are refused.
+    """
     _check_rate("rate", rate)
-    return rng.exponential(1.0 / rate, size=_check_count("n", n, 1))
+    gaps = rng.exponential(1.0 / rate, size=_check_count("n", n, 1))
+    if not np.isfinite(gaps).all():
+        raise ParameterError(f"arrival gaps overflow the float range: the mean gap 1/rate = "
+                             f"{1.0 / rate!r} is too large")
+    return gaps
 
 
-def _running_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _running_sum(x: np.ndarray, out: np.ndarray | None = None,
+                 carry: np.ndarray | None = None) -> np.ndarray:
     """``np.cumsum(x, axis=0, out=out)``: the same additions in the same order,
-    so the same bits.  ``out`` may be ``x`` itself.
+    so the same bits.  ``out`` may be ``x`` itself.  With ``carry``, the
+    running sum's row before ``x``, the sum goes on from it: ``x[0]`` is
+    overwritten with carry + x[0], the sum's next step.
 
     Every running sum down axis 0 in the package goes through here.
     ``np.cumsum`` walks a 2-d array one column at a time.  When it has at
     least as many columns as rows it is faster to add one row at a time: n
     ufunc calls over all the columns (57 us against 166 us at (16, 2000)).
     """
+    if carry is not None:
+        np.add(carry, x[0], out=x[0])
     if x.ndim == 1 or len(x) > x[0].size:
         return np.cumsum(x, axis=0, out=out)
     if out is None:
@@ -307,26 +323,34 @@ def _departures(t: np.ndarray, s: np.ndarray, out: np.ndarray | None = None) -> 
     return out
 
 
-def _departure_gaps(t: np.ndarray, services: np.ndarray) -> np.ndarray:
-    """Inter-departure gaps from arrival epochs t and fresh service times,
-    which are overwritten with the departure epochs.
+def _checked_departures(t: np.ndarray, services: np.ndarray) -> np.ndarray:
+    """Departure epochs from arrival epochs t and fresh service times, which
+    are overwritten with them.
 
     A drawn gap or service time, or a running sum of them, can overflow to
     inf when its mean is near the top of the float range, and every later
     epoch of its block with it: the last row of epochs, the largest, is
     checked, so that no inf - inf makes a NaN gap.  Callers run the sums
     under ``np.errstate(over="ignore")``, so that an overflow is reported
-    once, by this check.  The gaps are ``np.diff(d, axis=0, prepend=0.0)``
-    without its concatenated copy.
+    once, by this check.
     """
     d = _departures(t, services, out=services)
     if not np.isfinite(d[-1]).all():
         raise ParameterError(f"departure epochs overflow the float range within {len(d)} "
                              f"packets: a mean gap or service time is too large")
-    gaps = np.empty_like(d)
-    gaps[0] = d[0]
-    np.subtract(d[1:], d[:-1], out=gaps[1:])
-    return gaps
+    return d
+
+
+def _departure_gaps(d: np.ndarray, before=0.0, out: np.ndarray | None = None) -> np.ndarray:
+    """Inter-departure gaps of the departure epochs d, the first from the
+    epoch ``before`` them, into ``out``: a new array by default.
+    ``np.diff(d, axis=0, prepend=before)`` without its concatenated copy.
+    """
+    if out is None:
+        out = np.empty_like(d)
+    np.subtract(d[:1], before, out=out[:1])
+    np.subtract(d[1:], d[:-1], out=out[1:])
+    return out
 
 
 def departure_epochs(arrival_gaps, service_times):
@@ -360,8 +384,8 @@ def departure_epochs(arrival_gaps, service_times):
 
 def _simulate(arrival_gaps, model: ServiceModel, rng: np.random.Generator, ndim: int):
     a = _as_times(arrival_gaps, "arrival gaps", ndims=(ndim,))
-    with np.errstate(over="ignore"):  # an overflow is refused by _departure_gaps
-        return _departure_gaps(_running_sum(a), model.sample(rng, a.shape))
+    with np.errstate(over="ignore"):  # an overflow is refused by _checked_departures
+        return _departure_gaps(_checked_departures(_running_sum(a), model.sample(rng, a.shape)))
 
 
 def simulate_channel(arrivals, model: ServiceModel, rng: np.random.Generator) -> np.ndarray:

@@ -109,8 +109,14 @@ def test_draws_past_the_float_range_are_a_parameter_error():
         warnings.simplefilter("error", RuntimeWarning)  # no inf - inf on the way
         with pytest.raises(ParameterError, match="overflow"):
             sample_info_densities(16, 1e-308, EXP, 20, rng())
+        with pytest.raises(ParameterError, match="overflow"):  # blocks in stacks
+            sample_info_densities(2000, 1e-308, EXP, 300, rng())
         with pytest.raises(ParameterError, match="overflow"):
             simulate_block(np.full((4, 3), 0.7), ServiceModel.exponential(1e-308), rng())
+        with pytest.raises(ParameterError, match="overflow"):  # one inf draw of three
+            poisson_arrivals(5.6e-309, 3, np.random.default_rng(0))
+        with pytest.raises(ParameterError, match="overflow"):  # one inf epoch of 262,144
+            generate_codebook(4, 16, 0, 0, arrival_rate=1e-307, seed=1)
 
 
 @pytest.mark.parametrize("experiment, widths", [

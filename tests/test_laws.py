@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from covertq.errors import ParameterError, StructuralError, UnsupportedLawError
 from covertq.laws import (
+    STACK_CELLS,
+    _trial_stacks,
     conditional_log_density_batch,
     info_density_sample,
     poisson_log_density,
@@ -307,24 +309,42 @@ def public_block_densities(n, rate, model, trials, seed):
     return np.concatenate(values)
 
 
+# shapes that reach every branch of the sampler's stacking rule
+@pytest.mark.parametrize("n, trials, stacks", [
+    (40000, 3, [[1], [1], [1]]),  # one-column blocks, never stacked
+    (2000, 33, [[32], [1]]),  # a 32-column block, then a one-column block
+    (2000, 300, [[32] * 5, [32] * 4 + [12]]),  # bound_long's shape: five blocks a stack
+    (2000, 129, [[32] * 4, [1]]),  # a stack, then a one-column block alone
+    (1025, 200, [[63, 63, 63, 11]]),  # 63-column blocks, the widest that stack
+    (1024, 200, [[64], [64], [64], [8]]),  # 64-column blocks stay alone
+    (10000, 40, [[6] * 5, [6, 4]]),  # blocks narrower than the vector loop's least width
+    (16, 2000, [[2000]]),  # one block with more columns than packets
+])
+def test_trial_stacks(n, trials, stacks):
+    got = [[block.stop - block.start for block in stack] for stack in _trial_stacks(n, trials)]
+    assert got == stacks
+    assert all(n * sum(stack) <= STACK_CELLS for stack in got if len(stack) > 1)
+
+
 @pytest.mark.parametrize("law", sorted(LAWS))
 @pytest.mark.parametrize("n, trials", [
-    (40000, 3),  # blocks one column wide
-    (2000, 33),  # a 32-column block, then a one-column block
-    (16, 2000),  # one block with more columns than packets
+    (40000, 3), (2000, 33), (2000, 300), (2000, 129), (1025, 200), (1024, 200), (10000, 40),
+    (16, 2000),
 ])
 def test_sampler_is_the_public_block_path_bit_for_bit(law, n, trials):
     got = sample_info_densities(n, 0.5, LAWS[law], trials, np.random.default_rng(31))
     assert np.array_equal(got, public_block_densities(n, 0.5, LAWS[law], trials, 31))
 
 
-@pytest.mark.parametrize("n, trials", [(2000, 300), (16, 2000)])
-def test_sampler_holds_at_most_six_block_arrays(n, trials):
-    block_bytes = 8 * min(n * trials, BLOCK_CELLS)
+@pytest.mark.parametrize("n, trials", [(2000, 300), (16, 2000), (2000, 3000)])
+def test_sampler_holds_two_stack_arrays_and_four_block_arrays(n, trials):
+    # a stack's two (n, W) arrays, and a row piece's gaps and log density
+    # temporaries; the peak does not grow with the trial count
+    cells = 2 * min(n * trials, STACK_CELLS) + 4 * min(n * trials, BLOCK_CELLS)
     tracemalloc.start()
     try:
         sample_info_densities(n, 0.5, EXP1, trials, np.random.default_rng(32))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * block_bytes, peak / block_bytes
+    assert peak <= 8 * cells, peak / (8 * cells)
