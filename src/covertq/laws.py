@@ -347,7 +347,8 @@ def _trial_stacks(n: int, trials: int):
 
     Blocks from 2 to ``_STACK_WIDTH - 1`` columns wide join a stack while it
     holds at most ``STACK_CELLS`` cells; any other block is a stack of its
-    own.  Only n > 1024 gives such blocks.
+    own.  Only n > 1024 gives such blocks.  A one-column block sums its gaps
+    pairwise, which it would not do beside other columns.
     """
     stack = []
     for block in trial_blocks(n, trials):
