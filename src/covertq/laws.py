@@ -44,20 +44,16 @@ call of ``poisson_log_density``, ``info_density_sample`` and
 departure gaps go through ``queueing._running_sum``, like every other.
 
 ``sample_info_densities`` checks no gap it draws.  It runs the blocks of trials
-of ``queueing.trial_blocks`` through ``queueing``'s simulation core and the
-per-column scorer's core, ``_column_scores``, with bits equal to
-``simulate_block`` followed by ``info_density_sample``.  Blocks narrower than
-``_STACK_WIDTH`` columns (only n > 1024 has them) are set side by side in
-stacks of at most ``STACK_CELLS`` cells, so that one departure recursion, whose
-numpy calls cost about as much per packet row at 160 columns as at 32, serves
-several blocks; the stack is then scored in row pieces.  Three facts keep the
-bits equal.  The scorer reads the running sum of the simulated departure gaps,
-not the recursion's departure epochs, which differ after idle periods.  q(D) is
-``poisson_log_density`` of the gaps, not a function of d_n, since a one-column
-block sums its gaps pairwise.  And a sum down axis 0 of at least two columns
-adds its rows in order, like a running sum, so a sum over row pieces that
-carries each piece's total into the next piece's first row is the same sum; a
-one-column stack is scored in one piece.
+of ``queueing.trial_blocks`` through ``queueing``'s departure recursion and
+``_column_scores``, which scores the recursion's own epochs, with q(D) =
+n ln(rate) - rate * d_n.  Blocks narrower than ``_STACK_WIDTH`` columns (only
+n > 1024 has them) are set side by side in stacks of at most ``STACK_CELLS``
+cells, so that one departure recursion, whose numpy calls cost about as much
+per packet row at 160 columns as at 32, serves several blocks; the stack is
+then scored in row pieces.  Its values differ from ``simulate_block`` followed
+by ``info_density_sample`` on the same draws only where that path's gaps,
+summed back into epochs, round differently.  A service never reads below 0:
+with m = max(t_k, d_{k-1}), s_k = (m + S_k) - m in floats.
 """
 
 from __future__ import annotations
@@ -70,8 +66,7 @@ import numpy as np
 
 from .errors import StructuralError
 from .queueing import (BLOCK_CELLS, ServiceKind, ServiceModel, _as_times, _check_count,
-                       _check_rate, _checked_departures, _departure_gaps, _running_sum,
-                       trial_blocks)
+                       _check_rate, _checked_departures, _running_sum, trial_blocks)
 
 __all__ = ["SCAN_TILE", "STACK_CELLS", "conditional_log_density_batch", "scan_threads",
            "reduce_tiles", "poisson_log_density", "info_density_sample", "sample_info_densities"]
@@ -136,23 +131,19 @@ def conditional_log_density_batch(arrival_epochs: np.ndarray, departures: np.nda
 
 
 def _column_scores(ta: np.ndarray, d: np.ndarray, model: ServiceModel, work: np.ndarray,
-                   before=0.0, carry: np.ndarray | None = None) -> np.ndarray:
+                   before=0.0) -> np.ndarray:
     """The core of ``conditional_log_density_batch``: log p(D_c | A_c) of every
     column c of the ``(n, C)`` epochs ``ta`` against its own column of the
     cumulative departures ``d``.  The s_k are formed in ``work``, which may
     be ``ta`` itself.  Nothing is checked.
 
-    A block of at least two columns may be scored in row pieces: ``before``
-    is the departure epoch before the piece, and ``carry`` the sum of the
-    rows above it, which the piece's sum goes on from (module docstring).
+    A block may be scored in row pieces, whose sums the caller adds:
+    ``before`` is the departure epoch before the piece.
     """
     np.maximum(ta[0], before, out=work[0])
     np.maximum(ta[1:], d[:-1], out=work[1:])
     np.subtract(d, work, out=work)
-    density = model.log_density(work)
-    if carry is not None:
-        np.add(carry, density[0], out=density[0])
-    return density.sum(axis=0)
+    return model.log_density(work).sum(axis=0)
 
 
 def _scan_unit(ta: np.ndarray, d, model: ServiceModel, work: np.ndarray) -> np.ndarray:
@@ -316,8 +307,13 @@ def poisson_log_density(gaps, rate: float):
     A float for (n,) gaps, a (T,) array for packet-major (n, T) gaps.
     """
     _check_rate("rate", rate)
-    x = np.asarray(gaps, dtype=np.float64)
-    return x.shape[0] * math.log(rate) - rate * x.sum(axis=0)
+    x = _as_times(gaps, "gaps", ndims=(1, 2))
+    return _poisson_log_density(x.shape[0], x.sum(axis=0), rate)
+
+
+def _poisson_log_density(n: int, total, rate: float):
+    """``poisson_log_density`` of n gaps that sum to ``total``, unchecked."""
+    return n * math.log(rate) - rate * total
 
 
 def info_density_sample(arrivals, departures, model: ServiceModel, reference_rate: float):
@@ -334,10 +330,12 @@ def info_density_sample(arrivals, departures, model: ServiceModel, reference_rat
     if a.shape != gaps.shape:
         raise StructuralError(f"need (n,) or (n, T) gaps of one shape, "
                               f"got {a.shape} and {gaps.shape}")
+    _check_rate("reference_rate", reference_rate)
     n = a.shape[0]
     cond = conditional_log_density_batch(_running_sum(a.reshape(n, -1)), gaps.reshape(n, -1),
                                          model)
-    density = (cond - poisson_log_density(gaps, reference_rate)) / n  # -inf where cond is
+    q = _poisson_log_density(n, gaps.sum(axis=0), reference_rate)
+    density = (cond - q) / n  # -inf where cond is
     return float(density[0]) if a.ndim == 1 else density
 
 
@@ -347,8 +345,11 @@ def _trial_stacks(n: int, trials: int):
 
     Blocks from 2 to ``_STACK_WIDTH - 1`` columns wide join a stack while it
     holds at most ``STACK_CELLS`` cells; any other block is a stack of its
-    own.  Only n > 1024 gives such blocks.  A one-column block sums its gaps
-    pairwise, which it would not do beside other columns.
+    own.  Only n > 1024 gives such blocks.  One-column blocks run the
+    recursion's scalar loop alone, which is faster than the vector loop over
+    the eight of them a stack holds at n=40000: 10 trials there took 148-156
+    ms of CPU time stacked against 84-127 ms alone (best of 20, on a shared
+    2-CPU host).
     """
     stack = []
     for block in trial_blocks(n, trials):
@@ -367,31 +368,21 @@ def _trial_stacks(n: int, trials: int):
 def _stack_densities(t: np.ndarray, d: np.ndarray, model: ServiceModel,
                      rate: float) -> np.ndarray:
     """The per-packet information densities of the columns of a stack, from
-    its arrival epochs t and departure epochs d, which both become work
-    space.
+    its arrival epochs t, which become work space, and the departure epochs
+    d that the recursion wrote.
 
-    The stack is taken in row pieces of at most ``_PIECE_CELLS`` cells; a
-    one-column stack, whose sums down axis 0 are pairwise, in one piece.
-    Each piece's departures are differenced into gaps, re-summed into d and
-    scored with the epochs, and its sums go on from the rows above it (module
-    docstring).  So the last piece's gaps sum to the sum of all the gaps,
-    which gives q(D) by ``poisson_log_density``'s formula.
+    The stack is scored in row pieces of at most ``_PIECE_CELLS`` cells, each
+    against the epoch before it, and the pieces' sums are added.  q(D) comes
+    from the last departure epochs, d_n, the sum of all the gaps.
     """
     n, width = t.shape
-    rows = n if width == 1 else max(1, _PIECE_CELLS // width)
-    gaps_cells = np.empty(min(n, rows) * width)
-    last = np.zeros(width)  # the recursion's epoch before the piece
-    scores = None
+    rows = max(1, _PIECE_CELLS // width)
+    scores = np.zeros(width)
     for k in range(0, n, rows):
-        piece = slice(k, min(k + rows, n))
-        gaps = _departure_gaps(d[piece], last, out=gaps_cells[:d[piece].size].reshape(-1, width))
-        np.copyto(last, d[piece.stop - 1])
-        above = d[k - 1] if k else None  # the re-summed epoch before the piece
-        _running_sum(gaps, out=d[piece], carry=above)
-        scores = _column_scores(t[piece], d[piece], model, t[piece],
-                                before=0.0 if above is None else above, carry=scores)
-    q = n * math.log(rate) - rate * gaps.sum(axis=0)
-    return (scores - q) / n
+        piece = slice(k, k + rows)
+        scores += _column_scores(t[piece], d[piece], model, t[piece],
+                                 before=d[k - 1] if k else 0.0)
+    return (scores - _poisson_log_density(n, d[-1], rate)) / n
 
 
 def sample_info_densities(n: int, arrival_rate: float, model: ServiceModel, trials: int,
@@ -403,18 +394,18 @@ def sample_info_densities(n: int, arrival_rate: float, model: ServiceModel, tria
     (trials,)-array of per-packet values, -inf for infeasible trials.
 
     Trials run in the blocks of ``queueing.trial_blocks``.  Each block draws
-    its packet-major (n, T) arrival gaps, then its (n, T) service times, and
-    its values are ``info_density_sample`` of the arrival gaps and
-    ``simulate_block``'s departure gaps, bit for bit (module docstring).
-    Blocks run in the stacks of ``_trial_stacks``: narrow blocks side by
-    side, any other block alone.  Each block draws into its own columns of
-    the stack's two (n, W) arrays, in row pieces of at most ``_PIECE_CELLS``
-    cells, which consume the stream as one (n, T) draw does; the arrival
-    pieces are summed into epochs as they land.  One departure recursion
-    runs over the whole stack, in place over the services, and
-    ``_stack_densities`` scores the stack in row pieces.  So a stack holds
-    two (n, W) arrays of at most ``STACK_CELLS`` cells (a block's, if it is
-    alone), one piece of gaps and the log density's temporaries of a piece.
+    its packet-major (n, T) arrival gaps, then its (n, T) service times, as
+    ``simulate_block`` does, and its values score the departure epochs of
+    the recursion (module docstring).  Blocks run in the stacks of
+    ``_trial_stacks``: narrow blocks side by side, any other block alone.
+    Each block draws into its own columns of the stack's two (n, W) arrays,
+    in row pieces of at most ``_PIECE_CELLS`` cells, which consume the
+    stream as one (n, T) draw does; the arrival pieces are summed into
+    epochs as they land.  One departure recursion runs over the whole stack,
+    in place over the services, and ``_stack_densities`` scores the stack in
+    row pieces.  So a stack holds two (n, W) arrays of at most
+    ``STACK_CELLS`` cells (a block's, if it is alone) and the log density's
+    temporaries of a piece.
     """
     n = _check_count("n", n, 1)
     _check_rate("arrival_rate", arrival_rate)

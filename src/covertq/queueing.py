@@ -25,14 +25,13 @@ caller draws itself, as ``laws.sample_info_densities`` does, need no check.
 Every running sum down axis 0 in the package, of gaps into epochs, goes
 through ``_running_sum``: ``np.cumsum``'s additions in its order, so its
 bits, taken one row at a time when a block has at least as many columns as
-rows.  Two sums that look interchangeable are not.  The running sum of the
-differenced departure epochs is not the epochs: an epoch that ends an idle
-period is an arrival epoch plus a service time, not the epoch before it
-plus a float, so re-adding its gap can round differently, and the running
-sum carries the difference on (332 of 32,000 cells in one draw at n=16,
-T=2000).  And ``ndarray.sum`` down axis 0 of an ``(n, 1)`` block adds
-pairwise, so the sum of its gaps can differ from their running sum's last
-row (12 of 300 blocks at n=2000).
+rows.  The running sum of the differenced departure epochs is not the
+epochs: an epoch that ends an idle period is an arrival epoch plus a service
+time, not the epoch before it plus a float, so re-adding its gap can round
+differently, and the running sum carries the difference on (332 of 32,000
+cells in one draw at n=16, T=2000).  So a scorer that has the recursion's
+epochs, as ``laws.sample_info_densities`` does, scores them, not the sums of
+their gaps.
 
 The recursion is kept in its sequential form on purpose: reassociating the
 arithmetic (e.g. a prefix-max formulation) changes last-ulp rounding, and
@@ -341,14 +340,12 @@ def _checked_departures(t: np.ndarray, services: np.ndarray) -> np.ndarray:
     return d
 
 
-def _departure_gaps(d: np.ndarray, before=0.0, out: np.ndarray | None = None) -> np.ndarray:
-    """Inter-departure gaps of the departure epochs d, the first from the
-    epoch ``before`` them, into ``out``: a new array by default.
-    ``np.diff(d, axis=0, prepend=before)`` without its concatenated copy.
+def _departure_gaps(d: np.ndarray) -> np.ndarray:
+    """Inter-departure gaps of the departure epochs d, the first from d_0 = 0:
+    ``np.diff(d, axis=0, prepend=0.0)`` without its concatenated copy.
     """
-    if out is None:
-        out = np.empty_like(d)
-    np.subtract(d[:1], before, out=out[:1])
+    out = np.empty_like(d)
+    out[:1] = d[:1]
     np.subtract(d[1:], d[:-1], out=out[1:])
     return out
 

@@ -7,12 +7,17 @@ The receiver's queue serves Exp(mu1); the adversary's serves a law P_W of mean
 1/mu2, with D = D(P_W || Exp(mu2)) (0 for Exp(mu2)).  A codebook at message,
 dummy and key rates R, R_0, R_K must be decodable, R + R_0 <= lam ln(mu1/lam),
 and resolvable (soft covering), R + R_0 + R_K >= lam (ln(mu2/lam) + D).  With
-R_0 >= 0 eliminated, R is achievable with key rate R_K iff
+R_0 >= 0 eliminated, both hold for some R_0 iff
 
     0 <= R < lam * ln(mu1/lam)
     R_K  >  max(0, lam * (ln(mu2/mu1) + D)),
 
-one key threshold for every law, which does not depend on R.
+one key threshold for every law, which does not depend on R.  For an Erlang
+or uniform warden the threshold is a key rate sufficient for this scheme, and
+no one has shown that it is the least: ln(mu2/lam) + D = h(Exp(lam)) - h(P_W)
+bounds the per-packet I(A;D) of the warden's queue under Poisson input from
+above, with equality only when its output is Poisson, as for an exponential
+server.
 
 Strictness convention: the strict ">" applies to positive thresholds; a zero
 threshold admits equality (R_K = 0 is allowed when no key is needed).
@@ -110,16 +115,18 @@ def covert_capacity(arrival_rate: float, mu1: float) -> float:
 
 
 def min_key_rate(arrival_rate: float, spec: RegionSpec) -> float:
-    """Least key rate for covertness at any message rate: max(0, lam * (ln(mu2/mu1) + D))."""
+    """Key rate above which this scheme is covert at any message rate:
+    max(0, lam * (ln(mu2/mu1) + D)).  For an Erlang or uniform warden it is
+    sufficient, not shown to be the least (module docstring)."""
     _check_rate("arrival_rate", arrival_rate)
     if arrival_rate >= min(spec.mu1, spec.mu2):
         raise InstabilityError(
             f"arrival rate {arrival_rate} >= min service rate {min(spec.mu1, spec.mu2)}"
         )
-    return _least_key_rate(arrival_rate, spec)
+    return _key_threshold(arrival_rate, spec)
 
 
-def _least_key_rate(arrival_rate: float, spec: RegionSpec) -> float:
+def _key_threshold(arrival_rate: float, spec: RegionSpec) -> float:
     """The key threshold of ``min_key_rate``, without its stability check."""
     return max(0.0, arrival_rate * (log_ratio(spec.mu2, spec.mu1) + spec.willie_divergence()))
 
@@ -185,7 +192,7 @@ def in_region(point: RatePoint, spec: RegionSpec) -> bool:
         return False
     if point.message_rate >= covert_capacity(lam, spec.mu1):
         return False
-    threshold = _least_key_rate(lam, spec)
+    threshold = _key_threshold(lam, spec)
     return threshold == 0.0 or point.key_rate > threshold
 
 

@@ -20,8 +20,8 @@ from check nothing.
 each observation's row of per-tile log-sum-exp partials;
 ``willie_llr`` is its one-observation call, and ``run_detection_trials``
 sends and simulates its trials block by block and scores each with one call.
-The observations' gaps are checked once per ``willie_llr_block`` call, and
-the rate and trial count once per ``run_detection_trials`` call.
+The observations' gaps and the rate are checked once per ``willie_llr_block``
+call, and the rate and trial count once per ``run_detection_trials`` call.
 
 No operation here takes a key argument; the observer never has one.
 """
@@ -34,7 +34,7 @@ import numpy as np
 
 from .codec import Codebook
 from .errors import ParameterError, StructuralError
-from .laws import poisson_log_density, reduce_tiles
+from .laws import _poisson_log_density, reduce_tiles
 from .queueing import (ServiceModel, _as_times, _check_count, _check_rate, simulate_block,
                        trial_blocks)
 
@@ -94,6 +94,7 @@ def willie_llr_block(
     obs = _as_times(observations, "observations", ndims=(2,))
     if obs.shape[0] != book.n:
         raise StructuralError(f"need (n={book.n}, T) observations, got {obs.shape}")
+    _check_rate("arrival_rate", arrival_rate)
     count = book.arrival_epochs.shape[1]
     tops, totals = reduce_tiles(book.arrival_epochs, obs, model, _exp_partial,
                                 (np.float64, np.float64))
@@ -102,8 +103,8 @@ def willie_llr_block(
                 for top, total in zip(tops, totals)]
     # q(D) summed down the columns of an observation-major copy: the same
     # additions, in the same order, as the (n,) sum of each column alone
-    return np.array(mixtures) - poisson_log_density(np.ascontiguousarray(obs.T).T,
-                                                    arrival_rate)
+    return np.array(mixtures) - _poisson_log_density(
+        book.n, np.ascontiguousarray(obs.T).T.sum(axis=0), arrival_rate)
 
 
 def willie_llr(

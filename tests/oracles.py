@@ -117,6 +117,21 @@ def conditional_log_density(arrival_gaps, departure_gaps, log_density):
     return float(log_density(services).sum())
 
 
+def epoch_log_density(arrival_gaps, departure_epochs, log_density, rate):
+    """log p(D | A) and log q(D) of one block, scored on its departure epochs.
+
+    p is the sum of ``log_density`` (an elementwise array function) at the
+    services s_k = d_k - max(t_k, d_{k-1}), with d_0 = 0, formed from the
+    epochs themselves rather than from sums of their gaps; q is the Exp(rate)
+    product density of the gaps, n ln(rate) - rate * d_n.
+    """
+    t = np.cumsum(np.asarray(arrival_gaps, dtype=np.float64))
+    d = np.asarray(departure_epochs, dtype=np.float64)
+    dprev = np.concatenate([[0.0], d[:-1]])
+    cond = float(log_density(d - np.maximum(t, dprev)).sum())
+    return cond, len(d) * math.log(rate) - rate * float(d[-1])
+
+
 def scan_scores_exponential(arrival_epochs, departure_gaps, rate):
     """Exp(rate) log p(D | A_c) for every column c of (n, C) arrival epochs.
 

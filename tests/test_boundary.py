@@ -18,7 +18,7 @@ from covertq.codec import (decode, decode_block, generate_codebook, mm1_log_outp
                            random_coding_error_bounds)
 from covertq.errors import ConfigError, ParameterError, StructuralError
 from covertq.harness import ExperimentConfig
-from covertq.laws import info_density_sample, sample_info_densities
+from covertq.laws import info_density_sample, poisson_log_density, sample_info_densities
 from covertq.queueing import ServiceModel, poisson_arrivals, simulate_block
 from covertq.rates import RatePoint, RegionSpec
 from covertq.warden import run_detection_trials, willie_llr, willie_llr_block
@@ -48,6 +48,7 @@ GAP_ENTRIES = {
                                                            EXP, 0.5),
     "info_density_sample arrivals": lambda bad: info_density_sample(block(bad)[:, 1],
                                                                     np.full(4, 0.7), EXP, 0.5),
+    "poisson_log_density": lambda bad: poisson_log_density(block(bad), 0.5),
 }
 
 

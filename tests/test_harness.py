@@ -291,7 +291,7 @@ class TestSweeps:
 
         count("_as_times", queueing, codec, laws, warden)
         count("column", codec.Codebook)
-        count("poisson_log_density", laws, warden)
+        count("_poisson_log_density", laws, warden)
         counts = []
         for trials in (3, 90):  # one block each
             calls.clear()

@@ -21,7 +21,6 @@ from covertq.queueing import (
     ServiceModel,
     departure_epochs,
     poisson_arrivals,
-    simulate_block,
     simulate_channel,
     trial_blocks,
 )
@@ -225,9 +224,10 @@ class TestInfoDensity:
             sample_info_densities(10, 0.5, EXP1, 0, np.random.default_rng(0))
 
 
-# service laws at unit scale, and at a 1e12 rate, where the services sit a
-# few ulps of the epochs above zero: the reconstructed uniform services then
-# leave the support in some blocks, which score -inf
+# service laws at unit scale, and at a 1e12 rate, where a service is a few
+# ulps of the epochs: the uniform services formed from the epochs,
+# d_k - max(t_k, d_{k-1}), then leave the support in some trials, which score
+# -inf
 LAWS = {
     "exponential": ServiceModel.exponential(1.0),
     "erlang": ServiceModel.erlang(1.0, shape=3),
@@ -238,7 +238,8 @@ LAWS = {
 
 
 def per_trial_densities(n, rate, model, trials, seed):
-    """The batched draws replayed trial by trial through the 1-d path.
+    """The batched draws replayed trial by trial: each trial's departure
+    epochs from the 1-d ``departure_epochs``, scored by the epoch oracle.
 
     Each block draws its (n, T) arrival gaps, then its (n, T) services, both
     in C order.  Returns the per-trial values and the magnitude of the two
@@ -251,11 +252,10 @@ def per_trial_densities(n, rate, model, trials, seed):
         gaps = poisson_arrivals(rate, n * width, rng).reshape(n, width)
         services = model.sample(rng, n * width).reshape(n, width)
         for j in range(width):
-            arrivals = gaps[:, j]
-            dep = departure_gaps(arrivals, services[:, j])
-            values.append(info_density_sample(arrivals, dep, model, rate))
-            cond = oracle_log_density(arrivals, dep, model)
-            scales.append((abs(cond) + abs(poisson_log_density(dep, rate))) / n)
+            epochs = departure_epochs(gaps[:, j], services[:, j])[0]
+            cond, q = oracles.epoch_log_density(gaps[:, j], epochs, model.log_density, rate)
+            values.append((cond - q) / n)
+            scales.append((abs(cond) + abs(q)) / n)
     return np.array(values), np.array(scales)
 
 
@@ -296,19 +296,6 @@ class TestBatchedInfoDensity:
             sample_info_densities(10, 0.0, EXP1, 10, np.random.default_rng(0))
 
 
-def public_block_densities(n, rate, model, trials, seed):
-    """The sampler's draws replayed through the public block calls: per block
-    its (n, T) arrival gaps, then ``simulate_block``'s services and gaps,
-    scored by one ``info_density_sample`` call."""
-    rng = np.random.default_rng(seed)
-    values = []
-    for block in trial_blocks(n, trials):
-        arrivals = rng.exponential(1.0 / rate, size=(n, block.stop - block.start))
-        values.append(info_density_sample(arrivals, simulate_block(arrivals, model, rng),
-                                          model, rate))
-    return np.concatenate(values)
-
-
 # shapes that reach every branch of the sampler's stacking rule
 @pytest.mark.parametrize("n, trials, stacks", [
     (40000, 3, [[1], [1], [1]]),  # one-column blocks, never stacked
@@ -331,15 +318,28 @@ def test_trial_stacks(n, trials, stacks):
     (40000, 3), (2000, 33), (2000, 300), (2000, 129), (1025, 200), (1024, 200), (10000, 40),
     (16, 2000),
 ])
-def test_sampler_is_the_public_block_path_bit_for_bit(law, n, trials):
-    got = sample_info_densities(n, 0.5, LAWS[law], trials, np.random.default_rng(31))
-    assert np.array_equal(got, public_block_densities(n, 0.5, LAWS[law], trials, 31))
+def test_sampler_matches_the_epoch_oracle(law, n, trials):
+    assert_matches_per_trial(n, 0.5, LAWS[law], trials, 31)
+
+
+# scored on the recursion's epochs, a service is fl(fl(m + S_k) - m) with
+# m = max(t_k, d_{k-1}), never below 0, so a law on [0, inf) scores no sampled
+# trial -inf.  An Erlang density is also 0 at s = 0, which a 1e12-rate service
+# below half an ulp of epochs near 4000 rounds to, so Erlang runs at n=16 only
+@pytest.mark.parametrize("model, n, trials", [
+    (ServiceModel.exponential(1e12), 16, 2000),
+    (ServiceModel.exponential(1e12), 2000, 300),
+    (ServiceModel.erlang(1e12, shape=3), 16, 2000),
+])
+def test_services_on_the_half_line_score_no_trial_infeasible(model, n, trials):
+    got = sample_info_densities(n, 0.5, model, trials, np.random.default_rng(31))
+    assert np.isfinite(got).all()
 
 
 @pytest.mark.parametrize("n, trials", [(2000, 300), (16, 2000), (2000, 3000)])
 def test_sampler_holds_two_stack_arrays_and_four_block_arrays(n, trials):
-    # a stack's two (n, W) arrays, and a row piece's gaps and log density
-    # temporaries; the peak does not grow with the trial count
+    # a stack's two (n, W) arrays, and a row piece's log density temporaries;
+    # the peak does not grow with the trial count
     cells = 2 * min(n * trials, STACK_CELLS) + 4 * min(n * trials, BLOCK_CELLS)
     tracemalloc.start()
     try:
