@@ -43,17 +43,14 @@ call of ``poisson_log_density``, ``info_density_sample`` and
 ``reduce_tiles`` check shapes only, once per call.  Their running sums of
 departure gaps go through ``queueing._running_sum``, like every other.
 
-``sample_info_densities`` checks no gap it draws.  It runs the blocks of trials
-of ``queueing.trial_blocks`` through ``queueing``'s departure recursion and
-``_column_scores``, which scores the recursion's own epochs, with q(D) =
-n ln(rate) - rate * d_n.  Blocks narrower than ``_STACK_WIDTH`` columns (only
-n > 1024 has them) are set side by side in stacks of at most ``STACK_CELLS``
-cells, so that one departure recursion, whose numpy calls cost about as much
-per packet row at 160 columns as at 32, serves several blocks; the stack is
-then scored in row pieces.  Its values differ from ``simulate_block`` followed
-by ``info_density_sample`` on the same draws only where that path's gaps,
-summed back into epochs, round differently.  A service never reads below 0:
-with m = max(t_k, d_{k-1}), s_k = (m + S_k) - m in floats.
+``sample_info_densities`` checks no gap it draws.  It walks each block of
+trials down its packets in row pieces through ``queueing``'s departure
+recursion and ``_column_scores``, which scores the recursion's own epochs,
+with q(D) = n ln(rate) - rate * d_n.  Its values differ from
+``simulate_block`` followed by ``info_density_sample`` on the same draws only
+where that path's gaps, summed back into epochs, round differently.  A service
+never reads below 0: with m = max(t_k, d_{k-1}), s_k = (m + S_k) - m in
+floats.
 """
 
 from __future__ import annotations
@@ -66,10 +63,10 @@ import numpy as np
 
 from .errors import StructuralError
 from .queueing import (BLOCK_CELLS, ServiceKind, ServiceModel, _as_times, _check_count,
-                       _check_rate, _checked_departures, _running_sum, trial_blocks)
+                       _check_rate, _checked_departures, _running_sum)
 
-__all__ = ["SCAN_TILE", "STACK_CELLS", "conditional_log_density_batch", "scan_threads",
-           "reduce_tiles", "poisson_log_density", "info_density_sample", "sample_info_densities"]
+__all__ = ["SCAN_TILE", "conditional_log_density_batch", "scan_threads", "reduce_tiles",
+           "poisson_log_density", "info_density_sample", "sample_info_densities"]
 
 # Columns per tile of a codebook scan, and scores per unit of work.  At n=4 a
 # unit's three work arrays (512 KiB each) stay in a 2 MiB L2 cache while its
@@ -79,22 +76,11 @@ SCAN_TILE = 1 << 16
 # The narrowest rows of a grouped unit that run with a one-row ufunc buffer:
 # 64-column units ran 20% slower with it on one thread.
 _ROW_BUFFER_MIN = 256
-# Most cells in one stack of narrow trial blocks: five blocks.  A departure
-# recursion row cost 1.3 us at 32 columns and 1.5 us at 160, so at n=2000 one
-# stack of five 32-column blocks does the work of five recursions.  300 trials
-# there took 46 ms one block at a time, 30 ms in stacks of four blocks, 27 ms
-# in stacks of five and 25 ms in one stack.  But a stack holds two (n, W)
-# arrays: the process peak of 300-trial runs at n=2000 rose 4%, 7% and 17%,
-# against a 10% bound on the benchmark's peak memory.
-STACK_CELLS = 5 * BLOCK_CELLS
-# Blocks narrower than this many columns join stacks: only n > 1024 has
-# them.  Wider blocks already spread the recursion's per-row calls over many
-# columns; stacked, 327-column blocks (n=200) ran level and 4096-column blocks
-# (n=16) at 0.72x.
-_STACK_WIDTH = 64
-# Most cells in one row piece of a stack's draws or of its scoring, which
-# keeps a piece's temporaries in cache and out of peak memory: at n=2000 the
-# sampler's time was level from 2^13 to 2^16 cells.
+# Most cells in one row piece of the sampler's draws and scoring, and most
+# trials in one of its blocks, which keeps a piece's temporaries in cache and
+# out of peak memory: at n=2000 (300 trials), n=1000 (2000) and n=16
+# (100000) the sampler ran within 5% of its best at 2^14 cells, up to 27%
+# slower at 2^13 and 22-39% slower at 2^16 (best of 5, one shared 2-CPU host).
 _PIECE_CELLS = BLOCK_CELLS // 4
 
 
@@ -138,7 +124,7 @@ def _column_scores(ta: np.ndarray, d: np.ndarray, model: ServiceModel, work: np.
     be ``ta`` itself.  Nothing is checked.
 
     A block may be scored in row pieces, whose sums the caller adds:
-    ``before`` is the departure epoch before the piece.
+    ``before`` is the departure epoch, or row of epochs, before the piece.
     """
     np.maximum(ta[0], before, out=work[0])
     np.maximum(ta[1:], d[:-1], out=work[1:])
@@ -324,6 +310,13 @@ def info_density_sample(arrivals, departures, model: ServiceModel, reference_rat
     arrival and departure gaps share one shape: (n,) for one block, which
     gives a float, or packet-major (n, T) for T blocks, which gives a (T,)
     array.  Each block is one column of the kernel.
+
+    The scores sum the departure gaps back into epochs, and a gap that ends
+    an idle period can round differently from the epoch it came from.  Where
+    a service is a few ulps of the epochs (rates near 1e12 at a unit arrival
+    scale), a service so formed can read a few ulps below 0, and a block the
+    queue did produce then scores -inf.  ``sample_info_densities`` scores the
+    recursion's own epochs and never does this.
     """
     a = _as_times(arrivals, "arrival gaps", ndims=(1, 2))
     gaps = _as_times(departures, "departures", ndims=(1, 2))
@@ -339,52 +332,6 @@ def info_density_sample(arrivals, departures, model: ServiceModel, reference_rat
     return float(density[0]) if a.ndim == 1 else density
 
 
-def _trial_stacks(n: int, trials: int):
-    """Runs of consecutive ``trial_blocks`` that ``sample_info_densities``
-    sets side by side as one ``(n, W)`` stack, as lists of block slices.
-
-    Blocks from 2 to ``_STACK_WIDTH - 1`` columns wide join a stack while it
-    holds at most ``STACK_CELLS`` cells; any other block is a stack of its
-    own.  Only n > 1024 gives such blocks.  One-column blocks run the
-    recursion's scalar loop alone, which is faster than the vector loop over
-    the eight of them a stack holds at n=40000: 10 trials there took 148-156
-    ms of CPU time stacked against 84-127 ms alone (best of 20, on a shared
-    2-CPU host).
-    """
-    stack = []
-    for block in trial_blocks(n, trials):
-        alone = not 1 < block.stop - block.start < _STACK_WIDTH
-        if stack and (alone or n * (block.stop - stack[0].start) > STACK_CELLS):
-            yield stack
-            stack = []
-        stack.append(block)
-        if alone:
-            yield stack
-            stack = []
-    if stack:
-        yield stack
-
-
-def _stack_densities(t: np.ndarray, d: np.ndarray, model: ServiceModel,
-                     rate: float) -> np.ndarray:
-    """The per-packet information densities of the columns of a stack, from
-    its arrival epochs t, which become work space, and the departure epochs
-    d that the recursion wrote.
-
-    The stack is scored in row pieces of at most ``_PIECE_CELLS`` cells, each
-    against the epoch before it, and the pieces' sums are added.  q(D) comes
-    from the last departure epochs, d_n, the sum of all the gaps.
-    """
-    n, width = t.shape
-    rows = max(1, _PIECE_CELLS // width)
-    scores = np.zeros(width)
-    for k in range(0, n, rows):
-        piece = slice(k, k + rows)
-        scores += _column_scores(t[piece], d[piece], model, t[piece],
-                                 before=d[k - 1] if k else 0.0)
-    return (scores - _poisson_log_density(n, d[-1], rate)) / n
-
-
 def sample_info_densities(n: int, arrival_rate: float, model: ServiceModel, trials: int,
                           rng: np.random.Generator) -> np.ndarray:
     """Monte Carlo draws of the per-packet information density.
@@ -393,45 +340,37 @@ def sample_info_densities(n: int, arrival_rate: float, model: ServiceModel, tria
     scores it against the Exp(arrival_rate) reference.  Returns the
     (trials,)-array of per-packet values, -inf for infeasible trials.
 
-    Trials run in the blocks of ``queueing.trial_blocks``.  Each block draws
-    its packet-major (n, T) arrival gaps, then its (n, T) service times, as
-    ``simulate_block`` does, and its values score the departure epochs of
-    the recursion (module docstring).  Blocks run in the stacks of
-    ``_trial_stacks``: narrow blocks side by side, any other block alone.
-    Each block draws into its own columns of the stack's two (n, W) arrays,
-    in row pieces of at most ``_PIECE_CELLS`` cells, which consume the
-    stream as one (n, T) draw does; the arrival pieces are summed into
-    epochs as they land.  One departure recursion runs over the whole stack,
-    in place over the services, and ``_stack_densities`` scores the stack in
-    row pieces.  So a stack holds two (n, W) arrays of at most
-    ``STACK_CELLS`` cells (a block's, if it is alone) and the log density's
-    temporaries of a piece.
+    Trials run in blocks of min(trials, ``_PIECE_CELLS``) columns, and each
+    block walks down its packets in row pieces of ``_PIECE_CELLS // cols``
+    rows, for a block ``cols`` wide.  A piece draws its packet-major arrival
+    gaps, then its services, both in C order; sums the gaps into epochs on
+    from the block's last arrival row; runs the departure recursion on from
+    its last departure row, in place over the services; and adds its
+    ``_column_scores`` of those epochs to the block's sums (module
+    docstring).  So the sampler holds one piece's arrays and temporaries,
+    whatever n is, and carries two rows from piece to piece.
     """
     n = _check_count("n", n, 1)
     _check_rate("arrival_rate", arrival_rate)
     trials = _check_count("trials", trials, 1)
     scale = 1.0 / arrival_rate
-    stacks = list(_trial_stacks(n, trials))
-    cells = n * max(stack[-1].stop - stack[0].start for stack in stacks)
-    # every stack reuses the same two arrays: the arrival epochs, and the
-    # services that the recursion turns into departure epochs
-    t_cells, d_cells = np.empty(cells), np.empty(cells)
     out = np.empty(trials)
-    for stack in stacks:
-        first = stack[0].start
-        t = t_cells[:n * (stack[-1].stop - first)].reshape(n, -1)
-        d = d_cells[:t.size].reshape(t.shape)
+    for first in range(0, trials, _PIECE_CELLS):
+        cols = min(trials - first, _PIECE_CELLS)
+        rows = _PIECE_CELLS // cols
+        # the rows before the first piece: d_0 = 0, and t_0 = 0, whose carry
+        # adds nothing
+        t_last, d_last = np.zeros(cols), np.zeros(cols)
+        scores = np.zeros(cols)
         with np.errstate(over="ignore"):  # an overflow is refused by _checked_departures
-            for block in stack:
-                cols = slice(block.start - first, block.stop - first)
-                rows = max(1, _PIECE_CELLS // (block.stop - block.start))
-                for k in range(0, n, rows):
-                    piece = t[k:k + rows, cols]
-                    _running_sum(rng.exponential(scale, size=piece.shape), out=piece,
-                                 carry=t[k - 1, cols] if k else None)
-                for k in range(0, n, rows):
-                    piece = d[k:k + rows, cols]
-                    piece[...] = model.sample(rng, piece.shape)
-            _checked_departures(t, d)
-        out[first:stack[-1].stop] = _stack_densities(t, d, model, arrival_rate)
+            for k in range(0, n, rows):
+                shape = (min(rows, n - k), cols)
+                t = rng.exponential(scale, size=shape)
+                s = model.sample(rng, shape)
+                _running_sum(t, out=t, carry=t_last)
+                d = _checked_departures(t, s, prev=d_last, packets=n)
+                t_last = t[-1].copy()  # _column_scores forms the s_k over t
+                scores += _column_scores(t, d, model, t, before=d_last)
+                d_last = d[-1]
+        out[first:first + cols] = (scores - _poisson_log_density(n, d_last, arrival_rate)) / n
     return out

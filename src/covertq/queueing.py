@@ -54,9 +54,9 @@ The scalar loop stays for single blocks, and for blocks narrower than
 overhead on every packet, about ten times the cost of a scalar step when the
 block is one column wide.  Batched callers cover their trials in blocks of at
 most ``BLOCK_CELLS`` packets (``trial_blocks``), which bounds their memory;
-``laws.sample_info_densities`` sets blocks narrower than 64 columns side by
-side in stacks of at most ``laws.STACK_CELLS`` packets, so that one call of
-the recursion serves several of them, and its memory is bounded by that.
+``laws.sample_info_densities`` runs the recursion down each block in row
+pieces, each started from the last row of epochs of the piece before, so
+that its memory is one piece's whatever the block length.
 """
 
 from __future__ import annotations
@@ -81,10 +81,12 @@ __all__ = [
     "simulate_block",
 ]
 
-# Most packets (block length x trials) one batched block holds.  2^16 cells
-# keep a block's few (n, T) float arrays near 0.5 MB each, so peak memory does
-# not grow with the trial count, while T stays wide enough to amortise the
-# per-packet numpy calls for every n up to a few thousand.
+# Most packets (block length x trials) one batched block holds: a block of
+# ``trial_blocks`` in the decode and detection sweeps, or a chunk of
+# ``codec.generate_codebook``'s draws.  2^16 cells keep a block's few (n, T)
+# float arrays near 0.5 MB each, so peak memory does not grow with the trial
+# count, while T stays wide enough to amortise the per-packet numpy calls for
+# every n up to a few thousand.
 BLOCK_CELLS = 1 << 16
 
 
@@ -287,19 +289,23 @@ def _running_sum(x: np.ndarray, out: np.ndarray | None = None,
 _MIN_VECTOR_WIDTH = 8
 
 
-def _scalar_departures(t: np.ndarray, s: np.ndarray) -> list:
-    """Departure epochs of one block from its arrival epochs t and services s."""
+def _scalar_departures(t: np.ndarray, s: np.ndarray, prev: float) -> list:
+    """Departure epochs of one block from its arrival epochs t and services s,
+    after the epoch ``prev``."""
     d = []
-    prev = 0.0
     for tk, sk in zip(t.tolist(), s.tolist()):
         prev = (prev if prev > tk else tk) + sk
         d.append(prev)
     return d
 
 
-def _departures(t: np.ndarray, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _departures(t: np.ndarray, s: np.ndarray, out: np.ndarray | None = None,
+                prev: np.ndarray | None = None) -> np.ndarray:
     """Departure epochs d_k = max(d_{k-1}, t_k) + s_k down axis 0, into
     ``out``: a new array by default, or ``s`` itself for the in-place form.
+    ``prev`` is the row of epochs before the first, d_0 = 0 by default: a
+    block's rows, run in pieces each from the last row of the piece before,
+    give the bits of one call over all of them.
 
     The one departure recursion.  Both loops take the same max-then-add on
     the same operands, so a column of a 2-d call is bit-identical to the 1-d
@@ -307,14 +313,15 @@ def _departures(t: np.ndarray, s: np.ndarray, out: np.ndarray | None = None) -> 
     """
     if out is None:
         out = np.empty_like(t)
+    if prev is None:
+        prev = np.zeros(t.shape[1:])
     if t.ndim == 1:
-        out[:] = _scalar_departures(t, s)
+        out[:] = _scalar_departures(t, s, float(prev))
     elif t.shape[1] < _MIN_VECTOR_WIDTH:
         for j in range(t.shape[1]):
-            out[:, j] = _scalar_departures(t[:, j], s[:, j])
+            out[:, j] = _scalar_departures(t[:, j], s[:, j], float(prev[j]))
     else:  # loop over k, vectorised over the T columns
         top = np.empty(t.shape[1])  # max(d_{k-1}, t_k): s_k may sit in the row written
-        prev = np.zeros(t.shape[1])
         for tk, sk, row in zip(t, s, out):
             np.maximum(prev, tk, out=top)
             np.add(top, sk, out=row)
@@ -322,21 +329,25 @@ def _departures(t: np.ndarray, s: np.ndarray, out: np.ndarray | None = None) -> 
     return out
 
 
-def _checked_departures(t: np.ndarray, services: np.ndarray) -> np.ndarray:
+def _checked_departures(t: np.ndarray, services: np.ndarray, prev: np.ndarray | None = None,
+                        packets: int | None = None) -> np.ndarray:
     """Departure epochs from arrival epochs t and fresh service times, which
-    are overwritten with them.
+    are overwritten with them, after the row of epochs ``prev`` (as in
+    ``_departures``).
 
     A drawn gap or service time, or a running sum of them, can overflow to
     inf when its mean is near the top of the float range, and every later
     epoch of its block with it: the last row of epochs, the largest, is
-    checked, so that no inf - inf makes a NaN gap.  Callers run the sums
-    under ``np.errstate(over="ignore")``, so that an overflow is reported
-    once, by this check.
+    checked, so that no inf - inf makes a NaN gap.  The error names the
+    block's ``packets``, len(t) by default.  Callers run the sums under
+    ``np.errstate(over="ignore")``, so that an overflow is reported once, by
+    this check.
     """
-    d = _departures(t, services, out=services)
+    d = _departures(t, services, out=services, prev=prev)
     if not np.isfinite(d[-1]).all():
-        raise ParameterError(f"departure epochs overflow the float range within {len(d)} "
-                             f"packets: a mean gap or service time is too large")
+        raise ParameterError(f"departure epochs overflow the float range within "
+                             f"{packets or len(d)} packets: a mean gap or service time is "
+                             f"too large")
     return d
 
 

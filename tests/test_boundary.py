@@ -110,8 +110,9 @@ def test_draws_past_the_float_range_are_a_parameter_error():
         warnings.simplefilter("error", RuntimeWarning)  # no inf - inf on the way
         with pytest.raises(ParameterError, match="overflow"):
             sample_info_densities(16, 1e-308, EXP, 20, rng())
-        with pytest.raises(ParameterError, match="overflow"):  # blocks in stacks
-            sample_info_densities(2000, 1e-308, EXP, 300, rng())
+        # an overflow first seen in a later row piece: the error names the block
+        with pytest.raises(ParameterError, match="overflow.* within 4000 packets"):
+            sample_info_densities(4000, 1e-305, EXP, 300, rng())
         with pytest.raises(ParameterError, match="overflow"):
             simulate_block(np.full((4, 3), 0.7), ServiceModel.exponential(1e-308), rng())
         with pytest.raises(ParameterError, match="overflow"):  # one inf draw of three

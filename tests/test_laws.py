@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covertq import laws
 from covertq.errors import ParameterError, StructuralError, UnsupportedLawError
 from covertq.laws import (
-    STACK_CELLS,
-    _trial_stacks,
     conditional_log_density_batch,
     info_density_sample,
     poisson_log_density,
@@ -17,12 +16,10 @@ from covertq.laws import (
     sample_info_densities,
 )
 from covertq.queueing import (
-    BLOCK_CELLS,
     ServiceModel,
     departure_epochs,
     poisson_arrivals,
     simulate_channel,
-    trial_blocks,
 )
 
 import oracles
@@ -238,20 +235,26 @@ LAWS = {
 
 
 def per_trial_densities(n, rate, model, trials, seed):
-    """The batched draws replayed trial by trial: each trial's departure
+    """The sampler's draws replayed trial by trial: each trial's departure
     epochs from the 1-d ``departure_epochs``, scored by the epoch oracle.
 
-    Each block draws its (n, T) arrival gaps, then its (n, T) services, both
-    in C order.  Returns the per-trial values and the magnitude of the two
-    log densities each one is the difference of.
+    Trials run in blocks of min(trials, ``laws._PIECE_CELLS``) columns, and
+    each block in row pieces of ``_PIECE_CELLS // cols`` rows.  Each piece
+    draws its (rows, cols) arrival gaps, then its services, both in C order.
+    Returns the per-trial values and the magnitude of the two log densities
+    each one is the difference of.
     """
     rng = np.random.default_rng(seed)
     values, scales = [], []
-    for block in trial_blocks(n, trials):
-        width = block.stop - block.start
-        gaps = poisson_arrivals(rate, n * width, rng).reshape(n, width)
-        services = model.sample(rng, n * width).reshape(n, width)
-        for j in range(width):
+    for first in range(0, trials, laws._PIECE_CELLS):
+        cols = min(trials - first, laws._PIECE_CELLS)
+        rows = laws._PIECE_CELLS // cols
+        pieces = []
+        for k in range(0, n, rows):
+            size = min(rows, n - k) * cols
+            pieces.append((poisson_arrivals(rate, size, rng), model.sample(rng, size)))
+        gaps, services = (np.concatenate(drawn).reshape(n, cols) for drawn in zip(*pieces))
+        for j in range(cols):
             epochs = departure_epochs(gaps[:, j], services[:, j])[0]
             cond, q = oracles.epoch_log_density(gaps[:, j], epochs, model.log_density, rate)
             values.append((cond - q) / n)
@@ -271,6 +274,8 @@ def assert_matches_per_trial(n, rate, model, trials, seed):
 
 
 class TestBatchedInfoDensity:
+    # at 64 cells a piece, these shapes cross up to 40 pieces; at the module's
+    # 2^14 they would never cross one
     @given(
         n=st.integers(1, 40),
         trials=st.integers(1, 30),
@@ -279,11 +284,15 @@ class TestBatchedInfoDensity:
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_per_trial_path(self, n, trials, law, seed):
-        assert_matches_per_trial(n, 0.5, LAWS[law], trials, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(laws, "_PIECE_CELLS", 64)
+            assert_matches_per_trial(n, 0.5, LAWS[law], trials, seed)
 
-    def test_matches_per_trial_path_across_blocks(self):
-        # n = 3000 packs 21 trials per block: blocks of 21, 21 and 8
-        assert_matches_per_trial(3000, 0.5, EXP1, 50, 29)
+    def test_matches_per_trial_path_across_blocks(self, monkeypatch):
+        # at 64 cells a piece, 130 trials run in blocks of 64, 64 and 2
+        # columns: 300 one-row pieces each, then 10 pieces of 32 rows
+        monkeypatch.setattr(laws, "_PIECE_CELLS", 64)
+        assert_matches_per_trial(300, 0.5, EXP1, 130, 29)
 
     def test_infeasible_trials_match(self):
         infeasible = assert_matches_per_trial(40, 0.5, LAWS["fast-uniform"], 200, 30)
@@ -296,27 +305,13 @@ class TestBatchedInfoDensity:
             sample_info_densities(10, 0.0, EXP1, 10, np.random.default_rng(0))
 
 
-# shapes that reach every branch of the sampler's stacking rule
-@pytest.mark.parametrize("n, trials, stacks", [
-    (40000, 3, [[1], [1], [1]]),  # one-column blocks, never stacked
-    (2000, 33, [[32], [1]]),  # a 32-column block, then a one-column block
-    (2000, 300, [[32] * 5, [32] * 4 + [12]]),  # bound_long's shape: five blocks a stack
-    (2000, 129, [[32] * 4, [1]]),  # a stack, then a one-column block alone
-    (1025, 200, [[63, 63, 63, 11]]),  # 63-column blocks, the widest that stack
-    (1024, 200, [[64], [64], [64], [8]]),  # 64-column blocks stay alone
-    (10000, 40, [[6] * 5, [6, 4]]),  # blocks narrower than the vector loop's least width
-    (16, 2000, [[2000]]),  # one block with more columns than packets
-])
-def test_trial_stacks(n, trials, stacks):
-    got = [[block.stop - block.start for block in stack] for stack in _trial_stacks(n, trials)]
-    assert got == stacks
-    assert all(n * sum(stack) <= STACK_CELLS for stack in got if len(stack) > 1)
-
-
+# shapes that reach every branch of the sampler's layout: one-column blocks
+# (the recursion's scalar loop), blocks narrower than its vector loop's least
+# width, many row pieces, one piece, and a narrow block after a full one
 @pytest.mark.parametrize("law", sorted(LAWS))
 @pytest.mark.parametrize("n, trials", [
     (40000, 3), (2000, 33), (2000, 300), (2000, 129), (1025, 200), (1024, 200), (10000, 40),
-    (16, 2000),
+    (16, 2000), (3, 16390), (3000, 50), (100000, 1),
 ])
 def test_sampler_matches_the_epoch_oracle(law, n, trials):
     assert_matches_per_trial(n, 0.5, LAWS[law], trials, 31)
@@ -336,15 +331,17 @@ def test_services_on_the_half_line_score_no_trial_infeasible(model, n, trials):
     assert np.isfinite(got).all()
 
 
-@pytest.mark.parametrize("n, trials", [(2000, 300), (16, 2000), (2000, 3000)])
-def test_sampler_holds_two_stack_arrays_and_four_block_arrays(n, trials):
-    # a stack's two (n, W) arrays, and a row piece's log density temporaries;
-    # the peak does not grow with the trial count
-    cells = 2 * min(n * trials, STACK_CELLS) + 4 * min(n * trials, BLOCK_CELLS)
+@pytest.mark.parametrize("n, trials", [
+    (2000, 300), (2000, 3000), (16, 2000), (4, 50000), (100000, 1)])
+def test_sampler_peak_is_one_piece_whatever_n(n, trials):
+    # a row piece's arrays and its log density temporaries, and the (trials,)
+    # result and a block's sums; at n=100000 the recursion's scalar loop holds
+    # a piece's rows as Python lists
     tracemalloc.start()
     try:
         sample_info_densities(n, 0.5, EXP1, trials, np.random.default_rng(32))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * cells, peak / (8 * cells)
+    bound = 8 * (16 * laws._PIECE_CELLS + 2 * trials)
+    assert peak <= bound, peak / bound

@@ -16,6 +16,7 @@ from covertq.queueing import (
     simulate_channel,
     trial_blocks,
 )
+from covertq.queueing import _MIN_VECTOR_WIDTH, _departures
 
 from oracles import des_departures
 
@@ -244,6 +245,22 @@ class TestBatchedRecursion:
             d1, u1 = departure_epochs(a[:, j], s[:, j])
             assert np.array_equal(d[:, j], d1) and np.array_equal(u[:, j], u1)
             assert np.array_equal(d[:, j], des_departures(a[:, j], s[:, j])[0])
+
+    # None: one 1-d block; then the scalar loop per column, and the vector loop
+    @pytest.mark.parametrize("width", [None, 1, _MIN_VECTOR_WIDTH - 1, _MIN_VECTOR_WIDTH, 20])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_a_recursion_restarted_from_its_last_row_is_one_recursion(self, width, data):
+        # a block's rows in two calls, the second from the first's last row of
+        # epochs, give the bits of one call over all of them
+        n = data.draw(st.integers(1, 40), label="n")
+        shape = (n,) if width is None else (n, width)
+        a, s = (data.draw(arrays(np.float64, shape, elements=GAPS)) for _ in range(2))
+        k = data.draw(st.integers(1, n), label="rows in the first call")
+        t = np.cumsum(a, axis=0)
+        head = _departures(t[:k], s[:k])
+        tail = _departures(t[k:], s[k:], prev=head[-1])
+        assert np.array_equal(np.concatenate([head, tail]), _departures(t, s))
 
     @given(blocks())
     @settings(max_examples=80, deadline=None)
