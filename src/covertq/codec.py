@@ -17,8 +17,9 @@ density of the observed departures, breaking ties toward the smallest index.
 key share one scan of its key block, in the (observation group x column tile)
 units of ``laws.reduce_tiles``, whose per-tile argmax partials are
 folded over the tile axis; ``decode`` is its one-observation call.
-Sizes, counts and the arrival rate follow ``queueing``'s count and rate rules,
-and ``decode_block`` checks its departures with its gap rule, once per call.
+Sizes, counts and the arrival rate follow ``queueing``'s count and rate rules.
+``decode_block`` checks its gaps and keys once per call and sums the gaps
+for ``_decode``, the unchecked core the decode sweep runs on the queue's epochs.
 
 Enumeration is capped at 2^20 codewords and 2^28 cells (n x codewords).
 Beyond the cap, decoding performance is certified by two-sided
@@ -330,6 +331,12 @@ def decode_block(
     if keys.size and not (np.issubdtype(keys.dtype, np.integer)
                           and 0 <= keys.min() and keys.max() < book.num_keys):
         raise StructuralError(f"key indices must be integers in [0, {book.num_keys})")
+    return _decode(book, _running_sum(gaps), keys, model)
+
+
+def _decode(book: Codebook, d, keys, model: ServiceModel) -> tuple[np.ndarray, ...]:
+    """``decode_block`` of the ``(n, T)`` departure epochs d under the (T,)
+    integer keys, unchecked."""
     pairs = book.num_pairs
     best = np.empty(keys.size, dtype=np.int64)
     top = np.empty(keys.size)
@@ -338,7 +345,7 @@ def decode_block(
         rows = np.flatnonzero(keys == key)
         block = book.arrival_epochs[:, key * pairs:(key + 1) * pairs]
         tile_best, tile_top, tile_feasible = reduce_tiles(
-            block, gaps[:, rows], model, _argmax_partial, (np.int64, np.float64, np.int64))
+            block, d[:, rows], model, _argmax_partial, (np.int64, np.float64, np.int64))
         # the first tile with the maximum: a strict > fold over tiles keeps it
         first = np.argmax(tile_top, axis=1)
         pick = np.arange(rows.size)

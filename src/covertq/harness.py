@@ -28,7 +28,7 @@ from . import codec, laws, rates, warden
 from .errors import (ConfigError, InstabilityError, OutputError, ParameterError,
                      ResourceLimitError, StructuralError, UnsupportedLawError)
 from .queueing import (ServiceKind, ServiceModel, _check_count, _check_rate, _is_number,
-                       simulate_block, trial_blocks)
+                       _queue, trial_blocks)
 
 __all__ = [
     "EXPERIMENTS",
@@ -337,8 +337,8 @@ def _run_decode_sweep(config: ExperimentConfig, param_index: int) -> list[Result
     message_errors = pair_errors = 0
     for block in trial_blocks(n, t):
         messages, dummies, keys, codewords = book.send(rng, block.stop - block.start)
-        got_messages, got_dummies, _, _ = codec.decode_block(
-            book, simulate_block(codewords, bob, rng), keys, bob)
+        got_messages, got_dummies, _, _ = codec._decode(book, _queue(codewords, bob, rng),
+                                                        keys, bob)
         wrong = got_messages != messages
         message_errors += np.count_nonzero(wrong)
         pair_errors += np.count_nonzero(wrong | (got_dummies != dummies))

@@ -19,10 +19,10 @@ units are shared out to one thread per CPU, and each unit's partials land in
 ``(T, tiles)`` arrays, 8 bytes per field per (observation, tile).  A score's
 bits depend on neither g nor the thread count.
 
-A scan pays its Python prologue once per call, not once per unit: it checks
-shapes, takes the cumulative departures of all T observations in one running
-sum and slices each group's operand (n Python floats for one observation) and
-each tile's epochs once; every unit then runs one private core,
+A scan takes the departure epochs of its T observations and pays its Python
+prologue once per call, not once per unit: it checks shapes and slices each
+group's operand (n Python floats for one observation) and each tile's
+epochs once; every unit then runs one private core,
 ``_scan_unit``, which nothing else calls.  The exponential core writes the
 -inf of an infeasible candidate without a masked move: min(min_k s_k, 0) *
 inf is NaN where the candidate is feasible and -inf where it is not, and
@@ -40,8 +40,8 @@ exponential-service queue), i.e. i.i.d. Exp(rate) gaps.
 Rates, counts and gaps follow ``queueing``'s three rules, checked once per
 call of ``poisson_log_density``, ``info_density_sample`` and
 ``sample_info_densities``.  ``conditional_log_density_batch`` and
-``reduce_tiles`` check shapes only, once per call.  Their running sums of
-departure gaps go through ``queueing._running_sum``, like every other.
+``reduce_tiles`` check shapes only, once per call.  The batch kernel sums
+its departure gaps through ``queueing._running_sum``, like every other.
 
 ``sample_info_densities`` checks no gap it draws.  It walks each block of
 trials down its packets in row pieces through ``queueing``'s departure
@@ -197,20 +197,21 @@ def reduce_tiles(arrival_epochs: np.ndarray, departures: np.ndarray, model: Serv
     ``(T, tiles)`` array per field, of the given ``dtypes``: the one scan of
     a codebook against observed departures, which all its candidates share.
 
-    ``departures`` holds T observations, packet-major ``(n, T)``.  They are
-    scored in groups of g = max(1, SCAN_TILE // tile width) consecutive
-    columns, and the ``SCAN_TILE``-column tiles of the book one at a time:
-    ``scores`` is the ``(g, width)`` block of log p(D_j | A_c) for the
-    group's observations j against columns c in ``start:start + width``
-    (the last group may hold fewer), -inf where infeasible.  It lives in a
-    work array that the next unit overwrites, so ``reduce(start, scores)``
-    returns one ``(g,)`` array per field and may reduce in place; it lands at
-    the unit's rows of column ``start // SCAN_TILE``.  A unit's epochs and
-    work arrays stay in cache while its n packets are scanned.  The shapes are
-    checked, and the departures' running sums taken, once per call.  Grouped
-    units at least 256 columns wide run with a one-row ufunc buffer (module
-    docstring).  The result holds 8 bytes per field per (observation, tile),
-    and a book within the codebook cap has at most 16 tiles.
+    ``departures`` holds the departure epochs of T observations, packet-major
+    ``(n, T)``.  They are scored in groups of g = max(1, SCAN_TILE // tile
+    width) consecutive columns, and the ``SCAN_TILE``-column tiles of the
+    book one at a time: ``scores`` is the ``(g, width)`` block of
+    log p(D_j | A_c) for the group's observations j against columns c in
+    ``start:start + width`` (the last group may hold fewer), -inf where
+    infeasible.  It lives in a work array that the next unit overwrites, so
+    ``reduce(start, scores)`` returns one ``(g,)`` array per field and may
+    reduce in place; it lands at the unit's rows of column
+    ``start // SCAN_TILE``.  A unit's epochs and work arrays stay in cache
+    while its n packets are scanned.  The shapes are checked once per call.
+    Grouped units at least 256 columns wide run with a one-row ufunc buffer
+    (module docstring).  The result holds 8 bytes per field per
+    (observation, tile), and a book within the codebook cap has at most 16
+    tiles.
 
     The (group, tile) units are handed out one at a time to ``scan_threads()``
     threads, each with its own work array of at most 3 x ``SCAN_TILE``
@@ -235,11 +236,10 @@ def reduce_tiles(arrival_epochs: np.ndarray, departures: np.ndarray, model: Serv
     partials = tuple(np.empty((observations, tiles), dtype=dtype) for dtype in dtypes)
     rows = min(observations, group)
     works = np.empty((max(1, min(scan_threads(), units)), 3, rows * width))
-    # the unit core's operands, once per call: the same sequential adds as a
-    # running sum of each group's departures alone.  A group of one observation
+    # the unit core's operands, once per call: a group of one observation
     # passes n Python floats, the ufunc operands with the least per-call
     # overhead; a larger one its (n, g, 1) array
-    d = _running_sum(np.asarray(departures, dtype=np.float64))
+    d = np.asarray(departures, dtype=np.float64)
     groups = [(first, d[:, first].tolist() if min(group, observations - first) == 1
                else d[:, first:first + group, None]) for first in range(0, observations, group)]
     views = [ta[:, start:start + SCAN_TILE] for start in range(0, ta.shape[1], SCAN_TILE)]

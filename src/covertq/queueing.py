@@ -19,8 +19,9 @@ each public entry and never per trial or per observation: ``_check_rate``
 (non-empty, finite, non-negative gaps).  The simulator
 (``departure_epochs``, ``simulate_channel``, ``simulate_block``) and the
 scorers (``codec.decode_block``, ``warden.willie_llr_block``,
-``laws.info_density_sample``) check their gaps with ``_as_times``; gaps a
-caller draws itself, as ``laws.sample_info_densities`` does, need no check.
+``laws.info_density_sample``) check their gaps with ``_as_times``.  The
+sweeps draw or send their own gaps, so they run them unchecked through
+``_queue`` and score its epochs with the scorers' unchecked cores.
 
 Every running sum down axis 0 in the package, of gaps into epochs, goes
 through ``_running_sum``: ``np.cumsum``'s additions in its order, so its
@@ -29,9 +30,9 @@ rows.  The running sum of the differenced departure epochs is not the
 epochs: an epoch that ends an idle period is an arrival epoch plus a service
 time, not the epoch before it plus a float, so re-adding its gap can round
 differently, and the running sum carries the difference on (332 of 32,000
-cells in one draw at n=16, T=2000).  So a scorer that has the recursion's
-epochs, as ``laws.sample_info_densities`` does, scores them, not the sums of
-their gaps.
+cells in one draw at n=16, T=2000).  So every sweep scores the recursion's
+own epochs, not the sums of their gaps; only a public scorer, given gaps,
+sums them.
 
 The recursion is kept in its sequential form on purpose: reassociating the
 arithmetic (e.g. a prefix-max formulation) changes last-ulp rounding, and
@@ -351,16 +352,6 @@ def _checked_departures(t: np.ndarray, services: np.ndarray, prev: np.ndarray | 
     return d
 
 
-def _departure_gaps(d: np.ndarray) -> np.ndarray:
-    """Inter-departure gaps of the departure epochs d, the first from d_0 = 0:
-    ``np.diff(d, axis=0, prepend=0.0)`` without its concatenated copy.
-    """
-    out = np.empty_like(d)
-    out[:1] = d[:1]
-    np.subtract(d[1:], d[:-1], out=out[1:])
-    return out
-
-
 def departure_epochs(arrival_gaps, service_times):
     """Departure epochs d_k and idle gaps U_k for given arrivals and services.
 
@@ -390,15 +381,17 @@ def departure_epochs(arrival_gaps, service_times):
     return d, np.maximum(t - dprev, 0.0)
 
 
-def _simulate(arrival_gaps, model: ServiceModel, rng: np.random.Generator, ndim: int):
-    a = _as_times(arrival_gaps, "arrival gaps", ndims=(ndim,))
+def _queue(a: np.ndarray, model: ServiceModel, rng: np.random.Generator) -> np.ndarray:
+    """Departure epochs of the float64 arrival gaps a, (n,) or (n, T), through
+    fresh queues, their services drawn in one call in C order: unchecked,
+    but an overflow is refused."""
     with np.errstate(over="ignore"):  # an overflow is refused by _checked_departures
-        return _departure_gaps(_checked_departures(_running_sum(a), model.sample(rng, a.shape)))
+        return _checked_departures(_running_sum(a), model.sample(rng, a.shape))
 
 
 def simulate_channel(arrivals, model: ServiceModel, rng: np.random.Generator) -> np.ndarray:
     """Inter-departure gaps of one block of (n,) arrival gaps, with n services drawn."""
-    return _simulate(arrivals, model, rng, 1)
+    return np.diff(_queue(_as_times(arrivals, "arrival gaps"), model, rng), prepend=0.0)
 
 
 def simulate_block(arrival_gaps, model: ServiceModel, rng: np.random.Generator) -> np.ndarray:
@@ -409,4 +402,5 @@ def simulate_block(arrival_gaps, model: ServiceModel, rng: np.random.Generator) 
     the result equals ``simulate_channel`` on column j given the same service
     times.
     """
-    return _simulate(arrival_gaps, model, rng, 2)
+    d = _queue(_as_times(arrival_gaps, "arrival gaps", ndims=(2,)), model, rng)
+    return np.diff(d, axis=0, prepend=0.0)

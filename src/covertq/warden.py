@@ -18,10 +18,12 @@ from check nothing.
 ``willie_llr_block`` scores many observations in one codebook scan, in the
 (observation group x column tile) units of ``laws.reduce_tiles``, and folds
 each observation's row of per-tile log-sum-exp partials;
-``willie_llr`` is its one-observation call, and ``run_detection_trials``
-sends and simulates its trials block by block and scores each with one call.
-The observations' gaps and the rate are checked once per ``willie_llr_block``
-call, and the rate and trial count once per ``run_detection_trials`` call.
+``willie_llr`` is its one-observation call.  It checks the observations'
+gaps and the rate once per call, sums the gaps into departure epochs and
+scores them with its unchecked core ``_llr``.  ``run_detection_trials``
+checks the rate and trial count once per call, then sends its trials block
+by block through ``queueing._queue`` and scores each block's departure
+epochs, as the recursion wrote them, with one ``_llr`` call.
 
 No operation here takes a key argument; the observer never has one.
 """
@@ -35,8 +37,8 @@ import numpy as np
 from .codec import Codebook
 from .errors import ParameterError, StructuralError
 from .laws import _poisson_log_density, reduce_tiles
-from .queueing import (ServiceModel, _as_times, _check_count, _check_rate, simulate_block,
-                       trial_blocks)
+from .queueing import (ServiceModel, _as_times, _check_count, _check_rate, _queue,
+                       _running_sum, trial_blocks)
 
 __all__ = [
     "willie_llr",
@@ -61,22 +63,6 @@ def _exp_partial(start: int, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return top, np.where(live, scores.sum(axis=1), 0.0)
 
 
-def _log_mixture(partials, count: int) -> float:
-    """log of the mean of exp(score) over ``count`` codewords, from one
-    observation's (m, sum) partials in tile order."""
-    top, total = -math.inf, 0.0
-    for tile_top, tile_total in partials:
-        if tile_top == -math.inf:
-            continue
-        if tile_top > top:
-            total, top = total * math.exp(top - tile_top) + tile_total, tile_top
-        else:
-            total += tile_total * math.exp(tile_top - top)
-    if top == -math.inf:
-        return -math.inf  # no codeword could have produced this block
-    return top + math.log(total) - math.log(count)
-
-
 def willie_llr_block(
     book: Codebook,
     observations: np.ndarray,
@@ -88,23 +74,31 @@ def willie_llr_block(
 
     The log-sum-exp over the codebook is reduced per (observation group,
     column tile) unit to (maximum, sum of exp(score - maximum)) per
-    observation.  Each observation's partials are combined in tile order for
-    any grouping and thread count, so its llr's bits depend on neither.
+    observation.  Each observation's row of partials is folded on its own,
+    whatever the grouping and thread count, so its llr's bits depend on
+    neither.
     """
     obs = _as_times(observations, "observations", ndims=(2,))
     if obs.shape[0] != book.n:
         raise StructuralError(f"need (n={book.n}, T) observations, got {obs.shape}")
     _check_rate("arrival_rate", arrival_rate)
-    count = book.arrival_epochs.shape[1]
-    tops, totals = reduce_tiles(book.arrival_epochs, obs, model, _exp_partial,
+    return _llr(book, _running_sum(obs), model, arrival_rate)
+
+
+def _llr(book: Codebook, d: np.ndarray, model: ServiceModel, rate: float) -> np.ndarray:
+    """``willie_llr_block`` of the packet-major ``(n, T)`` departure epochs d,
+    with q(D) = n ln(rate) - rate * d_n.  Nothing is checked."""
+    tops, totals = reduce_tiles(book.arrival_epochs, d, model, _exp_partial,
                                 (np.float64, np.float64))
-    # the scalar fold takes Python floats; converting row by row keeps few alive
-    mixtures = [_log_mixture(zip(top.tolist(), total.tolist()), count)
-                for top, total in zip(tops, totals)]
-    # q(D) summed down the columns of an observation-major copy: the same
-    # additions, in the same order, as the (n,) sum of each column alone
-    return np.array(mixtures) - _poisson_log_density(
-        book.n, np.ascontiguousarray(obs.T).T.sum(axis=0), arrival_rate)
+    # each row's partials rescaled to its largest maximum and summed over the
+    # tiles; a row with no feasible codeword keeps -inf
+    top = tops.max(axis=1)
+    live = top > -np.inf
+    mixture = np.full(top.shape, -np.inf)
+    scaled = totals[live] * np.exp(tops[live] - top[live, None])
+    count = book.arrival_epochs.shape[1]
+    mixture[live] = top[live] + np.log(scaled.sum(axis=1)) - math.log(count)
+    return mixture - _poisson_log_density(book.n, d[-1], rate)
 
 
 def willie_llr(
@@ -135,7 +129,8 @@ def run_detection_trials(
     For a block of T trials it draws, in this order: ``Codebook.send``'s T
     transmissions and their ``(n, T)`` services (``alt``), then an ``(n, T)``
     block of Exp(arrival_rate) gaps and its ``(n, T)`` services (``null``).
-    The block's 2T observations are scored by one ``willie_llr_block`` call.
+    The block's 2T departure epochs are scored by one call of ``_llr``, the
+    core of ``willie_llr_block``.
     """
     trials = _check_count("trials", trials, 1)
     _check_rate("arrival_rate", arrival_rate)
@@ -143,10 +138,9 @@ def run_detection_trials(
     for block in trial_blocks(book.n, trials):
         count = block.stop - block.start
         *_, codewords = book.send(rng, count)  # the warden never sees the indices
-        sent = simulate_block(codewords, model, rng)
+        sent = _queue(codewords, model, rng)
         poisson = rng.exponential(1.0 / arrival_rate, size=(book.n, count))
-        llr = willie_llr_block(book, np.hstack([sent, simulate_block(poisson, model, rng)]),
-                               model, arrival_rate)
+        llr = _llr(book, np.hstack([sent, _queue(poisson, model, rng)]), model, arrival_rate)
         alt[block], null[block] = llr[:count], llr[count:]
     return null, alt
 

@@ -30,6 +30,8 @@ from covertq.harness import (
 )
 from covertq.queueing import ServiceModel, simulate_block
 
+from scanning import assert_scores_match
+
 
 def base_config(**overrides):
     payload = dict(
@@ -250,7 +252,9 @@ class TestSweeps:
 
     def test_decode_sweep_matches_per_trial_encode_and_decode(self):
         # the sweep's gathered block against the public calls, trial by trial:
-        # the same draws (message, key, dummy, then the block's services)
+        # the same draws (message, key, dummy, then the block's services).
+        # The sweep scores the recursion's departure epochs, the public calls
+        # the sums of their gaps, so the decoded scores agree to rounding
         cfg = base_config(experiment="decode_sweep", n_list=(6,), width_list=((3, 1, 1),),
                           trials=300)
         rows = {r.metric: r.value for r in run(cfg)}
@@ -258,18 +262,47 @@ class TestSweeps:
         book = generate_codebook(6, 3, 1, 1, arrival_rate=cfg.arrival_rate,
                                  seed=harness._book_seed(cfg, 0))
         rng = harness._point_rng(cfg, 0, 0)
+        messages, dummies, keys, codewords = book.send(rng, cfg.trials)
+        swept = codec._decode(book, queueing._queue(codewords, bob, rng), keys, bob)
+        rng = harness._point_rng(cfg, 0, 0)
         sent = [encode(book, int(rng.integers(book.num_messages)),
                        int(rng.integers(book.num_keys)), rng) for _ in range(cfg.trials)]
         departures = simulate_block(np.stack([tx.codeword for tx in sent], axis=1),
                                     bob, rng)
         got = [decode(book, departures[:, j], tx.key, bob)
                for j, tx in enumerate(sent)]
+        assert [(tx.message, tx.dummy, tx.key) for tx in sent] == list(
+            zip(messages.tolist(), dummies.tolist(), keys.tolist()))
+        assert swept[0].tolist() == [r.message for r in got]
+        assert swept[1].tolist() == [r.dummy for r in got]
+        assert swept[3].tolist() == [r.feasible_count for r in got]
+        want = np.array([r.log_likelihood for r in got])
+        size = np.abs(want) + book.n * abs(math.log(bob.rate)) + bob.rate * book.n * \
+            departures.sum(axis=0)
+        assert_scores_match(swept[2], want, size)
         errors = sum(r.message != tx.message for r, tx in zip(got, sent))
         pair_errors = sum((r.message, r.dummy) != (tx.message, tx.dummy)
                           for r, tx in zip(got, sent))
         assert 0 < errors < cfg.trials
         assert rows["message_error_rate"] == errors / cfg.trials
         assert rows["pair_error_rate"] == pair_errors / cfg.trials
+
+    def test_decode_sweep_decodes_every_block_at_a_fast_service(self):
+        # a block the queue produced is feasible for its own codeword, even
+        # where the services are a few ulps of the epochs, so a 1e12-rate
+        # receiver decodes every pair
+        cfg = base_config(experiment="decode_sweep", mu1=1e12, n_list=(16,),
+                          width_list=((3, 1, 1),), trials=4000, master_seed=1)
+        rows = {r.metric: r.value for r in run(cfg)}
+        assert rows["pair_error_rate"] == rows["message_error_rate"] == 0.0
+
+    def test_detection_sweep_scores_every_sent_block_at_a_fast_service(self):
+        # no sent block scores -inf, so the message llr mean is finite and
+        # the point emits its rows
+        cfg = base_config(experiment="detection_sweep", mu2=1e12, n_list=(16,),
+                          width_list=((3, 1, 1),), trials=2000, master_seed=2)
+        rows = {r.metric: r.value for r in run(cfg)}
+        assert math.isfinite(rows["mean_llr_message"]) and rows["auc"] > 0.99
 
     @pytest.mark.parametrize("experiment, widths", [
         ("decode_sweep", (2, 1, 1)),
@@ -278,9 +311,9 @@ class TestSweeps:
         ("decode_sweep", (21, 0, 0)),
     ], ids=["decode_sweep", "detection_sweep", "info_density", "decode_sweep past the cap"])
     def test_sweep_checks_times_per_block_not_per_trial(self, monkeypatch, experiment, widths):
-        # the gap check, the codeword lookup and q(D) each run per block: a
-        # per-trial or per-observation call would count more at 90 trials.
-        # The information-density sampler checks none of its own draws
+        # the codeword lookup and q(D) each run per block: a per-trial or
+        # per-observation call would count more at 90 trials.  No sweep checks
+        # the gaps it draws or sends
         calls = []
 
         def count(name, *owners):  # every module's own binding of the name
@@ -299,8 +332,8 @@ class TestSweeps:
                             trials=trials))
             counts.append(sorted(calls))
         assert counts[0] == counts[1]
-        if experiment == "info_density" or sum(widths) > codec.CODEBOOK_CAP_BITS:
-            assert "_as_times" not in counts[0]
+        assert "_as_times" not in counts[0]
+
 
 class TestReproduce:
     def test_every_row_reproduces_from_its_seed(self):

@@ -28,6 +28,7 @@ from covertq.warden import (
 )
 
 import oracles
+from scanning import assert_scores_match, llr_size
 
 LAM = 0.5
 WILLIE = ServiceModel.exponential(2.0)
@@ -77,6 +78,15 @@ class TestLlr:
         null = poisson_log_density(dep, LAM)
         single = oracles.conditional_log_density(book.codeword(1, 0, 0), dep, WILLIE.log_density)
         assert llr >= single - null - math.log(book.total) - 1e-9
+
+    def test_sent_blocks_score_finite_at_a_fast_service(self):
+        # a sent block is one the book could have produced: scored on the
+        # recursion's own epochs, its services are never below 0, even where
+        # they are a few ulps of the epochs
+        book = generate_codebook(16, 3, 1, 1, arrival_rate=LAM, seed=0)
+        _, alt = run_detection_trials(book, ServiceModel.exponential(1e12), LAM, 2000,
+                                      np.random.default_rng(100))
+        assert np.isfinite(alt).all()
 
     def test_infeasible_observation_gives_minus_inf(self):
         book = generate_codebook(4, 1, 0, 0, arrival_rate=LAM, seed=45)
@@ -203,14 +213,16 @@ class TestDetectionExperiment:
 
     def test_arrays_replay_the_per_trial_draws(self):
         # the draw order criterion 5's pinned seeds rely on: per trial block,
-        # the sent blocks and their services, then Poisson blocks and theirs
+        # the sent blocks and their services, then Poisson blocks and theirs.
+        # The trials score the recursion's epochs, the public calls the sums
+        # of their gaps, so they agree to rounding
         book = generate_codebook(6, 2, 1, 1, arrival_rate=LAM, seed=63)
         null, alt = run_detection_trials(book, WILLIE, LAM, 40, np.random.default_rng(64))
         obs0, obs1 = replay_observations(book, 40, 64)
         for got, obs in ((null, obs0), (alt, obs1)):
             assert got.dtype == np.float64 and got.shape == (40,)
             want = np.array([willie_llr(book, d, WILLIE, LAM) for d in obs])
-            assert np.array_equal(got, want)
+            assert_scores_match(got, want, llr_size(want, np.stack(obs, axis=1), WILLIE, LAM))
         # the summary's keys are the rows a sweep at this shape emits, in order
         rows = run(ExperimentConfig(
             experiment="detection_sweep", arrival_rate=LAM, mu1=1.0, mu2=2.0,
