@@ -28,7 +28,6 @@ from .errors import (
     ParameterError,
     ResourceLimitError,
     StructuralError,
-    UnsupportedLawError,
 )
 from .harness import ExperimentConfig, ResultRow, emit, load_rows, reproduce_metric, run
 from .laws import info_density_sample, poisson_log_density, sample_info_densities

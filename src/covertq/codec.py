@@ -9,10 +9,11 @@ flat index order
 but only their running sums are stored: the arrival epochs, key-major, in
 column k * 2^(bits_message + bits_dummy) + w * 2^bits_dummy + wt, so the
 decoder's key-k sub-codebook is a contiguous key block.  A codeword's gaps are
-differenced from its epoch column when it is sent: by ``encode``, or a block
-at a time by ``Codebook.send``.  The decoder searches the sub-codebook
-exhaustively for the (message, dummy) pair maximizing the conditional log
-density of the observed departures, breaking ties toward the smallest index.
+differenced from its epoch column when ``encode`` sends it; ``Codebook.send``
+gathers a block of epoch columns as they are.  The decoder searches the
+sub-codebook exhaustively for the (message, dummy) pair maximizing the
+conditional log density of the observed departures, breaking ties toward the
+smallest index.
 ``decode_block`` decodes many observations into arrays: those sent under one
 key share one scan of its key block, in the (observation group x column tile)
 units of ``laws.reduce_tiles``, whose per-tile argmax partials are
@@ -131,13 +132,14 @@ class Codebook:
     def send(self, rng: np.random.Generator, count: int) -> tuple[np.ndarray, ...]:
         """``count`` transmissions, each drawing a uniform message, a uniform key,
         then ``draw_dummy`` (``encode``'s draws).  Returns their ``(messages,
-        dummies, keys)`` and their codewords' packet-major ``(n, count)`` gaps."""
+        dummies, keys)`` and their codewords' packet-major ``(n, count)`` arrival
+        epochs, a gather of their columns: the running sums of their gaps, bit for
+        bit (``codeword``)."""
         sent = [(int(rng.integers(self.num_messages)), int(rng.integers(self.num_keys)),
                  self.draw_dummy(rng)) for _ in range(_check_count("count", count, 0))]
         messages, keys, dummies = np.array(sent, dtype=np.int64).reshape(-1, 3).T
         columns = keys * self.num_pairs + (messages << self.bits_dummy) + dummies
-        return messages, dummies, keys, np.diff(self.arrival_epochs[:, columns], axis=0,
-                                                prepend=0.0)
+        return messages, dummies, keys, self.arrival_epochs[:, columns]
 
     def _check_indices(self, w: int, wt: int, k: int):
         if not (0 <= w < self.num_messages):

@@ -28,13 +28,6 @@ class ParameterError(CovertqError, ValueError):
     exit_code = 2
 
 
-class UnsupportedLawError(CovertqError):
-    """Operation undefined for the given service law (no density, infinite divergence)."""
-
-    category = "unsupported-law"
-    exit_code = 6
-
-
 class InstabilityError(CovertqError):
     """Arrival rate at or above a service rate: the queue has no stationary regime."""
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import codec, laws, rates, warden
 from .errors import (ConfigError, InstabilityError, OutputError, ParameterError,
-                     ResourceLimitError, StructuralError, UnsupportedLawError)
+                     ResourceLimitError, StructuralError)
 from .queueing import (ServiceKind, ServiceModel, _check_count, _check_rate, _is_number,
                        _queue, trial_blocks)
 
@@ -124,9 +124,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"willie_service rate {self.willie_service.rate} must equal mu2={self.mu2}"
             )
-        if not self.willie_service.has_density and self.experiment != "decode_sweep":
-            raise UnsupportedLawError(f"{self.experiment} needs a willie_service law with a "
-                                      f"density, got {self.willie_service.kind.value}")
         if not isinstance(self.width_list, (list, tuple)):
             raise ConfigError(f"width_list must be a list, got {self.width_list!r}")
         object.__setattr__(self, "n_list", _int_list("n_list", self.n_list))
@@ -336,9 +333,8 @@ def _run_decode_sweep(config: ExperimentConfig, param_index: int) -> list[Result
         n, *widths, arrival_rate=lam, seed=_book_seed(config, param_index))
     message_errors = pair_errors = 0
     for block in trial_blocks(n, t):
-        messages, dummies, keys, codewords = book.send(rng, block.stop - block.start)
-        got_messages, got_dummies, _, _ = codec._decode(book, _queue(codewords, bob, rng),
-                                                        keys, bob)
+        messages, dummies, keys, epochs = book.send(rng, block.stop - block.start)
+        got_messages, got_dummies, _, _ = codec._decode(book, _queue(epochs, bob, rng), keys, bob)
         wrong = got_messages != messages
         message_errors += np.count_nonzero(wrong)
         pair_errors += np.count_nonzero(wrong | (got_dummies != dummies))

@@ -43,14 +43,17 @@ call of ``poisson_log_density``, ``info_density_sample`` and
 ``reduce_tiles`` check shapes only, once per call.  The batch kernel sums
 its departure gaps through ``queueing._running_sum``, like every other.
 
-``sample_info_densities`` checks no gap it draws.  It walks each block of
-trials down its packets in row pieces through ``queueing``'s departure
-recursion and ``_column_scores``, which scores the recursion's own epochs,
-with q(D) = n ln(rate) - rate * d_n.  Its values differ from
-``simulate_block`` followed by ``info_density_sample`` on the same draws only
-where that path's gaps, summed back into epochs, round differently.  A service
-never reads below 0: with m = max(t_k, d_{k-1}), s_k = (m + S_k) - m in
-floats.
+``sample_info_densities`` checks no gap it draws, and scores the services it
+drew.  Given the arrivals, the map from services to departures, d_k =
+max(d_{k-1}, t_k) + S_k, is one-to-one with unit Jacobian (Anantharam and
+Verdu, "Bits through queues", 1996), so log p(D | A) is the sum of the log
+density at the drawn S_k.  The sampler walks each block of trials down its
+packets in row pieces and runs ``queueing``'s departure recursion only for
+d_n, in q(D) = n ln(rate) - rate * d_n.  So a trial it draws never scores
+-inf for the rounding of its epochs, at any service rate; services formed
+again from epochs, as ``info_density_sample`` and the codebook scans form
+them, can leave the law's support where a service is a few ulps of the
+epochs.
 """
 
 from __future__ import annotations
@@ -96,7 +99,7 @@ def conditional_log_density_batch(arrival_epochs: np.ndarray, departures: np.nda
     departures : (n, C) float array
         Column c holds the inter-departure gaps that candidate c is scored
         against.
-    model : ServiceModel with a density
+    model : ServiceModel
 
     Returns
     -------
@@ -113,23 +116,11 @@ def conditional_log_density_batch(arrival_epochs: np.ndarray, departures: np.nda
         raise StructuralError(f"need (n, C) arrival epochs with (n, C) departures, "
                               f"got {ta.shape} and {gaps.shape}")
     d = _running_sum(gaps)
-    return _column_scores(ta, d, model, np.empty_like(d))
-
-
-def _column_scores(ta: np.ndarray, d: np.ndarray, model: ServiceModel, work: np.ndarray,
-                   before=0.0) -> np.ndarray:
-    """The core of ``conditional_log_density_batch``: log p(D_c | A_c) of every
-    column c of the ``(n, C)`` epochs ``ta`` against its own column of the
-    cumulative departures ``d``.  The s_k are formed in ``work``, which may
-    be ``ta`` itself.  Nothing is checked.
-
-    A block may be scored in row pieces, whose sums the caller adds:
-    ``before`` is the departure epoch, or row of epochs, before the piece.
-    """
-    np.maximum(ta[0], before, out=work[0])
-    np.maximum(ta[1:], d[:-1], out=work[1:])
-    np.subtract(d, work, out=work)
-    return model.log_density(work).sum(axis=0)
+    s = np.empty_like(d)
+    np.maximum(ta[0], 0.0, out=s[0])
+    np.maximum(ta[1:], d[:-1], out=s[1:])
+    np.subtract(d, s, out=s)
+    return model.log_density(s).sum(axis=0)
 
 
 def _scan_unit(ta: np.ndarray, d, model: ServiceModel, work: np.ndarray) -> np.ndarray:
@@ -191,13 +182,13 @@ def scan_threads() -> int:
         return os.cpu_count() or 1
 
 
-def reduce_tiles(arrival_epochs: np.ndarray, departures: np.ndarray, model: ServiceModel,
-                 reduce, dtypes) -> tuple[np.ndarray, ...]:
+def reduce_tiles(arrival_epochs: np.ndarray, departure_epochs: np.ndarray,
+                 model: ServiceModel, reduce, dtypes) -> tuple[np.ndarray, ...]:
     """``reduce``'s partials of every (observation, column tile) pair, as one
     ``(T, tiles)`` array per field, of the given ``dtypes``: the one scan of
     a codebook against observed departures, which all its candidates share.
 
-    ``departures`` holds the departure epochs of T observations, packet-major
+    ``departure_epochs`` holds the epochs of T observations, packet-major
     ``(n, T)``.  They are scored in groups of g = max(1, SCAN_TILE // tile
     width) consecutive columns, and the ``SCAN_TILE``-column tiles of the
     book one at a time: ``scores`` is the ``(g, width)`` block of
@@ -224,11 +215,11 @@ def reduce_tiles(arrival_epochs: np.ndarray, departures: np.ndarray, model: Serv
     floating-point errors as the calling thread does.
     """
     ta = np.asarray(arrival_epochs, dtype=np.float64)  # no copy of a float64 book
-    if ta.ndim != 2 or ta.shape[1] == 0 or np.ndim(departures) != 2 \
-            or departures.shape[0] != ta.shape[0]:
-        raise StructuralError(f"need (n, C) arrival epochs, C >= 1, with (n, T) departures, "
-                              f"got {ta.shape} and {np.shape(departures)}")
-    observations = departures.shape[1]
+    if ta.ndim != 2 or ta.shape[1] == 0 or np.ndim(departure_epochs) != 2 \
+            or departure_epochs.shape[0] != ta.shape[0]:
+        raise StructuralError(f"need (n, C) arrival epochs, C >= 1, with (n, T) departure "
+                              f"epochs, got {ta.shape} and {np.shape(departure_epochs)}")
+    observations = departure_epochs.shape[1]
     width = min(ta.shape[1], SCAN_TILE)
     group = max(1, SCAN_TILE // width)
     tiles = -(-ta.shape[1] // SCAN_TILE)
@@ -239,7 +230,7 @@ def reduce_tiles(arrival_epochs: np.ndarray, departures: np.ndarray, model: Serv
     # the unit core's operands, once per call: a group of one observation
     # passes n Python floats, the ufunc operands with the least per-call
     # overhead; a larger one its (n, g, 1) array
-    d = np.asarray(departures, dtype=np.float64)
+    d = np.asarray(departure_epochs, dtype=np.float64)
     groups = [(first, d[:, first].tolist() if min(group, observations - first) == 1
                else d[:, first:first + group, None]) for first in range(0, observations, group)]
     views = [ta[:, start:start + SCAN_TILE] for start in range(0, ta.shape[1], SCAN_TILE)]
@@ -311,12 +302,13 @@ def info_density_sample(arrivals, departures, model: ServiceModel, reference_rat
     gives a float, or packet-major (n, T) for T blocks, which gives a (T,)
     array.  Each block is one column of the kernel.
 
-    The scores sum the departure gaps back into epochs, and a gap that ends
-    an idle period can round differently from the epoch it came from.  Where
-    a service is a few ulps of the epochs (rates near 1e12 at a unit arrival
-    scale), a service so formed can read a few ulps below 0, and a block the
-    queue did produce then scores -inf.  ``sample_info_densities`` scores the
-    recursion's own epochs and never does this.
+    The scores sum the departure gaps back into epochs and form each service
+    from them, d_k - max(t_k, d_{k-1}), which is the drawn service only up to
+    the rounding of the epochs.  Where a service is a few ulps of the epochs
+    (rates near 1e12 at a unit arrival scale), a service so formed can read
+    below 0 or past an edge of a uniform law's support, and a block the queue
+    did produce then scores -inf.  ``sample_info_densities`` scores the
+    services it drew and never does this.
     """
     a = _as_times(arrivals, "arrival gaps", ndims=(1, 2))
     gaps = _as_times(departures, "departures", ndims=(1, 2))
@@ -338,17 +330,19 @@ def sample_info_densities(n: int, arrival_rate: float, model: ServiceModel, tria
 
     Each trial sends a fresh Poisson(arrival_rate) block through the queue and
     scores it against the Exp(arrival_rate) reference.  Returns the
-    (trials,)-array of per-packet values, -inf for infeasible trials.
+    (trials,)-array of per-packet values.  log p(D | A) is the sum of the log
+    density at the drawn services (module docstring), so a trial reads -inf
+    only where a draw itself rounds outside the law's support.
 
     Trials run in blocks of min(trials, ``_PIECE_CELLS``) columns, and each
     block walks down its packets in row pieces of ``_PIECE_CELLS // cols``
     rows, for a block ``cols`` wide.  A piece draws its packet-major arrival
-    gaps, then its services, both in C order; sums the gaps into epochs on
-    from the block's last arrival row; runs the departure recursion on from
-    its last departure row, in place over the services; and adds its
-    ``_column_scores`` of those epochs to the block's sums (module
-    docstring).  So the sampler holds one piece's arrays and temporaries,
-    whatever n is, and carries two rows from piece to piece.
+    gaps, then its services, both in C order; adds the log density of those
+    services to the block's sums; sums the gaps into epochs on from the
+    block's last arrival row; and runs the departure recursion on from its
+    last departure row, in place over the services, for d_n.  So the sampler
+    holds one piece's arrays and temporaries, whatever n is, and carries two
+    rows from piece to piece.
     """
     n = _check_count("n", n, 1)
     _check_rate("arrival_rate", arrival_rate)
@@ -367,10 +361,9 @@ def sample_info_densities(n: int, arrival_rate: float, model: ServiceModel, tria
                 shape = (min(rows, n - k), cols)
                 t = rng.exponential(scale, size=shape)
                 s = model.sample(rng, shape)
+                scores += model.log_density(s).sum(axis=0)  # before the recursion overwrites s
                 _running_sum(t, out=t, carry=t_last)
-                d = _checked_departures(t, s, prev=d_last, packets=n)
-                t_last = t[-1].copy()  # _column_scores forms the s_k over t
-                scores += _column_scores(t, d, model, t, before=d_last)
-                d_last = d[-1]
+                t_last = t[-1].copy()  # a view would keep the whole piece alive
+                d_last = _checked_departures(t, s, prev=d_last, packets=n)[-1]
         out[first:first + cols] = (scores - _poisson_log_density(n, d_last, arrival_rate)) / n
     return out

@@ -20,8 +20,9 @@ each public entry and never per trial or per observation: ``_check_rate``
 (``departure_epochs``, ``simulate_channel``, ``simulate_block``) and the
 scorers (``codec.decode_block``, ``warden.willie_llr_block``,
 ``laws.info_density_sample``) check their gaps with ``_as_times``.  The
-sweeps draw or send their own gaps, so they run them unchecked through
-``_queue`` and score its epochs with the scorers' unchecked cores.
+sweeps draw their own gaps or send a codebook's epochs, so they run their
+arrival epochs unchecked through ``_queue`` and score its departure epochs
+with the scorers' unchecked cores.
 
 Every running sum down axis 0 in the package, of gaps into epochs, goes
 through ``_running_sum``: ``np.cumsum``'s additions in its order, so its
@@ -69,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, StructuralError, UnsupportedLawError
+from .errors import ParameterError, StructuralError
 
 __all__ = [
     "ServiceKind",
@@ -143,7 +144,6 @@ class ServiceKind(enum.Enum):
     EXPONENTIAL = "exponential"
     ERLANG = "erlang"
     UNIFORM = "uniform"
-    DETERMINISTIC = "deterministic"
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,6 @@ class ServiceModel:
     - exponential: Exp(rate)
     - erlang: sum of ``shape`` Exp(shape*rate) stages, mean 1/rate
     - uniform: Uniform(1/rate - halfwidth, 1/rate + halfwidth)
-    - deterministic: point mass at 1/rate (no density)
     """
 
     kind: ServiceKind
@@ -192,17 +191,9 @@ class ServiceModel:
     def uniform(cls, rate: float, halfwidth: float) -> "ServiceModel":
         return cls(ServiceKind.UNIFORM, rate, halfwidth=halfwidth)
 
-    @classmethod
-    def deterministic(cls, rate: float) -> "ServiceModel":
-        return cls(ServiceKind.DETERMINISTIC, rate)
-
     @property
     def mean(self) -> float:
         return 1.0 / self.rate
-
-    @property
-    def has_density(self) -> bool:
-        return self.kind is not ServiceKind.DETERMINISTIC
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         """i.i.d. service times filling ``size`` (an int or a shape), in C order."""
@@ -211,19 +202,12 @@ class ServiceModel:
         if self.kind is ServiceKind.ERLANG:
             k = int(self.shape)
             return rng.gamma(k, 1.0 / (k * self.rate), size=size)
-        if self.kind is ServiceKind.UNIFORM:
-            m = 1.0 / self.rate
-            return rng.uniform(m - self.halfwidth, m + self.halfwidth, size=size)
-        return np.full(size, 1.0 / self.rate)
+        # uniform
+        m = 1.0 / self.rate
+        return rng.uniform(m - self.halfwidth, m + self.halfwidth, size=size)
 
     def log_density(self, x) -> np.ndarray:
-        """Elementwise log density; -inf outside the support.
-
-        Raises for the deterministic law, which has no density with respect to
-        Lebesgue measure.
-        """
-        if self.kind is ServiceKind.DETERMINISTIC:
-            raise UnsupportedLawError("deterministic service law has no density")
+        """Elementwise log density; -inf outside the support."""
         x = np.asarray(x, dtype=np.float64)
         if self.kind is ServiceKind.EXPONENTIAL:
             out = math.log(self.rate) - self.rate * x
@@ -381,17 +365,20 @@ def departure_epochs(arrival_gaps, service_times):
     return d, np.maximum(t - dprev, 0.0)
 
 
-def _queue(a: np.ndarray, model: ServiceModel, rng: np.random.Generator) -> np.ndarray:
-    """Departure epochs of the float64 arrival gaps a, (n,) or (n, T), through
-    fresh queues, their services drawn in one call in C order: unchecked,
-    but an overflow is refused."""
+def _queue(t: np.ndarray, model: ServiceModel, rng: np.random.Generator) -> np.ndarray:
+    """Departure epochs of the arrival epochs t, (n,) or (n, T), through fresh
+    queues, their services drawn in one call in C order: unchecked, but an
+    overflow is refused.  Callers that sum gaps into t do so under
+    ``np.errstate(over="ignore")``, as ``_checked_departures`` asks."""
     with np.errstate(over="ignore"):  # an overflow is refused by _checked_departures
-        return _checked_departures(_running_sum(a), model.sample(rng, a.shape))
+        return _checked_departures(t, model.sample(rng, t.shape))
 
 
 def simulate_channel(arrivals, model: ServiceModel, rng: np.random.Generator) -> np.ndarray:
     """Inter-departure gaps of one block of (n,) arrival gaps, with n services drawn."""
-    return np.diff(_queue(_as_times(arrivals, "arrival gaps"), model, rng), prepend=0.0)
+    a = _as_times(arrivals, "arrival gaps")
+    with np.errstate(over="ignore"):  # an overflow is refused by _queue
+        return np.diff(_queue(_running_sum(a), model, rng), prepend=0.0)
 
 
 def simulate_block(arrival_gaps, model: ServiceModel, rng: np.random.Generator) -> np.ndarray:
@@ -402,5 +389,6 @@ def simulate_block(arrival_gaps, model: ServiceModel, rng: np.random.Generator) 
     the result equals ``simulate_channel`` on column j given the same service
     times.
     """
-    d = _queue(_as_times(arrival_gaps, "arrival gaps", ndims=(2,)), model, rng)
-    return np.diff(d, axis=0, prepend=0.0)
+    a = _as_times(arrival_gaps, "arrival gaps", ndims=(2,))
+    with np.errstate(over="ignore"):  # an overflow is refused by _queue
+        return np.diff(_queue(_running_sum(a), model, rng), axis=0, prepend=0.0)

@@ -28,12 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    InfeasibleRateError,
-    InstabilityError,
-    ParameterError,
-    UnsupportedLawError,
-)
+from .errors import InfeasibleRateError, InstabilityError, ParameterError
 from .queueing import ServiceKind, ServiceModel, _check_rate, _is_number
 
 __all__ = [
@@ -90,8 +85,6 @@ class RegionSpec:
         if not isinstance(self.willie_service, ServiceModel):
             raise ParameterError(f"willie_service must be a service law, "
                                  f"got {self.willie_service!r}")
-        if not self.willie_service.has_density:
-            raise UnsupportedLawError("the region needs a service law with a density")
         if not math.isclose(self.willie_service.rate, self.mu2, rel_tol=1e-12):
             raise ParameterError(
                 f"adversary service law rate {self.willie_service.rate} "
@@ -149,14 +142,9 @@ def kl_to_exponential(model: ServiceModel, rate: float) -> float:
     """KL divergence D(model || Exp(rate)) in nats.
 
     Closed forms for the exponential, Erlang and uniform laws (a Stirling
-    series for Erlang shapes from 100 on).  The deterministic law has infinite
-    divergence.
+    series for Erlang shapes from 100 on).
     """
     _check_rate("rate", rate)
-    if model.kind is ServiceKind.DETERMINISTIC:
-        raise UnsupportedLawError(
-            "point-mass service law has infinite divergence from any density"
-        )
     if model.kind is ServiceKind.EXPONENTIAL:
         # D(Exp(a) || Exp(b)) = ln(a/b) + b/a - 1
         a = model.rate

@@ -137,10 +137,12 @@ def run_detection_trials(
     null, alt = np.empty(trials), np.empty(trials)
     for block in trial_blocks(book.n, trials):
         count = block.stop - block.start
-        *_, codewords = book.send(rng, count)  # the warden never sees the indices
-        sent = _queue(codewords, model, rng)
-        poisson = rng.exponential(1.0 / arrival_rate, size=(book.n, count))
-        llr = _llr(book, np.hstack([sent, _queue(poisson, model, rng)]), model, arrival_rate)
+        *_, epochs = book.send(rng, count)  # the warden never sees the indices
+        sent = _queue(epochs, model, rng)
+        gaps = rng.exponential(1.0 / arrival_rate, size=(book.n, count))
+        with np.errstate(over="ignore"):  # an overflow is refused by _queue
+            unsent = _queue(_running_sum(gaps), model, rng)
+        llr = _llr(book, np.hstack([sent, unsent]), model, arrival_rate)
         alt[block], null[block] = llr[:count], llr[count:]
     return null, alt
 

@@ -153,8 +153,8 @@ def test_bad_rate_point_rate_is_a_parameter_error(name, value):
 
 
 def test_numpy_counts_and_an_empty_send_are_accepted():
-    messages, dummies, keys, gaps = BOOK.send(rng(), np.int64(0))
-    assert gaps.shape == (4, 0) and messages.size == dummies.size == keys.size == 0
+    messages, dummies, keys, epochs = BOOK.send(rng(), np.int64(0))
+    assert epochs.shape == (4, 0) and messages.size == dummies.size == keys.size == 0
     assert poisson_arrivals(0.5, np.int32(4), rng()).shape == (4,)
     assert sample_info_densities(np.int64(4), 0.5, EXP, np.uint8(3), rng()).shape == (3,)
 

@@ -263,14 +263,16 @@ class TestEncode:
     def test_send_is_encode_of_a_uniform_message_and_key_per_trial(self, widths):
         book = small_book(n=5, widths=widths)
         sender = np.random.default_rng(9)
-        messages, dummies, keys, gaps = book.send(sender, 40)
-        assert gaps.shape == (5, 40)
+        messages, dummies, keys, epochs = book.send(sender, 40)
+        assert epochs.shape == (5, 40)
         rng = np.random.default_rng(9)
         for j in range(40):
             tx = encode(book, int(rng.integers(book.num_messages)),
                         int(rng.integers(book.num_keys)), rng)
             assert (messages[j], dummies[j], keys[j]) == (tx.message, tx.dummy, tx.key)
-            assert gaps[:, j].tobytes() == tx.codeword.tobytes()
+            column = book.arrival_epochs[:, book.column(tx.message, tx.dummy, tx.key)]
+            assert epochs[:, j].tobytes() == column.tobytes()
+            assert epochs[:, j].tobytes() == np.cumsum(tx.codeword).tobytes()
         assert sender.random() == rng.random()  # and it drew nothing more
 
     def test_out_of_range_rejected(self):

@@ -87,11 +87,6 @@ class TestConfig:
         assert cfg.willie_service == model
         assert service_from_dict(service_to_dict(model)) == model
 
-    def test_decode_sweep_accepts_a_law_with_no_density(self):
-        # the decoder scores Bob's exponential queue, never the warden's law
-        base_config(experiment="decode_sweep", n_list=(4,), width_list=((2, 1, 1),),
-                    willie_service=ServiceModel.deterministic(2.0))
-
     def test_size_budget_edges(self):
         # at most 2^32 packets (n x trials) per point and 2^28 cells
         # (n x codewords) per enumerated codebook
@@ -262,8 +257,8 @@ class TestSweeps:
         book = generate_codebook(6, 3, 1, 1, arrival_rate=cfg.arrival_rate,
                                  seed=harness._book_seed(cfg, 0))
         rng = harness._point_rng(cfg, 0, 0)
-        messages, dummies, keys, codewords = book.send(rng, cfg.trials)
-        swept = codec._decode(book, queueing._queue(codewords, bob, rng), keys, bob)
+        messages, dummies, keys, epochs = book.send(rng, cfg.trials)
+        swept = codec._decode(book, queueing._queue(epochs, bob, rng), keys, bob)
         rng = harness._point_rng(cfg, 0, 0)
         sent = [encode(book, int(rng.integers(book.num_messages)),
                        int(rng.integers(book.num_keys)), rng) for _ in range(cfg.trials)]
@@ -590,17 +585,19 @@ class TestCli:
         assert json.loads(err)["error_category"] == "config"
         assert built == []
 
-    @pytest.mark.parametrize("experiment", ["region_table", "info_density", "detection_sweep"])
-    def test_law_with_no_density_exits_6_at_load(self, tmp_path, capsys, monkeypatch,
-                                                 experiment):
+    @pytest.mark.parametrize("experiment",
+                             ["region_table", "info_density", "decode_sweep", "detection_sweep"])
+    def test_deterministic_law_is_an_unknown_kind_at_load(self, tmp_path, capsys, monkeypatch,
+                                                          experiment):
+        # every law has a density; "deterministic" names none of them
         monkeypatch.setattr("covertq.cli.run", lambda config: pytest.fail("the config ran"))
         cfg = self._write_config(tmp_path, experiment=experiment, n_list=[4],
                                  width_list=[[2, 1, 1]],
                                  willie_service={"kind": "deterministic", "rate": 2.0})
-        assert cli_main(["--config", str(cfg)]) == 6
+        assert cli_main(["--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert json.loads(err)["error_category"] == "unsupported-law"
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert json.loads(err)["error_category"] == "config"
 
     @pytest.mark.parametrize("flags", [
         ["--trials", "2.5"],

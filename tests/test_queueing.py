@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from covertq.errors import ParameterError, StructuralError, UnsupportedLawError
+from covertq.errors import ParameterError, StructuralError
 from covertq.queueing import (
     BLOCK_CELLS,
     ServiceModel,
@@ -49,11 +49,6 @@ class TestGapChecks:
 
 
 class TestServiceModel:
-    def test_deterministic_is_point_mass(self):
-        model = ServiceModel.deterministic(2.0)
-        got = model.sample(np.random.default_rng(0), 3)
-        np.testing.assert_array_equal(got, [0.5, 0.5, 0.5])
-
     def test_exponential_mean(self):
         rng = np.random.default_rng(11)
         x = ServiceModel.exponential(2.0).sample(rng, 1_000_000)
@@ -93,10 +88,6 @@ class TestServiceModel:
         # a config's shape may be any integer a float holds, up to 1.8e308
         with pytest.raises(ParameterError, match="float range"):
             ServiceModel.erlang(1.0, shape=10**306).log_density(np.array([1.0]))
-
-    def test_deterministic_has_no_density(self):
-        with pytest.raises(UnsupportedLawError):
-            ServiceModel.deterministic(1.0).log_density(np.array([1.0]))
 
     def test_exponential_log_density_value(self):
         model = ServiceModel.exponential(2.0)

@@ -10,12 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from covertq.errors import (
-    InfeasibleRateError,
-    InstabilityError,
-    ParameterError,
-    UnsupportedLawError,
-)
+from covertq.errors import InfeasibleRateError, InstabilityError, ParameterError
 from covertq.queueing import ServiceModel
 from covertq.rates import (
     RatePoint,
@@ -180,10 +175,6 @@ class TestKlToExponential:
             for rate in (0.5, 1.0, 2.0):
                 assert kl_to_exponential(model, rate) >= -1e-12
 
-    def test_deterministic_diverges(self):
-        with pytest.raises(UnsupportedLawError):
-            kl_to_exponential(ServiceModel.deterministic(1.0), 1.0)
-
 
 class TestInRegion:
     def test_no_key_needed_when_adversary_slower(self):
@@ -238,8 +229,6 @@ class TestInRegion:
     def test_mg1_spec_validation(self):
         with pytest.raises(ParameterError):
             RegionSpec(mu1=1.0, mu2=2.0, willie_service=ServiceModel.exponential(1.0))  # rate != mu2
-        with pytest.raises(UnsupportedLawError):
-            RegionSpec(mu1=1.0, mu2=2.0, willie_service=ServiceModel.deterministic(2.0))
         with pytest.raises(ParameterError):
             RegionSpec(mu1=0.0, mu2=2.0)
 
