@@ -8,9 +8,9 @@ flat index order
 
 but only their running sums are stored: the arrival epochs, key-major, in
 column k * 2^(bits_message + bits_dummy) + w * 2^bits_dummy + wt, so the
-decoder's key-k sub-codebook is a contiguous key block.  A codeword's gaps are
-differenced from its epoch column when ``encode`` sends it; ``Codebook.send``
-gathers a block of epoch columns as they are.  The decoder searches the
+decoder's key-k sub-codebook is a contiguous key block.  ``encode`` sends a
+codeword's epoch column, and ``Codebook.send`` gathers a block of epoch
+columns, as they are.  The decoder searches the
 sub-codebook exhaustively for the (message, dummy) pair maximizing the
 conditional log density of the observed departures, breaking ties toward the
 smallest index.
@@ -19,8 +19,9 @@ key share one scan of its key block, in the (observation group x column tile)
 units of ``laws.reduce_tiles``, whose per-tile argmax partials are
 folded over the tile axis; ``decode`` is its one-observation call.
 Sizes, counts and the arrival rate follow ``queueing``'s count and rate rules.
-``decode_block`` checks its gaps and keys once per call and sums the gaps
-for ``_decode``, the unchecked core the decode sweep runs on the queue's epochs.
+``decode_block`` checks its departure epochs and keys once per call and hands
+them to ``_decode``, the unchecked core the decode sweep runs on the queue's
+epochs.
 
 Enumeration is capped at 2^20 codewords and 2^28 cells (n x codewords).
 Beyond the cap, decoding performance is certified by two-sided
@@ -44,7 +45,7 @@ from .errors import (
     StructuralError,
 )
 from .laws import reduce_tiles
-from .queueing import (BLOCK_CELLS, ServiceModel, _as_times, _check_count, _check_rate,
+from .queueing import (BLOCK_CELLS, ServiceModel, _as_epochs, _check_count, _check_rate,
                        _is_number, _running_sum)
 
 __all__ = [
@@ -115,16 +116,6 @@ class Codebook:
         self._check_indices(w, wt, k)
         return k * self.num_pairs + w * self.num_dummies + wt
 
-    def codeword(self, w: int, wt: int, k: int) -> np.ndarray:
-        """The gaps of codeword (w, wt, k), differenced from its epoch column.
-
-        They can differ from the drawn gaps in the last ulp, but their running
-        sum is the column bit for bit: each epoch is b = fl(a + g) for the
-        epoch a before it and a gap g >= 0, and then fl(a + fl(b - a)) = b.
-        """
-        epochs = self.arrival_epochs[:, self.column(w, wt, k)]
-        return np.diff(epochs, prepend=0.0)
-
     def draw_dummy(self, rng: np.random.Generator) -> int:
         """A uniform dummy index; nothing is drawn when there are no dummy bits."""
         return int(rng.integers(self.num_dummies)) if self.bits_dummy > 0 else 0
@@ -133,8 +124,7 @@ class Codebook:
         """``count`` transmissions, each drawing a uniform message, a uniform key,
         then ``draw_dummy`` (``encode``'s draws).  Returns their ``(messages,
         dummies, keys)`` and their codewords' packet-major ``(n, count)`` arrival
-        epochs, a gather of their columns: the running sums of their gaps, bit for
-        bit (``codeword``)."""
+        epochs, a gather of their columns."""
         sent = [(int(rng.integers(self.num_messages)), int(rng.integers(self.num_keys)),
                  self.draw_dummy(rng)) for _ in range(_check_count("count", count, 0))]
         messages, keys, dummies = np.array(sent, dtype=np.int64).reshape(-1, 3).T
@@ -271,22 +261,22 @@ def load_codebook(path: str) -> Codebook:
 
 @dataclass(frozen=True)
 class Transmission:
-    """One encoded block: chosen indices and the codeword to play as arrivals."""
+    """One encoded block: chosen indices and the codeword's arrival epochs."""
 
     message: int
     dummy: int
     key: int
-    codeword: np.ndarray
+    arrival_epochs: np.ndarray
 
 
 def encode(book: Codebook, message: int, key: int, rng: np.random.Generator) -> Transmission:
-    """Pick a uniform dummy index and look up the codeword for (w, wt, k)."""
+    """Pick a uniform dummy index and look up the epochs of codeword (w, wt, k)."""
     dummy = book.draw_dummy(rng)
     return Transmission(
         message=message,
         dummy=dummy,
         key=key,
-        codeword=book.codeword(message, dummy, key),
+        arrival_epochs=book.arrival_epochs[:, book.column(message, dummy, key)],
     )
 
 
@@ -317,23 +307,23 @@ def decode_block(
     keys,
     model: ServiceModel,
 ) -> tuple[np.ndarray, ...]:
-    """``decode`` of every column of the packet-major ``(n, T)`` departures,
-    column j under ``keys[j]``.
+    """``decode`` of every column of the packet-major ``(n, T)`` departure
+    epochs, column j under ``keys[j]``.
 
     Returns ``DecodeResult``'s fields as (T,) arrays: ``(messages, dummies,
     log_likelihood, feasible)``.  The observations sent under one key are
     scanned together over its key block, in trial order, so each column's
     values are bit for bit the ones ``decode`` gives for that column alone.
     """
-    gaps = _as_times(departures, "departures", ndims=(2,))
+    d = _as_epochs(departures, "departure epochs", ndims=(2,))
     keys = np.asarray(keys)
-    if gaps.shape[0] != book.n or keys.shape != gaps.shape[1:]:
-        raise StructuralError(f"need (n={book.n}, T) departures with (T,) keys, "
-                              f"got {gaps.shape} and {keys.shape}")
+    if d.shape[0] != book.n or keys.shape != d.shape[1:]:
+        raise StructuralError(f"need (n={book.n}, T) departure epochs with (T,) keys, "
+                              f"got {d.shape} and {keys.shape}")
     if keys.size and not (np.issubdtype(keys.dtype, np.integer)
                           and 0 <= keys.min() and keys.max() < book.num_keys):
         raise StructuralError(f"key indices must be integers in [0, {book.num_keys})")
-    return _decode(book, _running_sum(gaps), keys, model)
+    return _decode(book, d, keys, model)
 
 
 def _decode(book: Codebook, d, keys, model: ServiceModel) -> tuple[np.ndarray, ...]:
@@ -368,19 +358,19 @@ def decode(
     the departures given the candidate's arrivals, and returns the argmax with
     first-index (lexicographic) tie-breaking.
 
-    ``departures`` holds the n inter-departure gaps, such as the output of
+    ``departures`` holds the n departure epochs, such as the output of
     ``queueing.simulate_channel`` or a column of ``queueing.simulate_block``.
-    Their shape is checked here, and their values (finite, non-negative) by
-    ``decode_block``, whose one-column call this is.
+    Their shape is checked here, and their values (finite, non-negative,
+    non-decreasing) by ``decode_block``, whose one-column call this is.
     """
-    gaps = np.asarray(departures, dtype=np.float64)
-    if gaps.shape != (book.n,):
+    d = np.asarray(departures, dtype=np.float64)
+    if d.shape != (book.n,):
         raise StructuralError(
-            f"length mismatch: departures of shape {gaps.shape} vs n={book.n}"
+            f"length mismatch: departure epochs of shape {d.shape} vs n={book.n}"
         )
     # decode_block checks the key
     return DecodeResult(*(field[0].item() for field in
-                          decode_block(book, gaps[:, None], [key], model)))
+                          decode_block(book, d[:, None], [key], model)))
 
 
 def mm1_log_output_ratio_bound(arrival_rate: float, mu1: float) -> float:

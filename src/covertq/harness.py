@@ -69,7 +69,10 @@ def service_from_dict(payload: dict) -> ServiceModel:
     if not (_is_number(rate) and (shape is None or _is_number(shape, numbers.Integral))
             and (halfwidth is None or _is_number(halfwidth))):
         raise ConfigError(f"bad service law spec: {payload!r}")
-    return ServiceModel(kind=kind, rate=rate, shape=shape, halfwidth=halfwidth)
+    try:  # a well-typed law with an illegal value
+        return ServiceModel(kind=kind, rate=rate, shape=shape, halfwidth=halfwidth)
+    except ParameterError as exc:
+        raise ConfigError(f"bad service law spec {payload!r}: {exc}") from None
 
 
 def _int_list(name: str, value) -> tuple[int, ...]:
@@ -102,12 +105,14 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}"
             )
         try:  # the library's rules, reported as a config error
-            for name in ("arrival_rate", "mu1", "mu2"):
-                _check_rate(name, getattr(self, name))
+            _check_rate("arrival_rate", self.arrival_rate)
+            # mu1, mu2 and the adversary's law: Exp(mu2) by default, else a law of rate mu2
+            spec = rates.RegionSpec(self.mu1, self.mu2, self.willie_service)
             for name, least in (("trials", 1), ("master_seed", 0), ("workers", 1)):
                 _check_count(name, getattr(self, name), least)
         except ParameterError as exc:
             raise ConfigError(str(exc)) from None
+        object.__setattr__(self, "willie_service", spec.willie_service)
         if self.experiment == "detection_sweep" and self.trials < 2:
             raise ConfigError(f"detection_sweep needs trials >= 2, one score per hypothesis "
                               f"has no spread; got {self.trials}")
@@ -115,14 +120,6 @@ class ExperimentConfig:
             raise InstabilityError(
                 f"arrival rate {self.arrival_rate} >= min service rate "
                 f"{min(self.mu1, self.mu2)}: no stationary regime"
-            )
-        if self.willie_service is None:
-            object.__setattr__(self, "willie_service", ServiceModel.exponential(self.mu2))
-        if not isinstance(self.willie_service, ServiceModel):
-            raise ConfigError(f"willie_service must be a service law, got {self.willie_service!r}")
-        if not math.isclose(self.willie_service.rate, self.mu2, rel_tol=1e-12):
-            raise ConfigError(
-                f"willie_service rate {self.willie_service.rate} must equal mu2={self.mu2}"
             )
         if not isinstance(self.width_list, (list, tuple)):
             raise ConfigError(f"width_list must be a list, got {self.width_list!r}")

@@ -1,15 +1,15 @@
 """Channel transition law and information density.
 
-A FIFO queue fed with arrival epochs t and seen at departure epochs d (the
-running sums of the gaps A and D) had the service times s_k = d_k -
-max(t_k, d_{k-1}), with d_0 = 0.  The conditional density of D given A is the
-product of the service density at the s_k: -inf exactly when some s_k leaves
-the law's support (e.g. a departure before its arrival).  Candidates are
-scored in one of two ways.  A codebook scan, for the decoder and the warden,
-scores every codeword against observed departures that all of them share:
-``reduce_tiles`` is its one entry.  A block of simulated trials, for the
-information density, scores each candidate against its own column of
-departures: ``conditional_log_density_batch``.
+A FIFO queue fed with arrival epochs t and seen at departure epochs d had
+the service times s_k = d_k - max(t_k, d_{k-1}), with d_0 = 0.  The
+conditional density of D given A is the product of the service density at
+the s_k: -inf exactly when some s_k leaves the law's support (e.g. a
+departure before its arrival).  Candidates are scored in one of two ways.
+A codebook scan, for the decoder and the warden, scores every codeword
+against observed departures that all of them share: ``reduce_tiles`` is its
+one entry.  A block of simulated trials, for the information density,
+scores each candidate against its own column of departures:
+``conditional_log_density_batch``.
 
 A codebook scan works in units of g observations x one column tile of the
 book, with g = max(1, SCAN_TILE // tile width): every unit holds at most
@@ -35,13 +35,13 @@ when the scan ends.
 
 The reference measure for information densities is the stationary no-message
 output: a Poisson process of the arrival rate (Burke's theorem for the
-exponential-service queue), i.e. i.i.d. Exp(rate) gaps.
+exponential-service queue), i.e. i.i.d. Exp(rate) gaps, whose density at
+departure epochs d is n ln(rate) - rate * d_n.
 
-Rates, counts and gaps follow ``queueing``'s three rules, checked once per
-call of ``poisson_log_density``, ``info_density_sample`` and
+Rates, counts and epochs follow ``queueing``'s rules, checked once per call
+of ``poisson_log_density``, ``info_density_sample`` and
 ``sample_info_densities``.  ``conditional_log_density_batch`` and
-``reduce_tiles`` check shapes only, once per call.  The batch kernel sums
-its departure gaps through ``queueing._running_sum``, like every other.
+``reduce_tiles`` check shapes only, once per call.
 
 ``sample_info_densities`` checks no gap it draws, and scores the services it
 drew.  Given the arrivals, the map from services to departures, d_k =
@@ -49,11 +49,10 @@ max(d_{k-1}, t_k) + S_k, is one-to-one with unit Jacobian (Anantharam and
 Verdu, "Bits through queues", 1996), so log p(D | A) is the sum of the log
 density at the drawn S_k.  The sampler walks each block of trials down its
 packets in row pieces and runs ``queueing``'s departure recursion only for
-d_n, in q(D) = n ln(rate) - rate * d_n.  So a trial it draws never scores
--inf for the rounding of its epochs, at any service rate; services formed
-again from epochs, as ``info_density_sample`` and the codebook scans form
-them, can leave the law's support where a service is a few ulps of the
-epochs.
+d_n, in q(D).  So a trial it draws never scores -inf for the rounding of
+its epochs, at any service rate; services formed again from epochs, as
+``info_density_sample`` and the codebook scans form them, can leave the
+law's support where a service is a few ulps of the epochs.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ import threading
 import numpy as np
 
 from .errors import StructuralError
-from .queueing import (BLOCK_CELLS, ServiceKind, ServiceModel, _as_times, _check_count,
+from .queueing import (BLOCK_CELLS, ServiceKind, ServiceModel, _as_epochs, _check_count,
                        _check_rate, _checked_departures, _running_sum)
 
 __all__ = ["SCAN_TILE", "conditional_log_density_batch", "scan_threads", "reduce_tiles",
@@ -87,7 +86,7 @@ _ROW_BUFFER_MIN = 256
 _PIECE_CELLS = BLOCK_CELLS // 4
 
 
-def conditional_log_density_batch(arrival_epochs: np.ndarray, departures: np.ndarray,
+def conditional_log_density_batch(arrival_epochs: np.ndarray, departure_epochs: np.ndarray,
                                   model: ServiceModel) -> np.ndarray:
     """log p(D_c | A_c) of many candidates at once, each against its own
     column of departures.
@@ -96,8 +95,8 @@ def conditional_log_density_batch(arrival_epochs: np.ndarray, departures: np.nda
     ----------
     arrival_epochs : (n, C) float array
         Column c holds candidate c's cumulative arrival epochs.
-    departures : (n, C) float array
-        Column c holds the inter-departure gaps that candidate c is scored
+    departure_epochs : (n, C) float array
+        Column c holds the departure epochs that candidate c is scored
         against.
     model : ServiceModel
 
@@ -111,11 +110,10 @@ def conditional_log_density_batch(arrival_epochs: np.ndarray, departures: np.nda
     that share their departures are scored by ``reduce_tiles``.
     """
     ta = np.asarray(arrival_epochs, dtype=np.float64)
-    gaps = np.asarray(departures, dtype=np.float64)
-    if ta.ndim != 2 or gaps.shape != ta.shape:
-        raise StructuralError(f"need (n, C) arrival epochs with (n, C) departures, "
-                              f"got {ta.shape} and {gaps.shape}")
-    d = _running_sum(gaps)
+    d = np.asarray(departure_epochs, dtype=np.float64)
+    if ta.ndim != 2 or d.shape != ta.shape:
+        raise StructuralError(f"need (n, C) arrival epochs with (n, C) departure epochs, "
+                              f"got {ta.shape} and {d.shape}")
     s = np.empty_like(d)
     np.maximum(ta[0], 0.0, out=s[0])
     np.maximum(ta[1:], d[:-1], out=s[1:])
@@ -278,50 +276,51 @@ def reduce_tiles(arrival_epochs: np.ndarray, departure_epochs: np.ndarray,
     return partials
 
 
-def poisson_log_density(gaps, rate: float):
-    """log of the i.i.d. Exp(rate) product density of the gaps down axis 0.
+def poisson_log_density(epochs, rate: float):
+    """log of the i.i.d. Exp(rate) product density of the gaps between the
+    epochs down axis 0: n ln(rate) - rate * d_n.
 
-    A float for (n,) gaps, a (T,) array for packet-major (n, T) gaps.
+    A float for (n,) epochs, a (T,) array for packet-major (n, T) epochs.
     """
     _check_rate("rate", rate)
-    x = _as_times(gaps, "gaps", ndims=(1, 2))
-    return _poisson_log_density(x.shape[0], x.sum(axis=0), rate)
+    d = _as_epochs(epochs, "epochs", ndims=(1, 2))
+    return _poisson_log_density(d.shape[0], d[-1], rate)
 
 
-def _poisson_log_density(n: int, total, rate: float):
-    """``poisson_log_density`` of n gaps that sum to ``total``, unchecked."""
-    return n * math.log(rate) - rate * total
+def _poisson_log_density(n: int, last, rate: float):
+    """``poisson_log_density`` of n epochs whose last is ``last``, unchecked."""
+    return n * math.log(rate) - rate * last
 
 
 def info_density_sample(arrivals, departures, model: ServiceModel, reference_rate: float):
-    """Per-packet information density, in nats/packet, of blocks of gaps.
+    """Per-packet information density, in nats/packet, of blocks of epochs.
 
     (1/n) * [log p(D|A; model) - log q(D; Exp(reference_rate) gaps)], or
     -inf when D cannot have been produced from A under the model.  The
-    arrival and departure gaps share one shape: (n,) for one block, which
+    arrival and departure epochs share one shape: (n,) for one block, which
     gives a float, or packet-major (n, T) for T blocks, which gives a (T,)
     array.  Each block is one column of the kernel.
 
-    The scores sum the departure gaps back into epochs and form each service
-    from them, d_k - max(t_k, d_{k-1}), which is the drawn service only up to
-    the rounding of the epochs.  Where a service is a few ulps of the epochs
-    (rates near 1e12 at a unit arrival scale), a service so formed can read
-    below 0 or past an edge of a uniform law's support, and a block the queue
-    did produce then scores -inf.  ``sample_info_densities`` scores the
-    services it drew and never does this.
+    The scores form each service from the epochs, d_k - max(t_k, d_{k-1}),
+    which is the drawn service only up to the rounding of the epochs.  Where
+    a service is a few ulps of the epochs (rates near 1e12 at a unit arrival
+    scale), a service so formed never reads below 0, but it can read 0,
+    outside an Erlang law's support, or past an edge of a uniform law's, and
+    a block the queue did produce then scores -inf.
+    ``sample_info_densities`` scores the services it drew and never does
+    this.
     """
-    a = _as_times(arrivals, "arrival gaps", ndims=(1, 2))
-    gaps = _as_times(departures, "departures", ndims=(1, 2))
-    if a.shape != gaps.shape:
-        raise StructuralError(f"need (n,) or (n, T) gaps of one shape, "
-                              f"got {a.shape} and {gaps.shape}")
+    t = _as_epochs(arrivals, "arrival epochs", ndims=(1, 2))
+    d = _as_epochs(departures, "departure epochs", ndims=(1, 2))
+    if t.shape != d.shape:
+        raise StructuralError(f"need (n,) or (n, T) epochs of one shape, "
+                              f"got {t.shape} and {d.shape}")
     _check_rate("reference_rate", reference_rate)
-    n = a.shape[0]
-    cond = conditional_log_density_batch(_running_sum(a.reshape(n, -1)), gaps.reshape(n, -1),
-                                         model)
-    q = _poisson_log_density(n, gaps.sum(axis=0), reference_rate)
+    n = t.shape[0]
+    cond = conditional_log_density_batch(t.reshape(n, -1), d.reshape(n, -1), model)
+    q = _poisson_log_density(n, d[-1], reference_rate)
     density = (cond - q) / n  # -inf where cond is
-    return float(density[0]) if a.ndim == 1 else density
+    return float(density[0]) if t.ndim == 1 else density
 
 
 def sample_info_densities(n: int, arrival_rate: float, model: ServiceModel, trials: int,

@@ -9,31 +9,29 @@ the server for ``S_k``.  Departure epochs obey the Lindley-type recursion
 with d_0 = 0.  The idle gap seen by packet k is U_k = max(0, t_k - d_{k-1}),
 so the inter-departure time decomposes as D_k = U_k + S_k.
 
-All sequences are in seconds; rates are per second.  Gap sequences are plain
-float64 arrays, (n,) for one block or packet-major (n, T) for T blocks.
+All sequences are in seconds; rates are per second.  A block is held by its
+epochs: arrival epochs t_k and departure epochs d_k, plain float64 arrays,
+(n,) for one block or packet-major (n, T) for T blocks.  Gaps enter in one
+place, ``departure_epochs``, which sums them.
 
-This module holds the package's three input rules, applied once per call at
-each public entry and never per trial or per observation: ``_check_rate``
-(a finite number > 0 whose reciprocal, the mean gap, is finite; not a bool),
-``_check_count`` (an integer >= a least value, not a bool) and ``_as_times``
-(non-empty, finite, non-negative gaps).  The simulator
-(``departure_epochs``, ``simulate_channel``, ``simulate_block``) and the
-scorers (``codec.decode_block``, ``warden.willie_llr_block``,
-``laws.info_density_sample``) check their gaps with ``_as_times``.  The
-sweeps draw their own gaps or send a codebook's epochs, so they run their
-arrival epochs unchecked through ``_queue`` and score its departure epochs
-with the scorers' unchecked cores.
+This module holds the package's input rules, applied once per call at each
+public entry and never per trial or per observation: ``_check_rate`` (a
+finite number > 0 whose reciprocal, the mean gap, is finite; not a bool),
+``_check_count`` (an integer >= a least value, not a bool), ``_as_times``
+(non-empty, finite, non-negative gaps, for ``departure_epochs``) and
+``_as_epochs`` (its image under the running sum: non-empty, finite,
+non-negative and non-decreasing down axis 0).  The simulator
+(``simulate_channel``, ``simulate_block``) and the scorers
+(``codec.decode_block``, ``warden.willie_llr_block``,
+``laws.info_density_sample``, ``laws.poisson_log_density``) check their
+epochs with ``_as_epochs``.  The sweeps draw their own gaps or send a
+codebook's epochs, so they run their arrival epochs unchecked through
+``_queue`` and score its departure epochs with the scorers' unchecked cores.
 
 Every running sum down axis 0 in the package, of gaps into epochs, goes
 through ``_running_sum``: ``np.cumsum``'s additions in its order, so its
 bits, taken one row at a time when a block has at least as many columns as
-rows.  The running sum of the differenced departure epochs is not the
-epochs: an epoch that ends an idle period is an arrival epoch plus a service
-time, not the epoch before it plus a float, so re-adding its gap can round
-differently, and the running sum carries the difference on (332 of 32,000
-cells in one draw at n=16, T=2000).  So every sweep scores the recursion's
-own epochs, not the sums of their gaps; only a public scorer, given gaps,
-sums them.
+rows.
 
 The recursion is kept in its sequential form on purpose: reassociating the
 arithmetic (e.g. a prefix-max formulation) changes last-ulp rounding, and
@@ -140,6 +138,15 @@ def _as_times(values, what: str, ndims=(1,)) -> np.ndarray:
     return arr
 
 
+def _as_epochs(values, what: str, ndims=(1,)) -> np.ndarray:
+    """``_as_times``, and non-decreasing down axis 0: the running sums of gaps
+    that ``_as_times`` passes."""
+    arr = _as_times(values, what, ndims)
+    if np.any(arr[1:] < arr[:-1]):
+        raise StructuralError(f"{what} must be non-decreasing")
+    return arr
+
+
 class ServiceKind(enum.Enum):
     EXPONENTIAL = "exponential"
     ERLANG = "erlang"
@@ -230,17 +237,20 @@ class ServiceModel:
 
 
 def poisson_arrivals(rate: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Inter-arrival gaps of a Poisson process: n i.i.d. Exp(rate) draws.
+    """Arrival epochs of a Poisson process: the running sum of n i.i.d.
+    Exp(rate) gaps.
 
-    A draw can overflow to inf when the mean gap is near the top of the float
-    range; such draws are refused.
+    A draw, or their sum, can overflow to inf when the mean gap is near the
+    top of the float range; such draws are refused.
     """
     _check_rate("rate", rate)
     gaps = rng.exponential(1.0 / rate, size=_check_count("n", n, 1))
-    if not np.isfinite(gaps).all():
-        raise ParameterError(f"arrival gaps overflow the float range: the mean gap 1/rate = "
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        epochs = _running_sum(gaps, out=gaps)
+    if not math.isfinite(epochs[-1]):
+        raise ParameterError(f"arrival epochs overflow the float range: the mean gap 1/rate = "
                              f"{1.0 / rate!r} is too large")
-    return gaps
+    return epochs
 
 
 def _running_sum(x: np.ndarray, out: np.ndarray | None = None,
@@ -337,7 +347,8 @@ def _checked_departures(t: np.ndarray, services: np.ndarray, prev: np.ndarray | 
 
 
 def departure_epochs(arrival_gaps, service_times):
-    """Departure epochs d_k and idle gaps U_k for given arrivals and services.
+    """Departure epochs d_k and idle gaps U_k for given arrivals and services:
+    the one public entry that takes gaps.
 
     Parameters
     ----------
@@ -353,13 +364,15 @@ def departure_epochs(arrival_gaps, service_times):
     Each step is one add, one max and one add, so the result is
     bit-reproducible across runs and platforms that share IEEE-754 double
     semantics, and a column of a 2-d call equals the 1-d call on that column.
+    Epochs that overflow the float range are refused.
     """
     a = _as_times(arrival_gaps, "arrival gaps", ndims=(1, 2))
     s = _as_times(service_times, "service times", ndims=(1, 2))
     if a.shape != s.shape:
         raise StructuralError(f"shape mismatch: {a.shape} arrivals vs {s.shape} services")
-    t = _running_sum(a)
-    d = _departures(t, s)
+    with np.errstate(over="ignore"):  # an overflow is refused by _checked_departures
+        t = _running_sum(a)
+        d = _checked_departures(t, s.copy())  # the caller's services are not written to
     dprev = np.zeros_like(d)
     dprev[1:] = d[:-1]
     return d, np.maximum(t - dprev, 0.0)
@@ -375,20 +388,16 @@ def _queue(t: np.ndarray, model: ServiceModel, rng: np.random.Generator) -> np.n
 
 
 def simulate_channel(arrivals, model: ServiceModel, rng: np.random.Generator) -> np.ndarray:
-    """Inter-departure gaps of one block of (n,) arrival gaps, with n services drawn."""
-    a = _as_times(arrivals, "arrival gaps")
-    with np.errstate(over="ignore"):  # an overflow is refused by _queue
-        return np.diff(_queue(_running_sum(a), model, rng), prepend=0.0)
+    """Departure epochs of one block of (n,) arrival epochs, with n services drawn."""
+    return _queue(_as_epochs(arrivals, "arrival epochs"), model, rng)
 
 
-def simulate_block(arrival_gaps, model: ServiceModel, rng: np.random.Generator) -> np.ndarray:
-    """Inter-departure gaps of T blocks pushed through T independent queues.
+def simulate_block(arrival_epochs, model: ServiceModel, rng: np.random.Generator) -> np.ndarray:
+    """Departure epochs of T blocks pushed through T independent queues.
 
-    ``arrival_gaps`` is packet-major ``(n, T)``: column j is one block.  The
+    ``arrival_epochs`` is packet-major ``(n, T)``: column j is one block.  The
     ``(n, T)`` service times are drawn in one call, in C order.  Column j of
     the result equals ``simulate_channel`` on column j given the same service
     times.
     """
-    a = _as_times(arrival_gaps, "arrival gaps", ndims=(2,))
-    with np.errstate(over="ignore"):  # an overflow is refused by _queue
-        return np.diff(_queue(_running_sum(a), model, rng), axis=0, prepend=0.0)
+    return _queue(_as_epochs(arrival_epochs, "arrival epochs", ndims=(2,)), model, rng)

@@ -19,8 +19,8 @@ from check nothing.
 (observation group x column tile) units of ``laws.reduce_tiles``, and folds
 each observation's row of per-tile log-sum-exp partials;
 ``willie_llr`` is its one-observation call.  It checks the observations'
-gaps and the rate once per call, sums the gaps into departure epochs and
-scores them with its unchecked core ``_llr``.  ``run_detection_trials``
+departure epochs and the rate once per call and scores them with its
+unchecked core ``_llr``.  ``run_detection_trials``
 checks the rate and trial count once per call, then sends its trials block
 by block through ``queueing._queue`` and scores each block's departure
 epochs, as the recursion wrote them, with one ``_llr`` call.
@@ -37,7 +37,7 @@ import numpy as np
 from .codec import Codebook
 from .errors import ParameterError, StructuralError
 from .laws import _poisson_log_density, reduce_tiles
-from .queueing import (ServiceModel, _as_times, _check_count, _check_rate, _queue,
+from .queueing import (ServiceModel, _as_epochs, _check_count, _check_rate, _queue,
                        _running_sum, trial_blocks)
 
 __all__ = [
@@ -69,8 +69,8 @@ def willie_llr_block(
     model: ServiceModel,
     arrival_rate: float,
 ) -> np.ndarray:
-    """``willie_llr`` of every column of the packet-major ``(n, T)``
-    observations, as a (T,) array, in one scan of the codebook.
+    """``willie_llr`` of every column of the packet-major ``(n, T)`` observed
+    departure epochs, as a (T,) array, in one scan of the codebook.
 
     The log-sum-exp over the codebook is reduced per (observation group,
     column tile) unit to (maximum, sum of exp(score - maximum)) per
@@ -78,11 +78,11 @@ def willie_llr_block(
     whatever the grouping and thread count, so its llr's bits depend on
     neither.
     """
-    obs = _as_times(observations, "observations", ndims=(2,))
-    if obs.shape[0] != book.n:
-        raise StructuralError(f"need (n={book.n}, T) observations, got {obs.shape}")
+    d = _as_epochs(observations, "observations", ndims=(2,))
+    if d.shape[0] != book.n:
+        raise StructuralError(f"need (n={book.n}, T) observations, got {d.shape}")
     _check_rate("arrival_rate", arrival_rate)
-    return _llr(book, _running_sum(obs), model, arrival_rate)
+    return _llr(book, d, model, arrival_rate)
 
 
 def _llr(book: Codebook, d: np.ndarray, model: ServiceModel, rate: float) -> np.ndarray:
@@ -107,11 +107,11 @@ def willie_llr(
     model: ServiceModel,
     arrival_rate: float,
 ) -> float:
-    """Mixture-vs-stationary log likelihood ratio of one observed block: the
-    one-column call of ``willie_llr_block``."""
+    """Mixture-vs-stationary log likelihood ratio of one observed block of
+    departure epochs: the one-column call of ``willie_llr_block``."""
     obs = np.asarray(observation, dtype=np.float64)
     if obs.shape != (book.n,):
-        raise StructuralError(f"need (n={book.n},) observed gaps, got {obs.shape}")
+        raise StructuralError(f"need (n={book.n},) observed epochs, got {obs.shape}")
     return float(willie_llr_block(book, obs[:, None], model, arrival_rate)[0])
 
 

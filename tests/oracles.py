@@ -100,18 +100,18 @@ def erlang_kl_closed_form(shape, rate_mean_inverse, rate):
     )
 
 
-def conditional_log_density(arrival_gaps, departure_gaps, log_density):
-    """log p(D | A) of one block: the sum of ``log_density`` (an elementwise
-    array function) at the services s_k = D_k - max(0, t_k - d_{k-1}).
+def conditional_log_density(arrival_epochs, departure_epochs, log_density):
+    """log p(D | A) of one block of epochs: the sum of ``log_density`` (an
+    elementwise array function) at the services s_k = D_k - max(0, t_k -
+    d_{k-1}), with D_k = d_k - d_{k-1} the departure gaps.
 
     The per-trial scorer the library had before its kernel took one column of
     departures per candidate: it rebuilds the idle time before each service
     from the gaps instead of forming d_k - max(t_k, d_{k-1}) from the epochs.
     """
-    a = np.asarray(arrival_gaps, dtype=np.float64)
-    gaps = np.asarray(departure_gaps, dtype=np.float64)
-    t = np.cumsum(a)
-    d = np.cumsum(gaps)
+    t = np.asarray(arrival_epochs, dtype=np.float64)
+    d = np.asarray(departure_epochs, dtype=np.float64)
+    gaps = np.diff(d, prepend=0.0)
     dprev = np.concatenate([[0.0], d[:-1]])
     services = gaps - np.maximum(t - dprev, 0.0)
     return float(log_density(services).sum())
@@ -132,16 +132,18 @@ def drawn_log_density(arrival_gaps, service_times, log_density, rate):
     return cond, len(departures) * math.log(rate) - rate * float(departures[-1])
 
 
-def scan_scores_exponential(arrival_epochs, departure_gaps, rate):
-    """Exp(rate) log p(D | A_c) for every column c of (n, C) arrival epochs.
+def scan_scores_exponential(arrival_epochs, departure_epochs, rate):
+    """Exp(rate) log p(D | A_c) for every column c of (n, C) arrival epochs,
+    against (n,) departure epochs d.
 
     The six-pass per-packet loop the library scanned codebooks with before
-    its two-accumulator kernel: s_k = D_k - max(0, t_k - d_{k-1}), a mask
-    s_k >= 0 folded into a feasibility flag, and a running sum of the s_k.
+    its two-accumulator kernel: s_k = D_k - max(0, t_k - d_{k-1}), with D_k =
+    d_k - d_{k-1} the departure gaps, a mask s_k >= 0 folded into a
+    feasibility flag, and a running sum of the s_k.
     """
     ta = np.asarray(arrival_epochs, dtype=np.float64)
-    gaps = np.asarray(departure_gaps, dtype=np.float64)
-    d = np.cumsum(gaps)
+    d = np.asarray(departure_epochs, dtype=np.float64)
+    gaps = np.diff(d, prepend=0.0)
     n, count = ta.shape
     buf = np.empty(count)
     ssum = np.zeros(count)
@@ -161,18 +163,19 @@ def scan_scores_exponential(arrival_epochs, departure_gaps, rate):
     return scores
 
 
-def masked_exponential_scores(arrival_epochs, departure_gaps, rate):
+def masked_exponential_scores(arrival_epochs, departure_epochs, rate):
     """Exp(rate) log p(D | A_c) for every column c of (n, C) arrival epochs,
-    with the -inf of an infeasible candidate written by a mask.
+    against (n,) departure epochs d, with the -inf of an infeasible candidate
+    written by a mask.
 
     The library's kernel before its infeasibility rule went branch-free: the
-    sum and the minimum of s_k = d_k - max(t_k, d_{k-1}), with d the running
-    sum of the gaps, then -inf wherever that minimum is below 0.  Its
-    additions are the library's, in the library's order, so the two agree bit
-    for bit on any input, NaN, signed zeros and infinities included.
+    sum and the minimum of s_k = d_k - max(t_k, d_{k-1}), then -inf wherever
+    that minimum is below 0.  Its additions are the library's, in the
+    library's order, so the two agree bit for bit on any input, NaN, signed
+    zeros and infinities included.
     """
     ta = np.asarray(arrival_epochs, dtype=np.float64)
-    d = np.cumsum(np.asarray(departure_gaps, dtype=np.float64))
+    d = np.asarray(departure_epochs, dtype=np.float64)
     n = ta.shape[0]
     total = least = None
     prev = 0.0
@@ -185,12 +188,13 @@ def masked_exponential_scores(arrival_epochs, departure_gaps, rate):
     return np.where(least < 0.0, -np.inf, scores)
 
 
-def scan_scores(arrival_epochs, departure_gaps, log_density):
+def scan_scores(arrival_epochs, departure_epochs, log_density):
     """Sum over packets of ``log_density`` (an elementwise array function) of
-    s_k = D_k - max(0, t_k - d_{k-1}), for every column of (n, C) epochs."""
+    s_k = D_k - max(0, t_k - d_{k-1}), with D_k = d_k - d_{k-1}, for every
+    column of (n, C) arrival epochs against (n,) departure epochs d."""
     ta = np.asarray(arrival_epochs, dtype=np.float64)
-    gaps = np.asarray(departure_gaps, dtype=np.float64)
-    d = np.cumsum(gaps)
+    d = np.asarray(departure_epochs, dtype=np.float64)
+    gaps = np.diff(d, prepend=0.0)
     n, count = ta.shape
     buf = np.empty(count)
     scores = np.zeros(count)

@@ -14,17 +14,16 @@ import numpy as np
 from covertq.laws import reduce_tiles
 
 
-def shared_scores(arrival_epochs, departures, model):
+def shared_scores(arrival_epochs, departure_epochs, model):
     """log p(D_j | A_c) of every column c of the ``(n, C)`` epochs against
-    every observation j of departure gaps: ``(C,)`` for ``(n,)`` departures,
-    ``(T, C)`` for packet-major ``(n, T)`` ones.  The scan is given the
-    gaps' running sums, the departure epochs.
+    every observation j of departure epochs: ``(C,)`` for ``(n,)``
+    departures, ``(T, C)`` for packet-major ``(n, T)`` ones.
 
     Each unit copies its rows into a list and returns their ``(g,)`` ids;
     the ``(T, tiles)`` id array puts the rows back in order for any grouping
     and thread count.
     """
-    departures = np.asarray(departures, dtype=np.float64)
+    d = np.asarray(departure_epochs, dtype=np.float64)
     rows, lock = [], threading.Lock()
 
     def copy_out(start, scores):
@@ -33,11 +32,10 @@ def shared_scores(arrival_epochs, departures, model):
             rows.extend(scores.copy())
         return (np.arange(first, first + len(scores)),)
 
-    epochs = np.cumsum(departures, axis=0)
-    [ids] = reduce_tiles(arrival_epochs, epochs[:, None] if departures.ndim == 1 else epochs,
-                         model, copy_out, (np.int64,))
+    [ids] = reduce_tiles(arrival_epochs, d[:, None] if d.ndim == 1 else d, model, copy_out,
+                         (np.int64,))
     scores = np.array([np.concatenate([rows[i] for i in row]) for row in ids])
-    return scores[0] if departures.ndim == 1 else scores
+    return scores[0] if d.ndim == 1 else scores
 
 
 def assert_scores_match(got, want, size):
@@ -47,13 +45,3 @@ def assert_scores_match(got, want, size):
     got, want, size = got[~infeasible], want[~infeasible], size[~infeasible]
     ok = np.abs(got - want) <= 1e-12 * size
     assert ok.all(), (got[~ok], want[~ok])
-
-
-def llr_size(llr, observations, model, rate):
-    """The size of each warden llr of the packet-major ``(n, T)`` observed
-    gaps: its magnitude, and n (|ln mu| + mu d_n) + n |ln rate| + rate d_n,
-    which bound the codeword scores' and log q(D)'s terms for the service
-    rate mu and the last departure epoch d_n."""
-    n, d = len(observations), np.sum(observations, axis=0)
-    return (np.abs(llr) + n * (abs(np.log(model.rate)) + model.rate * d)
-            + n * abs(np.log(rate)) + rate * d)

@@ -1,11 +1,12 @@
-"""Every public entry applies the package's three input rules at its call.
+"""Every public entry applies the package's input rules at its call.
 
-Gaps (non-empty, finite, non-negative) raise ``StructuralError``; counts (an
-integer >= its least value, never a bool) and rates (a finite number > 0
-whose reciprocal is finite, never a bool) raise ``ParameterError``.  A service law, a region and a
-config refuse a malformed field when they are built, with the category of
-their module: ``ParameterError`` for the library's objects, ``ConfigError``
-for a config.
+Epochs (non-empty, finite, non-negative and non-decreasing down axis 0: the
+running sums of the gaps that ``departure_epochs`` takes) raise
+``StructuralError``; counts (an integer >= its least value, never a bool)
+and rates (a finite number > 0 whose reciprocal is finite, never a bool)
+raise ``ParameterError``.  A service law, a region and a config refuse a
+malformed field when they are built, with the category of their module:
+``ParameterError`` for the library's objects, ``ConfigError`` for a config.
 """
 
 import math
@@ -33,13 +34,13 @@ def rng():
 
 
 def block(bad):
-    """(4, 3) gaps with one bad value in column 1."""
-    gaps = np.full((4, 3), 0.7)
-    gaps[2, 1] = bad
-    return gaps
+    """(4, 3) epochs, 0.7 apart, with one bad value in column 1."""
+    epochs = np.cumsum(np.full((4, 3), 0.7), axis=0)
+    epochs[2, 1] = bad
+    return epochs
 
 
-GAP_ENTRIES = {
+EPOCH_ENTRIES = {
     "decode_block": lambda bad: decode_block(BOOK, block(bad), [0, 1, 0], EXP),
     "decode": lambda bad: decode(BOOK, block(bad)[:, 1], 0, EXP),
     "willie_llr_block": lambda bad: willie_llr_block(BOOK, block(bad), EXP, 0.5),
@@ -52,11 +53,12 @@ GAP_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
-@pytest.mark.parametrize("entry", GAP_ENTRIES)
+# 1.0 comes after the epoch 1.4: a negative gap
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5, 1.0])
+@pytest.mark.parametrize("entry", EPOCH_ENTRIES)
 def test_bad_gap_is_a_structural_error(entry, bad):
     with pytest.raises(StructuralError):
-        GAP_ENTRIES[entry](bad)
+        EPOCH_ENTRIES[entry](bad)
 
 
 COUNT_ENTRIES = {

@@ -4,8 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from covertq.codec import (
     Codebook,
@@ -127,28 +125,6 @@ class TestChunkedGenerator:
         want = oracles.key_major_epochs(oracles.flat_codewords(book), book.num_keys)
         assert np.array_equal(book.arrival_epochs.view(np.uint64), want.view(np.uint64))
 
-    @given(
-        n=st.integers(1, 40),
-        widths=st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)),
-        rate=st.floats(1e-3, 1e3),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_codeword_gaps_sum_back_to_their_epochs(self, n, widths, rate, seed):
-        book = generate_codebook(n, *widths, arrival_rate=rate, seed=seed)
-        for w in range(book.num_messages):
-            for wt in range(book.num_dummies):
-                for k in range(book.num_keys):
-                    column = book.arrival_epochs[:, book.column(w, wt, k)]
-                    got = np.cumsum(book.codeword(w, wt, k))
-                    assert np.array_equal(got.view(np.uint64), column.view(np.uint64))
-
-    @given(a=st.floats(0.0, 1e300), gap=st.floats(0.0, 1e300))
-    def test_difference_adds_back_exactly(self, a, gap):
-        # why the differenced gaps sum back: b = fl(a + gap) => fl(a + fl(b - a)) = b
-        b = a + gap
-        assert a + (b - a) == b
-
     def test_peak_memory_is_about_one_book(self):
         tracemalloc.start()
         try:
@@ -242,7 +218,7 @@ class TestEncode:
         tx = encode(book, 5, 2, rng)
         assert tx.message == 5 and tx.key == 2
         row = book.index(tx.message, tx.dummy, tx.key)
-        assert np.array_equal(np.cumsum(tx.codeword), np.cumsum(oracles.flat_codewords(book)[row]))
+        assert np.array_equal(tx.arrival_epochs, np.cumsum(oracles.flat_codewords(book)[row]))
 
     def test_no_dummy_bits_means_zero_dummy(self):
         book = generate_codebook(8, 2, 0, 1, arrival_rate=1.0, seed=1)
@@ -271,8 +247,7 @@ class TestEncode:
                         int(rng.integers(book.num_keys)), rng)
             assert (messages[j], dummies[j], keys[j]) == (tx.message, tx.dummy, tx.key)
             column = book.arrival_epochs[:, book.column(tx.message, tx.dummy, tx.key)]
-            assert epochs[:, j].tobytes() == column.tobytes()
-            assert epochs[:, j].tobytes() == np.cumsum(tx.codeword).tobytes()
+            assert epochs[:, j].tobytes() == column.tobytes() == tx.arrival_epochs.tobytes()
         assert sender.random() == rng.random()  # and it drew nothing more
 
     def test_out_of_range_rejected(self):
@@ -291,7 +266,7 @@ class TestDecode:
         channel = ServiceModel.exponential(1e6)
         for w in range(8):
             tx = encode(book, w, 3, rng)
-            dep = simulate_channel(tx.codeword, channel, rng)
+            dep = simulate_channel(tx.arrival_epochs, channel, rng)
             got = decode(book, dep, 3, ServiceModel.exponential(1e6))
             assert (got.message, got.dummy) == (w, tx.dummy)
             assert not got.failed
@@ -299,7 +274,7 @@ class TestDecode:
     def test_single_codeword_book_decodes_to_zero(self):
         book = generate_codebook(8, 0, 0, 0, arrival_rate=0.5, seed=2)
         rng = np.random.default_rng(10)
-        dep = simulate_channel(book.codeword(0, 0, 0), BOB, rng)
+        dep = simulate_channel(book.arrival_epochs[:, 0], BOB, rng)
         got = decode(book, dep, 0, BOB)
         assert (got.message, got.dummy) == (0, 0)
 
@@ -314,7 +289,7 @@ class TestDecode:
             w = int(rng.integers(book.num_messages))
             k = int(rng.integers(book.num_keys))
             tx = encode(book, w, k, rng)
-            departures.append(simulate_channel(tx.codeword, BOB, rng))
+            departures.append(simulate_channel(tx.arrival_epochs, BOB, rng))
             sent.append((w, tx.dummy, k))
         messages, dummies, _, _ = decode_block(book, np.stack(departures, axis=1),
                                                [k for *_, k in sent], BOB)
@@ -328,16 +303,16 @@ class TestDecode:
         channel = ServiceModel.exponential(2.0)
         for _ in range(40):
             tx = encode(book, int(rng.integers(4)), 0, rng)
-            dep = simulate_channel(tx.codeword, channel, rng)
+            dep = simulate_channel(tx.arrival_epochs, channel, rng)
             got = decode(book, dep, 0, ServiceModel.exponential(2.0))
-            truth = oracles.conditional_log_density(tx.codeword, dep, channel.log_density)
+            truth = oracles.conditional_log_density(tx.arrival_epochs, dep, channel.log_density)
             assert got.log_likelihood >= truth - 1e-9
             assert got.feasible_count >= 1  # the true codeword is always feasible
 
     def test_all_infeasible_flags_failure(self):
         book = small_book(n=4, widths=(2, 0, 0))
         # a departure block faster than any codeword's first arrival
-        dep = np.full(4, 1e-12)
+        dep = np.cumsum(np.full(4, 1e-12))
         got = decode(book, dep, 0, BOB)
         assert got.failed
         assert got.log_likelihood == -math.inf
@@ -355,7 +330,7 @@ class TestDecode:
             for _ in range(trials):
                 w = int(rng.integers(book.num_messages))
                 tx = encode(book, w, 0, rng)
-                dep = simulate_channel(tx.codeword, bob, rng)
+                dep = simulate_channel(tx.arrival_epochs, bob, rng)
                 if decode(book, dep, 0, bob).message != w:
                     errors += 1
             rates.append(errors / trials)
@@ -364,7 +339,7 @@ class TestDecode:
 
     def test_key_and_length_validation(self):
         book = small_book()
-        dep = np.ones(16)
+        dep = np.arange(1.0, 17.0)
         with pytest.raises(StructuralError):
             decode(book, dep, 4, BOB)
         with pytest.raises(StructuralError):
@@ -398,7 +373,7 @@ class TestErrorBounds:
         for _ in range(trials):
             w = int(rng.integers(book.num_messages))
             tx = encode(book, w, 0, rng)
-            dep = simulate_channel(tx.codeword, bob, rng)
+            dep = simulate_channel(tx.arrival_epochs, bob, rng)
             if decode(book, dep, 0, bob).message != w:
                 errors += 1
         empirical = errors / trials

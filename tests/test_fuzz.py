@@ -128,7 +128,7 @@ def run_cli(payload, *flags):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli_main(["--config", path, *flags])
-    assert code in (0, 2, 3, 4, 5, 6, 7)
+    assert code in (0, 2, 3, 4, 5, 7)
     lines = err.getvalue().splitlines()
     if code == 0:
         assert lines == []

@@ -30,8 +30,6 @@ from covertq.harness import (
 )
 from covertq.queueing import ServiceModel, simulate_block
 
-from scanning import assert_scores_match
-
 
 def base_config(**overrides):
     payload = dict(
@@ -247,9 +245,8 @@ class TestSweeps:
 
     def test_decode_sweep_matches_per_trial_encode_and_decode(self):
         # the sweep's gathered block against the public calls, trial by trial:
-        # the same draws (message, key, dummy, then the block's services).
-        # The sweep scores the recursion's departure epochs, the public calls
-        # the sums of their gaps, so the decoded scores agree to rounding
+        # the same draws (message, key, dummy, then the block's services) and
+        # the same departure epochs, so the same bits
         cfg = base_config(experiment="decode_sweep", n_list=(6,), width_list=((3, 1, 1),),
                           trials=300)
         rows = {r.metric: r.value for r in run(cfg)}
@@ -262,7 +259,7 @@ class TestSweeps:
         rng = harness._point_rng(cfg, 0, 0)
         sent = [encode(book, int(rng.integers(book.num_messages)),
                        int(rng.integers(book.num_keys)), rng) for _ in range(cfg.trials)]
-        departures = simulate_block(np.stack([tx.codeword for tx in sent], axis=1),
+        departures = simulate_block(np.stack([tx.arrival_epochs for tx in sent], axis=1),
                                     bob, rng)
         got = [decode(book, departures[:, j], tx.key, bob)
                for j, tx in enumerate(sent)]
@@ -271,10 +268,7 @@ class TestSweeps:
         assert swept[0].tolist() == [r.message for r in got]
         assert swept[1].tolist() == [r.dummy for r in got]
         assert swept[3].tolist() == [r.feasible_count for r in got]
-        want = np.array([r.log_likelihood for r in got])
-        size = np.abs(want) + book.n * abs(math.log(bob.rate)) + bob.rate * book.n * \
-            departures.sum(axis=0)
-        assert_scores_match(swept[2], want, size)
+        assert [x.hex() for x in swept[2].tolist()] == [r.log_likelihood.hex() for r in got]
         errors = sum(r.message != tx.message for r, tx in zip(got, sent))
         pair_errors = sum((r.message, r.dummy) != (tx.message, tx.dummy)
                           for r, tx in zip(got, sent))
@@ -308,7 +302,7 @@ class TestSweeps:
     def test_sweep_checks_times_per_block_not_per_trial(self, monkeypatch, experiment, widths):
         # the codeword lookup and q(D) each run per block: a per-trial or
         # per-observation call would count more at 90 trials.  No sweep checks
-        # the gaps it draws or sends
+        # the gaps it draws or the epochs it sends
         calls = []
 
         def count(name, *owners):  # every module's own binding of the name
@@ -317,7 +311,8 @@ class TestSweeps:
                 monkeypatch.setattr(owner, name, lambda *a, call=call, **k:
                                     calls.append(name) or call(*a, **k))
 
-        count("_as_times", queueing, codec, laws, warden)
+        count("_as_times", queueing)
+        count("_as_epochs", queueing, codec, laws, warden)
         count("column", codec.Codebook)
         count("_poisson_log_density", laws, warden)
         counts = []
@@ -327,7 +322,7 @@ class TestSweeps:
                             trials=trials))
             counts.append(sorted(calls))
         assert counts[0] == counts[1]
-        assert "_as_times" not in counts[0]
+        assert "_as_times" not in counts[0] and "_as_epochs" not in counts[0]
 
 
 class TestReproduce:
@@ -519,6 +514,11 @@ class TestCli:
         {"kind": "erlang", "rate": 2.0, "shape": 10**400},
         {"kind": "uniform", "rate": 2.0, "halfwidth": True},
         5,
+        # well-typed laws with an illegal value
+        {"kind": "exponential", "rate": 0.0},
+        {"kind": "uniform", "rate": 2.0, "halfwidth": 5.0},
+        {"kind": "exponential", "rate": 2.0, "shape": 3},
+        {"kind": "erlang", "rate": 2.0},
     ])
     def test_malformed_service_law_exit_code_and_diagnostic(self, tmp_path, capsys, law):
         cfg = self._write_config(tmp_path, willie_service=law)

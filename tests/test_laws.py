@@ -29,15 +29,10 @@ EXP1 = ServiceModel.exponential(1.0)
 
 
 def kernel_log_density(arrivals, departures, model):
-    """log p(D | A) of one block: one column of the kernel, with its own
-    column of departures."""
-    epochs = np.cumsum(np.asarray(arrivals))[:, None]
-    return float(conditional_log_density_batch(epochs, np.asarray(departures)[:, None], model)[0])
-
-
-def departure_gaps(arrivals, services):
-    """Inter-departure gaps of one block through the queue."""
-    return np.diff(departure_epochs(arrivals, services)[0], prepend=0.0)
+    """log p(D | A) of one block of epochs: one column of the kernel, with its
+    own column of departures."""
+    return float(conditional_log_density_batch(np.asarray(arrivals)[:, None],
+                                               np.asarray(departures)[:, None], model)[0])
 
 
 def oracle_log_density(arrivals, departures, model):
@@ -47,27 +42,27 @@ def oracle_log_density(arrivals, departures, model):
 class TestConditionalLogDensity:
     def test_hand_example(self):
         # services (0.5, 2.0) at rate 1: total = 2*log(1) - 2.5
-        a = np.array([1.0, 1.0])
-        d = np.array([1.5, 2.5])
-        assert kernel_log_density(a, d, EXP1) == pytest.approx(-2.5, abs=1e-12)
+        t = np.array([1.0, 2.0])
+        d = np.array([1.5, 4.0])
+        assert kernel_log_density(t, d, EXP1) == pytest.approx(-2.5, abs=1e-12)
         # the same block scanned as a codebook: departures shared by every column
-        shared = shared_scores(np.cumsum(a)[:, None], d, EXP1)
+        shared = shared_scores(t[:, None], d, EXP1)
         assert shared[0] == pytest.approx(-2.5, abs=1e-12)
 
     def test_departure_before_arrival_is_infeasible(self):
-        a = np.array([1.0, 1.0])
-        d = np.array([0.5, 0.1])  # second departure epoch 0.6 < arrival epoch 2
-        assert kernel_log_density(a, d, EXP1) == -math.inf
+        t = np.array([1.0, 2.0])
+        d = np.array([0.5, 0.6])  # second departure epoch 0.6 < arrival epoch 2
+        assert kernel_log_density(t, d, EXP1) == -math.inf
 
     def test_round_trip_recovers_true_services(self):
-        # gap->epoch conversion costs a few ulps, nothing more
+        # services formed again from the epochs cost a few ulps, nothing more
         rng = np.random.default_rng(21)
         for _ in range(100):
             n = int(rng.integers(1, 300))
             a = rng.exponential(2.0, n)
             s = rng.exponential(1.0, n)
-            dep = departure_gaps(a, s)
-            got = kernel_log_density(a, dep, EXP1)
+            dep, _ = departure_epochs(a, s)
+            got = kernel_log_density(np.cumsum(a), dep, EXP1)
             want = float(np.sum(math.log(1.0) - 1.0 * s))
             assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
@@ -78,22 +73,22 @@ class TestConditionalLogDensity:
     def test_erlang_law_value(self):
         # single packet, idle start: s = D - A; Erlang-2 density at s
         model = ServiceModel.erlang(1.0, shape=2)
-        a = np.array([1.0])
+        t = np.array([1.0])
         d = np.array([1.7])
         s = 0.7
         want = math.log(4.0) + math.log(s) - 2.0 * s  # k=2, stage rate 2
-        assert kernel_log_density(a, d, model) == pytest.approx(want, abs=1e-12)
+        assert kernel_log_density(t, d, model) == pytest.approx(want, abs=1e-12)
 
     def test_feasibility_monotone_in_first_departure(self):
+        # every departure later by the same delay stays feasible
         rng = np.random.default_rng(22)
         for _ in range(50):
             a = rng.exponential(2.0, 20)
             s = rng.exponential(1.0, 20)
-            dep = departure_gaps(a, s)
-            assert np.isfinite(kernel_log_density(a, dep, EXP1))
-            shifted = dep.copy()
-            shifted[0] += rng.uniform(0.01, 5.0)
-            assert np.isfinite(kernel_log_density(a, shifted, EXP1))
+            dep, _ = departure_epochs(a, s)
+            assert np.isfinite(kernel_log_density(np.cumsum(a), dep, EXP1))
+            shifted = dep + rng.uniform(0.01, 5.0)
+            assert np.isfinite(kernel_log_density(np.cumsum(a), shifted, EXP1))
 
 
 class TestBatchScan:
@@ -106,7 +101,7 @@ class TestBatchScan:
         dep = simulate_channel(a, EXP1, rng)
         batch = shared_scores(epochs, dep, EXP1)
         for c in range(0, count, 7):
-            scalar = oracle_log_density(gaps[c], dep, EXP1)
+            scalar = oracle_log_density(epochs[:, c], dep, EXP1)
             assert batch[c] == pytest.approx(scalar, rel=1e-12, abs=1e-12)
 
     def test_agrees_for_nonexponential_law(self):
@@ -119,7 +114,7 @@ class TestBatchScan:
         dep = simulate_channel(a, model, rng)
         batch = shared_scores(epochs, dep, model)
         for c in range(count):
-            scalar = oracle_log_density(gaps[c], dep, model)
+            scalar = oracle_log_density(epochs[:, c], dep, model)
             if math.isinf(scalar):
                 assert batch[c] == -math.inf
             else:
@@ -149,7 +144,7 @@ class TestBatchScan:
 
 class TestPoissonLogDensity:
     def test_unit_example(self):
-        assert poisson_log_density(np.array([1.0, 1.0]), 1.0) == pytest.approx(-2.0, abs=1e-12)
+        assert poisson_log_density(np.array([1.0, 2.0]), 1.0) == pytest.approx(-2.0, abs=1e-12)
 
     def test_single_gap_example(self):
         want = math.log(0.5) - 1.0
@@ -160,26 +155,31 @@ class TestPoissonLogDensity:
             poisson_log_density(np.array([1.0]), 0.0)
 
     def test_permutation_invariance(self):
+        # the gaps' order does not move their product density
         rng = np.random.default_rng(25)
         x = rng.exponential(1.0, 200)
-        base = poisson_log_density(x, 0.7)
+        base = poisson_log_density(np.cumsum(x), 0.7)
         for _ in range(5):
-            shuffled = rng.permutation(x)
+            shuffled = np.cumsum(rng.permutation(x))
             assert poisson_log_density(shuffled, 0.7) == pytest.approx(
                 base, rel=1e-12
             )
 
     def test_reads_blocks_down_axis_zero(self):
-        x = np.random.default_rng(31).exponential(1.0, (7, 5))
+        x = np.cumsum(np.random.default_rng(31).exponential(1.0, (7, 5)), axis=0)
         block = poisson_log_density(x, 0.7)
         assert block.shape == (5,)
         for j in range(5):
             assert block[j] == poisson_log_density(x[:, j], 0.7)
 
+    def test_epochs_must_not_decrease(self):
+        with pytest.raises(StructuralError, match="non-decreasing"):
+            poisson_log_density(np.array([1.0, 0.5]), 0.7)
+
     def test_matches_differential_entropy(self):
         # -E[log q]/n -> 1 - log(rate) for Exp(rate) draws
         rng = np.random.default_rng(26)
-        x = rng.exponential(2.0, 100_000)
+        x = np.cumsum(rng.exponential(2.0, 100_000))
         per_gap = -poisson_log_density(x, 0.5) / 100_000
         assert per_gap == pytest.approx(1.0 - math.log(0.5), rel=0.01)
 
@@ -192,9 +192,9 @@ class TestInfoDensity:
         assert math.isfinite(info_density_sample(a, dep, EXP1, 0.5))
 
     def test_infeasible_block_flags_and_pins_value(self):
-        a = np.array([1.0, 1.0])
-        d = np.array([0.5, 0.1])
-        assert info_density_sample(a, d, EXP1, 0.5) == -math.inf
+        t = np.array([1.0, 2.0])
+        d = np.array([0.5, 0.6])
+        assert info_density_sample(t, d, EXP1, 0.5) == -math.inf
 
     def test_shape_validation(self):
         with pytest.raises(StructuralError):
@@ -247,7 +247,7 @@ def per_trial_densities(n, rate, model, trials, seed):
         pieces = []
         for k in range(0, n, rows):
             size = min(rows, n - k) * cols
-            pieces.append((poisson_arrivals(rate, size, rng), model.sample(rng, size)))
+            pieces.append((rng.exponential(1.0 / rate, size), model.sample(rng, size)))
         gaps, services = (np.concatenate(drawn).reshape(n, cols) for drawn in zip(*pieces))
         for j in range(cols):
             cond, q = oracles.drawn_log_density(gaps[:, j], services[:, j], model.log_density,

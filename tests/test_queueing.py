@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,13 +26,14 @@ EXP1 = ServiceModel.exponential(1.0)
 
 
 class TestGapChecks:
-    """Gap values are checked where outside gaps enter the simulator."""
+    """Gaps are checked where they enter the simulator, ``departure_epochs``,
+    and epochs, their running sums, everywhere else."""
 
     def test_rejects_bad_shapes_and_values(self):
         bad_values = ([], [1.0, -0.5], [1.0, np.inf], [1.0, np.nan])
-        for gaps in (np.ones((2, 2)), *bad_values):
+        for epochs in (np.ones((2, 2)), [2.0, 1.0], *bad_values):
             with pytest.raises(StructuralError):
-                simulate_channel(gaps, EXP1, np.random.default_rng(0))
+                simulate_channel(epochs, EXP1, np.random.default_rng(0))
         for gaps in (np.ones((2, 2, 2)), *bad_values):
             ok = np.ones(np.shape(gaps))
             with pytest.raises(StructuralError):
@@ -41,11 +43,27 @@ class TestGapChecks:
 
     def test_simulate_channel_takes_a_plain_array(self):
         gaps = np.array([1.0, 0.5, 2.0])
-        dep = simulate_channel(gaps, EXP1, np.random.default_rng(1))
+        epochs = np.cumsum(gaps)
+        dep = simulate_channel(epochs, EXP1, np.random.default_rng(1))
         services = EXP1.sample(np.random.default_rng(1), 3)
         assert type(dep) is np.ndarray and dep.dtype == np.float64 and dep.shape == (3,)
-        assert np.array_equal(dep, np.diff(departure_epochs(gaps, services)[0], prepend=0.0))
-        assert np.array_equal(gaps, [1.0, 0.5, 2.0])  # the input is not written to
+        assert np.array_equal(dep, departure_epochs(gaps, services)[0])
+        assert np.array_equal(epochs, [1.0, 1.5, 3.5])  # the input is not written to
+
+    def test_overflowing_epochs_are_refused(self):
+        # the running sum of finite gaps passes the float range
+        services = np.ones(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ParameterError, match="overflow"):
+                departure_epochs([1e308, 1e308], services)
+            with pytest.raises(ParameterError, match="overflow"):
+                departure_epochs(np.ones(2), [1e308, 1e308])
+            with pytest.raises(ParameterError, match="overflow"):
+                poisson_arrivals(1e-308, 10, np.random.default_rng(0))
+        # and the caller's services are not written to
+        d, _ = departure_epochs([1.0, 1.0], services)
+        assert np.array_equal(d, [2.0, 3.0]) and np.array_equal(services, [1.0, 1.0])
 
 
 class TestServiceModel:
@@ -278,11 +296,10 @@ class TestBatchedRecursion:
         n, T = 30, 7
         model = ServiceModel.erlang(1.0, shape=2)
         gaps = np.random.default_rng(14).exponential(2.0, (n, T))
-        got = simulate_block(gaps, model, np.random.default_rng(15))
+        got = simulate_block(np.cumsum(gaps, axis=0), model, np.random.default_rng(15))
         services = model.sample(np.random.default_rng(15), n * T).reshape(n, T)
         for j in range(T):
-            dep, _ = departure_gaps(gaps[:, j], services[:, j])
-            assert np.array_equal(got[:, j], dep)
+            assert np.array_equal(got[:, j], departure_epochs(gaps[:, j], services[:, j])[0])
 
     def test_trial_blocks_cover_trials_within_the_cell_budget(self):
         for n, trials in ((1, 5), (16, 2000), (3000, 50), (100_000, 3)):
@@ -297,7 +314,13 @@ class TestSimulateChannel:
         arrivals = poisson_arrivals(0.5, 200, rng)
         fast = ServiceModel.exponential(1e9)
         dep = simulate_channel(arrivals, fast, rng)
+        assert np.all(dep >= arrivals)
         np.testing.assert_allclose(dep, arrivals, atol=1e-6)
+
+    def test_poisson_arrivals_are_the_running_sums_of_the_drawn_gaps(self):
+        epochs = poisson_arrivals(0.5, 50, np.random.default_rng(8))
+        gaps = np.random.default_rng(8).exponential(2.0, 50)
+        assert epochs.tobytes() == np.cumsum(gaps).tobytes()
 
     def test_poisson_arrivals_validation(self):
         rng = np.random.default_rng(9)
@@ -311,4 +334,4 @@ class TestSimulateChannel:
         rng = np.random.default_rng(10)
         arrivals = poisson_arrivals(0.5, 20_000, rng)
         dep = simulate_channel(arrivals, ServiceModel.exponential(1.0), rng)
-        assert dep.sum() == pytest.approx(arrivals.sum(), rel=0.02)
+        assert dep[-1] == pytest.approx(arrivals[-1], rel=0.02)

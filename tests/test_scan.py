@@ -46,7 +46,7 @@ from covertq.queueing import (ServiceKind, ServiceModel, simulate_block, simulat
 from covertq.warden import run_detection_trials, willie_llr, willie_llr_block
 
 import oracles
-from scanning import assert_scores_match, llr_size, shared_scores
+from scanning import assert_scores_match, shared_scores
 
 LAM = 0.5
 LAWS = {
@@ -66,7 +66,7 @@ def grid_services(model, rng, n):
 
 
 def draw_scan(model, n, count, grid, seed):
-    """(n, count) candidate epochs and the departure gaps of candidate 0
+    """(n, count) candidate epochs and the departure epochs of candidate 0
     pushed through the model's queue."""
     rng = np.random.default_rng(seed)
     if grid:
@@ -76,8 +76,12 @@ def draw_scan(model, n, count, grid, seed):
         gaps = rng.exponential(1.0 / LAM, (count, n))
         services = model.sample(rng, n)
     departures, _ = oracles.des_departures(gaps[0], services)
-    epochs = np.ascontiguousarray(np.cumsum(gaps, axis=1).T)
-    return epochs, np.diff(departures, prepend=0.0)
+    return np.ascontiguousarray(np.cumsum(gaps, axis=1).T), departures
+
+
+def reverse_gaps(departures):
+    """The epochs of the departure gaps of ``departures`` in reverse order."""
+    return np.cumsum(np.diff(departures, prepend=0.0)[::-1])
 
 
 def oracle_scores(epochs, departures, model):
@@ -113,8 +117,7 @@ class TestKernel:
         want = oracle_scores(epochs, departures, model)
         got = shared_scores(epochs, departures, model)
         terms = oracles.scan_scores(epochs, departures, abs_log_density(model))
-        last_departure = np.cumsum(departures)[-1]
-        assert_scores_match(got, want, scan_size(want, terms, model, n, last_departure))
+        assert_scores_match(got, want, scan_size(want, terms, model, n, departures[-1]))
         assert np.isfinite(want[0])  # the candidate that was sent is feasible
         if grid:
             assert np.array_equal(got, want)  # exact arithmetic: the same bits
@@ -125,21 +128,20 @@ class TestKernel:
             seen[start] = scores[0].copy()
             return (np.full(len(scores), start),)
 
-        [starts] = reduce_tiles(epochs, np.cumsum(departures)[:, None], model, keep, (np.int64,))
+        [starts] = reduce_tiles(epochs, departures[:, None], model, keep, (np.int64,))
         assert starts.tolist() == [list(range(0, count, SCAN_TILE))]
         assert np.array_equal(np.concatenate([seen[start] for start in starts[0]]), got)
 
     @pytest.mark.parametrize("law", sorted(LAWS))
     def test_arrival_one_ulp_after_departure_is_infeasible(self, law):
         model = LAWS[law]
-        departures = np.array([1.25, 0.75, 1.0])
-        d = np.cumsum(departures)
+        d = np.array([1.25, 2.0, 3.0])
         columns = [d, d.copy(), d.copy(), d - 0.75]  # the last: services all 0.75
         columns[1][1] = np.nextafter(d[1], np.inf)  # packet 2 arrives 1 ulp too late
         columns[2][2] = np.nextafter(d[2], np.inf)
         epochs = np.stack(columns, axis=1)
-        got = shared_scores(epochs, departures, model)
-        assert np.array_equal(got, oracle_scores(epochs, departures, model))
+        got = shared_scores(epochs, d, model)
+        assert np.array_equal(got, oracle_scores(epochs, d, model))
         assert np.isneginf(got[1:3]).all()
         # s_k = 0 when t = d: inside the exponential law's support only
         assert np.isfinite(got[3]) and (law == "exponential") == np.isfinite(got[0])
@@ -163,9 +165,9 @@ class TestKernel:
         model = LAWS[law]
         epochs, departures = draw_scan(model, n, count, grid=False, seed=n)
         rng = np.random.default_rng(n)
-        observations = np.stack([departures, departures[::-1],
-                                 simulate_channel(rng.exponential(1.0 / LAM, n), model, rng)],
-                                axis=1)
+        observations = np.stack([
+            departures, reverse_gaps(departures),
+            simulate_channel(np.cumsum(rng.exponential(1.0 / LAM, n)), model, rng)], axis=1)
         # one unit of three observations, and three units of one
         grouped = shared_scores(epochs, observations, model)
         assert grouped.shape == (3, count)
@@ -187,7 +189,7 @@ class TestKernel:
 
 
 def draw_trials(model, n, count, grid, seed):
-    """(n, count) arrival gaps and one column of departure gaps each: the
+    """(n, count) arrival epochs and one column of departure epochs each: the
     even columns pushed through the model's queue, the odd columns' outputs
     then reversed among themselves, so most of them are infeasible."""
     rng = np.random.default_rng(seed)
@@ -199,10 +201,9 @@ def draw_trials(model, n, count, grid, seed):
         services = model.sample(rng, n * count).reshape(n, count)
     departures = np.empty((n, count))
     for c in range(count):
-        epochs, _ = oracles.des_departures(gaps[:, c], services[:, c])
-        departures[:, c] = np.diff(epochs, prepend=0.0)
+        departures[:, c] = oracles.des_departures(gaps[:, c], services[:, c])[0]
     departures[:, 1::2] = departures[:, 1::2][:, ::-1]
-    return gaps, departures
+    return np.cumsum(gaps, axis=0), departures
 
 
 class TestPerColumn:
@@ -223,23 +224,24 @@ class TestPerColumn:
     def test_matches_oracle_column_by_column(self, count, n, law, grid, seed):
         assume(grid or law != "erlang")
         model = LAWS[law]
-        gaps, departures = draw_trials(model, n, count, grid, seed)
+        arrivals, departures = draw_trials(model, n, count, grid, seed)
         want = np.array([
-            oracles.conditional_log_density(gaps[:, c], departures[:, c], model.log_density)
+            oracles.conditional_log_density(arrivals[:, c], departures[:, c], model.log_density)
             for c in range(count)
         ])
         terms = np.array([
-            oracles.conditional_log_density(gaps[:, c], departures[:, c], abs_log_density(model))
+            oracles.conditional_log_density(arrivals[:, c], departures[:, c],
+                                            abs_log_density(model))
             for c in range(count)
         ])
-        size = scan_size(want, terms, model, n, departures.sum(axis=0))
-        got = conditional_log_density_batch(np.cumsum(gaps, axis=0), departures, model)
+        size = scan_size(want, terms, model, n, departures[-1])
+        got = conditional_log_density_batch(arrivals, departures, model)
         assert_scores_match(got, want, size)
         assert np.isfinite(want[::2]).all()  # the columns that were sent are feasible
         if grid:
             assert np.array_equal(got, want)  # exact arithmetic: the same bits
-        reference = n * math.log(LAM) - LAM * departures.sum(axis=0)
-        density = info_density_sample(gaps, departures, model, LAM)
+        reference = n * math.log(LAM) - LAM * departures[-1]
+        density = info_density_sample(arrivals, departures, model, LAM)
         assert_scores_match(density, (want - reference) / n, (size + np.abs(reference)) / n)
 
 
@@ -247,7 +249,7 @@ def mixture_llr(epochs, departures, model):
     """One-shot log-sum-exp of the oracle's scores, minus log q(D)."""
     scores = oracle_scores(epochs, departures, model)
     top = scores.max()
-    null = departures.size * math.log(LAM) - LAM * departures.sum()
+    null = departures.size * math.log(LAM) - LAM * departures[-1]
     if top == -math.inf:
         return -math.inf
     return top + math.log(np.exp(scores - top).sum()) - math.log(scores.size) - null
@@ -268,9 +270,9 @@ class TestWillieLlr:
         bits = max(0, math.ceil(math.log2(count)))
         book = generate_codebook(n, bits, 0, 0, arrival_rate=LAM, seed=seed)
         if observed == "message":
-            arrivals = book.codeword(int(rng.integers(book.total)), 0, 0)
+            arrivals = book.arrival_epochs[:, int(rng.integers(book.total))]
         else:
-            arrivals = rng.exponential(1.0 / LAM, n)
+            arrivals = np.cumsum(rng.exponential(1.0 / LAM, n))
         departures = simulate_channel(arrivals, model, rng)
         if observed == "infeasible":
             departures = np.full(n, 1e-12)
@@ -308,9 +310,8 @@ class TestDecode:
         arrivals = codewords[sent * book.num_keys + key]
         if grid:
             departures, _ = oracles.des_departures(arrivals, grid_services(model, rng, n))
-            departures = np.diff(departures, prepend=0.0)
         else:
-            departures = simulate_channel(arrivals, model, rng)
+            departures = simulate_channel(np.cumsum(arrivals), model, rng)
         scores = oracle_scores(oracles.key_sub_book(codewords, key, book.num_keys),
                                departures, model)
         best = int(np.argmax(scores))
@@ -354,7 +355,6 @@ def tied_book(model, count, n, seed):
                                            grid_services(model, rng, n))
     if count > SCAN_TILE:
         epochs[:, :SCAN_TILE] += departures[-1] + 1.0
-    departures = np.diff(departures, prepend=0.0)
     best = int(np.argmax(oracle_scores(epochs, departures, model)))
     for column in (SCAN_TILE + 1, 2 * SCAN_TILE + 1, count - 1):
         if column < count:
@@ -395,7 +395,7 @@ class TestThreads:
         # not at all, or a partial stored at another's index, shows
         model = LAWS["exponential"]
         epochs, departures = draw_scan(model, 2, 4001, grid=True, seed=4)
-        observations = np.stack([departures, departures[::-1], 2.0 * departures], axis=1)
+        observations = np.stack([departures, reverse_gaps(departures), 2.0 * departures], axis=1)
         scan_threads(1)
         want = shared_scores(epochs, observations, model)  # one unit: the whole book
         monkeypatch.setattr(laws, "SCAN_TILE", 4)
@@ -409,8 +409,7 @@ class TestThreads:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            starts, tops, firsts = reduce_tiles(epochs, np.cumsum(observations, axis=0), model,
-                                                summary,
+            starts, tops, firsts = reduce_tiles(epochs, observations, model, summary,
                                                 (np.int64, np.float64, np.int64))
         finally:
             sys.setswitchinterval(interval)
@@ -439,7 +438,7 @@ class TestThreads:
         epochs, departures = draw_scan(LAWS["exponential"], 2, 3 * SCAN_TILE, grid=True, seed=1)
         alive = threading.active_count()
         with pytest.raises(FloatingPointError, match="tile failed"):
-            reduce_tiles(epochs, np.cumsum(departures)[:, None], LAWS["exponential"],
+            reduce_tiles(epochs, departures[:, None], LAWS["exponential"],
                          lambda start, scores: (np.full(len(scores), start),), (np.int64,))
         assert threading.active_count() == alive  # every thread was joined
 
@@ -448,7 +447,7 @@ class TestThreads:
         scan_threads(threads)
         epochs, departures = draw_scan(LAWS["exponential"], 2, 2 * SCAN_TILE, grid=True, seed=2)
         with pytest.raises(StructuralError):
-            reduce_tiles(epochs, np.cumsum(departures)[:1], LAWS["exponential"], pytest.fail,
+            reduce_tiles(epochs, departures[:1], LAWS["exponential"], pytest.fail,
                          (np.int64,))
 
 
@@ -461,11 +460,11 @@ BLOCK_WIDTHS = [(0, 0, 0), (1, 0, 1), (2, 0, 1), (1, 1, 1), (3, 0, 1), (2, 1, 2)
 
 
 def draw_block(model, widths, n, trials, grid, seed):
-    """A book, its codewords' gaps, and (n, trials) observations with random
-    keys: a third each sent codewords and other arrivals, pushed through the
-    model's queue, and a third departures 1e-12 apart, which few codewords
-    could have produced.  On the grid the arrivals have half-integer gaps, so
-    exact ties occur."""
+    """A book, its codewords' gaps, and (n, trials) observed departure epochs
+    with random keys: a third each sent codewords and other arrivals, pushed
+    through the model's queue, and a third departures all at 1e-12, which few
+    codewords could have produced.  On the grid the arrivals have
+    half-integer gaps, so exact ties occur."""
     rng = np.random.default_rng(seed)
     book = generate_codebook(n, *widths, arrival_rate=LAM, seed=seed)
     codewords = oracles.flat_codewords(book)
@@ -486,10 +485,9 @@ def draw_block(model, widths, n, trials, grid, seed):
         else:
             arrivals = rng.exponential(1.0 / LAM, n)
         if grid:
-            departures, _ = oracles.des_departures(arrivals, grid_services(model, rng, n))
-            observations[:, j] = np.diff(departures, prepend=0.0)
+            observations[:, j] = oracles.des_departures(arrivals, grid_services(model, rng, n))[0]
         else:
-            observations[:, j] = simulate_channel(arrivals, model, rng)
+            observations[:, j] = simulate_channel(np.cumsum(arrivals), model, rng)
     return book, codewords, observations, keys
 
 
@@ -575,7 +573,7 @@ class TestBlocks:
         model = LAWS["exponential"]
         book = generate_codebook(3, 1, 1, 1, arrival_rate=LAM, seed=6)
         rng = np.random.default_rng(6)
-        sent = simulate_channel(book.codeword(1, 0, 1), model, rng)
+        sent = simulate_channel(book.arrival_epochs[:, book.column(1, 0, 1)], model, rng)
         observations = np.full((3, 9), 1e-12)
         observations[:, 0] = sent
         keys = np.ones(9, dtype=int)
@@ -602,7 +600,7 @@ class TestBlocks:
             units.append((start, scores.shape))
             return tuple(np.full(len(scores), value) for value in (start, *scores.shape))
 
-        got = reduce_tiles(epochs, np.cumsum(observations, axis=0), LAWS["exponential"], shape,
+        got = reduce_tiles(epochs, observations, LAWS["exponential"], shape,
                            (np.int64, np.int64, np.int64))
         group = max(1, 8 // min(count, 8))
         want = [(start, (min(group, trials - first), min(8, count - start)))
@@ -626,7 +624,7 @@ class TestBlocks:
         model = LAWS["exponential"]
         book = generate_codebook(2, 3, 2, 2, arrival_rate=LAM, seed=7)
         rng = np.random.default_rng(7)
-        observations = rng.exponential(1.0, (2, 256))
+        observations = np.cumsum(rng.exponential(1.0, (2, 256)), axis=0)
         keys = rng.integers(book.num_keys, size=256)
         tracemalloc.start()
         try:
@@ -646,8 +644,8 @@ class TestBlocks:
         # criterion 5's under-resolved half, 16 codewords at n=200: its first
         # 400 trials are two trial blocks of several hundred observations,
         # each scored in one unit on the departure epochs the recursion wrote;
-        # two slices of them, replayed through the public calls, which sum
-        # the departure gaps back into epochs, and scored one at a time
+        # two slices of them, replayed through the public calls and scored one
+        # at a time, keep their bits
         model = ServiceModel.exponential(2.0)
         book = generate_codebook(200, 2, 1, 1, arrival_rate=LAM, seed=5001)
         null, alt = run_detection_trials(book, model, LAM, 400, np.random.default_rng(5002))
@@ -657,16 +655,36 @@ class TestBlocks:
         for block in blocks:
             count = block.stop - block.start
             codewords = [encode(book, int(rng.integers(book.num_messages)),
-                                int(rng.integers(book.num_keys)), rng).codeword
+                                int(rng.integers(book.num_keys)), rng).arrival_epochs
                          for _ in range(count)]
             sent = simulate_block(np.stack(codewords, axis=1), model, rng)
-            poisson = simulate_block(rng.exponential(1.0 / LAM, size=(book.n, count)), model, rng)
+            arrivals = np.cumsum(rng.exponential(1.0 / LAM, size=(book.n, count)), axis=0)
+            poisson = simulate_block(arrivals, model, rng)
             keep = [j for j, i in enumerate(range(block.start, block.stop)) if i < 20 or i >= 320]
             for got, observations in ((alt[block], sent), (null[block], poisson)):
                 observations = observations[:, keep]
                 want = np.array([willie_llr(book, column, model, LAM)
                                  for column in observations.T])
-                assert_scores_match(got[keep], want, llr_size(want, observations, model, LAM))
+                assert np.array_equal(got[keep], want)
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_public_path_scores_every_sent_block_at_a_fast_rate(n):
+    # at Exp(1e12) a service is a few ulps of the epochs: a block the queue
+    # wrote, scored on those epochs, never forms a service below 0, so no
+    # sent block scores -inf and every decode finds a feasible candidate
+    model = ServiceModel.exponential(1e12)
+    book = generate_codebook(n, 3, 1, 1, arrival_rate=LAM, seed=100)
+    rng = np.random.default_rng(100)
+    messages, dummies, keys, epochs = book.send(rng, 1000)
+    sent = simulate_block(epochs, model, rng)
+    poisson = np.cumsum(rng.exponential(1.0 / LAM, (n, 1000)), axis=0)
+    for arrivals, departures in ((epochs, sent), (poisson, simulate_block(poisson, model, rng))):
+        assert np.isfinite(info_density_sample(arrivals, departures, model, LAM)).all()
+    assert np.isfinite(willie_llr_block(book, sent, model, LAM)).all()
+    got_messages, got_dummies, top, feasible = decode_block(book, sent, keys, model)
+    assert (feasible >= 1).all() and np.isfinite(top).all()
+    assert np.array_equal(got_messages, messages) and np.array_equal(got_dummies, dummies)
 
 
 @pytest.mark.parametrize("tile", [8, SCAN_TILE])
@@ -682,7 +700,7 @@ def test_a_float32_book_scans_as_its_float64_values(monkeypatch, scan_threads, t
     book64 = replace(book, arrival_epochs=book32.arrival_epochs.astype(np.float64))
     assert not np.array_equal(book32.arrival_epochs, book.arrival_epochs)
     # one field per column of a tile: the scores themselves
-    fields = reduce_tiles(book32.arrival_epochs, np.cumsum(observations, axis=0), model,
+    fields = reduce_tiles(book32.arrival_epochs, observations, model,
                           lambda start, scores: scores.T.copy(), (np.float64,) * min(tile, 64))
     scores = np.stack(fields, axis=-1).reshape(9, 64)
     for got, column in zip(scores, observations.T):
@@ -696,8 +714,8 @@ def test_a_float32_book_scans_as_its_float64_values(monkeypatch, scan_threads, t
 
 
 def edge_scan(n, count, seed):
-    """(n, count) half-integer epochs and (n, 4) departure gaps whose s_k sit
-    on the support's edge: gaps of 0.0 and -0.0, columns that tie with an
+    """(n, count) half-integer epochs and (n, 4) departure epochs whose s_k
+    sit on the support's edge: gaps of 0.0 and -0.0, columns that tie with an
     observation's departures (s_k = 0), a first tile (of 8 columns, or all but
     those two) that arrives after every departure, and an observation of zero
     gaps, against which only the last candidate, of zero epochs, is feasible."""
@@ -706,10 +724,11 @@ def edge_scan(n, count, seed):
     gaps[:, 3] = 0.0
     gaps[(gaps == 0.0) & (rng.random((n, 4)) < 0.5)] = -0.0
     epochs = np.cumsum(rng.integers(1, 4, (n, count)) / 2.0, axis=0)
-    epochs[:, -2] = np.cumsum(gaps[:, 0])
+    departures = np.cumsum(gaps, axis=0)
+    epochs[:, -2] = departures[:, 0]
     epochs[:, -1] = 0.0
-    epochs[:, :min(8, count - 2)] += 1.0 + gaps.sum(axis=0).max()
-    return epochs, gaps
+    epochs[:, :min(8, count - 2)] += 1.0 + departures[-1].max()
+    return epochs, departures
 
 
 class TestInfeasibleRule:
@@ -723,27 +742,27 @@ class TestInfeasibleRule:
     def test_edges_score_like_the_masked_rule(self, monkeypatch, scan_threads, n, count, threads):
         scan_threads(threads)
         model = LAWS["exponential"]
-        epochs, gaps = edge_scan(n, count, seed=n * count)
+        epochs, departures = edge_scan(n, count, seed=n * count)
         want = np.stack([oracles.masked_exponential_scores(epochs, column, model.rate)
-                         for column in gaps.T])
+                         for column in departures.T])
         assert np.isneginf(want[:, :min(8, count - 2)]).all()
         assert np.isneginf(want[3, :-1]).all()
         assert np.isfinite(want[0, -2]) and np.isfinite(want[3, -1])
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error", RuntimeWarning)
             # the whole book in one unit: of four observations, and of one each
-            grouped = shared_scores(epochs, gaps, model)
-            columns = [shared_scores(epochs, column, model) for column in gaps.T]
+            grouped = shared_scores(epochs, departures, model)
+            columns = [shared_scores(epochs, column, model) for column in departures.T]
             monkeypatch.setattr(laws, "SCAN_TILE", 8)  # 3 columns: g = 2; 19: three tiles
             # one field per column of a tile: the scores themselves
             fields = reduce_tiles(
-                epochs, np.cumsum(gaps, axis=0), model, lambda start, scores: np.pad(
+                epochs, departures, model, lambda start, scores: np.pad(
                     scores, ((0, 0), (0, 8 - scores.shape[1])), constant_values=np.nan).T,
                 (np.float64,) * 8)
         scanned = np.stack(fields, axis=-1).reshape(4, -1)[:, :count]
         for got in (grouped, np.stack(columns), scanned):
             assert got.tobytes() == want.tobytes()
-        for got, column in zip(columns, gaps.T):  # and the per-packet oracle's values
+        for got, column in zip(columns, departures.T):  # and the per-packet oracle's values
             assert np.array_equal(got, oracles.scan_scores_exponential(epochs, column, model.rate))
 
     @given(n=st.integers(1, 4), g=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
@@ -756,9 +775,10 @@ class TestInfeasibleRule:
         epochs = rng.choice(special, (n, 12))
         gaps = rng.choice(special[:5], (n, g))
         with np.errstate(all="ignore"):
+            departures = np.cumsum(gaps, axis=0)
             want = np.stack([oracles.masked_exponential_scores(epochs, column, 2.0)
-                             for column in gaps.T])
-            scores = shared_scores(epochs, gaps, LAWS["exponential"])
+                             for column in departures.T])
+            scores = shared_scores(epochs, departures, LAWS["exponential"])
         assert np.array_equal(np.isnan(scores), np.isnan(want))
         assert np.array_equal(scores, want, equal_nan=True)
         assert np.array_equal(np.signbit(scores[~np.isnan(want)]),
@@ -779,7 +799,8 @@ class TestBuffer:
         epochs, departures = draw_scan(model, 3, 300, grid=False, seed=5)
         rng = np.random.default_rng(5)
         observations = np.column_stack([departures] + [
-            simulate_channel(rng.exponential(1.0 / LAM, 3), model, rng) for _ in range(6)])
+            simulate_channel(np.cumsum(rng.exponential(1.0 / LAM, 3)), model, rng)
+            for _ in range(6)])
         sizes = []
 
         def summary(start, scores):
@@ -787,7 +808,7 @@ class TestBuffer:
             return scores.max(axis=1), np.argmax(scores, axis=1), scores.sum(axis=1)
 
         before = np.getbufsize()
-        tops, firsts, sums = reduce_tiles(epochs, np.cumsum(observations, axis=0), model, summary,
+        tops, firsts, sums = reduce_tiles(epochs, observations, model, summary,
                                           (np.float64, np.int64, np.float64))
         assert np.getbufsize() == before
         assert sizes == [304] * 4
@@ -812,7 +833,7 @@ class TestBuffer:
             sizes.append(np.getbufsize())
             return (scores.max(axis=1),)
 
-        reduce_tiles(epochs, np.repeat(np.cumsum(departures)[:, None], trials, axis=1),
+        reduce_tiles(epochs, np.repeat(departures[:, None], trials, axis=1),
                      LAWS["exponential"], top, (np.float64,))
         assert sizes == [np.getbufsize()]
 
@@ -820,7 +841,7 @@ class TestBuffer:
     def test_the_callers_buffer_is_restored_on_return_and_on_error(self, scan_threads, threads):
         scan_threads(threads)
         epochs, departures = draw_scan(LAWS["exponential"], 2, 400, grid=True, seed=6)
-        observations = np.repeat(np.cumsum(departures)[:, None], 5, axis=1)
+        observations = np.repeat(departures[:, None], 5, axis=1)
         default = np.getbufsize()
         np.setbufsize(4096)
         try:
