@@ -1,19 +1,15 @@
 """Random exponential codebooks, encoding, and maximum-likelihood decoding.
 
 A codebook holds 2^(bits_message + bits_dummy + bits_key) codewords, each an
-i.i.d. Exp(arrival_rate) gap sequence of length n.  The gaps are drawn in the
-flat index order
-
-    index(w, wt, k) = (w * 2^bits_dummy + wt) * 2^bits_key + k
-
-but only their running sums are stored: the arrival epochs, key-major, in
-column k * 2^(bits_message + bits_dummy) + w * 2^bits_dummy + wt, so the
-decoder's key-k sub-codebook is a contiguous key block.  ``encode`` sends a
-codeword's epoch column, and ``Codebook.send`` gathers a block of epoch
-columns, as they are.  The decoder searches the
-sub-codebook exhaustively for the (message, dummy) pair maximizing the
-conditional log density of the observed departures, breaking ties toward the
-smallest index.
+i.i.d. Exp(arrival_rate) gap sequence of length n.  Codeword (w, wt, k) is
+column k * 2^(bits_message + bits_dummy) + w * 2^bits_dummy + wt, key-major,
+so the decoder's key-k sub-codebook is a contiguous key block.  The gaps are
+drawn in that column order, one codeword after another, and only their
+running sums are stored: the arrival epochs.  ``encode`` sends a codeword's
+epoch column, and ``Codebook.send`` gathers a block of epoch columns, as they
+are.  The decoder searches the sub-codebook exhaustively for the (message,
+dummy) pair maximizing the conditional log density of the observed
+departures, breaking ties toward the smallest index.
 ``decode_block`` decodes many observations into arrays: those sent under one
 key share one scan of its key block, in the (observation group x column tile)
 units of ``laws.reduce_tiles``, whose per-tile argmax partials are
@@ -68,7 +64,7 @@ CODEBOOK_CAP_BITS = 20  # log2 of the most codewords a book may have
 _MAX_CELLS_BITS = 28  # log2 of n x codewords: a float64 book of at most 2 GB
 
 _FORMAT_TAG = "covertq-codebook"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2  # version 1 drew its gaps in another order
 
 
 @dataclass(frozen=True)
@@ -106,28 +102,20 @@ class Codebook:
         """(message, dummy) pairs per key: the width of one key block."""
         return 1 << (self.bits_message + self.bits_dummy)
 
-    def index(self, w: int, wt: int, k: int) -> int:
-        """Position of codeword (w, wt, k) in the order its gaps are drawn."""
-        self._check_indices(w, wt, k)
-        return (w * self.num_dummies + wt) * self.num_keys + k
-
     def column(self, w: int, wt: int, k: int) -> int:
         """Column of codeword (w, wt, k) in ``arrival_epochs``."""
         self._check_indices(w, wt, k)
         return k * self.num_pairs + w * self.num_dummies + wt
 
-    def draw_dummy(self, rng: np.random.Generator) -> int:
-        """A uniform dummy index; nothing is drawn when there are no dummy bits."""
-        return int(rng.integers(self.num_dummies)) if self.bits_dummy > 0 else 0
-
     def send(self, rng: np.random.Generator, count: int) -> tuple[np.ndarray, ...]:
-        """``count`` transmissions, each drawing a uniform message, a uniform key,
-        then ``draw_dummy`` (``encode``'s draws).  Returns their ``(messages,
-        dummies, keys)`` and their codewords' packet-major ``(n, count)`` arrival
-        epochs, a gather of their columns."""
-        sent = [(int(rng.integers(self.num_messages)), int(rng.integers(self.num_keys)),
-                 self.draw_dummy(rng)) for _ in range(_check_count("count", count, 0))]
-        messages, keys, dummies = np.array(sent, dtype=np.int64).reshape(-1, 3).T
+        """``count`` transmissions: ``count`` uniform messages, then as many
+        uniform keys, then as many uniform dummies (none are drawn when there
+        are no dummy bits).  Returns their ``(messages, dummies, keys)`` and
+        their codewords' packet-major ``(n, count)`` arrival epochs, a gather of
+        their columns."""
+        count = _check_count("count", count, 0)
+        messages, keys, dummies = (rng.integers(high, size=count) for high in
+                                   (self.num_messages, self.num_keys, self.num_dummies))
         columns = keys * self.num_pairs + (messages << self.bits_dummy) + dummies
         return messages, dummies, keys, self.arrival_epochs[:, columns]
 
@@ -170,33 +158,25 @@ def generate_codebook(
     bits_key = _check_count("bits_key", bits_key, 0)
     _check_rate("arrival_rate", arrival_rate)
     _check_book_size(n, bits_message + bits_dummy + bits_key)
-    keys, pairs = 1 << bits_key, 1 << (bits_message + bits_dummy)
+    total = 1 << (bits_message + bits_dummy + bits_key)
     rng = np.random.default_rng(seed)
-    # The gaps are drawn in flat index order, whole codewords at a time and at
-    # most BLOCK_CELLS gaps per chunk (one codeword when n is larger): a chunk
-    # is a run of pairs with all their keys, or a run of one pair's keys.  So
-    # the stream is consumed as by one (total, n) draw.  Each chunk is summed
-    # down its packets straight into its key-major columns.
-    per_chunk = max(1, BLOCK_CELLS // n)
-    if per_chunk >= keys:
-        key_step, pair_step = keys, per_chunk // keys
-    else:
-        key_step, pair_step = 1 << (per_chunk.bit_length() - 1), 1
+    # Whole codewords are drawn in column order, at most BLOCK_CELLS gaps per
+    # chunk (one codeword when n is larger), so the stream is consumed as by
+    # one (total, n) draw.  Each chunk is summed down its packets straight
+    # into its columns.
+    step = max(1, BLOCK_CELLS // n)
     # A gap, or a running sum of gaps, can overflow to inf when the mean gap is
     # near the top of the float range: the last row of epochs, the largest,
     # is checked once, by its maximum (a mask of it would add 1 MB to a 2^20
     # book's peak memory), and the sums run without a warning.
-    epochs = np.empty((n, keys, pairs))
+    epochs = np.empty((n, total))
     with np.errstate(over="ignore"):
-        for p in range(0, pairs, pair_step):
-            q = min(p + pair_step, pairs)
-            for k in range(0, keys, key_step):
-                gaps = rng.exponential(1.0 / arrival_rate, size=(q - p, key_step, n))
-                _running_sum(gaps.T, out=epochs[:, k:k + key_step, p:q])
+        for c in range(0, total, step):
+            gaps = rng.exponential(1.0 / arrival_rate, size=(min(step, total - c), n))
+            _running_sum(gaps.T, out=epochs[:, c:c + step])
     if not math.isfinite(epochs[-1].max()):
         raise ParameterError(f"codebook epochs overflow the float range within {n} packets: "
                              f"the mean gap 1/arrival_rate is too large")
-    epochs = epochs.reshape(n, keys * pairs)
     epochs.setflags(write=False)
     return Codebook(
         n=n,
@@ -270,8 +250,9 @@ class Transmission:
 
 
 def encode(book: Codebook, message: int, key: int, rng: np.random.Generator) -> Transmission:
-    """Pick a uniform dummy index and look up the epochs of codeword (w, wt, k)."""
-    dummy = book.draw_dummy(rng)
+    """Pick a uniform dummy index (nothing is drawn when there are no dummy
+    bits) and look up the epochs of codeword (w, wt, k)."""
+    dummy = int(rng.integers(book.num_dummies))
     return Transmission(
         message=message,
         dummy=dummy,

@@ -153,36 +153,16 @@ def _wins(order, x):
     return below + 0.5 * (np.searchsorted(order, x, side="right") - below)
 
 
-def _rank_auc(null_scores, alt_scores) -> float:
-    """P[alt score > null score] with tie-halving (Mann-Whitney statistic)."""
-    x0 = np.asarray(null_scores, dtype=np.float64)
-    x1 = np.asarray(alt_scores, dtype=np.float64)
-    return float(_wins(np.sort(x0), x1).sum() / (x0.size * x1.size))
-
-
-def _auc_stderr(null_scores, alt_scores) -> float:
-    """DeLong-style standard error of the rank AUC."""
-    x0 = np.asarray(null_scores, dtype=np.float64)
-    x1 = np.asarray(alt_scores, dtype=np.float64)
-    # placement values: each alt score's quantile among nulls and vice versa
-    v10 = _wins(np.sort(x0), x1) / x0.size
-    v01 = 1.0 - _wins(np.sort(x1), x0) / x1.size
-    var = v10.var(ddof=1) / x1.size + v01.var(ddof=1) / x0.size
-    return float(math.sqrt(max(var, 0.0)))
-
-
-def _tv_distance_estimate(null_scores, alt_scores) -> float:
-    """Plug-in total-variation estimate: sup_t [F_null(t) - F_alt(t)].
+def _tv_distance_estimate(null_sorted, alt_sorted) -> float:
+    """Plug-in total-variation estimate from the two sorted score arrays:
+    sup_t [F_null(t) - F_alt(t)].
 
     Equals the best advantage max_t (TPR - FPR) of thresholding the scores,
     which converges to the total variation between the two llr laws.
     """
-    x0 = np.asarray(null_scores, dtype=np.float64)
-    x1 = np.asarray(alt_scores, dtype=np.float64)
-    o0, o1 = np.sort(x0), np.sort(x1)
-    grid = np.concatenate([o0, o1])
-    f0 = np.searchsorted(o0, grid, side="right") / x0.size
-    f1 = np.searchsorted(o1, grid, side="right") / x1.size
+    grid = np.concatenate([null_sorted, alt_sorted])
+    f0 = np.searchsorted(null_sorted, grid, side="right") / null_sorted.size
+    f1 = np.searchsorted(alt_sorted, grid, side="right") / alt_sorted.size
     return float(max(0.0, np.max(f0 - f1)))
 
 
@@ -213,10 +193,18 @@ def summarize_detection(null_scores, alt_scores) -> dict[str, tuple[float, float
         )
     # keep the means finite and report the -inf null mass separately
     finite_null = null[np.isfinite(null)]
+    null_sorted, alt_sorted = np.sort(null), np.sort(alt)
+    # DeLong placement values: each message score's quantile among the null
+    # scores, and each null score's among the message ones
+    wins = _wins(null_sorted, alt)
+    v10 = wins / null.size
+    v01 = 1.0 - _wins(alt_sorted, null) / alt.size
+    var = v10.var(ddof=1) / alt.size + v01.var(ddof=1) / null.size
     out = {
-        "auc": (_rank_auc(null, alt), _auc_stderr(null, alt)),
+        "auc": (float(wins.sum() / (null.size * alt.size)), float(math.sqrt(max(var, 0.0)))),
         "tv_estimate": (
-            _tv_distance_estimate(null, alt), math.sqrt(0.5 / null.size + 0.5 / alt.size) / 2.0
+            _tv_distance_estimate(null_sorted, alt_sorted),
+            math.sqrt(0.5 / null.size + 0.5 / alt.size) / 2.0,
         ),
         "llr_infeasible_fraction": (1.0 - finite_null.size / null.size, 0.0),
     }

@@ -209,21 +209,55 @@ def scan_scores(arrival_epochs, departure_epochs, log_density):
 
 
 def flat_codewords(book):
-    """A codebook's (total, n) gaps in flat index order, (w * dummies + wt) *
-    keys + k, redrawn in one shot from its seed."""
+    """A codebook's (total, n) gaps, one codeword per row in column order,
+    redrawn in one shot from its seed."""
     rng = np.random.default_rng(book.seed)
     return rng.exponential(1.0 / book.arrival_rate, size=(book.total, book.n))
 
 
-def key_major_epochs(codewords, num_keys):
-    """(n, total) running sums of flat (total, n) codewords, in key-major
-    columns: column key * pairs + pair holds flat codeword pair * num_keys + key."""
-    total, n = codewords.shape
-    by_pair = np.cumsum(codewords, axis=1).reshape(total // num_keys, num_keys, n)
-    return np.ascontiguousarray(by_pair.transpose(2, 1, 0).reshape(n, total))
+def sent_codewords(book, rng, count):
+    """``Codebook.send``'s draws replayed: ``count`` uniform messages, then
+    as many keys, then as many dummies, each codeword's epochs taken from
+    its key-major column one trial at a time.
+
+    Returns ``(messages, dummies, keys, codewords)``, the codewords a list of
+    (n,) epoch arrays.
+    """
+    messages, keys, dummies = (rng.integers(high, size=count).tolist() for high in
+                               (book.num_messages, book.num_keys, book.num_dummies))
+    codewords = [book.arrival_epochs[:, (k * book.num_messages + w) * book.num_dummies + wt]
+                 for w, wt, k in zip(messages, dummies, keys)]
+    return messages, dummies, keys, codewords
 
 
-def key_sub_book(codewords, key, num_keys):
-    """Key ``key``'s (n, pairs) arrival epochs, gathered with a stride from the
-    flat (total, n) codewords, whose index is pair * num_keys + key."""
-    return np.ascontiguousarray(np.cumsum(codewords[key::num_keys], axis=1).T)
+def _wins(order, x):
+    """For each x, how many of the sorted scores ``order`` lie below it, ties counting 1/2."""
+    below = np.searchsorted(order, x, side="left")
+    return below + 0.5 * (np.searchsorted(order, x, side="right") - below)
+
+
+def detection_summary(null_scores, alt_scores):
+    """``warden.summarize_detection``'s dict, each statistic sorting its own
+    copies of the scores: the rank AUC and its DeLong SE, the plug-in TV
+    estimate and its scale, the -inf null share and the two llr means."""
+    x0 = np.asarray(null_scores, dtype=np.float64)
+    x1 = np.asarray(alt_scores, dtype=np.float64)
+    auc = float(_wins(np.sort(x0), x1).sum() / (x0.size * x1.size))
+    v10 = _wins(np.sort(x0), x1) / x0.size
+    v01 = 1.0 - _wins(np.sort(x1), x0) / x1.size
+    var = v10.var(ddof=1) / x1.size + v01.var(ddof=1) / x0.size
+    o0, o1 = np.sort(x0), np.sort(x1)
+    grid = np.concatenate([o0, o1])
+    f0 = np.searchsorted(o0, grid, side="right") / x0.size
+    f1 = np.searchsorted(o1, grid, side="right") / x1.size
+    finite = x0[np.isfinite(x0)]
+    out = {
+        "auc": (auc, float(math.sqrt(max(var, 0.0)))),
+        "tv_estimate": (float(max(0.0, np.max(f0 - f1))),
+                        math.sqrt(0.5 / x0.size + 0.5 / x1.size) / 2.0),
+        "llr_infeasible_fraction": (1.0 - finite.size / x0.size, 0.0),
+    }
+    for name, scores in (("mean_llr_null", finite), ("mean_llr_message", x1)):
+        if scores.size > 1:
+            out[name] = (float(scores.mean()), float(scores.std(ddof=1) / math.sqrt(scores.size)))
+    return out

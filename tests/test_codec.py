@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -5,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from covertq import codec, queueing
 from covertq.codec import (
     Codebook,
     decode,
@@ -25,6 +27,17 @@ import oracles
 BOB = ServiceModel.exponential(50.0)  # high-rate receiver: near-transparent queue
 
 
+class Draw:
+    """Stands in for ``encode``'s generator: its one draw is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def integers(self, high):
+        assert 0 <= self.value < high
+        return self.value
+
+
 def small_book(seed=7, n=16, widths=(3, 2, 2), lam=0.5):
     return generate_codebook(n, *widths, arrival_rate=lam, seed=seed)
 
@@ -36,16 +49,16 @@ class TestGenerate:
         assert np.all(np.diff(book.arrival_epochs, axis=0, prepend=0.0) > 0.0)
 
     def test_epochs_are_key_major(self):
+        # the codewords in the order they are drawn: key, then message, then dummy
         book = small_book(widths=(2, 1, 2))
         assert book.num_pairs == book.num_messages * book.num_dummies
-        drawn = oracles.flat_codewords(book)
-        for w in range(book.num_messages):
-            for wt in range(book.num_dummies):
-                for k in range(book.num_keys):
+        drawn = iter(oracles.flat_codewords(book))
+        for k in range(book.num_keys):
+            for w in range(book.num_messages):
+                for wt in range(book.num_dummies):
                     column = k * book.num_pairs + w * book.num_dummies + wt
                     assert book.column(w, wt, k) == column
-                    assert np.array_equal(book.arrival_epochs[:, column],
-                                          np.cumsum(drawn[book.index(w, wt, k)]))
+                    assert np.array_equal(book.arrival_epochs[:, column], np.cumsum(next(drawn)))
 
     def test_same_seed_same_book(self):
         assert np.array_equal(small_book(seed=3).arrival_epochs, small_book(seed=3).arrival_epochs)
@@ -60,7 +73,7 @@ class TestGenerate:
     def test_single_codeword_book(self):
         book = generate_codebook(4, 0, 0, 0, arrival_rate=1.0, seed=0)
         assert book.total == 1
-        assert book.index(0, 0, 0) == 0
+        assert book.column(0, 0, 0) == 0
 
     def test_cap_enforced(self):
         with pytest.raises(ResourceLimitError, match="codewords exceeds the enumeration cap"):
@@ -90,7 +103,7 @@ class TestGenerate:
 
     @pytest.mark.parametrize("n, widths", [(4, (2, 0, 1)), (BLOCK_CELLS // 2, (0, 0, 2))])
     def test_numpy_integer_sizes_are_accepted(self, tmp_path, n, widths):
-        # stored as Python ints: a chunk of one pair's keys and the snapshot need them
+        # stored as Python ints: the snapshot needs them
         book = generate_codebook(np.int64(n), *np.array(widths), arrival_rate=1.0, seed=0)
         want = generate_codebook(n, *widths, arrival_rate=1.0, seed=0)
         sizes = (book.n, book.bits_message, book.bits_dummy, book.bits_key)
@@ -98,14 +111,15 @@ class TestGenerate:
         assert np.array_equal(book.arrival_epochs, want.arrival_epochs)
         save_codebook_spec(book, str(tmp_path / "book.json"))
 
-    def test_index_layout_is_key_minor(self):
+    def test_column_layout_is_key_major(self):
         book = small_book(widths=(2, 1, 3))
-        # adjacent keys are adjacent rows; dummy then message are higher strides
-        assert book.index(0, 0, 1) - book.index(0, 0, 0) == 1
-        assert book.index(0, 1, 0) - book.index(0, 0, 0) == 8
-        assert book.index(1, 0, 0) - book.index(0, 0, 0) == 16
-        with pytest.raises(StructuralError):
-            book.index(4, 0, 0)
+        # adjacent dummies are adjacent columns; message then key are higher strides
+        assert book.column(0, 1, 0) - book.column(0, 0, 0) == 1
+        assert book.column(1, 0, 0) - book.column(0, 0, 0) == 2
+        assert book.column(0, 0, 1) - book.column(0, 0, 0) == 8
+        for indices in ((4, 0, 0), (0, 2, 0), (0, 0, 8)):
+            with pytest.raises(StructuralError):
+                book.column(*indices)
 
 
 class TestChunkedGenerator:
@@ -114,16 +128,30 @@ class TestChunkedGenerator:
     @pytest.mark.parametrize("n, widths", [
         (5, (0, 0, 0)),       # one codeword
         (16, (3, 2, 2)),      # the whole book in one chunk
-        (20, (11, 0, 2)),     # chunks of 819 pairs: the last one ends mid-book
-        (4, (7, 7, 6)),       # 64 chunks of 256 pairs
-        (2048, (1, 0, 6)),    # a pair row of 2^17 gaps: chunks of 32 keys
-        (3000, (0, 1, 5)),    # chunks of 16 of a pair's 32 keys
+        (20, (11, 0, 2)),     # chunks of 3276 codewords: the last one ends mid-book
+        (4, (7, 7, 6)),       # 64 chunks of 16384 codewords, 2^20 in all
+        (2048, (1, 0, 6)),    # chunks of 32 codewords, 16 keys' blocks of 2
+        (3000, (0, 1, 5)),    # chunks of 21 codewords: they end mid-key-block
+        (BLOCK_CELLS // 2, (0, 0, 2)),  # chunks of 2 codewords, one per key
         (BLOCK_CELLS + 3, (0, 0, 1)),  # a codeword longer than a chunk
     ])
     def test_epochs_are_the_key_major_cumsum_of_one_draw(self, n, widths):
         book = generate_codebook(n, *widths, arrival_rate=0.5, seed=23)
-        want = oracles.key_major_epochs(oracles.flat_codewords(book), book.num_keys)
+        want = np.cumsum(oracles.flat_codewords(book), axis=1).T
         assert np.array_equal(book.arrival_epochs.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("n, widths, digest", [
+        (4, (8, 8, 0), "8b5ad96e65113479"),
+        (20, (11, 0, 0), "7aefe2113e7643d6"),
+        (3000, (0, 0, 5), "645fa143941b724d"),
+        (BLOCK_CELLS + 3, (0, 0, 1), "5f446bffb12f63ba"),
+    ])
+    def test_books_of_one_key_or_one_pair_keep_their_epochs(self, n, widths, digest):
+        # the snapshot version-1 order drew codewords pair-major: (w * dummies
+        # + wt) * keys + k.  With one key, or one pair per key, that is the
+        # column order, so these books kept their bytes (sha256 prefixes)
+        book = generate_codebook(n, *widths, arrival_rate=0.5, seed=23)
+        assert hashlib.sha256(book.arrival_epochs.tobytes()).hexdigest()[:16] == digest
 
     def test_peak_memory_is_about_one_book(self):
         tracemalloc.start()
@@ -174,7 +202,7 @@ class TestPersistence:
         {"arrival_rate": "0.5"},
         {"arrival_rate": None},
         {"version": True},
-        {"version": 2},
+        {"version": 1},
         {"format": None},
         {"arrival_rate": math.nan},  # json.load reads NaN and Infinity
         {"arrival_rate": math.inf},
@@ -190,6 +218,17 @@ class TestPersistence:
                 payload[name] = value
         path.write_text(json.dumps(payload))
         with pytest.raises(StructuralError):
+            load_codebook(str(path))
+
+    def test_version_1_snapshot_is_refused(self, tmp_path):
+        # version 1 drew its gaps in another order: the same recipe would
+        # regenerate another book
+        path = tmp_path / "book.json"
+        save_codebook_spec(small_book(seed=21), str(path))
+        payload = json.loads(path.read_text())
+        assert payload["version"] == 2
+        path.write_text(json.dumps(dict(payload, version=1)))
+        with pytest.raises(StructuralError, match="version 1"):
             load_codebook(str(path))
 
     @pytest.mark.parametrize("content", ["", "{", "[1, 2]", "null", b"\xff\xfe"])
@@ -217,8 +256,9 @@ class TestEncode:
         rng = np.random.default_rng(5)
         tx = encode(book, 5, 2, rng)
         assert tx.message == 5 and tx.key == 2
-        row = book.index(tx.message, tx.dummy, tx.key)
-        assert np.array_equal(tx.arrival_epochs, np.cumsum(oracles.flat_codewords(book)[row]))
+        assert tx.dummy == np.random.default_rng(5).integers(book.num_dummies)
+        column = book.column(tx.message, tx.dummy, tx.key)
+        assert np.array_equal(tx.arrival_epochs, np.cumsum(oracles.flat_codewords(book)[column]))
 
     def test_no_dummy_bits_means_zero_dummy(self):
         book = generate_codebook(8, 2, 0, 1, arrival_rate=1.0, seed=1)
@@ -237,18 +277,31 @@ class TestEncode:
 
     @pytest.mark.parametrize("widths", [(3, 2, 2), (2, 0, 1), (0, 0, 0)])
     def test_send_is_encode_of_a_uniform_message_and_key_per_trial(self, widths):
+        # 40 messages, then 40 keys, then 40 dummies; trial j is encode's
+        # codeword of message j under key j, when encode draws dummy j
         book = small_book(n=5, widths=widths)
         sender = np.random.default_rng(9)
         messages, dummies, keys, epochs = book.send(sender, 40)
         assert epochs.shape == (5, 40)
         rng = np.random.default_rng(9)
+        *want, _ = oracles.sent_codewords(book, rng, 40)
+        assert [messages.tolist(), dummies.tolist(), keys.tolist()] == want
         for j in range(40):
-            tx = encode(book, int(rng.integers(book.num_messages)),
-                        int(rng.integers(book.num_keys)), rng)
-            assert (messages[j], dummies[j], keys[j]) == (tx.message, tx.dummy, tx.key)
-            column = book.arrival_epochs[:, book.column(tx.message, tx.dummy, tx.key)]
-            assert epochs[:, j].tobytes() == column.tobytes() == tx.arrival_epochs.tobytes()
+            tx = encode(book, int(messages[j]), int(keys[j]), Draw(int(dummies[j])))
+            assert (tx.message, tx.dummy, tx.key) == (messages[j], dummies[j], keys[j])
+            assert epochs[:, j].tobytes() == tx.arrival_epochs.tobytes()
         assert sender.random() == rng.random()  # and it drew nothing more
+
+    def test_dummy_free_book_draws_no_dummy(self):
+        book = generate_codebook(8, 2, 0, 1, arrival_rate=1.0, seed=1)
+        rng = np.random.default_rng(6)
+        encode(book, 1, 0, rng)
+        assert rng.random() == np.random.default_rng(6).random()
+        sender = np.random.default_rng(7)
+        book.send(sender, 30)
+        rng = np.random.default_rng(7)
+        rng.integers(book.num_messages, size=30), rng.integers(book.num_keys, size=30)
+        assert sender.random() == rng.random()
 
     def test_out_of_range_rejected(self):
         book = small_book()
@@ -277,6 +330,19 @@ class TestDecode:
         dep = simulate_channel(book.arrival_epochs[:, 0], BOB, rng)
         got = decode(book, dep, 0, BOB)
         assert (got.message, got.dummy) == (0, 0)
+
+    def test_sent_blocks_decode_through_a_fast_queue(self):
+        # 8 keys in a book of 4 chunks, behind a queue 1000 times faster than
+        # the arrivals: the sweep's calls recover every sent pair
+        lam = 0.5
+        book = generate_codebook(32, 8, 2, 3, arrival_rate=lam, seed=31)
+        assert book.n * book.total == 4 * BLOCK_CELLS
+        model = ServiceModel.exponential(1e3 * lam)
+        rng = np.random.default_rng(32)
+        messages, dummies, keys, epochs = book.send(rng, 2000)
+        assert np.unique(keys).size == book.num_keys
+        got = codec._decode(book, queueing._queue(epochs, model, rng), keys, model)
+        assert np.array_equal(got[0], messages) and np.array_equal(got[1], dummies)
 
     def test_high_snr_error_rate(self):
         # receiver 100x faster than the codeword rate: errors should be rare

@@ -14,7 +14,7 @@ import pytest
 
 from covertq import codec, harness, laws, queueing, warden
 from covertq.cli import main as cli_main
-from covertq.codec import decode, encode, generate_codebook
+from covertq.codec import decode, generate_codebook
 from covertq.errors import (ConfigError, InstabilityError, OutputError, ResourceLimitError,
                             StructuralError)
 from covertq.harness import (
@@ -29,6 +29,8 @@ from covertq.harness import (
     service_to_dict,
 )
 from covertq.queueing import ServiceModel, simulate_block
+
+import oracles
 
 
 def base_config(**overrides):
@@ -245,8 +247,8 @@ class TestSweeps:
 
     def test_decode_sweep_matches_per_trial_encode_and_decode(self):
         # the sweep's gathered block against the public calls, trial by trial:
-        # the same draws (message, key, dummy, then the block's services) and
-        # the same departure epochs, so the same bits
+        # the same draws (the messages, keys and dummies, then the block's
+        # services) and the same departure epochs, so the same bits
         cfg = base_config(experiment="decode_sweep", n_list=(6,), width_list=((3, 1, 1),),
                           trials=300)
         rows = {r.metric: r.value for r in run(cfg)}
@@ -257,21 +259,19 @@ class TestSweeps:
         messages, dummies, keys, epochs = book.send(rng, cfg.trials)
         swept = codec._decode(book, queueing._queue(epochs, bob, rng), keys, bob)
         rng = harness._point_rng(cfg, 0, 0)
-        sent = [encode(book, int(rng.integers(book.num_messages)),
-                       int(rng.integers(book.num_keys)), rng) for _ in range(cfg.trials)]
-        departures = simulate_block(np.stack([tx.arrival_epochs for tx in sent], axis=1),
-                                    bob, rng)
-        got = [decode(book, departures[:, j], tx.key, bob)
-               for j, tx in enumerate(sent)]
-        assert [(tx.message, tx.dummy, tx.key) for tx in sent] == list(
-            zip(messages.tolist(), dummies.tolist(), keys.tolist()))
+        sent_messages, sent_dummies, sent_keys, codewords = oracles.sent_codewords(
+            book, rng, cfg.trials)
+        departures = simulate_block(np.stack(codewords, axis=1), bob, rng)
+        got = [decode(book, departures[:, j], key, bob) for j, key in enumerate(sent_keys)]
+        assert (sent_messages, sent_dummies, sent_keys) == (
+            messages.tolist(), dummies.tolist(), keys.tolist())
         assert swept[0].tolist() == [r.message for r in got]
         assert swept[1].tolist() == [r.dummy for r in got]
         assert swept[3].tolist() == [r.feasible_count for r in got]
         assert [x.hex() for x in swept[2].tolist()] == [r.log_likelihood.hex() for r in got]
-        errors = sum(r.message != tx.message for r, tx in zip(got, sent))
-        pair_errors = sum((r.message, r.dummy) != (tx.message, tx.dummy)
-                          for r, tx in zip(got, sent))
+        errors = sum(r.message != w for r, w in zip(got, sent_messages))
+        pair_errors = sum((r.message, r.dummy) != sent
+                          for r, sent in zip(got, zip(sent_messages, sent_dummies)))
         assert 0 < errors < cfg.trials
         assert rows["message_error_rate"] == errors / cfg.trials
         assert rows["pair_error_rate"] == pair_errors / cfg.trials

@@ -7,7 +7,8 @@ per-column kernel ``conditional_log_density_batch`` and
 ``info_density_sample`` against the per-trial scorer
 (``oracles.conditional_log_density``); ``willie_llr``
 against a one-shot log-sum-exp of the oracle's scores; ``decode`` against
-``np.argmax`` over the oracle's strided gather of the key's sub-book.
+``np.argmax`` over the oracle's scores of the key's sub-book, redrawn from
+the seed.
 ``TestThreads`` checks that both keep their bits on 1, 2 and 3 threads, and
 ``TestBlocks`` that ``decode_block`` and ``willie_llr_block`` give each
 observation the bits of its one-observation call, for any grouping of the
@@ -38,7 +39,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from covertq import laws
-from covertq.codec import Codebook, decode, decode_block, encode, generate_codebook
+from covertq.codec import Codebook, decode, decode_block, generate_codebook
 from covertq.errors import StructuralError
 from covertq.laws import SCAN_TILE, conditional_log_density_batch, info_density_sample, reduce_tiles
 from covertq.queueing import (ServiceKind, ServiceModel, simulate_block, simulate_channel,
@@ -297,23 +298,22 @@ class TestDecode:
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_argmax_over_strided_sub_book(self, widths, n, grid, seed):
+    def test_matches_argmax_over_key_sub_book(self, widths, n, grid, seed):
         model = LAWS["exponential"]
         rng = np.random.default_rng(seed)
         book = generate_codebook(n, *widths, arrival_rate=LAM, seed=seed)
         codewords = oracles.flat_codewords(book)
         if grid:  # half-integer gaps: exact ties, also across tiles
             codewords = rng.integers(0, 6, codewords.shape) / 2.0
-            book = replace(book, arrival_epochs=oracles.key_major_epochs(codewords, book.num_keys))
+            book = replace(book, arrival_epochs=np.ascontiguousarray(np.cumsum(codewords, 1).T))
         key = int(rng.integers(book.num_keys))
-        sent = int(rng.integers(book.num_pairs))
-        arrivals = codewords[sent * book.num_keys + key]
+        sub_book = codewords[key * book.num_pairs:(key + 1) * book.num_pairs]
+        arrivals = sub_book[int(rng.integers(book.num_pairs))]
         if grid:
             departures, _ = oracles.des_departures(arrivals, grid_services(model, rng, n))
         else:
             departures = simulate_channel(np.cumsum(arrivals), model, rng)
-        scores = oracle_scores(oracles.key_sub_book(codewords, key, book.num_keys),
-                               departures, model)
+        scores = oracle_scores(np.cumsum(sub_book, axis=1).T, departures, model)
         best = int(np.argmax(scores))
         got = decode(book, departures, key, model)
         assert (got.message, got.dummy) == divmod(best, book.num_dummies)
@@ -328,9 +328,7 @@ class TestDecode:
         book = generate_codebook(3, 15, 1, 1, arrival_rate=LAM, seed=5)
         departures = np.full(3, 1e-12)
         scores = oracles.scan_scores_exponential(
-            oracles.key_sub_book(oracles.flat_codewords(book), 1, book.num_keys),
-            departures, 2.0,
-        )
+            np.cumsum(oracles.flat_codewords(book)[book.num_pairs:], axis=1).T, departures, 2.0)
         assert np.isneginf(scores).all()
         got = decode(book, departures, 1, LAWS["exponential"])
         assert (got.message, got.dummy) == (0, 0)
@@ -470,7 +468,7 @@ def draw_block(model, widths, n, trials, grid, seed):
     codewords = oracles.flat_codewords(book)
     if grid:
         codewords = rng.integers(0, 6, codewords.shape) / 2.0
-        book = replace(book, arrival_epochs=oracles.key_major_epochs(codewords, book.num_keys))
+        book = replace(book, arrival_epochs=np.ascontiguousarray(np.cumsum(codewords, 1).T))
     keys = rng.integers(book.num_keys, size=trials)
     observations = np.empty((n, trials))
     for j, key in enumerate(keys):
@@ -479,7 +477,7 @@ def draw_block(model, widths, n, trials, grid, seed):
             observations[:, j] = 1e-12
             continue
         if kind == 0:
-            arrivals = codewords[int(rng.integers(book.num_pairs)) * book.num_keys + key]
+            arrivals = codewords[key * book.num_pairs + int(rng.integers(book.num_pairs))]
         elif grid:
             arrivals = rng.integers(0, 6, n) / 2.0
         else:
@@ -527,8 +525,8 @@ class TestBlocks:
         assert [outcome(*row) for row in zip(*got)] == [outcome(*astuple(r)) for r in want]
         if grid:  # exact arithmetic: the oracle's argmax, maximum and feasible count
             for message, dummy, top, feasible, column, key in zip(*got, observations.T, keys):
-                scores = oracle_scores(oracles.key_sub_book(codewords, key, book.num_keys),
-                                       column, model)
+                sub_book = codewords[key * book.num_pairs:(key + 1) * book.num_pairs]
+                scores = oracle_scores(np.cumsum(sub_book, axis=1).T, column, model)
                 best = int(np.argmax(scores))
                 assert (message, dummy) == divmod(best, book.num_dummies)
                 assert top == scores[best]
@@ -654,9 +652,7 @@ class TestBlocks:
         assert len(blocks) == 2
         for block in blocks:
             count = block.stop - block.start
-            codewords = [encode(book, int(rng.integers(book.num_messages)),
-                                int(rng.integers(book.num_keys)), rng).arrival_epochs
-                         for _ in range(count)]
+            *_, codewords = oracles.sent_codewords(book, rng, count)
             sent = simulate_block(np.stack(codewords, axis=1), model, rng)
             arrivals = np.cumsum(rng.exponential(1.0 / LAM, size=(book.n, count)), axis=0)
             poisson = simulate_block(arrivals, model, rng)

@@ -6,7 +6,7 @@ import pytest
 
 import covertq
 from covertq import warden
-from covertq.codec import encode, generate_codebook
+from covertq.codec import generate_codebook
 from covertq.errors import ParameterError
 from covertq.harness import ExperimentConfig, run
 from covertq.laws import info_density_sample, poisson_log_density
@@ -18,9 +18,6 @@ from covertq.queueing import (
     trial_blocks,
 )
 from covertq.warden import (
-    _auc_stderr,
-    _rank_auc,
-    _tv_distance_estimate,
     run_detection_trials,
     summarize_detection,
     willie_llr,
@@ -35,8 +32,9 @@ WILLIE = ServiceModel.exponential(2.0)
 
 def replay_observations(book, trials, seed):
     """``run_detection_trials``' blocks, replayed through the public calls:
-    per trial ``encode`` of a uniform message and key, the stacked codewords
-    through ``simulate_block``, then a Poisson block through ``simulate_block``.
+    per trial block, ``Codebook.send``'s draws and the columns they pick
+    (``oracles.sent_codewords``) through ``simulate_block``, then a Poisson
+    block through ``simulate_block``.
 
     Returns the (null, alt) lists of observed departure epochs.
     """
@@ -44,9 +42,7 @@ def replay_observations(book, trials, seed):
     null, alt = [], []
     for block in trial_blocks(book.n, trials):
         count = block.stop - block.start
-        codewords = [encode(book, int(rng.integers(book.num_messages)),
-                            int(rng.integers(book.num_keys)), rng).arrival_epochs
-                     for _ in range(count)]
+        *_, codewords = oracles.sent_codewords(book, rng, count)
         alt.extend(simulate_block(np.stack(codewords, axis=1), WILLIE, rng).T)
         poisson = np.cumsum(rng.exponential(1.0 / LAM, size=(book.n, count)), axis=0)
         null.extend(simulate_block(poisson, WILLIE, rng).T)
@@ -99,13 +95,21 @@ class TestLlr:
             assert "key" not in inspect.signature(fn).parameters
 
 
+def auc(null_scores, alt_scores):
+    return summarize_detection(null_scores, alt_scores)["auc"][0]
+
+
+def tv(null_scores, alt_scores):
+    return summarize_detection(null_scores, alt_scores)["tv_estimate"][0]
+
+
 class TestRankStatistics:
     def test_auc_on_separated_samples(self):
-        assert _rank_auc([0.0, 1.0], [5.0, 6.0]) == 1.0
-        assert _rank_auc([5.0, 6.0], [0.0, 1.0]) == 0.0
+        assert auc([0.0, 1.0], [5.0, 6.0]) == 1.0
+        assert auc([5.0, 6.0], [0.0, 1.0]) == 0.0
 
     def test_auc_handles_ties(self):
-        assert _rank_auc([1.0, 1.0], [1.0, 1.0]) == 0.5
+        assert auc([1.0, 1.0], [1.0, 1.0]) == 0.5
 
     def test_auc_matches_brute_force(self):
         rng = np.random.default_rng(46)
@@ -114,16 +118,16 @@ class TestRankStatistics:
         brute = np.mean([
             1.0 if b > a else (0.5 if b == a else 0.0) for a in x0 for b in x1
         ])
-        assert _rank_auc(x0, x1) == pytest.approx(float(brute), abs=1e-12)
+        assert auc(x0, x1) == pytest.approx(float(brute), abs=1e-12)
 
     def test_tv_bounds_and_known_case(self):
         rng = np.random.default_rng(47)
         x0 = rng.normal(0.0, 1.0, 4000)
         x1 = rng.normal(0.0, 1.0, 4000) + 10.0
-        assert _tv_distance_estimate(x0, x1) == pytest.approx(1.0, abs=1e-3)
+        assert tv(x0, x1) == pytest.approx(1.0, abs=1e-3)
         same = rng.normal(0.0, 1.0, 4000)
-        assert 0.0 <= _tv_distance_estimate(same, same) <= 1.0
-        assert _tv_distance_estimate(same, same) == 0.0
+        assert 0.0 <= tv(same, same) <= 1.0
+        assert tv(same, same) == 0.0
 
     def test_tv_against_gaussian_formula(self):
         # TV between N(0,1) and N(d,1) is 2*Phi(d/2) - 1
@@ -134,7 +138,21 @@ class TestRankStatistics:
         x0 = rng.normal(0.0, 1.0, 20000)
         x1 = rng.normal(d, 1.0, 20000)
         want = 2.0 * norm.cdf(d / 2.0) - 1.0
-        assert _tv_distance_estimate(x0, x1) == pytest.approx(want, abs=0.02)
+        assert tv(x0, x1) == pytest.approx(want, abs=0.02)
+
+    @pytest.mark.parametrize("sizes", [(2, 2), (37, 53), (400, 300)])
+    def test_summary_matches_a_sort_per_statistic_bit_for_bit(self, sizes):
+        # tied scores, and -inf null scores, the first one among them
+        rng = np.random.default_rng(sum(sizes))
+        null = rng.normal(0.0, 1.0, sizes[0]).round(1)
+        null[rng.random(sizes[0]) < 0.2] = -math.inf
+        null[0] = -math.inf
+        alt = rng.normal(0.3, 1.2, sizes[1]).round(1)
+        got = summarize_detection(null, alt)
+        want = oracles.detection_summary(null, alt)
+        assert list(got) == list(want)
+        assert {name: [float(x).hex() for x in pair] for name, pair in got.items()} == {
+            name: [float(x).hex() for x in pair] for name, pair in want.items()}
 
 
 class TestDetectionExperiment:
@@ -150,13 +168,11 @@ class TestDetectionExperiment:
         scores = np.array(scores)
         finite = scores[np.isfinite(scores)]
         half = finite.size // 2
-        auc = _rank_auc(finite[:half], finite[half:2 * half])
         m = half
         null_se = math.sqrt((2 * m + 1) / (12.0 * m * m))
-        assert abs(auc - 0.5) <= 3 * null_se
+        assert abs(auc(finite[:half], finite[half:2 * half]) - 0.5) <= 3 * null_se
         # ECDF sup-distance of same-law samples stays under the binomial floor
-        tv = _tv_distance_estimate(finite[:half], finite[half:2 * half])
-        assert tv <= 1.628 * math.sqrt(2.0 / m)
+        assert tv(finite[:half], finite[half:2 * half]) <= 1.628 * math.sqrt(2.0 / m)
 
     def test_under_resolved_codebook_is_detected(self):
         book = generate_codebook(200, 2, 1, 1, arrival_rate=LAM, seed=51)
@@ -189,10 +205,9 @@ class TestDetectionExperiment:
                       for obs in replay_observations(book, 400, 57))
         mean0, mean1 = ([gaps.mean() for gaps in obs] for obs in (obs0, obs1))
         var0, var1 = ([gaps.var() for gaps in obs] for obs in (obs0, obs1))
-        auc_llr = _rank_auc(llr0, llr1)
-        se = _auc_stderr(llr0, llr1)
+        auc_llr, se = summarize_detection(llr0, llr1)["auc"]
         for x0, x1 in ((mean0, mean1), (var0, var1)):
-            auc_stat = max(_rank_auc(x0, x1), 1.0 - _rank_auc(x0, x1))
+            auc_stat = max(auc(x0, x1), 1.0 - auc(x0, x1))
             assert auc_llr >= auc_stat - 2 * se
 
     def test_summarize_requires_both_hypotheses(self):
