@@ -1,7 +1,8 @@
 """Experiment harness: configuration, deterministic runs, result emission.
 
 Determinism contract: every parameter point draws its randomness from
-``SeedSequence([master_seed, experiment_code, param_index, stream])`` — pure
+``SeedSequence([master_seed, experiment_code, param_index, 0])``, and its
+codebook's seed from the same with ``_BOOK_STREAM`` in place of 0 — pure
 value-derived entropy, never spawn order or worker identity.  Parallelism is
 across parameter points and rows are merged in parameter order, so a run is
 byte-identical for any worker count.
@@ -213,11 +214,9 @@ def _fmt9(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _point_rng(config: ExperimentConfig, param_index: int, stream: int) -> np.random.Generator:
+def _point_rng(config: ExperimentConfig, param_index: int) -> np.random.Generator:
     code = _EXPERIMENT_CODE[config.experiment]
-    return np.random.default_rng(
-        np.random.SeedSequence([config.master_seed, code, param_index, stream])
-    )
+    return np.random.default_rng(np.random.SeedSequence([config.master_seed, code, param_index, 0]))
 
 
 def _book_seed(config: ExperimentConfig, param_index: int) -> int:
@@ -281,7 +280,7 @@ def _run_info_density(config: ExperimentConfig, param_index: int) -> list[Result
     model = (
         ServiceModel.exponential(config.mu1) if side == "bob" else config.willie_service
     )
-    rng = _point_rng(config, param_index, 0)
+    rng = _point_rng(config, param_index)
     samples = laws.sample_info_densities(n, config.arrival_rate, model, config.trials, rng)
     finite = samples[np.isfinite(samples)]
     params = dict(_base_params(config), **point)
@@ -309,7 +308,7 @@ def _run_decode_sweep(config: ExperimentConfig, param_index: int) -> list[Result
     params = dict(_base_params(config), **point)
     lam = config.arrival_rate
     bob = ServiceModel.exponential(config.mu1)
-    rng = _point_rng(config, param_index, 0)
+    rng = _point_rng(config, param_index)
     t = config.trials
 
     if sum(widths) > codec.CODEBOOK_CAP_BITS:
@@ -347,11 +346,10 @@ def _run_detection_sweep(config: ExperimentConfig, param_index: int) -> list[Res
     n = point["n"]
     widths = (point["bits_message"], point["bits_dummy"], point["bits_key"])
     params = dict(_base_params(config), **point)
-    lam = config.arrival_rate
-    rng = _point_rng(config, param_index, 0)
+    rng = _point_rng(config, param_index)
     book = codec.generate_codebook(
-        n, *widths, arrival_rate=lam, seed=_book_seed(config, param_index))
-    null, alt = warden.run_detection_trials(book, config.willie_service, lam, config.trials, rng)
+        n, *widths, arrival_rate=config.arrival_rate, seed=_book_seed(config, param_index))
+    null, alt = warden.run_detection_trials(book, config.willie_service, config.trials, rng)
     return [_row(config, metric, params, value, stderr, config.trials)
             for metric, (value, stderr) in warden.summarize_detection(null, alt).items()]
 
@@ -441,6 +439,14 @@ def emit(rows: list[ResultRow], path: str | None, output_format: str = "csv"):
         raise OutputError(f"cannot write results to {where}: {exc}") from exc
 
 
+def _number(value, kind):
+    """``kind(value)`` of a row's CSV text or JSON value; a bool, or a
+    fraction where an int belongs, is refused rather than rounded."""
+    if isinstance(value, bool) or (kind is int and isinstance(value, float)):
+        raise TypeError(f"need {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 def load_rows(path: str, output_format: str = "csv") -> list[ResultRow]:
     """Parse rows previously written by ``emit``.  A line that is not such a
     row raises ``StructuralError`` naming the path and the line."""
@@ -458,12 +464,15 @@ def load_rows(path: str, output_format: str = "csv") -> list[ResultRow]:
                 try:
                     if output_format == "jsonlines":
                         record = json.loads(record)
+                    params = (json.loads(record["params"]) if output_format == "csv"
+                              else record["params"])
+                    if not isinstance(params, dict):
+                        raise TypeError(f"params must be a JSON object, got {params!r}")
                     rows.append(ResultRow(
-                        experiment=record["experiment"], metric=record["metric"],
-                        params=json.loads(record["params"]) if output_format == "csv"
-                        else record["params"],
-                        value=float(record["value"]), stderr=float(record["stderr"]),
-                        trials=int(record["trials"]), seed=int(record["seed"])))
+                        experiment=record["experiment"], metric=record["metric"], params=params,
+                        value=_number(record["value"], float),
+                        stderr=_number(record["stderr"], float),
+                        trials=_number(record["trials"], int), seed=_number(record["seed"], int)))
                 except (KeyError, TypeError, ValueError) as exc:
                     raise StructuralError(f"{path} line {number} is not a result row: "
                                           f"{exc!r}") from exc

@@ -65,7 +65,7 @@ import numpy as np
 
 from .errors import StructuralError
 from .queueing import (BLOCK_CELLS, ServiceKind, ServiceModel, _as_epochs, _check_count,
-                       _check_rate, _checked_departures, _running_sum)
+                       _check_rate, _departures, _running_sum)
 
 __all__ = ["SCAN_TILE", "conditional_log_density_batch", "scan_threads", "reduce_tiles",
            "poisson_log_density", "info_density_sample", "sample_info_densities"]
@@ -355,7 +355,7 @@ def sample_info_densities(n: int, arrival_rate: float, model: ServiceModel, tria
         # adds nothing
         t_last, d_last = np.zeros(cols), np.zeros(cols)
         scores = np.zeros(cols)
-        with np.errstate(over="ignore"):  # an overflow is refused by _checked_departures
+        with np.errstate(over="ignore"):  # an overflow is refused by _departures
             for k in range(0, n, rows):
                 shape = (min(rows, n - k), cols)
                 t = rng.exponential(scale, size=shape)
@@ -363,6 +363,6 @@ def sample_info_densities(n: int, arrival_rate: float, model: ServiceModel, tria
                 scores += model.log_density(s).sum(axis=0)  # before the recursion overwrites s
                 _running_sum(t, out=t, carry=t_last)
                 t_last = t[-1].copy()  # a view would keep the whole piece alive
-                d_last = _checked_departures(t, s, prev=d_last, packets=n)[-1]
+                d_last = _departures(t, s, prev=d_last, packets=n)[-1]
         out[first:first + cols] = (scores - _poisson_log_density(n, d_last, arrival_rate)) / n
     return out

@@ -38,9 +38,10 @@ arithmetic (e.g. a prefix-max formulation) changes last-ulp rounding, and
 downstream consumers rely on the exact float semantics of this evaluation
 order.
 
-The one recursion, ``_departures``, writes into a new array or in place
-over the service times, and has two loops, both on the arrival epochs t_k
-(a sequential running sum, the same floats as adding the gaps one at a
+The one recursion, ``_departures``, runs in place over the service times,
+each overwritten by its packet's departure epoch, and checks its last row
+of epochs for an overflow.  It has two loops, both on the arrival epochs
+t_k (a sequential running sum, the same floats as adding the gaps one at a
 time):
 
 - a scalar loop over packets, for a 1-d input (one block);
@@ -294,41 +295,13 @@ def _scalar_departures(t: np.ndarray, s: np.ndarray, prev: float) -> list:
     return d
 
 
-def _departures(t: np.ndarray, s: np.ndarray, out: np.ndarray | None = None,
-                prev: np.ndarray | None = None) -> np.ndarray:
-    """Departure epochs d_k = max(d_{k-1}, t_k) + s_k down axis 0, into
-    ``out``: a new array by default, or ``s`` itself for the in-place form.
+def _departures(t: np.ndarray, s: np.ndarray, prev: np.ndarray | None = None,
+                packets: int | None = None) -> np.ndarray:
+    """Departure epochs d_k = max(d_{k-1}, t_k) + s_k down axis 0, from
+    arrival epochs t and fresh service times s, written in place over s.
     ``prev`` is the row of epochs before the first, d_0 = 0 by default: a
     block's rows, run in pieces each from the last row of the piece before,
     give the bits of one call over all of them.
-
-    The one departure recursion.  Both loops take the same max-then-add on
-    the same operands, so a column of a 2-d call is bit-identical to the 1-d
-    call on that column.
-    """
-    if out is None:
-        out = np.empty_like(t)
-    if prev is None:
-        prev = np.zeros(t.shape[1:])
-    if t.ndim == 1:
-        out[:] = _scalar_departures(t, s, float(prev))
-    elif t.shape[1] < _MIN_VECTOR_WIDTH:
-        for j in range(t.shape[1]):
-            out[:, j] = _scalar_departures(t[:, j], s[:, j], float(prev[j]))
-    else:  # loop over k, vectorised over the T columns
-        top = np.empty(t.shape[1])  # max(d_{k-1}, t_k): s_k may sit in the row written
-        for tk, sk, row in zip(t, s, out):
-            np.maximum(prev, tk, out=top)
-            np.add(top, sk, out=row)
-            prev = row
-    return out
-
-
-def _checked_departures(t: np.ndarray, services: np.ndarray, prev: np.ndarray | None = None,
-                        packets: int | None = None) -> np.ndarray:
-    """Departure epochs from arrival epochs t and fresh service times, which
-    are overwritten with them, after the row of epochs ``prev`` (as in
-    ``_departures``).
 
     A drawn gap or service time, or a running sum of them, can overflow to
     inf when its mean is near the top of the float range, and every later
@@ -338,12 +311,24 @@ def _checked_departures(t: np.ndarray, services: np.ndarray, prev: np.ndarray | 
     ``np.errstate(over="ignore")``, so that an overflow is reported once, by
     this check.
     """
-    d = _departures(t, services, out=services, prev=prev)
-    if not np.isfinite(d[-1]).all():
+    if prev is None:
+        prev = np.zeros(t.shape[1:])
+    if t.ndim == 1:
+        s[:] = _scalar_departures(t, s, float(prev))
+    elif t.shape[1] < _MIN_VECTOR_WIDTH:
+        for j in range(t.shape[1]):
+            s[:, j] = _scalar_departures(t[:, j], s[:, j], float(prev[j]))
+    else:  # loop over k, vectorised over the T columns
+        top = np.empty(t.shape[1])  # max(d_{k-1}, t_k): s_k sits in the row written
+        for tk, row in zip(t, s):
+            np.maximum(prev, tk, out=top)
+            np.add(top, row, out=row)
+            prev = row
+    if not np.isfinite(s[-1:]).all():  # a piece may hold no rows
         raise ParameterError(f"departure epochs overflow the float range within "
-                             f"{packets or len(d)} packets: a mean gap or service time is "
+                             f"{packets or len(s)} packets: a mean gap or service time is "
                              f"too large")
-    return d
+    return s
 
 
 def departure_epochs(arrival_gaps, service_times):
@@ -370,9 +355,9 @@ def departure_epochs(arrival_gaps, service_times):
     s = _as_times(service_times, "service times", ndims=(1, 2))
     if a.shape != s.shape:
         raise StructuralError(f"shape mismatch: {a.shape} arrivals vs {s.shape} services")
-    with np.errstate(over="ignore"):  # an overflow is refused by _checked_departures
+    with np.errstate(over="ignore"):  # an overflow is refused by _departures
         t = _running_sum(a)
-        d = _checked_departures(t, s.copy())  # the caller's services are not written to
+        d = _departures(t, s.copy())  # the caller's services are not written to
     dprev = np.zeros_like(d)
     dprev[1:] = d[:-1]
     return d, np.maximum(t - dprev, 0.0)
@@ -382,9 +367,9 @@ def _queue(t: np.ndarray, model: ServiceModel, rng: np.random.Generator) -> np.n
     """Departure epochs of the arrival epochs t, (n,) or (n, T), through fresh
     queues, their services drawn in one call in C order: unchecked, but an
     overflow is refused.  Callers that sum gaps into t do so under
-    ``np.errstate(over="ignore")``, as ``_checked_departures`` asks."""
-    with np.errstate(over="ignore"):  # an overflow is refused by _checked_departures
-        return _checked_departures(t, model.sample(rng, t.shape))
+    ``np.errstate(over="ignore")``, as ``_departures`` asks."""
+    with np.errstate(over="ignore"):  # an overflow is refused by _departures
+        return _departures(t, model.sample(rng, t.shape))
 
 
 def simulate_channel(arrivals, model: ServiceModel, rng: np.random.Generator) -> np.ndarray:

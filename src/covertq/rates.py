@@ -52,21 +52,22 @@ def log_ratio(a: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class RatePoint:
-    """Operating point: message rate R, key rate R_K, dummy rate R_0 (nats/s)."""
+    """Operating point: arrival rate lam (packets/s), message rate R and key
+    rate R_K (nats/s).  The dummy rate R_0 is not a field: ``choose_dummy_rate``
+    derives it from the point and the region."""
 
     arrival_rate: float
     message_rate: float
     key_rate: float
-    dummy_rate: float = 0.0
 
     def __post_init__(self):
         _check_rate("arrival_rate", self.arrival_rate)
-        for name in ("message_rate", "key_rate", "dummy_rate"):
+        for name in ("message_rate", "key_rate"):
             v = getattr(self, name)
             if not _is_number(v):
                 raise ParameterError(f"{name} must be a finite number, got {v!r}")
-        if self.key_rate < 0.0 or self.dummy_rate < 0.0:
-            raise ParameterError("key_rate and dummy_rate must be non-negative")
+        if self.key_rate < 0.0:
+            raise ParameterError("key_rate must be non-negative")
 
 
 @dataclass(frozen=True)

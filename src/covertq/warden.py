@@ -8,22 +8,25 @@ mixture over the *entire* codebook:
 
     llr(D) = log[ (1/|B|) sum_c p(D | codeword c) ] - log q(D),
 
-with q the product-Exp(arrival_rate) stationary law.  Detection quality is
-summarized by the rank AUC of the llr scores and a plug-in estimate of the
-total-variation distance (the best achievable advantage of any threshold test
-on the llr).  ``summarize_detection`` is the one public summary: it checks
-for at least 2 scores per hypothesis, and the private statistics it is built
-from check nothing.
+with q the product-Exp(lam) stationary law at the rate lam =
+``book.arrival_rate`` the codebook was drawn at, so that a codeword looks
+like the innocent traffic: the book carries the null's rate, and no call
+takes it again.  Detection quality is summarized by the rank AUC of the llr
+scores and a plug-in estimate of the total-variation distance (the best
+achievable advantage of any threshold test on the llr).
+``summarize_detection`` is the one public summary: it checks for at least 2
+scores per hypothesis, none of them NaN, and the private statistics it is
+built from check nothing.
 
 ``willie_llr_block`` scores many observations in one codebook scan, in the
 (observation group x column tile) units of ``laws.reduce_tiles``, and folds
 each observation's row of per-tile log-sum-exp partials;
 ``willie_llr`` is its one-observation call.  It checks the observations'
-departure epochs and the rate once per call and scores them with its
-unchecked core ``_llr``.  ``run_detection_trials``
-checks the rate and trial count once per call, then sends its trials block
-by block through ``queueing._queue`` and scores each block's departure
-epochs, as the recursion wrote them, with one ``_llr`` call.
+departure epochs once per call and scores them with its unchecked core
+``_llr``.  ``run_detection_trials`` checks the trial count once per call,
+then sends its trials block by block through ``queueing._queue`` and scores
+each block's departure epochs, as the recursion wrote them, with one
+``_llr`` call.
 
 No operation here takes a key argument; the observer never has one.
 """
@@ -37,8 +40,7 @@ import numpy as np
 from .codec import Codebook
 from .errors import ParameterError, StructuralError
 from .laws import _poisson_log_density, reduce_tiles
-from .queueing import (ServiceModel, _as_epochs, _check_count, _check_rate, _queue,
-                       _running_sum, trial_blocks)
+from .queueing import ServiceModel, _as_epochs, _check_count, _queue, _running_sum, trial_blocks
 
 __all__ = [
     "willie_llr",
@@ -63,14 +65,10 @@ def _exp_partial(start: int, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return top, np.where(live, scores.sum(axis=1), 0.0)
 
 
-def willie_llr_block(
-    book: Codebook,
-    observations: np.ndarray,
-    model: ServiceModel,
-    arrival_rate: float,
-) -> np.ndarray:
+def willie_llr_block(book: Codebook, observations: np.ndarray, model: ServiceModel) -> np.ndarray:
     """``willie_llr`` of every column of the packet-major ``(n, T)`` observed
-    departure epochs, as a (T,) array, in one scan of the codebook.
+    departure epochs, as a (T,) array, in one scan of the codebook, against
+    the null of Exp(``book.arrival_rate``) arrival gaps.
 
     The log-sum-exp over the codebook is reduced per (observation group,
     column tile) unit to (maximum, sum of exp(score - maximum)) per
@@ -81,13 +79,13 @@ def willie_llr_block(
     d = _as_epochs(observations, "observations", ndims=(2,))
     if d.shape[0] != book.n:
         raise StructuralError(f"need (n={book.n}, T) observations, got {d.shape}")
-    _check_rate("arrival_rate", arrival_rate)
-    return _llr(book, d, model, arrival_rate)
+    return _llr(book, d, model)
 
 
-def _llr(book: Codebook, d: np.ndarray, model: ServiceModel, rate: float) -> np.ndarray:
+def _llr(book: Codebook, d: np.ndarray, model: ServiceModel) -> np.ndarray:
     """``willie_llr_block`` of the packet-major ``(n, T)`` departure epochs d,
-    with q(D) = n ln(rate) - rate * d_n.  Nothing is checked."""
+    with q(D) = n ln(lam) - lam * d_n at lam = ``book.arrival_rate``.
+    Nothing is checked."""
     tops, totals = reduce_tiles(book.arrival_epochs, d, model, _exp_partial,
                                 (np.float64, np.float64))
     # each row's partials rescaled to its largest maximum and summed over the
@@ -98,27 +96,21 @@ def _llr(book: Codebook, d: np.ndarray, model: ServiceModel, rate: float) -> np.
     scaled = totals[live] * np.exp(tops[live] - top[live, None])
     count = book.arrival_epochs.shape[1]
     mixture[live] = top[live] + np.log(scaled.sum(axis=1)) - math.log(count)
-    return mixture - _poisson_log_density(book.n, d[-1], rate)
+    return mixture - _poisson_log_density(book.n, d[-1], book.arrival_rate)
 
 
-def willie_llr(
-    book: Codebook,
-    observation: np.ndarray,
-    model: ServiceModel,
-    arrival_rate: float,
-) -> float:
+def willie_llr(book: Codebook, observation: np.ndarray, model: ServiceModel) -> float:
     """Mixture-vs-stationary log likelihood ratio of one observed block of
     departure epochs: the one-column call of ``willie_llr_block``."""
     obs = np.asarray(observation, dtype=np.float64)
     if obs.shape != (book.n,):
         raise StructuralError(f"need (n={book.n},) observed epochs, got {obs.shape}")
-    return float(willie_llr_block(book, obs[:, None], model, arrival_rate)[0])
+    return float(willie_llr_block(book, obs[:, None], model)[0])
 
 
 def run_detection_trials(
     book: Codebook,
     model: ServiceModel,
-    arrival_rate: float,
     trials: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -128,21 +120,20 @@ def run_detection_trials(
     ``queueing.trial_blocks``, which bound the observations held at once.
     For a block of T trials it draws, in this order: ``Codebook.send``'s T
     transmissions and their ``(n, T)`` services (``alt``), then an ``(n, T)``
-    block of Exp(arrival_rate) gaps and its ``(n, T)`` services (``null``).
-    The block's 2T departure epochs are scored by one call of ``_llr``, the
-    core of ``willie_llr_block``.
+    block of Exp(``book.arrival_rate``) gaps and its ``(n, T)`` services
+    (``null``).  The block's 2T departure epochs are scored by one call of
+    ``_llr``, the core of ``willie_llr_block``.
     """
     trials = _check_count("trials", trials, 1)
-    _check_rate("arrival_rate", arrival_rate)
     null, alt = np.empty(trials), np.empty(trials)
     for block in trial_blocks(book.n, trials):
         count = block.stop - block.start
         *_, epochs = book.send(rng, count)  # the warden never sees the indices
         sent = _queue(epochs, model, rng)
-        gaps = rng.exponential(1.0 / arrival_rate, size=(book.n, count))
+        gaps = rng.exponential(1.0 / book.arrival_rate, size=(book.n, count))
         with np.errstate(over="ignore"):  # an overflow is refused by _queue
             unsent = _queue(_running_sum(gaps), model, rng)
-        llr = _llr(book, np.hstack([sent, unsent]), model, arrival_rate)
+        llr = _llr(book, np.hstack([sent, unsent]), model)
         alt[block], null[block] = llr[:count], llr[count:]
     return null, alt
 
@@ -182,7 +173,8 @@ def summarize_detection(null_scores, alt_scores) -> dict[str, tuple[float, float
       no-message one over its finite scores only; stderr: the sample SE.
       Each is present only when it has more than one score.
 
-    Each hypothesis needs at least 2 trials (scores).
+    Each hypothesis needs at least 2 trials (scores), and a NaN score, which
+    no llr is, raises ``StructuralError``.
     """
     null = np.asarray(null_scores, dtype=np.float64)
     alt = np.asarray(alt_scores, dtype=np.float64)
@@ -191,6 +183,8 @@ def summarize_detection(null_scores, alt_scores) -> dict[str, tuple[float, float
             f"need at least 2 trials per hypothesis, got {null.size} no-message "
             f"and {alt.size} message scores"
         )
+    if np.isnan(null).any() or np.isnan(alt).any():
+        raise StructuralError("detection scores must not be NaN")
     # keep the means finite and report the -inf null mass separately
     finite_null = null[np.isfinite(null)]
     null_sorted, alt_sorted = np.sort(null), np.sort(alt)

@@ -142,12 +142,12 @@ def test_criterion_5_detection_tracks_resolvability(capsys):
 
     under_book = generate_codebook(200, 2, 1, 1, arrival_rate=LAM, seed=5001)
     rng = np.random.default_rng(5002)
-    llr0, llr1 = run_detection_trials(under_book, WILLIE, LAM, trials, rng)
+    llr0, llr1 = run_detection_trials(under_book, WILLIE, trials, rng)
     auc_under = summarize_detection(llr0, llr1)["auc"][0]
 
     over_book = generate_codebook(4, 7, 7, 6, arrival_rate=LAM, seed=5003)
     rng = np.random.default_rng(5004)
-    llr0, llr1 = run_detection_trials(over_book, WILLIE, LAM, trials, rng)
+    llr0, llr1 = run_detection_trials(over_book, WILLIE, trials, rng)
     auc_over = summarize_detection(llr0, llr1)["auc"][0]
     null_mean = llr0[np.isfinite(llr0)].mean()
 

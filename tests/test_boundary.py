@@ -43,8 +43,8 @@ def block(bad):
 EPOCH_ENTRIES = {
     "decode_block": lambda bad: decode_block(BOOK, block(bad), [0, 1, 0], EXP),
     "decode": lambda bad: decode(BOOK, block(bad)[:, 1], 0, EXP),
-    "willie_llr_block": lambda bad: willie_llr_block(BOOK, block(bad), EXP, 0.5),
-    "willie_llr": lambda bad: willie_llr(BOOK, block(bad)[:, 1], EXP, 0.5),
+    "willie_llr_block": lambda bad: willie_llr_block(BOOK, block(bad), EXP),
+    "willie_llr": lambda bad: willie_llr(BOOK, block(bad)[:, 1], EXP),
     "info_density_sample": lambda bad: info_density_sample(np.full((4, 3), 0.7), block(bad),
                                                            EXP, 0.5),
     "info_density_sample arrivals": lambda bad: info_density_sample(block(bad)[:, 1],
@@ -69,7 +69,7 @@ COUNT_ENTRIES = {
     "poisson_arrivals": lambda v: poisson_arrivals(0.5, v, rng()),
     "sample_info_densities n": lambda v: sample_info_densities(v, 0.5, EXP, 3, rng()),
     "sample_info_densities trials": lambda v: sample_info_densities(4, 0.5, EXP, v, rng()),
-    "run_detection_trials": lambda v: run_detection_trials(BOOK, EXP, 0.5, v, rng()),
+    "run_detection_trials": lambda v: run_detection_trials(BOOK, EXP, v, rng()),
     "random_coding_error_bounds n": lambda v: random_coding_error_bounds(INFO, v, 2, 0.1),
     "random_coding_error_bounds message_bits": lambda v: random_coding_error_bounds(INFO, 4, v,
                                                                                     0.1),
@@ -87,7 +87,6 @@ RATE_ENTRIES = {
     "generate_codebook": lambda v: generate_codebook(4, 1, 0, 0, arrival_rate=v, seed=0),
     "poisson_arrivals": lambda v: poisson_arrivals(v, 4, rng()),
     "sample_info_densities": lambda v: sample_info_densities(4, v, EXP, 3, rng()),
-    "run_detection_trials": lambda v: run_detection_trials(BOOK, EXP, v, 3, rng()),
     "mm1_log_output_ratio_bound arrival_rate": lambda v: mm1_log_output_ratio_bound(v, 2.0),
     "mm1_log_output_ratio_bound mu1": lambda v: mm1_log_output_ratio_bound(0.5, v),
     "ServiceModel.exponential": lambda v: ServiceModel.exponential(v),
@@ -147,9 +146,9 @@ def test_bad_log_output_ratio_bound_is_a_parameter_error(bound):
 
 
 @pytest.mark.parametrize("value", [True, np.bool_(False), "1", math.nan, math.inf], ids=repr)
-@pytest.mark.parametrize("name", ["message_rate", "key_rate", "dummy_rate"])
+@pytest.mark.parametrize("name", ["message_rate", "key_rate"])
 def test_bad_rate_point_rate_is_a_parameter_error(name, value):
-    rates = {"message_rate": 0.5, "key_rate": 0.1, "dummy_rate": 0.0, name: value}
+    rates = {"message_rate": 0.5, "key_rate": 0.1, name: value}
     with pytest.raises(ParameterError):
         RatePoint(0.5, **rates)
 

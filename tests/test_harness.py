@@ -255,10 +255,10 @@ class TestSweeps:
         bob = ServiceModel.exponential(cfg.mu1)
         book = generate_codebook(6, 3, 1, 1, arrival_rate=cfg.arrival_rate,
                                  seed=harness._book_seed(cfg, 0))
-        rng = harness._point_rng(cfg, 0, 0)
+        rng = harness._point_rng(cfg, 0)
         messages, dummies, keys, epochs = book.send(rng, cfg.trials)
         swept = codec._decode(book, queueing._queue(epochs, bob, rng), keys, bob)
-        rng = harness._point_rng(cfg, 0, 0)
+        rng = harness._point_rng(cfg, 0)
         sent_messages, sent_dummies, sent_keys, codewords = oracles.sent_codewords(
             book, rng, cfg.trials)
         departures = simulate_block(np.stack(codewords, axis=1), bob, rng)
@@ -385,9 +385,14 @@ class TestEmit:
     @pytest.mark.parametrize("fmt, bad", [
         ("csv", "no params column"),
         ("csv", "non-numeric value"),
+        ("csv", "params not an object"),
         ("jsonlines", "missing keys"),
         ("jsonlines", "not JSON"),
         ("jsonlines", "non-numeric value"),
+        ("jsonlines", "params not an object"),
+        ("jsonlines", "fractional trials"),
+        ("jsonlines", "fractional seed"),
+        ("jsonlines", "bool value"),
     ])
     def test_malformed_row_raises_structural_error_naming_the_line(self, tmp_path, fmt, bad):
         row = self._rows()[0].to_dict()
@@ -397,12 +402,17 @@ class TestEmit:
                 "no params column": "experiment,metric,value,stderr,trials,seed\n"
                                     "region_table,covert_capacity,0.3,0,1,9\n",
                 "non-numeric value": header + 'region_table,covert_capacity,"{}",abc,0,1,9\n',
+                "params not an object": header + 'region_table,covert_capacity,"[1]",0.3,0,1,9\n',
             }[bad]
         else:
             line = {
                 "missing keys": json.dumps({"experiment": "region_table", "metric": "auc"}),
                 "not JSON": "wrote 25 rows",
                 "non-numeric value": json.dumps(dict(row, value="abc")),
+                "params not an object": json.dumps(dict(row, params=5)),
+                "fractional trials": json.dumps(dict(row, trials=3.7)),
+                "fractional seed": json.dumps(dict(row, seed=9.0)),
+                "bool value": json.dumps(dict(row, value=True)),
             }[bad]
             text = json.dumps(row) + "\n" + line + "\n"
         path = tmp_path / "rows.txt"

@@ -267,9 +267,9 @@ class TestBatchedRecursion:
         a, s = (data.draw(arrays(np.float64, shape, elements=GAPS)) for _ in range(2))
         k = data.draw(st.integers(1, n), label="rows in the first call")
         t = np.cumsum(a, axis=0)
-        head = _departures(t[:k], s[:k])
-        tail = _departures(t[k:], s[k:], prev=head[-1])
-        assert np.array_equal(np.concatenate([head, tail]), _departures(t, s))
+        head = _departures(t[:k], s[:k].copy())
+        tail = _departures(t[k:], s[k:].copy(), prev=head[-1])
+        assert np.array_equal(np.concatenate([head, tail]), _departures(t, s.copy()))
 
     @given(blocks())
     @settings(max_examples=80, deadline=None)

@@ -282,7 +282,7 @@ class TestWillieLlr:
         shuffled = np.ascontiguousarray(epochs[:, rng.permutation(count)])
         want = mixture_llr(epochs, departures, model)
         for cols in (epochs, shuffled):
-            got = willie_llr(replace(book, arrival_epochs=cols), departures, model, LAM)
+            got = willie_llr(replace(book, arrival_epochs=cols), departures, model)
             if want == -math.inf:
                 assert got == -math.inf
             else:
@@ -376,7 +376,7 @@ class TestThreads:
         got = []
         for threads in (1, 2, 3):
             scan_threads(threads)
-            llr = willie_llr(book, departures, model, LAM)
+            llr = willie_llr(book, departures, model)
             result = decode(book, departures, 0, model)
             got.append((llr.hex(), result))
         assert got[1] == got[0] and got[2] == got[0]
@@ -551,8 +551,8 @@ class TestBlocks:
             warnings.simplefilter("error", RuntimeWarning)
             patch.setattr(laws, "SCAN_TILE", tile)
             patch.setattr(laws, "scan_threads", lambda: threads)
-            got = willie_llr_block(book, observations, model, LAM)
-            want = [willie_llr(book, column, model, LAM) for column in observations.T]
+            got = willie_llr_block(book, observations, model)
+            want = [willie_llr(book, column, model) for column in observations.T]
         assert got.shape == (trials,)
         assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
         if not grid and law == "erlang":
@@ -578,7 +578,7 @@ class TestBlocks:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             messages, dummies, top, feasible = decode_block(book, observations, keys, model)
-            llr = willie_llr_block(book, observations, model, LAM)
+            llr = willie_llr_block(book, observations, model)
         assert feasible[0] > 0 and np.isfinite(llr[0])
         assert (messages[1:] == 0).all() and (dummies[1:] == 0).all()
         assert (feasible[1:] == 0).all() and np.isneginf(top[1:]).all()
@@ -626,7 +626,7 @@ class TestBlocks:
         keys = rng.integers(book.num_keys, size=256)
         tracemalloc.start()
         try:
-            llr = willie_llr_block(book, observations, model, LAM)
+            llr = willie_llr_block(book, observations, model)
             decoded = decode_block(book, observations, keys, model)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -634,7 +634,7 @@ class TestBlocks:
         assert peak < 256 << 10, peak
         # and the partial arrays keep each observation's bits
         for j in range(0, 256, 5):
-            assert llr[j].hex() == willie_llr(book, observations[:, j], model, LAM).hex()
+            assert llr[j].hex() == willie_llr(book, observations[:, j], model).hex()
             assert outcome(*(array[j] for array in decoded)) == outcome(
                 *astuple(decode(book, observations[:, j], int(keys[j]), model)))
 
@@ -646,7 +646,7 @@ class TestBlocks:
         # at a time, keep their bits
         model = ServiceModel.exponential(2.0)
         book = generate_codebook(200, 2, 1, 1, arrival_rate=LAM, seed=5001)
-        null, alt = run_detection_trials(book, model, LAM, 400, np.random.default_rng(5002))
+        null, alt = run_detection_trials(book, model, 400, np.random.default_rng(5002))
         rng = np.random.default_rng(5002)
         blocks = list(trial_blocks(book.n, 400))
         assert len(blocks) == 2
@@ -659,7 +659,7 @@ class TestBlocks:
             keep = [j for j, i in enumerate(range(block.start, block.stop)) if i < 20 or i >= 320]
             for got, observations in ((alt[block], sent), (null[block], poisson)):
                 observations = observations[:, keep]
-                want = np.array([willie_llr(book, column, model, LAM)
+                want = np.array([willie_llr(book, column, model)
                                  for column in observations.T])
                 assert np.array_equal(got[keep], want)
 
@@ -677,7 +677,7 @@ def test_public_path_scores_every_sent_block_at_a_fast_rate(n):
     poisson = np.cumsum(rng.exponential(1.0 / LAM, (n, 1000)), axis=0)
     for arrivals, departures in ((epochs, sent), (poisson, simulate_block(poisson, model, rng))):
         assert np.isfinite(info_density_sample(arrivals, departures, model, LAM)).all()
-    assert np.isfinite(willie_llr_block(book, sent, model, LAM)).all()
+    assert np.isfinite(willie_llr_block(book, sent, model)).all()
     got_messages, got_dummies, top, feasible = decode_block(book, sent, keys, model)
     assert (feasible >= 1).all() and np.isfinite(top).all()
     assert np.array_equal(got_messages, messages) and np.array_equal(got_dummies, dummies)
@@ -702,8 +702,8 @@ def test_a_float32_book_scans_as_its_float64_values(monkeypatch, scan_threads, t
     for got, column in zip(scores, observations.T):
         want = shared_scores(book64.arrival_epochs, column, model)
         assert got.tobytes() == want.tobytes()
-    assert willie_llr_block(book32, observations, model, LAM).tobytes() == \
-        willie_llr_block(book64, observations, model, LAM).tobytes()
+    assert willie_llr_block(book32, observations, model).tobytes() == \
+        willie_llr_block(book64, observations, model).tobytes()
     for got, want in zip(decode_block(book32, observations, keys, model),
                          decode_block(book64, observations, keys, model)):
         assert got.tobytes() == want.tobytes()
@@ -814,9 +814,9 @@ class TestBuffer:
             assert sums[j, 0].hex() == want.sum().hex()
         book = replace(generate_codebook(3, 8, 0, 0, arrival_rate=LAM, seed=5),
                        arrival_epochs=epochs)
-        llrs = willie_llr_block(book, observations, model, LAM)
+        llrs = willie_llr_block(book, observations, model)
         assert [x.hex() for x in llrs.tolist()] == [
-            willie_llr(book, column, model, LAM).hex() for column in observations.T]
+            willie_llr(book, column, model).hex() for column in observations.T]
 
     @pytest.mark.parametrize("count, trials", [(255, 3), (300, 1)])
     def test_other_units_keep_the_callers_buffer(self, scan_threads, count, trials):

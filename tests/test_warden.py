@@ -6,8 +6,8 @@ import pytest
 
 import covertq
 from covertq import warden
-from covertq.codec import generate_codebook
-from covertq.errors import ParameterError
+from covertq.codec import generate_codebook, load_codebook, save_codebook_spec
+from covertq.errors import ParameterError, StructuralError
 from covertq.harness import ExperimentConfig, run
 from covertq.laws import info_density_sample, poisson_log_density
 from covertq.queueing import (
@@ -59,7 +59,7 @@ class TestLlr:
         hits = 0
         for _ in range(1000):
             dep = simulate_channel(book.arrival_epochs[:, 0], fast, rng)
-            if willie_llr(book, dep, fast, LAM) > 5.0:
+            if willie_llr(book, dep, fast) > 5.0:
                 hits += 1
         assert hits >= 990
 
@@ -70,7 +70,7 @@ class TestLlr:
         rng = np.random.default_rng(44)
         arrivals = book.arrival_epochs[:, book.column(1, 0, 0)]
         dep = simulate_channel(arrivals, WILLIE, rng)
-        llr = willie_llr(book, dep, WILLIE, LAM)
+        llr = willie_llr(book, dep, WILLIE)
         null = poisson_log_density(dep, LAM)
         single = oracles.conditional_log_density(arrivals, dep, WILLIE.log_density)
         assert llr >= single - null - math.log(book.total) - 1e-9
@@ -80,14 +80,14 @@ class TestLlr:
         # recursion's own epochs, its services are never below 0, even where
         # they are a few ulps of the epochs
         book = generate_codebook(16, 3, 1, 1, arrival_rate=LAM, seed=0)
-        _, alt = run_detection_trials(book, ServiceModel.exponential(1e12), LAM, 2000,
+        _, alt = run_detection_trials(book, ServiceModel.exponential(1e12), 2000,
                                       np.random.default_rng(100))
         assert np.isfinite(alt).all()
 
     def test_infeasible_observation_gives_minus_inf(self):
         book = generate_codebook(4, 1, 0, 0, arrival_rate=LAM, seed=45)
         dep = np.cumsum(np.full(4, 1e-12))
-        assert willie_llr(book, dep, WILLIE, LAM) == -math.inf
+        assert willie_llr(book, dep, WILLIE) == -math.inf
 
     def test_detector_never_sees_a_key(self):
         # structural covertness check: no key parameter anywhere in the API
@@ -164,7 +164,7 @@ class TestDetectionExperiment:
         for _ in range(1000):
             arrivals = poisson_arrivals(LAM, book.n, rng)
             dep = simulate_channel(arrivals, WILLIE, rng)
-            scores.append(willie_llr(book, dep, WILLIE, LAM))
+            scores.append(willie_llr(book, dep, WILLIE))
         scores = np.array(scores)
         finite = scores[np.isfinite(scores)]
         half = finite.size // 2
@@ -177,7 +177,7 @@ class TestDetectionExperiment:
     def test_under_resolved_codebook_is_detected(self):
         book = generate_codebook(200, 2, 1, 1, arrival_rate=LAM, seed=51)
         rng = np.random.default_rng(52)
-        null, alt = run_detection_trials(book, WILLIE, LAM, 150, rng)
+        null, alt = run_detection_trials(book, WILLIE, 150, rng)
         assert null.shape == alt.shape == (150,)
         assert summarize_detection(null, alt)["auc"][0] > 0.6
 
@@ -189,7 +189,7 @@ class TestDetectionExperiment:
         for bits, seed in rng_seeds.items():
             book = generate_codebook(4, bits - 2, 1, 1, arrival_rate=LAM, seed=seed)
             rng = np.random.default_rng(seed + 100)
-            null, alt = run_detection_trials(book, WILLIE, LAM, 400, rng)
+            null, alt = run_detection_trials(book, WILLIE, 400, rng)
             tvs.append(summarize_detection(null, alt)["tv_estimate"][0])
         slack = 2 * math.sqrt(0.5 / 400)
         assert tvs[1] <= tvs[0] + slack
@@ -200,7 +200,7 @@ class TestDetectionExperiment:
         # the likelihood ratio is the optimal test: no moment statistic of the
         # block should out-rank it (up to Monte Carlo noise)
         book = generate_codebook(50, 3, 1, 0, arrival_rate=LAM, seed=56)
-        llr0, llr1 = run_detection_trials(book, WILLIE, LAM, 400, np.random.default_rng(57))
+        llr0, llr1 = run_detection_trials(book, WILLIE, 400, np.random.default_rng(57))
         obs0, obs1 = ([np.diff(d, prepend=0.0) for d in obs]
                       for obs in replay_observations(book, 400, 57))
         mean0, mean1 = ([gaps.mean() for gaps in obs] for obs in (obs0, obs1))
@@ -213,7 +213,7 @@ class TestDetectionExperiment:
     def test_summarize_requires_both_hypotheses(self):
         book = generate_codebook(8, 1, 0, 0, arrival_rate=LAM, seed=58)
         rng = np.random.default_rng(59)
-        _, alt = run_detection_trials(book, WILLIE, LAM, 5, rng)
+        _, alt = run_detection_trials(book, WILLIE, 5, rng)
         with pytest.raises(ParameterError):
             summarize_detection(np.empty(0), alt)
 
@@ -221,6 +221,31 @@ class TestDetectionExperiment:
     def test_summarize_needs_two_scores_per_hypothesis(self, sizes):
         with pytest.raises(ParameterError):
             summarize_detection(np.zeros(sizes[0]), np.ones(sizes[1]))
+
+    @pytest.mark.parametrize("null, alt", [([0.1, math.nan, 0.3], [0.2, 0.5]),
+                                           ([0.1, 0.3], [math.nan, 0.5])])
+    def test_a_nan_score_is_a_structural_error(self, null, alt):
+        # no llr is NaN: an infeasible block's -inf is counted, a NaN refused
+        summary = summarize_detection([0.1, -math.inf, 0.3], [0.2, 0.5])
+        assert summary["llr_infeasible_fraction"][0] == pytest.approx(1 / 3)
+        with pytest.raises(StructuralError, match="NaN"):
+            summarize_detection(null, alt)
+
+    def test_the_null_rate_travels_with_a_saved_book(self, tmp_path):
+        # the warden reads lam from the book it scores: a book regenerated
+        # from its snapshot scores the bits of the book drawn
+        book = generate_codebook(6, 2, 1, 1, arrival_rate=0.3, seed=66)
+        path = str(tmp_path / "book.json")
+        save_codebook_spec(book, path)
+        clone = load_codebook(path)
+        rng = np.random.default_rng(67)
+        observations = simulate_block(np.cumsum(rng.exponential(1 / 0.3, size=(6, 30)), axis=0),
+                                      WILLIE, rng)
+        assert (willie_llr_block(clone, observations, WILLIE).tobytes()
+                == willie_llr_block(book, observations, WILLIE).tobytes())
+        drawn, loaded = (run_detection_trials(b, WILLIE, 30, np.random.default_rng(68))
+                         for b in (book, clone))
+        assert [x.tobytes() for x in drawn] == [x.tobytes() for x in loaded]
 
     def test_summarize_is_the_one_public_summary(self):
         # the statistics it is built from check nothing: an empty side gives NaN
@@ -232,11 +257,11 @@ class TestDetectionExperiment:
         # the sent blocks and their services, then Poisson blocks and theirs.
         # The trials and the public calls score the same epochs, bit for bit
         book = generate_codebook(6, 2, 1, 1, arrival_rate=LAM, seed=63)
-        null, alt = run_detection_trials(book, WILLIE, LAM, 40, np.random.default_rng(64))
+        null, alt = run_detection_trials(book, WILLIE, 40, np.random.default_rng(64))
         obs0, obs1 = replay_observations(book, 40, 64)
         for got, obs in ((null, obs0), (alt, obs1)):
             assert got.dtype == np.float64 and got.shape == (40,)
-            want = np.array([willie_llr(book, d, WILLIE, LAM) for d in obs])
+            want = np.array([willie_llr(book, d, WILLIE) for d in obs])
             assert np.array_equal(got, want)
         # the summary's keys are the rows a sweep at this shape emits, in order
         rows = run(ExperimentConfig(
