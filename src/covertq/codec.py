@@ -14,7 +14,12 @@ departures, breaking ties toward the smallest index.
 key share one scan of its key block, in the (observation group x column tile)
 units of ``laws.reduce_tiles``, whose per-tile argmax partials are
 folded over the tile axis; ``decode`` is its one-observation call.
-Sizes, counts and the arrival rate follow ``queueing``'s count and rate rules.
+A ``Codebook`` checks itself when built, by one rule (``_book_fields``, which
+``generate_codebook`` also applies before it allocates): n >= 1, widths >= 0,
+the arrival rate by ``queueing``'s rate rule and a seed that is an integer
+>= 0, else ``ParameterError``; at most the cap, else ``ResourceLimitError``;
+float64 ``arrival_epochs`` of shape (n, total), else ``StructuralError``.
+The rule reads metadata only, never the epochs' values.
 ``decode_block`` checks its departure epochs and keys once per call and hands
 them to ``_decode``, the unchecked core the decode sweep runs on the queue's
 epochs.
@@ -65,6 +70,7 @@ _MAX_CELLS_BITS = 28  # log2 of n x codewords: a float64 book of at most 2 GB
 
 _FORMAT_TAG = "covertq-codebook"
 _FORMAT_VERSION = 2  # version 1 drew its gaps in another order
+_BOOK_FIELDS = ("n", "bits_message", "bits_dummy", "bits_key", "arrival_rate", "seed")
 
 
 @dataclass(frozen=True)
@@ -80,6 +86,17 @@ class Codebook:
     # (n, total), packet-major for column scans; key-major columns, so key k's
     # (message, dummy) pairs are the contiguous key block [k * pairs, (k+1) * pairs)
     arrival_epochs: np.ndarray
+
+    def __post_init__(self):
+        fields = _book_fields(*(getattr(self, name) for name in _BOOK_FIELDS))
+        for name, value in zip(_BOOK_FIELDS, fields):
+            object.__setattr__(self, name, value)
+        epochs = self.arrival_epochs
+        if not (isinstance(epochs, np.ndarray) and epochs.dtype == np.float64
+                and epochs.shape == (self.n, self.total)):
+            raise StructuralError(f"arrival_epochs must be float64 of shape ({self.n}, "
+                                  f"{self.total}), got {getattr(epochs, 'dtype', type(epochs))} "
+                                  f"of shape {np.shape(epochs)}")
 
     @property
     def total(self) -> int:
@@ -103,9 +120,14 @@ class Codebook:
         return 1 << (self.bits_message + self.bits_dummy)
 
     def column(self, w: int, wt: int, k: int) -> int:
-        """Column of codeword (w, wt, k) in ``arrival_epochs``."""
-        self._check_indices(w, wt, k)
-        return k * self.num_pairs + w * self.num_dummies + wt
+        """Column of codeword (w, wt, k) in ``arrival_epochs``, for indices that
+        are integers (numpy's too, never a bool) in range."""
+        for name, index, high in (("message", w, self.num_messages),
+                                  ("dummy", wt, self.num_dummies), ("key", k, self.num_keys)):
+            if not (_is_number(index, numbers.Integral) and 0 <= index < high):
+                raise StructuralError(f"{name} index must be an integer in [0, {high}), "
+                                      f"got {index!r}")
+        return int(k) * self.num_pairs + int(w) * self.num_dummies + int(wt)
 
     def send(self, rng: np.random.Generator, count: int) -> tuple[np.ndarray, ...]:
         """``count`` transmissions: ``count`` uniform messages, then as many
@@ -119,14 +141,6 @@ class Codebook:
         columns = keys * self.num_pairs + (messages << self.bits_dummy) + dummies
         return messages, dummies, keys, self.arrival_epochs[:, columns]
 
-    def _check_indices(self, w: int, wt: int, k: int):
-        if not (0 <= w < self.num_messages):
-            raise StructuralError(f"message index {w} out of range [0, {self.num_messages})")
-        if not (0 <= wt < self.num_dummies):
-            raise StructuralError(f"dummy index {wt} out of range [0, {self.num_dummies})")
-        if not (0 <= k < self.num_keys):
-            raise StructuralError(f"key index {k} out of range [0, {self.num_keys})")
-
 
 def _check_book_size(n: int, total_bits: int):
     """Refuse a book of n x 2^total_bits cells past the cap; cells are checked first."""
@@ -136,6 +150,18 @@ def _check_book_size(n: int, total_bits: int):
     if total_bits > CODEBOOK_CAP_BITS:
         raise ResourceLimitError(f"a codebook of 2^{total_bits} codewords exceeds the "
                                  f"enumeration cap of 2^{CODEBOOK_CAP_BITS}")
+
+
+def _book_fields(n, bits_message, bits_dummy, bits_key, arrival_rate, seed) -> tuple:
+    """The book rule on every field but the epochs: the counts and the seed as
+    Python ints and the rate as a Python float, in ``_BOOK_FIELDS`` order."""
+    n = _check_count("n", n, 1)
+    widths = [_check_count(name, value, 0) for name, value in
+              zip(_BOOK_FIELDS[1:4], (bits_message, bits_dummy, bits_key))]
+    _check_rate("arrival_rate", arrival_rate)
+    seed = _check_count("seed", seed, 0)
+    _check_book_size(n, sum(widths))
+    return (n, *widths, float(arrival_rate), seed)
 
 
 def generate_codebook(
@@ -152,12 +178,8 @@ def generate_codebook(
     2^28 cells; large-rate regimes must use the certified bounds instead of
     enumeration.
     """
-    n = _check_count("n", n, 1)
-    bits_message = _check_count("bits_message", bits_message, 0)
-    bits_dummy = _check_count("bits_dummy", bits_dummy, 0)
-    bits_key = _check_count("bits_key", bits_key, 0)
-    _check_rate("arrival_rate", arrival_rate)
-    _check_book_size(n, bits_message + bits_dummy + bits_key)
+    n, bits_message, bits_dummy, bits_key, arrival_rate, seed = _book_fields(
+        n, bits_message, bits_dummy, bits_key, arrival_rate, seed)
     total = 1 << (bits_message + bits_dummy + bits_key)
     rng = np.random.default_rng(seed)
     # Whole codewords are drawn in column order, at most BLOCK_CELLS gaps per
@@ -178,44 +200,19 @@ def generate_codebook(
         raise ParameterError(f"codebook epochs overflow the float range within {n} packets: "
                              f"the mean gap 1/arrival_rate is too large")
     epochs.setflags(write=False)
-    return Codebook(
-        n=n,
-        bits_message=bits_message,
-        bits_dummy=bits_dummy,
-        bits_key=bits_key,
-        arrival_rate=arrival_rate,
-        seed=int(seed),
-        arrival_epochs=epochs,
-    )
+    return Codebook(n, bits_message, bits_dummy, bits_key, arrival_rate, seed, epochs)
 
 
 def save_codebook_spec(book: Codebook, path: str):
     """Persist the generating snapshot (never the codewords themselves)."""
-    payload = {
-        "format": _FORMAT_TAG,
-        "version": _FORMAT_VERSION,
-        "n": book.n,
-        "bits_message": book.bits_message,
-        "bits_dummy": book.bits_dummy,
-        "bits_key": book.bits_key,
-        "arrival_rate": book.arrival_rate,
-        "seed": book.seed,
-    }
+    payload = {"format": _FORMAT_TAG, "version": _FORMAT_VERSION,
+               **{name: getattr(book, name) for name in _BOOK_FIELDS}}
     try:
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     except OSError as exc:
         raise OutputError(f"cannot write codebook snapshot to {path}: {exc}") from exc
-
-
-def _snapshot_field(payload: dict, name: str, path: str):
-    """A snapshot's integer field, or its real ``arrival_rate``, by the
-    package's number rule: finite, and never a bool."""
-    value = payload.get(name)
-    if not _is_number(value, numbers.Real if name == "arrival_rate" else numbers.Integral):
-        raise StructuralError(f"codebook snapshot {path}: bad {name} {value!r}")
-    return value
 
 
 def load_codebook(path: str) -> Codebook:
@@ -232,11 +229,10 @@ def load_codebook(path: str) -> Codebook:
     version = payload.get("version")
     if version != _FORMAT_VERSION or isinstance(version, bool):
         raise StructuralError(f"unsupported codebook snapshot version {version!r}")
-    fields = {name: _snapshot_field(payload, name, path) for name in
-              ("n", "bits_message", "bits_dummy", "bits_key", "arrival_rate", "seed")}
-    if fields["seed"] < 0:
-        raise StructuralError(f"codebook snapshot {path}: bad seed {fields['seed']!r}")
-    return generate_codebook(**fields)
+    try:
+        return generate_codebook(*(payload.get(name) for name in _BOOK_FIELDS))
+    except ParameterError as exc:
+        raise StructuralError(f"codebook snapshot {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -253,12 +249,8 @@ def encode(book: Codebook, message: int, key: int, rng: np.random.Generator) -> 
     """Pick a uniform dummy index (nothing is drawn when there are no dummy
     bits) and look up the epochs of codeword (w, wt, k)."""
     dummy = int(rng.integers(book.num_dummies))
-    return Transmission(
-        message=message,
-        dummy=dummy,
-        key=key,
-        arrival_epochs=book.arrival_epochs[:, book.column(message, dummy, key)],
-    )
+    column = book.column(message, dummy, key)  # checks the indices
+    return Transmission(int(message), dummy, int(key), book.arrival_epochs[:, column])
 
 
 @dataclass(frozen=True)

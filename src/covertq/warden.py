@@ -94,8 +94,7 @@ def _llr(book: Codebook, d: np.ndarray, model: ServiceModel) -> np.ndarray:
     live = top > -np.inf
     mixture = np.full(top.shape, -np.inf)
     scaled = totals[live] * np.exp(tops[live] - top[live, None])
-    count = book.arrival_epochs.shape[1]
-    mixture[live] = top[live] + np.log(scaled.sum(axis=1)) - math.log(count)
+    mixture[live] = top[live] + np.log(scaled.sum(axis=1)) - math.log(book.total)
     return mixture - _poisson_log_density(book.n, d[-1], book.arrival_rate)
 
 

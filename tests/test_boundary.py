@@ -4,20 +4,25 @@ Epochs (non-empty, finite, non-negative and non-decreasing down axis 0: the
 running sums of the gaps that ``departure_epochs`` takes) raise
 ``StructuralError``; counts (an integer >= its least value, never a bool)
 and rates (a finite number > 0 whose reciprocal is finite, never a bool)
-raise ``ParameterError``.  A service law, a region and a config refuse a
-malformed field when they are built, with the category of their module:
-``ParameterError`` for the library's objects, ``ConfigError`` for a config.
+raise ``ParameterError``; codeword indices (an integer in range, never a
+bool) raise ``StructuralError``.  A codebook, a service law, a region and a
+config refuse a malformed field when they are built, with the category of
+their module: ``ParameterError`` for the library's objects, ``ConfigError``
+for a config.  A codebook also refuses epochs that are not a float64
+(n, total) array (``StructuralError``) and a size past the cap
+(``ResourceLimitError``).
 """
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from covertq.codec import (decode, decode_block, generate_codebook, mm1_log_output_ratio_bound,
-                           random_coding_error_bounds)
-from covertq.errors import ConfigError, ParameterError, StructuralError
+from covertq.codec import (decode, decode_block, encode, generate_codebook,
+                           mm1_log_output_ratio_bound, random_coding_error_bounds)
+from covertq.errors import ConfigError, ParameterError, ResourceLimitError, StructuralError
 from covertq.harness import ExperimentConfig
 from covertq.laws import info_density_sample, poisson_log_density, sample_info_densities
 from covertq.queueing import ServiceModel, poisson_arrivals, simulate_block
@@ -65,6 +70,12 @@ COUNT_ENTRIES = {
     "generate_codebook n": lambda v: generate_codebook(v, 1, 0, 0, arrival_rate=0.5, seed=0),
     "generate_codebook bits_key": lambda v: generate_codebook(4, 1, 0, v, arrival_rate=0.5,
                                                               seed=0),
+    "generate_codebook seed": lambda v: generate_codebook(4, 1, 0, 0, arrival_rate=0.5, seed=v),
+    "Codebook n": lambda v: replace(BOOK, n=v),
+    "Codebook bits_message": lambda v: replace(BOOK, bits_message=v),
+    "Codebook bits_dummy": lambda v: replace(BOOK, bits_dummy=v),
+    "Codebook bits_key": lambda v: replace(BOOK, bits_key=v),
+    "Codebook seed": lambda v: replace(BOOK, seed=v),
     "Codebook.send": lambda v: BOOK.send(rng(), v),
     "poisson_arrivals": lambda v: poisson_arrivals(0.5, v, rng()),
     "sample_info_densities n": lambda v: sample_info_densities(v, 0.5, EXP, 3, rng()),
@@ -85,6 +96,7 @@ def test_bad_count_is_a_parameter_error(entry, count):
 
 RATE_ENTRIES = {
     "generate_codebook": lambda v: generate_codebook(4, 1, 0, 0, arrival_rate=v, seed=0),
+    "Codebook": lambda v: replace(BOOK, arrival_rate=v),
     "poisson_arrivals": lambda v: poisson_arrivals(v, 4, rng()),
     "sample_info_densities": lambda v: sample_info_densities(4, v, EXP, 3, rng()),
     "mm1_log_output_ratio_bound arrival_rate": lambda v: mm1_log_output_ratio_bound(v, 2.0),
@@ -94,13 +106,58 @@ RATE_ENTRIES = {
 
 
 # 5e-324 is subnormal: its reciprocal, the mean gap, overflows to inf
-@pytest.mark.parametrize("rate", [True, math.nan, 0.0, 5e-324, np.float64(1e-309)], ids=repr)
+@pytest.mark.parametrize("rate", [True, math.nan, 0.0, -1.0, 5e-324, np.float64(1e-309)],
+                         ids=repr)
 @pytest.mark.parametrize("entry", RATE_ENTRIES)
 def test_bad_rate_is_a_parameter_error(entry, rate):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ParameterError):
             RATE_ENTRIES[entry](rate)
+
+
+BOOK_EPOCHS = {
+    "too few columns": lambda: replace(BOOK, arrival_epochs=BOOK.arrival_epochs[:, :8]),
+    "widths that disagree": lambda: replace(BOOK, bits_key=3),
+    "1-d": lambda: replace(BOOK, arrival_epochs=BOOK.arrival_epochs[0]),
+    "float32": lambda: replace(BOOK, arrival_epochs=BOOK.arrival_epochs.astype(np.float32)),
+    "a list": lambda: replace(BOOK, arrival_epochs=BOOK.arrival_epochs.tolist()),
+}
+
+
+@pytest.mark.parametrize("entry", BOOK_EPOCHS)
+def test_bad_book_epochs_are_a_structural_error(entry):
+    with pytest.raises(StructuralError, match="arrival_epochs"):
+        BOOK_EPOCHS[entry]()
+
+
+# refused on the fields alone: no epochs of that size are needed
+@pytest.mark.parametrize("fields", [dict(bits_message=19), dict(n=2**9, bits_message=18)],
+                         ids=["codewords", "cells"])
+def test_a_book_past_the_cap_is_a_resource_limit_error(fields):
+    with pytest.raises(ResourceLimitError):
+        replace(BOOK, **fields)
+
+
+INDEX_ENTRIES = {  # BOOK has 4 messages, 2 dummies and 2 keys
+    "encode message": lambda v: encode(BOOK, v, 0, rng()),
+    "encode key": lambda v: encode(BOOK, 0, v, rng()),
+    "Codebook.column dummy": lambda v: BOOK.column(0, v, 0),
+}
+
+
+@pytest.mark.parametrize("index", [1.5, "1", True, np.bool_(True), -1, 4], ids=repr)
+@pytest.mark.parametrize("entry", INDEX_ENTRIES)
+def test_bad_index_is_a_structural_error(entry, index):
+    with pytest.raises(StructuralError):
+        INDEX_ENTRIES[entry](index)
+
+
+def test_numpy_indices_are_recorded_as_python_ints():
+    sent = encode(BOOK, np.int64(3), np.uint8(1), rng())
+    assert (sent.message, sent.key) == (3, 1)
+    assert type(sent.message) is int and type(sent.key) is int
+    assert BOOK.column(np.int32(1), np.int64(1), np.uint8(1)) == 11
 
 
 def test_draws_past_the_float_range_are_a_parameter_error():

@@ -183,6 +183,19 @@ class TestPersistence:
         }
         assert path.stat().st_size < 300  # no codeword payload
 
+    @pytest.mark.parametrize("rate", [np.float32(0.5), np.int64(1)], ids=repr)
+    def test_a_book_drawn_at_a_numpy_rate_round_trips(self, tmp_path, rate):
+        # the book holds its rate as a Python float, which the snapshot can write
+        book = generate_codebook(4, 2, 1, 1, arrival_rate=rate, seed=np.int64(21))
+        assert type(book.arrival_rate) is float and type(book.seed) is int
+        path = tmp_path / "book.json"
+        save_codebook_spec(book, str(path))
+        clone = load_codebook(str(path))
+        assert clone.arrival_rate == float(rate)
+        want = generate_codebook(4, 2, 1, 1, arrival_rate=float(rate), seed=21)
+        assert clone.arrival_epochs.tobytes() == book.arrival_epochs.tobytes() == \
+            want.arrival_epochs.tobytes()
+
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text('{"hello": 1}')

@@ -278,15 +278,20 @@ class TestWillieLlr:
         if observed == "infeasible":
             departures = np.full(n, 1e-12)
         columns = np.sort(rng.permutation(book.total)[:count])
-        epochs = np.ascontiguousarray(book.arrival_epochs[:, columns])
-        shuffled = np.ascontiguousarray(epochs[:, rng.permutation(count)])
+        # count of the book's columns, padded back to its width with columns
+        # that arrive after every departure: infeasible, and in the mixture
+        pad = book.arrival_epochs[:, :book.total - count] + departures[-1] + 1.0
+        epochs = np.hstack([book.arrival_epochs[:, columns], pad])
+        shuffled = np.ascontiguousarray(epochs[:, rng.permutation(book.total)])
         want = mixture_llr(epochs, departures, model)
-        for cols in (epochs, shuffled):
-            got = willie_llr(replace(book, arrival_epochs=cols), departures, model)
-            if want == -math.inf:
-                assert got == -math.inf
-            else:
-                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(laws, "SCAN_TILE", SCAN_TILE - 1)  # no width divides: a partial tile
+            for cols in (epochs, shuffled):
+                got = willie_llr(replace(book, arrival_epochs=cols), departures, model)
+                if want == -math.inf:
+                    assert got == -math.inf
+                else:
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
         assert (want == -math.inf) == (observed == "infeasible")
 
 
@@ -342,22 +347,26 @@ def scan_threads(monkeypatch):
 
 
 def tied_book(model, count, n, seed):
-    """A book of ``count`` half-integer codewords, and departures from its last
-    one, with exact ties at the top score across tiles: the best codeword is
-    copied into the second and the third tile and into the last column.
-    When there is more than one tile, the first tile arrives after every
-    departure and is all infeasible."""
+    """A book of half-integer codewords, and departures from its codeword
+    ``count - 1``, with exact ties at the top score across tiles of
+    ``laws.SCAN_TILE`` columns: the best codeword is copied into the second
+    and the third tile and into the last column.  Its columns from ``count``
+    on, up to the book's 2^ceil(log2 count), arrive after every departure and
+    are infeasible, but for those copies; so is the first tile when there is
+    more than one."""
     rng = np.random.default_rng(seed)
-    epochs = np.cumsum(rng.integers(0, 6, (n, count)) / 2.0, axis=0)
-    departures, _ = oracles.des_departures(np.diff(epochs[:, -1], prepend=0.0),
-                                           grid_services(model, rng, n))
-    if count > SCAN_TILE:
-        epochs[:, :SCAN_TILE] += departures[-1] + 1.0
-    best = int(np.argmax(oracle_scores(epochs, departures, model)))
-    for column in (SCAN_TILE + 1, 2 * SCAN_TILE + 1, count - 1):
-        if column < count:
-            epochs[:, column] = epochs[:, best]
     bits = max(0, math.ceil(math.log2(count)))
+    epochs = np.cumsum(rng.integers(0, 6, (n, 1 << bits)) / 2.0, axis=0)
+    departures, _ = oracles.des_departures(np.diff(epochs[:, count - 1], prepend=0.0),
+                                           grid_services(model, rng, n))
+    tile = laws.SCAN_TILE
+    epochs[:, count:] += departures[-1] + 1.0
+    if count > tile:
+        epochs[:, :tile] += departures[-1] + 1.0
+    best = int(np.argmax(oracle_scores(epochs, departures, model)))
+    for column in (tile + 1, 2 * tile + 1, epochs.shape[1] - 1):
+        if column < epochs.shape[1]:
+            epochs[:, column] = epochs[:, best]
     book = Codebook(n=n, bits_message=bits, bits_dummy=0, bits_key=0, arrival_rate=LAM,
                     seed=seed, arrival_epochs=epochs)
     return book, departures
@@ -369,8 +378,10 @@ class TestThreads:
 
     @pytest.mark.parametrize("count", WIDTHS)
     @pytest.mark.parametrize("law", ["exponential", "erlang"])
-    def test_llr_and_decode_bits_do_not_depend_on_threads(self, scan_threads, count, law):
+    def test_llr_and_decode_bits_do_not_depend_on_threads(self, monkeypatch, scan_threads,
+                                                         count, law):
         model = LAWS[law]
+        monkeypatch.setattr(laws, "SCAN_TILE", SCAN_TILE - 1)  # no book width divides
         book, departures = tied_book(model, count, 3, seed=count)
         scores = oracle_scores(book.arrival_epochs, departures, model)
         got = []
@@ -384,7 +395,7 @@ class TestThreads:
                                     rel=1e-12, abs=1e-12)
         assert (result.message, result.log_likelihood) == (int(np.argmax(scores)), scores.max())
         assert result.feasible_count == np.isfinite(scores).sum()
-        if count > SCAN_TILE + 1:  # the top score in more than one tile
+        if count > laws.SCAN_TILE + 1:  # the top score in more than one tile
             assert np.count_nonzero(scores == scores.max()) >= 2
 
     def test_each_tile_is_reduced_once_under_contention(self, monkeypatch, scan_threads):
@@ -686,26 +697,21 @@ def test_public_path_scores_every_sent_block_at_a_fast_rate(n):
 @pytest.mark.parametrize("tile", [8, SCAN_TILE])
 @pytest.mark.parametrize("law", ["exponential", "uniform"])
 def test_a_float32_book_scans_as_its_float64_values(monkeypatch, scan_threads, tile, law):
-    # a Codebook takes epochs of any float dtype; every scan works on their
-    # float64 values, as the kernel does.  Tile 8: one observation per unit
+    # the scan takes epochs of any float dtype and works on their float64
+    # values, as the kernel does (a Codebook holds float64 epochs only).
+    # Tile 8: one observation per unit
     monkeypatch.setattr(laws, "SCAN_TILE", tile)
     scan_threads(2)
     model = LAWS[law]
-    book, _, observations, keys = draw_block(model, (4, 1, 1), 3, 9, False, seed=8)
-    book32 = replace(book, arrival_epochs=book.arrival_epochs.astype(np.float32))
-    book64 = replace(book, arrival_epochs=book32.arrival_epochs.astype(np.float64))
-    assert not np.array_equal(book32.arrival_epochs, book.arrival_epochs)
+    book, _, observations, _ = draw_block(model, (4, 1, 1), 3, 9, False, seed=8)
+    epochs32 = book.arrival_epochs.astype(np.float32)
+    assert not np.array_equal(epochs32, book.arrival_epochs)
     # one field per column of a tile: the scores themselves
-    fields = reduce_tiles(book32.arrival_epochs, observations, model,
+    fields = reduce_tiles(epochs32, observations, model,
                           lambda start, scores: scores.T.copy(), (np.float64,) * min(tile, 64))
     scores = np.stack(fields, axis=-1).reshape(9, 64)
     for got, column in zip(scores, observations.T):
-        want = shared_scores(book64.arrival_epochs, column, model)
-        assert got.tobytes() == want.tobytes()
-    assert willie_llr_block(book32, observations, model).tobytes() == \
-        willie_llr_block(book64, observations, model).tobytes()
-    for got, want in zip(decode_block(book32, observations, keys, model),
-                         decode_block(book64, observations, keys, model)):
+        want = shared_scores(epochs32.astype(np.float64), column, model)
         assert got.tobytes() == want.tobytes()
 
 
@@ -812,8 +818,12 @@ class TestBuffer:
             want = shared_scores(epochs, column, model)  # a unit of one observation
             assert (tops[j, 0], firsts[j, 0]) == (want.max(), np.argmax(want))
             assert sums[j, 0].hex() == want.sum().hex()
-        book = replace(generate_codebook(3, 8, 0, 0, arrival_rate=LAM, seed=5),
-                       arrival_epochs=epochs)
+        # the 300 columns, padded to a book of 512 with columns that arrive
+        # after every departure; 1024-column tiles group two of its rows a unit
+        pad = epochs[:, :212] + observations.max() + 1.0
+        book = replace(generate_codebook(3, 9, 0, 0, arrival_rate=LAM, seed=5),
+                       arrival_epochs=np.hstack([epochs, pad]))
+        monkeypatch.setattr(laws, "SCAN_TILE", 1024)
         llrs = willie_llr_block(book, observations, model)
         assert [x.hex() for x in llrs.tolist()] == [
             willie_llr(book, column, model).hex() for column in observations.T]
