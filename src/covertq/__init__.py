@@ -11,7 +11,6 @@ from .codec import (
     DecodingErrorBounds,
     Transmission,
     decode,
-    decode_block,
     encode,
     generate_codebook,
     load_codebook,
@@ -36,7 +35,6 @@ from .queueing import (
     ServiceModel,
     departure_epochs,
     poisson_arrivals,
-    simulate_block,
     simulate_channel,
 )
 from .rates import (
@@ -53,7 +51,6 @@ from .warden import (
     run_detection_trials,
     summarize_detection,
     willie_llr,
-    willie_llr_block,
 )
 
 __version__ = "0.1.0"

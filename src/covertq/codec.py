@@ -10,18 +10,18 @@ epoch column, and ``Codebook.send`` gathers a block of epoch columns, as they
 are.  The decoder searches the sub-codebook exhaustively for the (message,
 dummy) pair maximizing the conditional log density of the observed
 departures, breaking ties toward the smallest index.
-``decode_block`` decodes many observations into arrays: those sent under one
-key share one scan of its key block, in the (observation group x column tile)
-units of ``laws.reduce_tiles``, whose per-tile argmax partials are
-folded over the tile axis; ``decode`` is its one-observation call.
+``decode`` takes one observation or many: those sent under one key share one
+scan of its key block, in the (observation group x column tile) units of
+``laws.reduce_tiles``, whose per-tile argmax partials are folded over the
+tile axis.
 A ``Codebook`` checks itself when built, by one rule (``_book_fields``, which
 ``generate_codebook`` also applies before it allocates): n >= 1, widths >= 0,
 the arrival rate by ``queueing``'s rate rule and a seed that is an integer
 >= 0, else ``ParameterError``; at most the cap, else ``ResourceLimitError``;
 float64 ``arrival_epochs`` of shape (n, total), else ``StructuralError``.
 The rule reads metadata only, never the epochs' values.
-``decode_block`` checks its departure epochs and keys once per call and hands
-them to ``_decode``, the unchecked core the decode sweep runs on the queue's
+``decode`` checks its departure epochs and keys once per call and hands them
+to ``_decode``, the unchecked core the decode sweep runs on the queue's
 epochs.
 
 Enumeration is capped at 2^20 codewords and 2^28 cells (n x codewords).
@@ -59,7 +59,6 @@ __all__ = [
     "encode",
     "DecodeResult",
     "decode",
-    "decode_block",
     "DecodingErrorBounds",
     "random_coding_error_bounds",
     "mm1_log_output_ratio_bound",
@@ -255,14 +254,17 @@ def encode(book: Codebook, message: int, key: int, rng: np.random.Generator) -> 
 
 @dataclass(frozen=True)
 class DecodeResult:
-    message: int
-    dummy: int
-    log_likelihood: float
-    feasible_count: int
+    """``decode``'s outcome: Python scalars for one observation, (T,) arrays
+    for T."""
+
+    message: int | np.ndarray
+    dummy: int | np.ndarray
+    log_likelihood: float | np.ndarray
+    feasible_count: int | np.ndarray
 
     @property
-    def failed(self) -> bool:
-        """True when no candidate codeword could have produced the departures."""
+    def failed(self):
+        """True where no candidate codeword could have produced the departures."""
         return self.feasible_count == 0
 
 
@@ -274,34 +276,43 @@ def _argmax_partial(start: int, scores: np.ndarray) -> tuple[np.ndarray, ...]:
             np.count_nonzero(scores > -np.inf, axis=1))
 
 
-def decode_block(
+def decode(
     book: Codebook,
     departures: np.ndarray,
     keys,
     model: ServiceModel,
-) -> tuple[np.ndarray, ...]:
-    """``decode`` of every column of the packet-major ``(n, T)`` departure
-    epochs, column j under ``keys[j]``.
+) -> DecodeResult:
+    """Exhaustive ML decoding over the key sub-codebooks.
 
-    Returns ``DecodeResult``'s fields as (T,) arrays: ``(messages, dummies,
-    log_likelihood, feasible)``.  The observations sent under one key are
-    scanned together over its key block, in trial order, so each column's
-    values are bit for bit the ones ``decode`` gives for that column alone.
+    Scores every (message, dummy) candidate of the key block by the
+    conditional log density of the departures given the candidate's
+    arrivals, and returns the argmax with first-index (lexicographic)
+    tie-breaking, its log likelihood and the count of feasible candidates.
+
+    ``departures`` holds departure epochs, such as ``queueing.simulate_channel``
+    returns: ``(n,)`` for one observation under one integer key, giving
+    Python scalars, or packet-major ``(n, T)``, column j under ``keys[j]``,
+    giving (T,) arrays.  The observations sent under one key are scanned
+    together over its key block, in trial order, so each column's values are
+    bit for bit the ones the 1-d call gives for that column alone.
     """
-    d = _as_epochs(departures, "departure epochs", ndims=(2,))
+    d = _as_epochs(departures, "departure epochs", ndims=(1, 2))
     keys = np.asarray(keys)
     if d.shape[0] != book.n or keys.shape != d.shape[1:]:
-        raise StructuralError(f"need (n={book.n}, T) departure epochs with (T,) keys, "
-                              f"got {d.shape} and {keys.shape}")
+        raise StructuralError(f"need (n={book.n},) departure epochs with one key or "
+                              f"(n={book.n}, T) with (T,) keys, got {d.shape} and {keys.shape}")
     if keys.size and not (np.issubdtype(keys.dtype, np.integer)
                           and 0 <= keys.min() and keys.max() < book.num_keys):
         raise StructuralError(f"key indices must be integers in [0, {book.num_keys})")
-    return _decode(book, d, keys, model)
+    fields = _decode(book, d.reshape(book.n, -1), keys.reshape(-1), model)
+    if d.ndim == 1:
+        return DecodeResult(*(field[0].item() for field in fields))
+    return DecodeResult(*fields)
 
 
 def _decode(book: Codebook, d, keys, model: ServiceModel) -> tuple[np.ndarray, ...]:
-    """``decode_block`` of the ``(n, T)`` departure epochs d under the (T,)
-    integer keys, unchecked."""
+    """``decode``'s fields of the ``(n, T)`` departure epochs d under the (T,)
+    integer keys, as (T,) arrays, unchecked."""
     pairs = book.num_pairs
     best = np.empty(keys.size, dtype=np.int64)
     top = np.empty(keys.size)
@@ -317,33 +328,6 @@ def _decode(book: Codebook, d, keys, model: ServiceModel) -> tuple[np.ndarray, .
         best[rows], top[rows] = tile_best[pick, first], tile_top[pick, first]
         feasible[rows] = tile_feasible.sum(axis=1)
     return best >> book.bits_dummy, best & (book.num_dummies - 1), top, feasible
-
-
-def decode(
-    book: Codebook,
-    departures: np.ndarray,
-    key: int,
-    model: ServiceModel,
-) -> DecodeResult:
-    """Exhaustive ML decoding over the key-k sub-codebook.
-
-    Scores every (message, dummy) candidate by the conditional log density of
-    the departures given the candidate's arrivals, and returns the argmax with
-    first-index (lexicographic) tie-breaking.
-
-    ``departures`` holds the n departure epochs, such as the output of
-    ``queueing.simulate_channel`` or a column of ``queueing.simulate_block``.
-    Their shape is checked here, and their values (finite, non-negative,
-    non-decreasing) by ``decode_block``, whose one-column call this is.
-    """
-    d = np.asarray(departures, dtype=np.float64)
-    if d.shape != (book.n,):
-        raise StructuralError(
-            f"length mismatch: departure epochs of shape {d.shape} vs n={book.n}"
-        )
-    # decode_block checks the key
-    return DecodeResult(*(field[0].item() for field in
-                          decode_block(book, d[:, None], [key], model)))
 
 
 def mm1_log_output_ratio_bound(arrival_rate: float, mu1: float) -> float:

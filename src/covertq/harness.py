@@ -54,9 +54,9 @@ _MAX_PACKETS_BITS = 32  # n x trials per parameter point
 def service_to_dict(model: ServiceModel) -> dict:
     out = {"kind": model.kind.value, "rate": model.rate}
     if model.shape is not None:
-        out["shape"] = model.shape
+        out["shape"] = int(model.shape)
     if model.halfwidth is not None:
-        out["halfwidth"] = model.halfwidth
+        out["halfwidth"] = float(model.halfwidth)
     return out
 
 
@@ -226,12 +226,12 @@ def _book_seed(config: ExperimentConfig, param_index: int) -> int:
 
 
 def _base_params(config: ExperimentConfig) -> dict:
-    return {
-        "arrival_rate": config.arrival_rate,
-        "mu1": config.mu1,
-        "mu2": config.mu2,
-        "willie_kind": config.willie_service.kind.value,
-    }
+    """The channel's rates and the warden's law: its kind, and its shape or
+    half-width when it has one (its rate is mu2)."""
+    law = service_to_dict(config.willie_service)
+    del law["rate"]
+    return {"arrival_rate": config.arrival_rate, "mu1": config.mu1, "mu2": config.mu2,
+            **{f"willie_{name}": value for name, value in law.items()}}
 
 
 def param_points(config: ExperimentConfig) -> list[dict]:
@@ -396,10 +396,11 @@ def run(config: ExperimentConfig) -> list[ResultRow]:
 def reproduce_metric(config: ExperimentConfig, row: ResultRow) -> float:
     """Re-run a single row's parameter point and return the same metric.
 
-    The row's (experiment, params, seed) fully determine the value; this is
-    the reproducibility contract behind every emitted row.
+    The row's (experiment, params, trials, seed) fully determine the value;
+    this is the reproducibility contract behind every emitted row.
     """
-    config = replace(config, experiment=row.experiment, master_seed=row.seed, workers=1)
+    config = replace(config, experiment=row.experiment, master_seed=row.seed,
+                     trials=row.trials, workers=1)
     for i, point in enumerate(param_points(config)):
         merged = dict(_base_params(config), **point)
         if config.experiment == "region_table":
@@ -449,7 +450,9 @@ def _number(value, kind):
 
 def load_rows(path: str, output_format: str = "csv") -> list[ResultRow]:
     """Parse rows previously written by ``emit``.  A line that is not such a
-    row raises ``StructuralError`` naming the path and the line."""
+    row raises ``StructuralError`` naming the path and the line: a non-object
+    ``params``, a bool number, a fraction where an integer belongs, a value
+    or stderr that is not finite, ``trials`` < 1 or ``seed`` < 0."""
     if output_format not in _FORMATS:
         raise ConfigError(f"output_format must be one of {_FORMATS}")
     rows = []
@@ -468,11 +471,17 @@ def load_rows(path: str, output_format: str = "csv") -> list[ResultRow]:
                               else record["params"])
                     if not isinstance(params, dict):
                         raise TypeError(f"params must be a JSON object, got {params!r}")
-                    rows.append(ResultRow(
+                    row = ResultRow(
                         experiment=record["experiment"], metric=record["metric"], params=params,
                         value=_number(record["value"], float),
                         stderr=_number(record["stderr"], float),
-                        trials=_number(record["trials"], int), seed=_number(record["seed"], int)))
+                        trials=_number(record["trials"], int), seed=_number(record["seed"], int))
+                    if not (math.isfinite(row.value) and math.isfinite(row.stderr)
+                            and row.trials >= 1 and row.seed >= 0):
+                        raise ValueError(f"emit writes finite numbers, trials >= 1 and seed "
+                                         f">= 0, got value {row.value}, stderr {row.stderr}, "
+                                         f"trials {row.trials}, seed {row.seed}")
+                    rows.append(row)
                 except (KeyError, TypeError, ValueError) as exc:
                     raise StructuralError(f"{path} line {number} is not a result row: "
                                           f"{exc!r}") from exc

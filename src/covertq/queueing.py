@@ -21,12 +21,13 @@ finite number > 0 whose reciprocal, the mean gap, is finite; not a bool),
 (non-empty, finite, non-negative gaps, for ``departure_epochs``) and
 ``_as_epochs`` (its image under the running sum: non-empty, finite,
 non-negative and non-decreasing down axis 0).  The simulator
-(``simulate_channel``, ``simulate_block``) and the scorers
-(``codec.decode_block``, ``warden.willie_llr_block``,
-``laws.info_density_sample``, ``laws.poisson_log_density``) check their
-epochs with ``_as_epochs``.  The sweeps draw their own gaps or send a
-codebook's epochs, so they run their arrival epochs unchecked through
-``_queue`` and score its departure epochs with the scorers' unchecked cores.
+(``simulate_channel``) and the scorers (``codec.decode``,
+``warden.willie_llr``, ``laws.info_density_sample``,
+``laws.poisson_log_density``), each one call for ``(n,)`` or ``(n, T)``
+epochs, check their epochs with ``_as_epochs``.  The sweeps draw their own
+gaps or send a codebook's epochs, so they run their arrival epochs unchecked
+through ``_queue`` and score its departure epochs with the scorers'
+unchecked cores.
 
 Every running sum down axis 0 in the package, of gaps into epochs, goes
 through ``_running_sum``: ``np.cumsum``'s additions in its order, so its
@@ -79,7 +80,6 @@ __all__ = [
     "poisson_arrivals",
     "departure_epochs",
     "simulate_channel",
-    "simulate_block",
 ]
 
 # Most packets (block length x trials) one batched block holds: a block of
@@ -373,16 +373,11 @@ def _queue(t: np.ndarray, model: ServiceModel, rng: np.random.Generator) -> np.n
 
 
 def simulate_channel(arrivals, model: ServiceModel, rng: np.random.Generator) -> np.ndarray:
-    """Departure epochs of one block of (n,) arrival epochs, with n services drawn."""
-    return _queue(_as_epochs(arrivals, "arrival epochs"), model, rng)
+    """Departure epochs of blocks of arrival epochs pushed through fresh queues.
 
-
-def simulate_block(arrival_epochs, model: ServiceModel, rng: np.random.Generator) -> np.ndarray:
-    """Departure epochs of T blocks pushed through T independent queues.
-
-    ``arrival_epochs`` is packet-major ``(n, T)``: column j is one block.  The
-    ``(n, T)`` service times are drawn in one call, in C order.  Column j of
-    the result equals ``simulate_channel`` on column j given the same service
-    times.
+    ``arrivals`` is ``(n,)`` for one block or packet-major ``(n, T)`` for T
+    blocks, through T independent queues; the result has its shape.  The
+    service times are drawn in one call, in C order.  Column j of a 2-d call
+    equals the 1-d call on column j given the same service times.
     """
-    return _queue(_as_epochs(arrival_epochs, "arrival epochs", ndims=(2,)), model, rng)
+    return _queue(_as_epochs(arrivals, "arrival epochs", ndims=(1, 2)), model, rng)

@@ -18,15 +18,14 @@ achievable advantage of any threshold test on the llr).
 scores per hypothesis, none of them NaN, and the private statistics it is
 built from check nothing.
 
-``willie_llr_block`` scores many observations in one codebook scan, in the
+``willie_llr`` scores one observation or many in one codebook scan, in the
 (observation group x column tile) units of ``laws.reduce_tiles``, and folds
-each observation's row of per-tile log-sum-exp partials;
-``willie_llr`` is its one-observation call.  It checks the observations'
-departure epochs once per call and scores them with its unchecked core
-``_llr``.  ``run_detection_trials`` checks the trial count once per call,
-then sends its trials block by block through ``queueing._queue`` and scores
-each block's departure epochs, as the recursion wrote them, with one
-``_llr`` call.
+each observation's row of per-tile log-sum-exp partials.  It checks the
+observations' departure epochs once per call and scores them with its
+unchecked core ``_llr``.  ``run_detection_trials`` checks the trial count
+once per call, then sends its trials block by block through
+``queueing._queue`` and scores each block's departure epochs, as the
+recursion wrote them, with one ``_llr`` call.
 
 No operation here takes a key argument; the observer never has one.
 """
@@ -44,7 +43,6 @@ from .queueing import ServiceModel, _as_epochs, _check_count, _queue, _running_s
 
 __all__ = [
     "willie_llr",
-    "willie_llr_block",
     "run_detection_trials",
     "summarize_detection",
 ]
@@ -65,27 +63,30 @@ def _exp_partial(start: int, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return top, np.where(live, scores.sum(axis=1), 0.0)
 
 
-def willie_llr_block(book: Codebook, observations: np.ndarray, model: ServiceModel) -> np.ndarray:
-    """``willie_llr`` of every column of the packet-major ``(n, T)`` observed
-    departure epochs, as a (T,) array, in one scan of the codebook, against
-    the null of Exp(``book.arrival_rate``) arrival gaps.
+def willie_llr(book: Codebook, observations, model: ServiceModel):
+    """Mixture-vs-stationary log likelihood ratio of observed departure
+    epochs, against the null of Exp(``book.arrival_rate``) arrival gaps: a
+    float for ``(n,)`` epochs of one block, a (T,) array for packet-major
+    ``(n, T)`` epochs of T, all scored in one scan of the codebook.
 
     The log-sum-exp over the codebook is reduced per (observation group,
     column tile) unit to (maximum, sum of exp(score - maximum)) per
     observation.  Each observation's row of partials is folded on its own,
     whatever the grouping and thread count, so its llr's bits depend on
-    neither.
+    neither: column j of a 2-d call is the 1-d call on column j.
     """
-    d = _as_epochs(observations, "observations", ndims=(2,))
+    d = _as_epochs(observations, "observations", ndims=(1, 2))
     if d.shape[0] != book.n:
-        raise StructuralError(f"need (n={book.n}, T) observations, got {d.shape}")
-    return _llr(book, d, model)
+        raise StructuralError(f"need (n={book.n},) or (n={book.n}, T) observations, "
+                              f"got {d.shape}")
+    llr = _llr(book, d.reshape(book.n, -1), model)
+    return float(llr[0]) if d.ndim == 1 else llr
 
 
 def _llr(book: Codebook, d: np.ndarray, model: ServiceModel) -> np.ndarray:
-    """``willie_llr_block`` of the packet-major ``(n, T)`` departure epochs d,
-    with q(D) = n ln(lam) - lam * d_n at lam = ``book.arrival_rate``.
-    Nothing is checked."""
+    """``willie_llr`` of the packet-major ``(n, T)`` departure epochs d, as a
+    (T,) array, with q(D) = n ln(lam) - lam * d_n at lam =
+    ``book.arrival_rate``.  Nothing is checked."""
     tops, totals = reduce_tiles(book.arrival_epochs, d, model, _exp_partial,
                                 (np.float64, np.float64))
     # each row's partials rescaled to its largest maximum and summed over the
@@ -96,15 +97,6 @@ def _llr(book: Codebook, d: np.ndarray, model: ServiceModel) -> np.ndarray:
     scaled = totals[live] * np.exp(tops[live] - top[live, None])
     mixture[live] = top[live] + np.log(scaled.sum(axis=1)) - math.log(book.total)
     return mixture - _poisson_log_density(book.n, d[-1], book.arrival_rate)
-
-
-def willie_llr(book: Codebook, observation: np.ndarray, model: ServiceModel) -> float:
-    """Mixture-vs-stationary log likelihood ratio of one observed block of
-    departure epochs: the one-column call of ``willie_llr_block``."""
-    obs = np.asarray(observation, dtype=np.float64)
-    if obs.shape != (book.n,):
-        raise StructuralError(f"need (n={book.n},) observed epochs, got {obs.shape}")
-    return float(willie_llr_block(book, obs[:, None], model)[0])
 
 
 def run_detection_trials(
@@ -121,7 +113,7 @@ def run_detection_trials(
     transmissions and their ``(n, T)`` services (``alt``), then an ``(n, T)``
     block of Exp(``book.arrival_rate``) gaps and its ``(n, T)`` services
     (``null``).  The block's 2T departure epochs are scored by one call of
-    ``_llr``, the core of ``willie_llr_block``.
+    ``_llr``, the core of ``willie_llr``.
     """
     trials = _check_count("trials", trials, 1)
     null, alt = np.empty(trials), np.empty(trials)

@@ -20,14 +20,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from covertq.codec import (decode, decode_block, encode, generate_codebook,
+from covertq.codec import (decode, encode, generate_codebook,
                            mm1_log_output_ratio_bound, random_coding_error_bounds)
 from covertq.errors import ConfigError, ParameterError, ResourceLimitError, StructuralError
 from covertq.harness import ExperimentConfig
 from covertq.laws import info_density_sample, poisson_log_density, sample_info_densities
-from covertq.queueing import ServiceModel, poisson_arrivals, simulate_block
+from covertq.queueing import ServiceModel, poisson_arrivals, simulate_channel
 from covertq.rates import RatePoint, RegionSpec
-from covertq.warden import run_detection_trials, willie_llr, willie_llr_block
+from covertq.warden import run_detection_trials, willie_llr
 
 EXP = ServiceModel.exponential(2.0)
 BOOK = generate_codebook(4, 2, 1, 1, arrival_rate=0.5, seed=3)
@@ -46,9 +46,9 @@ def block(bad):
 
 
 EPOCH_ENTRIES = {
-    "decode_block": lambda bad: decode_block(BOOK, block(bad), [0, 1, 0], EXP),
+    "decode 2-d": lambda bad: decode(BOOK, block(bad), [0, 1, 0], EXP),
     "decode": lambda bad: decode(BOOK, block(bad)[:, 1], 0, EXP),
-    "willie_llr_block": lambda bad: willie_llr_block(BOOK, block(bad), EXP),
+    "willie_llr 2-d": lambda bad: willie_llr(BOOK, block(bad), EXP),
     "willie_llr": lambda bad: willie_llr(BOOK, block(bad)[:, 1], EXP),
     "info_density_sample": lambda bad: info_density_sample(np.full((4, 3), 0.7), block(bad),
                                                            EXP, 0.5),
@@ -172,7 +172,7 @@ def test_draws_past_the_float_range_are_a_parameter_error():
         with pytest.raises(ParameterError, match="overflow.* within 4000 packets"):
             sample_info_densities(4000, 1e-305, EXP, 300, rng())
         with pytest.raises(ParameterError, match="overflow"):
-            simulate_block(np.full((4, 3), 0.7), ServiceModel.exponential(1e-308), rng())
+            simulate_channel(np.full((4, 3), 0.7), ServiceModel.exponential(1e-308), rng())
         with pytest.raises(ParameterError, match="overflow"):  # one inf draw of three
             poisson_arrivals(5.6e-309, 3, np.random.default_rng(0))
         with pytest.raises(ParameterError, match="overflow"):  # one inf epoch of 262,144

@@ -10,7 +10,6 @@ from covertq import codec, queueing
 from covertq.codec import (
     Codebook,
     decode,
-    decode_block,
     encode,
     generate_codebook,
     load_codebook,
@@ -370,10 +369,9 @@ class TestDecode:
             tx = encode(book, w, k, rng)
             departures.append(simulate_channel(tx.arrival_epochs, BOB, rng))
             sent.append((w, tx.dummy, k))
-        messages, dummies, _, _ = decode_block(book, np.stack(departures, axis=1),
-                                               [k for *_, k in sent], BOB)
+        got = decode(book, np.stack(departures, axis=1), [k for *_, k in sent], BOB)
         w, wt, _ = np.array(sent).T
-        errors = np.count_nonzero((messages != w) | (dummies != wt))
+        errors = np.count_nonzero((got.message != w) | (got.dummy != wt))
         assert errors / trials < 1e-3
 
     def test_reported_likelihood_is_maximal(self):

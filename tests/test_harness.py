@@ -28,7 +28,7 @@ from covertq.harness import (
     service_from_dict,
     service_to_dict,
 )
-from covertq.queueing import ServiceModel, simulate_block
+from covertq.queueing import ServiceModel, simulate_channel
 
 import oracles
 
@@ -261,7 +261,7 @@ class TestSweeps:
         rng = harness._point_rng(cfg, 0)
         sent_messages, sent_dummies, sent_keys, codewords = oracles.sent_codewords(
             book, rng, cfg.trials)
-        departures = simulate_block(np.stack(codewords, axis=1), bob, rng)
+        departures = simulate_channel(np.stack(codewords, axis=1), bob, rng)
         got = [decode(book, departures[:, j], key, bob) for j, key in enumerate(sent_keys)]
         assert (sent_messages, sent_dummies, sent_keys) == (
             messages.tolist(), dummies.tolist(), keys.tolist())
@@ -340,6 +340,32 @@ class TestReproduce:
         for row in run(cfg):
             assert reproduce_metric(cfg, row) == row.value
 
+    def test_a_row_reproduces_at_its_own_trial_count(self):
+        # the row's trials, not the config's, set the re-run
+        rows = run(base_config(experiment="info_density", n_list=(16,), trials=400))
+        cfg = base_config(experiment="info_density", n_list=(16,), trials=100)
+        for row in rows:
+            assert row.trials == 400
+            assert reproduce_metric(cfg, row) == row.value
+
+    def test_rows_name_the_warden_law_shape_and_halfwidth(self):
+        def config(law):
+            return base_config(experiment="info_density", n_list=(16,), trials=100,
+                               master_seed=3, willie_service=law)
+
+        erlang3, erlang5 = (config(ServiceModel.erlang(2.0, shape=k)) for k in (3, 5))
+        rows = [row for row in run(erlang3) if row.params["side"] == "willie"]
+        assert all(row.params["willie_shape"] == 3 for row in rows)
+        for row in rows:
+            assert reproduce_metric(erlang3, row) == row.value
+            with pytest.raises(ConfigError, match="parameter point"):
+                reproduce_metric(erlang5, row)
+        uniform = run(base_config(willie_service=ServiceModel.uniform(2.0, halfwidth=0.25)))
+        assert all(row.params["willie_halfwidth"] == 0.25 for row in uniform)
+        # an exponential law has neither: its rows keep their keys
+        assert all(set(row.params) == {"arrival_rate", "mu1", "mu2", "willie_kind"}
+                   for row in run(base_config()) if row.metric != "boundary_key_rate")
+
 
 class TestEmit:
     def _rows(self):
@@ -393,6 +419,8 @@ class TestEmit:
         ("jsonlines", "fractional trials"),
         ("jsonlines", "fractional seed"),
         ("jsonlines", "bool value"),
+        *((fmt, bad) for fmt in ("csv", "jsonlines")
+          for bad in ("nan value", "inf stderr", "zero trials", "negative seed")),
     ])
     def test_malformed_row_raises_structural_error_naming_the_line(self, tmp_path, fmt, bad):
         row = self._rows()[0].to_dict()
@@ -403,6 +431,10 @@ class TestEmit:
                                     "region_table,covert_capacity,0.3,0,1,9\n",
                 "non-numeric value": header + 'region_table,covert_capacity,"{}",abc,0,1,9\n',
                 "params not an object": header + 'region_table,covert_capacity,"[1]",0.3,0,1,9\n',
+                "nan value": header + 'region_table,covert_capacity,"{}",nan,0,1,9\n',
+                "inf stderr": header + 'region_table,covert_capacity,"{}",0.3,inf,1,9\n',
+                "zero trials": header + 'region_table,covert_capacity,"{}",0.3,0,0,9\n',
+                "negative seed": header + 'region_table,covert_capacity,"{}",0.3,0,1,-9\n',
             }[bad]
         else:
             line = {
@@ -413,6 +445,10 @@ class TestEmit:
                 "fractional trials": json.dumps(dict(row, trials=3.7)),
                 "fractional seed": json.dumps(dict(row, seed=9.0)),
                 "bool value": json.dumps(dict(row, value=True)),
+                "nan value": json.dumps(dict(row, value=math.nan)),
+                "inf stderr": json.dumps(dict(row, stderr=-math.inf)),
+                "zero trials": json.dumps(dict(row, trials=0)),
+                "negative seed": json.dumps(dict(row, seed=-9)),
             }[bad]
             text = json.dumps(row) + "\n" + line + "\n"
         path = tmp_path / "rows.txt"

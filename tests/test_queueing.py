@@ -13,7 +13,6 @@ from covertq.queueing import (
     ServiceModel,
     departure_epochs,
     poisson_arrivals,
-    simulate_block,
     simulate_channel,
     trial_blocks,
 )
@@ -25,13 +24,24 @@ from oracles import des_departures
 EXP1 = ServiceModel.exponential(1.0)
 
 
+class Replay:
+    """A generator that hands an Erlang law's one ``sample`` call given draws."""
+
+    def __init__(self, draws):
+        self.draws = draws
+
+    def gamma(self, shape, scale, size):
+        assert size == self.draws.shape
+        return self.draws.copy()
+
+
 class TestGapChecks:
     """Gaps are checked where they enter the simulator, ``departure_epochs``,
     and epochs, their running sums, everywhere else."""
 
     def test_rejects_bad_shapes_and_values(self):
         bad_values = ([], [1.0, -0.5], [1.0, np.inf], [1.0, np.nan])
-        for epochs in (np.ones((2, 2)), [2.0, 1.0], *bad_values):
+        for epochs in (np.ones((2, 2, 2)), [2.0, 1.0], *bad_values):
             with pytest.raises(StructuralError):
                 simulate_channel(epochs, EXP1, np.random.default_rng(0))
         for gaps in (np.ones((2, 2, 2)), *bad_values):
@@ -287,19 +297,23 @@ class TestBatchedRecursion:
             departure_epochs(np.ones((2, 2, 2)), np.ones((2, 2, 2)))
         with pytest.raises(StructuralError):
             departure_epochs(np.ones((3, 0)), np.ones((3, 0)))
-        with pytest.raises(StructuralError):
-            simulate_block(np.ones(3), ServiceModel.exponential(1.0), np.random.default_rng(0))
 
-    def test_simulate_block_columns_match_simulate_channel(self):
-        # the block draws its (n, T) services in C order: packet k of trial j
-        # is draw k * T + j
-        n, T = 30, 7
+    def test_2d_columns_match_1d_simulate_channel(self):
+        # a 2-d call draws its (n, T) services in C order: packet k of trial j
+        # is draw k * T + j.  Given those services, column j is the 1-d call
+        # on column j, bit for bit, on the scalar loop (T < 8) and the
+        # vectorised one
+        n = 30
         model = ServiceModel.erlang(1.0, shape=2)
-        gaps = np.random.default_rng(14).exponential(2.0, (n, T))
-        got = simulate_block(np.cumsum(gaps, axis=0), model, np.random.default_rng(15))
-        services = model.sample(np.random.default_rng(15), n * T).reshape(n, T)
-        for j in range(T):
-            assert np.array_equal(got[:, j], departure_epochs(gaps[:, j], services[:, j])[0])
+        for T in (1, _MIN_VECTOR_WIDTH - 1, _MIN_VECTOR_WIDTH):
+            gaps = np.random.default_rng(14).exponential(2.0, (n, T))
+            got = simulate_channel(np.cumsum(gaps, axis=0), model, np.random.default_rng(15))
+            services = model.sample(np.random.default_rng(15), n * T).reshape(n, T)
+            assert got.shape == (n, T)
+            for j in range(T):
+                one = simulate_channel(np.cumsum(gaps[:, j]), model, Replay(services[:, j]))
+                assert one.tobytes() == got[:, j].tobytes()
+                assert np.array_equal(one, departure_epochs(gaps[:, j], services[:, j])[0])
 
     def test_trial_blocks_cover_trials_within_the_cell_budget(self):
         for n, trials in ((1, 5), (16, 2000), (3000, 50), (100_000, 3)):

@@ -10,9 +10,9 @@ against a one-shot log-sum-exp of the oracle's scores; ``decode`` against
 ``np.argmax`` over the oracle's scores of the key's sub-book, redrawn from
 the seed.
 ``TestThreads`` checks that both keep their bits on 1, 2 and 3 threads, and
-``TestBlocks`` that ``decode_block`` and ``willie_llr_block`` give each
-observation the bits of its one-observation call, for any grouping of the
-observations into units and any thread count.  ``TestInfeasibleRule`` checks
+``TestBlocks`` that their ``(n, T)`` calls give each observation the bits of
+its ``(n,)`` call, for any grouping of the observations into units and any
+thread count.  ``TestInfeasibleRule`` checks
 the exponential kernel's branch-free -inf bit for bit against the masked rule
 it replaced (``oracles.masked_exponential_scores``), and ``TestBuffer`` the
 one-row ufunc buffer of grouped units and its restoration on every thread.
@@ -39,12 +39,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from covertq import laws
-from covertq.codec import Codebook, decode, decode_block, generate_codebook
+from covertq.codec import Codebook, decode, generate_codebook
 from covertq.errors import StructuralError
 from covertq.laws import SCAN_TILE, conditional_log_density_batch, info_density_sample, reduce_tiles
-from covertq.queueing import (ServiceKind, ServiceModel, simulate_block, simulate_channel,
-                             trial_blocks)
-from covertq.warden import run_detection_trials, willie_llr, willie_llr_block
+from covertq.queueing import ServiceKind, ServiceModel, simulate_channel, trial_blocks
+from covertq.warden import run_detection_trials, willie_llr
 
 import oracles
 from scanning import assert_scores_match, shared_scores
@@ -384,12 +383,20 @@ class TestThreads:
         monkeypatch.setattr(laws, "SCAN_TILE", SCAN_TILE - 1)  # no book width divides
         book, departures = tied_book(model, count, 3, seed=count)
         scores = oracle_scores(book.arrival_epochs, departures, model)
+        observations = np.stack([departures, reverse_gaps(departures)], axis=1)
         got = []
         for threads in (1, 2, 3):
             scan_threads(threads)
             llr = willie_llr(book, departures, model)
             result = decode(book, departures, 0, model)
             got.append((llr.hex(), result))
+            # an (n, T) call: column j is the (n,) call on column j
+            llrs = willie_llr(book, observations, model)
+            results = decode(book, observations, np.zeros(2, dtype=int), model)
+            assert [x.hex() for x in llrs.tolist()] == [
+                willie_llr(book, column, model).hex() for column in observations.T]
+            assert [outcome(*row) for row in zip(*astuple(results))] == [
+                outcome(*astuple(decode(book, column, 0, model))) for column in observations.T]
         assert got[1] == got[0] and got[2] == got[0]
         assert llr == pytest.approx(mixture_llr(book.arrival_epochs, departures, model),
                                     rel=1e-12, abs=1e-12)
@@ -529,7 +536,7 @@ class TestBlocks:
             warnings.simplefilter("error", RuntimeWarning)
             patch.setattr(laws, "SCAN_TILE", tile)
             patch.setattr(laws, "scan_threads", lambda: threads)
-            got = decode_block(book, observations, keys, model)
+            got = astuple(decode(book, observations, keys, model))
             want = [decode(book, observations[:, j], int(key), model)
                     for j, key in enumerate(keys)]
         assert all(array.shape == (trials,) for array in got)
@@ -562,7 +569,7 @@ class TestBlocks:
             warnings.simplefilter("error", RuntimeWarning)
             patch.setattr(laws, "SCAN_TILE", tile)
             patch.setattr(laws, "scan_threads", lambda: threads)
-            got = willie_llr_block(book, observations, model)
+            got = willie_llr(book, observations, model)
             want = [willie_llr(book, column, model) for column in observations.T]
         assert got.shape == (trials,)
         assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
@@ -588,8 +595,8 @@ class TestBlocks:
         keys = np.ones(9, dtype=int)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            messages, dummies, top, feasible = decode_block(book, observations, keys, model)
-            llr = willie_llr_block(book, observations, model)
+            messages, dummies, top, feasible = astuple(decode(book, observations, keys, model))
+            llr = willie_llr(book, observations, model)
         assert feasible[0] > 0 and np.isfinite(llr[0])
         assert (messages[1:] == 0).all() and (dummies[1:] == 0).all()
         assert (feasible[1:] == 0).all() and np.isneginf(top[1:]).all()
@@ -637,8 +644,8 @@ class TestBlocks:
         keys = rng.integers(book.num_keys, size=256)
         tracemalloc.start()
         try:
-            llr = willie_llr_block(book, observations, model)
-            decoded = decode_block(book, observations, keys, model)
+            llr = willie_llr(book, observations, model)
+            decoded = astuple(decode(book, observations, keys, model))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -664,9 +671,9 @@ class TestBlocks:
         for block in blocks:
             count = block.stop - block.start
             *_, codewords = oracles.sent_codewords(book, rng, count)
-            sent = simulate_block(np.stack(codewords, axis=1), model, rng)
+            sent = simulate_channel(np.stack(codewords, axis=1), model, rng)
             arrivals = np.cumsum(rng.exponential(1.0 / LAM, size=(book.n, count)), axis=0)
-            poisson = simulate_block(arrivals, model, rng)
+            poisson = simulate_channel(arrivals, model, rng)
             keep = [j for j, i in enumerate(range(block.start, block.stop)) if i < 20 or i >= 320]
             for got, observations in ((alt[block], sent), (null[block], poisson)):
                 observations = observations[:, keep]
@@ -684,14 +691,15 @@ def test_public_path_scores_every_sent_block_at_a_fast_rate(n):
     book = generate_codebook(n, 3, 1, 1, arrival_rate=LAM, seed=100)
     rng = np.random.default_rng(100)
     messages, dummies, keys, epochs = book.send(rng, 1000)
-    sent = simulate_block(epochs, model, rng)
+    sent = simulate_channel(epochs, model, rng)
     poisson = np.cumsum(rng.exponential(1.0 / LAM, (n, 1000)), axis=0)
-    for arrivals, departures in ((epochs, sent), (poisson, simulate_block(poisson, model, rng))):
+    for arrivals, departures in ((epochs, sent), (poisson, simulate_channel(poisson, model, rng))):
         assert np.isfinite(info_density_sample(arrivals, departures, model, LAM)).all()
-    assert np.isfinite(willie_llr_block(book, sent, model)).all()
-    got_messages, got_dummies, top, feasible = decode_block(book, sent, keys, model)
-    assert (feasible >= 1).all() and np.isfinite(top).all()
-    assert np.array_equal(got_messages, messages) and np.array_equal(got_dummies, dummies)
+    assert np.isfinite(willie_llr(book, sent, model)).all()
+    got = decode(book, sent, keys, model)
+    assert (got.feasible_count >= 1).all() and np.isfinite(got.log_likelihood).all()
+    assert not got.failed.any()
+    assert np.array_equal(got.message, messages) and np.array_equal(got.dummy, dummies)
 
 
 @pytest.mark.parametrize("tile", [8, SCAN_TILE])
@@ -824,7 +832,7 @@ class TestBuffer:
         book = replace(generate_codebook(3, 9, 0, 0, arrival_rate=LAM, seed=5),
                        arrival_epochs=np.hstack([epochs, pad]))
         monkeypatch.setattr(laws, "SCAN_TILE", 1024)
-        llrs = willie_llr_block(book, observations, model)
+        llrs = willie_llr(book, observations, model)
         assert [x.hex() for x in llrs.tolist()] == [
             willie_llr(book, column, model).hex() for column in observations.T]
 

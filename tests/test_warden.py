@@ -13,7 +13,6 @@ from covertq.laws import info_density_sample, poisson_log_density
 from covertq.queueing import (
     ServiceModel,
     poisson_arrivals,
-    simulate_block,
     simulate_channel,
     trial_blocks,
 )
@@ -21,7 +20,6 @@ from covertq.warden import (
     run_detection_trials,
     summarize_detection,
     willie_llr,
-    willie_llr_block,
 )
 
 import oracles
@@ -33,8 +31,8 @@ WILLIE = ServiceModel.exponential(2.0)
 def replay_observations(book, trials, seed):
     """``run_detection_trials``' blocks, replayed through the public calls:
     per trial block, ``Codebook.send``'s draws and the columns they pick
-    (``oracles.sent_codewords``) through ``simulate_block``, then a Poisson
-    block through ``simulate_block``.
+    (``oracles.sent_codewords``) through ``simulate_channel``, then a Poisson
+    block through ``simulate_channel``.
 
     Returns the (null, alt) lists of observed departure epochs.
     """
@@ -43,9 +41,9 @@ def replay_observations(book, trials, seed):
     for block in trial_blocks(book.n, trials):
         count = block.stop - block.start
         *_, codewords = oracles.sent_codewords(book, rng, count)
-        alt.extend(simulate_block(np.stack(codewords, axis=1), WILLIE, rng).T)
+        alt.extend(simulate_channel(np.stack(codewords, axis=1), WILLIE, rng).T)
         poisson = np.cumsum(rng.exponential(1.0 / LAM, size=(book.n, count)), axis=0)
-        null.extend(simulate_block(poisson, WILLIE, rng).T)
+        null.extend(simulate_channel(poisson, WILLIE, rng).T)
     return null, alt
 
 
@@ -91,7 +89,7 @@ class TestLlr:
 
     def test_detector_never_sees_a_key(self):
         # structural covertness check: no key parameter anywhere in the API
-        for fn in (willie_llr, willie_llr_block, run_detection_trials, summarize_detection):
+        for fn in (willie_llr, run_detection_trials, summarize_detection):
             assert "key" not in inspect.signature(fn).parameters
 
 
@@ -239,10 +237,10 @@ class TestDetectionExperiment:
         save_codebook_spec(book, path)
         clone = load_codebook(path)
         rng = np.random.default_rng(67)
-        observations = simulate_block(np.cumsum(rng.exponential(1 / 0.3, size=(6, 30)), axis=0),
-                                      WILLIE, rng)
-        assert (willie_llr_block(clone, observations, WILLIE).tobytes()
-                == willie_llr_block(book, observations, WILLIE).tobytes())
+        observations = simulate_channel(
+            np.cumsum(rng.exponential(1 / 0.3, size=(6, 30)), axis=0), WILLIE, rng)
+        assert (willie_llr(clone, observations, WILLIE).tobytes()
+                == willie_llr(book, observations, WILLIE).tobytes())
         drawn, loaded = (run_detection_trials(b, WILLIE, 30, np.random.default_rng(68))
                          for b in (book, clone))
         assert [x.tobytes() for x in drawn] == [x.tobytes() for x in loaded]
