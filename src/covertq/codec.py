@@ -47,7 +47,7 @@ from .errors import (
 )
 from .laws import reduce_tiles
 from .queueing import (BLOCK_CELLS, ServiceModel, _as_epochs, _check_count, _check_rate,
-                       _is_number, _running_sum)
+                       _exponential_gaps, _is_number, _running_sum)
 
 __all__ = [
     "CODEBOOK_CAP_BITS",
@@ -191,10 +191,12 @@ def generate_codebook(
     # is checked once, by its maximum (a mask of it would add 1 MB to a 2^20
     # book's peak memory), and the sums run without a warning.
     epochs = np.empty((n, total))
+    # every chunk's draws, a short last chunk in its first rows
+    gaps = np.empty((min(step, total), n))
     with np.errstate(over="ignore"):
         for c in range(0, total, step):
-            gaps = rng.exponential(1.0 / arrival_rate, size=(min(step, total - c), n))
-            _running_sum(gaps.T, out=epochs[:, c:c + step])
+            chunk = _exponential_gaps(rng, arrival_rate, gaps[:min(step, total - c)])
+            _running_sum(chunk.T, out=epochs[:, c:c + step])
     if not math.isfinite(epochs[-1].max()):
         raise ParameterError(f"codebook epochs overflow the float range within {n} packets: "
                              f"the mean gap 1/arrival_rate is too large")

@@ -288,11 +288,12 @@ def _run_info_density(config: ExperimentConfig, param_index: int) -> list[Result
     if finite.size == 0:
         return [_row(config, "feasible_fraction", params, 0.0, 0.0, t)]
     std = float(finite.std(ddof=1)) if finite.size > 1 else 0.0
+    p01, p99 = np.percentile(finite, [1.0, 99.0])
     return [
         _row(config, "mean_per_packet", params, finite.mean(), std / math.sqrt(finite.size), t),
         _row(config, "std_per_packet", params, std, 0.0, t),
-        _row(config, "percentile_01", params, np.percentile(finite, 1.0), 0.0, t),
-        _row(config, "percentile_99", params, np.percentile(finite, 99.0), 0.0, t),
+        _row(config, "percentile_01", params, p01, 0.0, t),
+        _row(config, "percentile_99", params, p99, 0.0, t),
         _row(config, "feasible_fraction", params, finite.size / samples.size, 0.0, t),
     ]
 

@@ -67,7 +67,7 @@ import numpy as np
 
 from .errors import StructuralError
 from .queueing import (BLOCK_CELLS, ServiceKind, ServiceModel, _as_epochs, _check_count,
-                       _check_rate, _departures, _running_sum)
+                       _check_rate, _departures, _exponential_gaps)
 
 __all__ = ["SCAN_TILE", "conditional_log_density_batch", "scan_threads", "reduce_tiles",
            "poisson_log_density", "info_density_sample", "sample_info_densities"]
@@ -340,33 +340,37 @@ def sample_info_densities(n: int, arrival_rate: float, model: ServiceModel, tria
     Trials run in blocks of min(trials, ``_PIECE_CELLS``) columns, and each
     block walks down its packets in row pieces of ``_PIECE_CELLS // cols``
     rows, for a block ``cols`` wide.  A piece draws its packet-major arrival
-    gaps, then its services, both in C order; adds the log density of those
-    services to the block's sums; sums the gaps into epochs on from the
-    block's last arrival row; and runs the departure recursion on from its
-    last departure row, in place over the services, for d_n.  So the sampler
-    holds one piece's arrays and temporaries, whatever n is, and carries two
-    rows from piece to piece.
+    gaps, then its services, both in C order, into the two halves of the
+    block's one ``(2, rows, cols)`` buffer; adds the log density of those
+    services to the block's sums; and, in one pass down its rows, sums the
+    gaps into epochs on from the block's last arrival row and runs the
+    departure recursion on from its last departure row, in place, for d_n.
+    So the sampler holds one piece buffer and its log density, whatever n
+    is, and carries two rows from piece to piece.
     """
     n = _check_count("n", n, 1)
     _check_rate("arrival_rate", arrival_rate)
     trials = _check_count("trials", trials, 1)
-    scale = 1.0 / arrival_rate
     out = np.empty(trials)
     for first in range(0, trials, _PIECE_CELLS):
         cols = min(trials - first, _PIECE_CELLS)
         rows = _PIECE_CELLS // cols
+        # one buffer for every piece of the block: its arrivals in [0], its
+        # services in [1], one row of each in cache together in the recursion
+        pieces = np.empty((2, min(rows, n), cols))
         # the rows before the first piece: d_0 = 0, and t_0 = 0, whose carry
         # adds nothing
         t_last, d_last = np.zeros(cols), np.zeros(cols)
         scores = np.zeros(cols)
         with np.errstate(over="ignore"):  # an overflow is refused by _departures
             for k in range(0, n, rows):
-                shape = (min(rows, n - k), cols)
-                t = rng.exponential(scale, size=shape)
-                s = model.sample(rng, shape)
+                t, s = pieces[:, :min(rows, n - k)]
+                _exponential_gaps(rng, arrival_rate, t)
+                model._fill(rng, s)
                 scores += model.log_density(s).sum(axis=0)  # before the recursion overwrites s
-                _running_sum(t, out=t, carry=t_last)
-                t_last = t[-1].copy()  # a view would keep the whole piece alive
-                d_last = _departures(t, s, prev=d_last, packets=n)[-1]
+                _departures(t, s, prev=d_last, packets=n, carry=t_last)
+                # the next piece overwrites the buffer
+                np.copyto(t_last, t[-1])
+                np.copyto(d_last, s[-1])
         out[first:first + cols] = (scores - _poisson_log_density(n, d_last, arrival_rate)) / n
     return out

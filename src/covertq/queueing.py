@@ -32,7 +32,15 @@ unchecked cores.
 Every running sum down axis 0 in the package, of gaps into epochs, goes
 through ``_running_sum``: ``np.cumsum``'s additions in its order, so its
 bits, taken one row at a time when a block has at least as many columns as
-rows.
+rows.  The one exception has the same additions: the sampler's, which
+``_departures`` takes in its own pass down the rows.
+
+Every exponential gap or service is drawn by ``_exponential_gaps``, and
+every service by ``ServiceModel._fill``: numpy's standard variate written
+in place, then scaled (and shifted, for the uniform law).  Those are the
+bits of ``rng.exponential``, ``rng.gamma`` and ``rng.uniform``, which draw
+the same standard variate and scale it one element at a time through a
+slower generic path.
 
 The recursion is kept in its sequential form on purpose: reassociating the
 arithmetic (e.g. a prefix-max formulation) changes last-ulp rounding, and
@@ -47,7 +55,10 @@ time):
 
 - a scalar loop over packets, for a 1-d input (one block);
 - for a packet-major ``(n, T)`` input, a loop over the packet index k that
-  applies each step to all T columns at once.
+  applies each step to all T columns at once; given arrival gaps and the
+  row of epochs before them, as the sampler gives them, it also sums each
+  row of gaps into epochs, so that one pass down a piece buffer holding its
+  gaps and services does the work.
 
 Each element sees the same max-then-add on the same operands in both, so
 every column of a 2-d call is bit-identical to the scalar loop on that column.
@@ -205,21 +216,38 @@ class ServiceModel:
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         """i.i.d. service times filling ``size`` (an int or a shape), in C order."""
+        return self._fill(rng, np.empty(size))
+
+    def _fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """``sample``'s draws written into the contiguous float64 array ``out``,
+        which is returned: the bits of ``rng.exponential(1 / rate)``,
+        ``rng.gamma(k, 1 / (k rate))`` or ``rng.uniform(lo, hi)`` of its
+        shape (module docstring)."""
         if self.kind is ServiceKind.EXPONENTIAL:
-            return rng.exponential(1.0 / self.rate, size=size)
+            return _exponential_gaps(rng, self.rate, out)
         if self.kind is ServiceKind.ERLANG:
             k = int(self.shape)
-            return rng.gamma(k, 1.0 / (k * self.rate), size=size)
+            rng.standard_gamma(k, out=out)
+            with np.errstate(over="ignore"):  # as rng.gamma, which never warns
+                return np.multiply(out, 1.0 / (k * self.rate), out=out)
         # uniform
         m = 1.0 / self.rate
-        return rng.uniform(m - self.halfwidth, m + self.halfwidth, size=size)
+        lo, hi = m - self.halfwidth, m + self.halfwidth
+        rng.random(out=out)
+        np.multiply(out, hi - lo, out=out)
+        return np.add(out, lo, out=out)
 
     def log_density(self, x) -> np.ndarray:
         """Elementwise log density; -inf outside the support."""
         x = np.asarray(x, dtype=np.float64)
         if self.kind is ServiceKind.EXPONENTIAL:
-            out = math.log(self.rate) - self.rate * x
-            return np.where(x >= 0.0, out, -np.inf)
+            # log r - r x in one array, then -inf where x is not >= 0 (a NaN
+            # too): a drawn service never is, so the mask is rarely formed
+            out = np.multiply(x, self.rate, out=np.empty_like(x))
+            np.subtract(math.log(self.rate), out, out=out)
+            if x.size and not x.min() >= 0.0:
+                out[~(x >= 0.0)] = -np.inf
+            return out
         if self.kind is ServiceKind.ERLANG:
             k = int(self.shape)
             theta = k * self.rate  # stage rate
@@ -237,6 +265,17 @@ class ServiceModel:
         return np.where((x >= lo) & (x <= hi), level, -np.inf)
 
 
+def _exponential_gaps(rng: np.random.Generator, rate: float, out: np.ndarray) -> np.ndarray:
+    """Exp(rate) gaps written into the contiguous float64 array ``out``, which
+    is returned: the bits of ``rng.exponential(1 / rate, out.shape)``.  A
+    product past the float range is inf without a warning, as
+    ``rng.exponential`` gives it; callers refuse it where they check their
+    epochs."""
+    rng.standard_exponential(out=out)
+    with np.errstate(over="ignore"):
+        return np.multiply(out, 1.0 / rate, out=out)
+
+
 def poisson_arrivals(rate: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Arrival epochs of a Poisson process: the running sum of n i.i.d.
     Exp(rate) gaps.
@@ -245,7 +284,7 @@ def poisson_arrivals(rate: float, n: int, rng: np.random.Generator) -> np.ndarra
     top of the float range; such draws are refused.
     """
     _check_rate("rate", rate)
-    gaps = rng.exponential(1.0 / rate, size=_check_count("n", n, 1))
+    gaps = _exponential_gaps(rng, rate, np.empty(_check_count("n", n, 1)))
     with np.errstate(over="ignore"):  # an overflow is refused below
         epochs = _running_sum(gaps, out=gaps)
     if not math.isfinite(epochs[-1]):
@@ -296,12 +335,16 @@ def _scalar_departures(t: np.ndarray, s: np.ndarray, prev: float) -> list:
 
 
 def _departures(t: np.ndarray, s: np.ndarray, prev: np.ndarray | None = None,
-                packets: int | None = None) -> np.ndarray:
+                packets: int | None = None, carry: np.ndarray | None = None) -> np.ndarray:
     """Departure epochs d_k = max(d_{k-1}, t_k) + s_k down axis 0, from
     arrival epochs t and fresh service times s, written in place over s.
     ``prev`` is the row of epochs before the first, d_0 = 0 by default: a
     block's rows, run in pieces each from the last row of the piece before,
-    give the bits of one call over all of them.
+    give the bits of one call over all of them.  With ``carry``, the row of
+    arrival epochs before the first, t holds arrival gaps instead, and is
+    overwritten with ``_running_sum(t, out=t, carry=carry)``'s epochs: in the
+    vectorised loop one row at a time, as that sum takes a block at least as
+    wide as it is long, beside the max and the add.
 
     A drawn gap or service time, or a running sum of them, can overflow to
     inf when its mean is near the top of the float range, and every later
@@ -313,17 +356,28 @@ def _departures(t: np.ndarray, s: np.ndarray, prev: np.ndarray | None = None,
     """
     if prev is None:
         prev = np.zeros(t.shape[1:])
+    vector = t.ndim == 2 and t.shape[1] >= _MIN_VECTOR_WIDTH
+    if carry is not None and not (vector and len(t) <= t.shape[1]):
+        _running_sum(t, out=t, carry=carry)  # the scalar loop's, or cumsum's column walk
+        carry = None
     if t.ndim == 1:
         s[:] = _scalar_departures(t, s, float(prev))
-    elif t.shape[1] < _MIN_VECTOR_WIDTH:
+    elif not vector:
         for j in range(t.shape[1]):
             s[:, j] = _scalar_departures(t[:, j], s[:, j], float(prev[j]))
     else:  # loop over k, vectorised over the T columns
         top = np.empty(t.shape[1])  # max(d_{k-1}, t_k): s_k sits in the row written
-        for tk, row in zip(t, s):
-            np.maximum(prev, tk, out=top)
-            np.add(top, row, out=row)
-            prev = row
+        if carry is None:
+            for tk, row in zip(t, s):
+                np.maximum(prev, tk, out=top)
+                np.add(top, row, out=row)
+                prev = row
+        else:  # the running sum of the gaps too, its row k overwriting gap k
+            for tk, row in zip(t, s):
+                carry = np.add(carry, tk, out=tk)
+                np.maximum(prev, tk, out=top)
+                np.add(top, row, out=row)
+                prev = row
     if not np.isfinite(s[-1:]).all():  # a piece may hold no rows
         raise ParameterError(f"departure epochs overflow the float range within "
                              f"{packets or len(s)} packets: a mean gap or service time is "

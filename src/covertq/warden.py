@@ -39,7 +39,8 @@ import numpy as np
 from .codec import Codebook
 from .errors import ParameterError, StructuralError
 from .laws import _poisson_log_density, reduce_tiles
-from .queueing import ServiceModel, _as_epochs, _check_count, _queue, _running_sum, trial_blocks
+from .queueing import (ServiceModel, _as_epochs, _check_count, _exponential_gaps, _queue,
+                       _running_sum, trial_blocks)
 
 __all__ = [
     "willie_llr",
@@ -121,7 +122,7 @@ def run_detection_trials(
         count = block.stop - block.start
         *_, epochs = book.send(rng, count)  # the warden never sees the indices
         sent = _queue(epochs, model, rng)
-        gaps = rng.exponential(1.0 / book.arrival_rate, size=(book.n, count))
+        gaps = _exponential_gaps(rng, book.arrival_rate, np.empty((book.n, count)))
         with np.errstate(over="ignore"):  # an overflow is refused by _queue
             unsent = _queue(_running_sum(gaps), model, rng)
         llr = _llr(book, np.hstack([sent, unsent]), model)

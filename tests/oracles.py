@@ -132,6 +132,73 @@ def drawn_log_density(arrival_gaps, service_times, log_density, rate):
     return cond, len(departures) * math.log(rate) - rate * float(departures[-1])
 
 
+def numpy_services(rng, model, size):
+    """i.i.d. service times of ``model`` (a law with ``kind``, ``rate``,
+    ``shape`` and ``halfwidth``, as the library's ``ServiceModel``) drawn by
+    numpy's own samplers, ``size`` of them in C order."""
+    kind, rate = model.kind.value, model.rate
+    if kind == "exponential":
+        return rng.exponential(1.0 / rate, size)
+    if kind == "erlang":
+        return rng.gamma(model.shape, 1.0 / (model.shape * rate), size)
+    assert kind == "uniform", kind
+    mean = 1.0 / rate
+    return rng.uniform(mean - model.halfwidth, mean + model.halfwidth, size)
+
+
+def service_log_density(model, x):
+    """The log density of ``model`` (as in ``numpy_services``) at x, -inf
+    outside its support, each cell by one ``np.where``."""
+    kind, rate = model.kind.value, model.rate
+    x = np.asarray(x, dtype=np.float64)
+    if kind == "exponential":
+        return np.where(x >= 0.0, math.log(rate) - rate * x, -np.inf)
+    if kind == "erlang":
+        k = model.shape
+        theta = k * rate
+        out = k * math.log(theta) - math.lgamma(k) + (k - 1) * np.log(np.where(x > 0.0, x, 1.0)) \
+            - theta * x
+        return np.where(x > 0.0, out, -np.inf)
+    mean = 1.0 / rate
+    inside = (x >= mean - model.halfwidth) & (x <= mean + model.halfwidth)
+    return np.where(inside, -math.log(2.0 * model.halfwidth), -np.inf)
+
+
+def piecewise_info_densities(n, rate, model, trials, rng, piece_cells):
+    """The information density sampler the library ran before its draws went
+    into one piece buffer: per-packet values of ``trials`` Poisson(rate)
+    blocks through the queue of ``model``, against the Exp(rate) reference.
+
+    Trials run in blocks of min(trials, piece_cells) columns, and each block
+    walks down its packets in row pieces of piece_cells // cols rows.  A piece
+    draws its (rows, cols) arrival gaps, then its services, both in C order
+    and by numpy's own samplers; adds the log density of the services to the
+    block's sums; sums the gaps into epochs on from the block's last arrival
+    row; and runs d_k = max(d_{k-1}, t_k) + s_k on from its last departure
+    row.  Every addition is the library's, in its order, so the two agree bit
+    for bit.
+    """
+    out = np.empty(trials)
+    with np.errstate(over="ignore"):
+        for first in range(0, trials, piece_cells):
+            cols = min(trials - first, piece_cells)
+            rows = piece_cells // cols
+            t_last, d_last = np.zeros(cols), np.zeros(cols)
+            scores = np.zeros(cols)
+            for k in range(0, n, rows):
+                shape = (min(rows, n - k), cols)
+                t = rng.exponential(1.0 / rate, shape)
+                s = numpy_services(rng, model, shape)
+                scores += service_log_density(model, s).sum(axis=0)
+                t[0] += t_last
+                t = np.cumsum(t, axis=0)
+                for tk, sk in zip(t, s):
+                    d_last = np.maximum(d_last, tk) + sk
+                t_last = t[-1]
+            out[first:first + cols] = (scores - (n * math.log(rate) - rate * d_last)) / n
+    return out
+
+
 def scan_scores_exponential(arrival_epochs, departure_epochs, rate):
     """Exp(rate) log p(D | A_c) for every column c of (n, C) arrival epochs,
     against (n,) departure epochs d.

@@ -230,8 +230,9 @@ LAWS = {
 
 
 def per_trial_densities(n, rate, model, trials, seed):
-    """The sampler's draws replayed trial by trial, each scored by the oracle
-    on its drawn services, with d_n from the event-calendar simulation.
+    """The sampler's draws replayed trial by trial by numpy's own samplers,
+    each trial scored by the oracle on its drawn services, with d_n from the
+    event-calendar simulation.
 
     Trials run in blocks of min(trials, ``laws._PIECE_CELLS``) columns, and
     each block in row pieces of ``_PIECE_CELLS // cols`` rows.  Each piece
@@ -247,7 +248,8 @@ def per_trial_densities(n, rate, model, trials, seed):
         pieces = []
         for k in range(0, n, rows):
             size = min(rows, n - k) * cols
-            pieces.append((rng.exponential(1.0 / rate, size), model.sample(rng, size)))
+            pieces.append((rng.exponential(1.0 / rate, size),
+                           oracles.numpy_services(rng, model, size)))
         gaps, services = (np.concatenate(drawn).reshape(n, cols) for drawn in zip(*pieces))
         for j in range(cols):
             cond, q = oracles.drawn_log_density(gaps[:, j], services[:, j], model.log_density,
@@ -258,7 +260,12 @@ def per_trial_densities(n, rate, model, trials, seed):
 
 
 def assert_matches_per_trial(n, rate, model, trials, seed):
+    """The sampler against the event-calendar replay within 1e-12, and against
+    the kernel it replaced bit for bit."""
     got = sample_info_densities(n, rate, model, trials, np.random.default_rng(seed))
+    kernel = oracles.piecewise_info_densities(n, rate, model, trials,
+                                              np.random.default_rng(seed), laws._PIECE_CELLS)
+    assert got.tobytes() == kernel.tobytes()
     want, scale = per_trial_densities(n, rate, model, trials, seed)
     infeasible = np.isneginf(want)
     assert np.array_equal(np.isneginf(got), infeasible)

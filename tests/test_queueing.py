@@ -16,8 +16,9 @@ from covertq.queueing import (
     simulate_channel,
     trial_blocks,
 )
-from covertq.queueing import _MIN_VECTOR_WIDTH, _departures
+from covertq.queueing import _MIN_VECTOR_WIDTH, _departures, _exponential_gaps
 
+import oracles
 from oracles import des_departures
 
 
@@ -25,14 +26,15 @@ EXP1 = ServiceModel.exponential(1.0)
 
 
 class Replay:
-    """A generator that hands an Erlang law's one ``sample`` call given draws."""
+    """A generator that hands an Erlang law's one ``sample`` call given
+    standard gamma draws, which the law scales."""
 
     def __init__(self, draws):
         self.draws = draws
 
-    def gamma(self, shape, scale, size):
-        assert size == self.draws.shape
-        return self.draws.copy()
+    def standard_gamma(self, shape, out):
+        assert out.shape == self.draws.shape
+        out[...] = self.draws
 
 
 class TestGapChecks:
@@ -76,7 +78,74 @@ class TestGapChecks:
         assert np.array_equal(d, [2.0, 3.0]) and np.array_equal(services, [1.0, 1.0])
 
 
+FILL_SHAPES = [(), (5,), (54, 300), (0,)]
+
+
+class TestFills:
+    """Every draw goes through a standard variate written in place and
+    scaled: the bits numpy's own samplers give, and the generator left where
+    they leave it."""
+
+    @pytest.mark.parametrize("shape", FILL_SHAPES, ids=str)
+    @pytest.mark.parametrize("lam", [0.5, 0.7, 3.3, 1e6])
+    @pytest.mark.parametrize("law", ["gaps", "exponential", "erlang", "uniform"])
+    def test_fills_draw_numpys_bits(self, law, lam, shape):
+        got_rng, want_rng = np.random.default_rng(35), np.random.default_rng(35)
+        if law == "gaps":
+            got = _exponential_gaps(got_rng, lam, np.empty(shape))
+            want = want_rng.exponential(1.0 / lam, shape)
+        elif law == "exponential":
+            got = ServiceModel.exponential(lam).sample(got_rng, shape)
+            want = want_rng.exponential(1.0 / lam, shape)
+        elif law == "erlang":
+            got = ServiceModel.erlang(lam, shape=3).sample(got_rng, shape)
+            want = want_rng.gamma(3, 1.0 / (3 * lam), shape)
+        else:
+            got = ServiceModel.uniform(lam, halfwidth=0.2 / lam).sample(got_rng, shape)
+            want = want_rng.uniform(1.0 / lam - 0.2 / lam, 1.0 / lam + 0.2 / lam, shape)
+        assert got.shape == np.shape(want) and got.tobytes() == np.asarray(want).tobytes()
+        assert got_rng.random() == want_rng.random()
+
+    def test_fill_into_a_piece_buffer_half(self):
+        pieces = np.zeros((2, 54, 300))
+        model = ServiceModel.erlang(0.7, shape=3)
+        model._fill(np.random.default_rng(36), pieces[1, :20])
+        want = np.random.default_rng(36).gamma(3, 1.0 / (3 * 0.7), (20, 300))
+        assert pieces[1, :20].tobytes() == want.tobytes()
+        assert not pieces[0].any() and not pieces[1, 20:].any()
+
+    @pytest.mark.parametrize("law", ["gaps", "exponential", "erlang"])
+    def test_a_scale_near_the_float_top_overflows_without_a_warning(self, law):
+        # a mean gap of 1e308: a standard variate above 1.8 overflows to inf,
+        # as numpy's samplers give it, and the callers refuse it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            if law == "gaps":
+                got = _exponential_gaps(np.random.default_rng(37), 1e-308, np.empty(1000))
+            else:
+                model = (ServiceModel.exponential(1e-308) if law == "exponential"
+                         else ServiceModel.erlang(1e-308, shape=2))
+                got = model.sample(np.random.default_rng(37), 1000)
+        assert np.isinf(got).any() and not np.isnan(got).any()
+        want = (np.random.default_rng(37).gamma(2, 1.0 / (2 * 1e-308), 1000) if law == "erlang"
+                else np.random.default_rng(37).exponential(1e308, 1000))
+        assert got.tobytes() == want.tobytes()
+
+
 class TestServiceModel:
+    def test_exponential_log_density_is_the_masked_form(self):
+        # -inf where x is not >= 0, NaN included; elsewhere log r - r x
+        x = np.array([0.5, 0.0, -0.0, -1e-300, np.nan, np.inf, 1e308, 3.0])
+        for model in (EXP1, ServiceModel.exponential(1e300)):
+            with np.errstate(over="ignore"):
+                got, want = model.log_density(x), oracles.service_log_density(model, x)
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(np.isneginf(got), [False, False, False, True, True, True,
+                                                     model.rate > 1, False])
+        zero_d = EXP1.log_density(2.0)
+        assert isinstance(zero_d, np.ndarray) and zero_d.shape == () and zero_d == -2.0
+        assert EXP1.log_density(-1.0) == -np.inf and EXP1.log_density(np.empty(0)).shape == (0,)
+
     def test_exponential_mean(self):
         rng = np.random.default_rng(11)
         x = ServiceModel.exponential(2.0).sample(rng, 1_000_000)
@@ -309,9 +378,10 @@ class TestBatchedRecursion:
             gaps = np.random.default_rng(14).exponential(2.0, (n, T))
             got = simulate_channel(np.cumsum(gaps, axis=0), model, np.random.default_rng(15))
             services = model.sample(np.random.default_rng(15), n * T).reshape(n, T)
+            standard = np.random.default_rng(15).standard_gamma(2, n * T).reshape(n, T)
             assert got.shape == (n, T)
             for j in range(T):
-                one = simulate_channel(np.cumsum(gaps[:, j]), model, Replay(services[:, j]))
+                one = simulate_channel(np.cumsum(gaps[:, j]), model, Replay(standard[:, j]))
                 assert one.tobytes() == got[:, j].tobytes()
                 assert np.array_equal(one, departure_epochs(gaps[:, j], services[:, j])[0])
 
