@@ -47,7 +47,7 @@ from .errors import (
 )
 from .laws import reduce_tiles
 from .queueing import (BLOCK_CELLS, ServiceModel, _as_epochs, _check_count, _check_rate,
-                       _exponential_gaps, _is_number, _running_sum)
+                       _check_stable, _exponential_gaps, _is_number, _running_sum)
 
 __all__ = [
     "CODEBOOK_CAP_BITS",
@@ -342,12 +342,12 @@ def mm1_log_output_ratio_bound(arrival_rate: float, mu1: float) -> float:
 
         p_out(D) <= q(D) / (1 - lam/mu1)   for every block D,
 
-    so the log-ratio is bounded by -log(1 - lam/mu1).
+    so the log-ratio is bounded by -log(1 - lam/mu1).  An unstable queue,
+    arrival_rate >= mu1, has no stationary output: ``InstabilityError``.
     """
     _check_rate("arrival_rate", arrival_rate)
     _check_rate("mu1", mu1)
-    if arrival_rate >= mu1:
-        raise ParameterError(f"need arrival_rate < mu1, got {arrival_rate} vs {mu1}")
+    _check_stable(arrival_rate, mu1)
     return -math.log1p(-arrival_rate / mu1)
 
 

@@ -26,10 +26,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import codec, laws, rates, warden
-from .errors import (ConfigError, InstabilityError, OutputError, ParameterError,
-                     ResourceLimitError, StructuralError)
-from .queueing import (ServiceKind, ServiceModel, _check_count, _check_rate, _is_number,
-                       _queue, trial_blocks)
+from .errors import ConfigError, OutputError, ParameterError, ResourceLimitError, StructuralError
+from .queueing import (ServiceKind, ServiceModel, _check_count, _check_rate, _check_stable,
+                       _is_number, _queue, trial_blocks)
 
 __all__ = [
     "EXPERIMENTS",
@@ -66,12 +65,9 @@ def service_from_dict(payload: dict) -> ServiceModel:
         rate = payload["rate"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad service law spec: {payload!r}") from exc
-    shape, halfwidth = payload.get("shape"), payload.get("halfwidth")
-    if not (_is_number(rate) and (shape is None or _is_number(shape, numbers.Integral))
-            and (halfwidth is None or _is_number(halfwidth))):
-        raise ConfigError(f"bad service law spec: {payload!r}")
-    try:  # a well-typed law with an illegal value
-        return ServiceModel(kind=kind, rate=rate, shape=shape, halfwidth=halfwidth)
+    try:  # the law's own rules, a field of the wrong type included
+        return ServiceModel(kind=kind, rate=rate, shape=payload.get("shape"),
+                            halfwidth=payload.get("halfwidth"))
     except ParameterError as exc:
         raise ConfigError(f"bad service law spec {payload!r}: {exc}") from None
 
@@ -117,11 +113,7 @@ class ExperimentConfig:
         if self.experiment == "detection_sweep" and self.trials < 2:
             raise ConfigError(f"detection_sweep needs trials >= 2, one score per hypothesis "
                               f"has no spread; got {self.trials}")
-        if self.arrival_rate >= min(self.mu1, self.mu2):
-            raise InstabilityError(
-                f"arrival rate {self.arrival_rate} >= min service rate "
-                f"{min(self.mu1, self.mu2)}: no stationary regime"
-            )
+        _check_stable(self.arrival_rate, min(self.mu1, self.mu2))
         if not isinstance(self.width_list, (list, tuple)):
             raise ConfigError(f"width_list must be a list, got {self.width_list!r}")
         object.__setattr__(self, "n_list", _int_list("n_list", self.n_list))

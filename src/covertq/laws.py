@@ -126,19 +126,19 @@ def conditional_log_density_batch(arrival_epochs: np.ndarray, departure_epochs: 
 def _scan_unit(ta: np.ndarray, d, model: ServiceModel, work: np.ndarray) -> np.ndarray:
     """The scores of one unit of ``reduce_tiles``: log p(D | A_c) of every
     column c of the ``(n, C)`` epochs ``ta`` against the cumulative
-    departures ``d`` of one observation, as n Python floats, or of g, as an
-    ``(n, g, 1)`` array.  They are written into ``work[0]`` and returned as
-    a (C,) view for one observation, (g, C) for g.  Nothing is checked:
+    departures ``d`` of g observations, an ``(n, g, 1)`` array, or of one,
+    as n Python floats.  They are written into ``work[0]`` and returned as
+    a (g, C) view, (1, C) for one observation.  Nothing is checked:
     ``reduce_tiles`` checks its shapes once per call.
 
     Each (observation, candidate) score takes the same operations in the same
     order for any g: one (g, C) block of s_k per packet, from the (C,) row of
-    epochs and a (g, 1) column of departures.
+    epochs and a (g, 1) column of departures, or a float, which numpy
+    broadcasts to the (g, C) output.
     """
     n, count = ta.shape
     rows = 1 if isinstance(d, list) else d.shape[1]
-    shape = (count,) if rows == 1 else (rows, count)
-    scores, s, low = (w[:rows * count].reshape(shape) for w in work)
+    scores, s, low = (w[:rows * count].reshape(rows, count) for w in work)
     if model.kind is not ServiceKind.EXPONENTIAL:
         # the rows' log densities, added in the order of the block formula's sum
         np.copyto(scores, model.log_density(d[0] - np.maximum(ta[0], 0.0)))
@@ -193,8 +193,9 @@ def reduce_tiles(arrival_epochs: np.ndarray, departure_epochs: np.ndarray,
     width) consecutive columns, and the ``SCAN_TILE``-column tiles of the
     book one at a time: ``scores`` is the ``(g, width)`` block of
     log p(D_j | A_c) for the group's observations j against columns c in
-    ``start:start + width`` (the last group may hold fewer), -inf where
-    infeasible.  It lives in a work array that the next unit overwrites, so
+    ``start:start + width`` (the last group may hold fewer, and a group of
+    one observation is a ``(1, width)`` block), -inf where infeasible.  It
+    lives in a work array that the next unit overwrites, so
     ``reduce(start, scores)`` returns one ``(g,)`` array per field and may
     reduce in place; it lands at the unit's rows of column
     ``start // SCAN_TILE``.  A unit's epochs and work arrays stay in cache
@@ -229,7 +230,7 @@ def reduce_tiles(arrival_epochs: np.ndarray, departure_epochs: np.ndarray,
     works = np.empty((max(1, min(scan_threads(), units)), 3, rows * width))
     # the unit core's operands, once per call: a group of one observation
     # passes n Python floats, the ufunc operands with the least per-call
-    # overhead; a larger one its (n, g, 1) array
+    # overhead; a larger one its (n, g, 1) array.  Both score into (g, C)
     d = np.asarray(departure_epochs, dtype=np.float64)
     groups = [(first, d[:, first].tolist() if min(group, observations - first) == 1
                else d[:, first:first + group, None]) for first in range(0, observations, group)]
@@ -258,7 +259,7 @@ def reduce_tiles(arrival_epochs: np.ndarray, departure_epochs: np.ndarray,
                         first, operand = groups[i // tiles]
                         tile = i % tiles
                         scores = _scan_unit(views[tile], operand, model, work)
-                        fields = reduce(tile * SCAN_TILE, scores.reshape(-1, scores.shape[-1]))
+                        fields = reduce(tile * SCAN_TILE, scores)
                         for out, field in zip(partials, fields):
                             out[first:first + group, tile] = field
                     except BaseException as exc:  # raised on the calling thread below

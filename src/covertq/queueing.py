@@ -17,7 +17,8 @@ place, ``departure_epochs``, which sums them.
 This module holds the package's input rules, applied once per call at each
 public entry and never per trial or per observation: ``_check_rate`` (a
 finite number > 0 whose reciprocal, the mean gap, is finite; not a bool),
-``_check_count`` (an integer >= a least value, not a bool), ``_as_times``
+``_check_count`` (an integer >= a least value, not a bool), ``_check_stable``
+(an arrival rate below a service rate, else ``InstabilityError``), ``_as_times``
 (non-empty, finite, non-negative gaps, for ``departure_epochs``) and
 ``_as_epochs`` (its image under the running sum: non-empty, finite,
 non-negative and non-decreasing down axis 0).  The simulator
@@ -81,7 +82,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, StructuralError
+from .errors import InstabilityError, ParameterError, StructuralError
 
 __all__ = [
     "ServiceKind",
@@ -134,6 +135,13 @@ def _check_count(name: str, value, least: int) -> int:
     if not (_is_number(value, numbers.Integral) and value >= least):
         raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def _check_stable(arrival_rate: float, service_rate: float):
+    """Refuse an arrival rate at or above the service rate, both passed by ``_check_rate``."""
+    if arrival_rate >= service_rate:
+        raise InstabilityError(f"arrival rate {arrival_rate} >= service rate {service_rate}: "
+                               f"the queue has no stationary regime")
 
 
 def _as_times(values, what: str, ndims=(1,)) -> np.ndarray:
@@ -293,20 +301,15 @@ def poisson_arrivals(rate: float, n: int, rng: np.random.Generator) -> np.ndarra
     return epochs
 
 
-def _running_sum(x: np.ndarray, out: np.ndarray | None = None,
-                 carry: np.ndarray | None = None) -> np.ndarray:
+def _running_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``np.cumsum(x, axis=0, out=out)``: the same additions in the same order,
-    so the same bits.  ``out`` may be ``x`` itself.  With ``carry``, the
-    running sum's row before ``x``, the sum goes on from it: ``x[0]`` is
-    overwritten with carry + x[0], the sum's next step.
+    so the same bits.  ``out`` may be ``x`` itself.
 
     Every running sum down axis 0 in the package goes through here.
     ``np.cumsum`` walks a 2-d array one column at a time.  When it has at
     least as many columns as rows it is faster to add one row at a time: n
     ufunc calls over all the columns (57 us against 166 us at (16, 2000)).
     """
-    if carry is not None:
-        np.add(carry, x[0], out=x[0])
     if x.ndim == 1 or len(x) > x[0].size:
         return np.cumsum(x, axis=0, out=out)
     if out is None:
@@ -342,9 +345,9 @@ def _departures(t: np.ndarray, s: np.ndarray, prev: np.ndarray | None = None,
     block's rows, run in pieces each from the last row of the piece before,
     give the bits of one call over all of them.  With ``carry``, the row of
     arrival epochs before the first, t holds arrival gaps instead, and is
-    overwritten with ``_running_sum(t, out=t, carry=carry)``'s epochs: in the
-    vectorised loop one row at a time, as that sum takes a block at least as
-    wide as it is long, beside the max and the add.
+    overwritten with their epochs, the running sum on from ``carry``: in the
+    vectorised loop one row at a time, as ``_running_sum`` takes a block at
+    least as wide as it is long, beside the max and the add.
 
     A drawn gap or service time, or a running sum of them, can overflow to
     inf when its mean is near the top of the float range, and every later
@@ -358,7 +361,8 @@ def _departures(t: np.ndarray, s: np.ndarray, prev: np.ndarray | None = None,
         prev = np.zeros(t.shape[1:])
     vector = t.ndim == 2 and t.shape[1] >= _MIN_VECTOR_WIDTH
     if carry is not None and not (vector and len(t) <= t.shape[1]):
-        _running_sum(t, out=t, carry=carry)  # the scalar loop's, or cumsum's column walk
+        np.add(carry, t[0], out=t[0])
+        _running_sum(t, out=t)  # the scalar loop's, or cumsum's column walk
         carry = None
     if t.ndim == 1:
         s[:] = _scalar_departures(t, s, float(prev))

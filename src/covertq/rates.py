@@ -28,8 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InfeasibleRateError, InstabilityError, ParameterError
-from .queueing import ServiceKind, ServiceModel, _check_rate, _is_number
+from .errors import InfeasibleRateError, ParameterError
+from .queueing import ServiceKind, ServiceModel, _check_rate, _check_stable, _is_number
 
 __all__ = [
     "RatePoint",
@@ -101,10 +101,7 @@ def covert_capacity(arrival_rate: float, mu1: float) -> float:
     """Largest achievable message rate, lam * ln(mu1/lam), in nats/second."""
     _check_rate("arrival_rate", arrival_rate)
     _check_rate("mu1", mu1)
-    if arrival_rate >= mu1:
-        raise InstabilityError(
-            f"arrival rate {arrival_rate} >= service rate {mu1}: queue unstable"
-        )
+    _check_stable(arrival_rate, mu1)
     return arrival_rate * log_ratio(mu1, arrival_rate)
 
 
@@ -113,10 +110,7 @@ def min_key_rate(arrival_rate: float, spec: RegionSpec) -> float:
     max(0, lam * (ln(mu2/mu1) + D)).  For an Erlang or uniform warden it is
     sufficient, not shown to be the least (module docstring)."""
     _check_rate("arrival_rate", arrival_rate)
-    if arrival_rate >= min(spec.mu1, spec.mu2):
-        raise InstabilityError(
-            f"arrival rate {arrival_rate} >= min service rate {min(spec.mu1, spec.mu2)}"
-        )
+    _check_stable(arrival_rate, min(spec.mu1, spec.mu2))
     return _key_threshold(arrival_rate, spec)
 
 

@@ -15,8 +15,8 @@ takes it again.  Detection quality is summarized by the rank AUC of the llr
 scores and a plug-in estimate of the total-variation distance (the best
 achievable advantage of any threshold test on the llr).
 ``summarize_detection`` is the one public summary: it checks for at least 2
-scores per hypothesis, none of them NaN, and the private statistics it is
-built from check nothing.
+scores per hypothesis, none of them NaN and no message score -inf, and the
+private statistics it is built from check nothing.
 
 ``willie_llr`` scores one observation or many in one codebook scan, in the
 (observation group x column tile) units of ``laws.reduce_tiles``, and folds
@@ -166,7 +166,10 @@ def summarize_detection(null_scores, alt_scores) -> dict[str, tuple[float, float
       Each is present only when it has more than one score.
 
     Each hypothesis needs at least 2 trials (scores), and a NaN score, which
-    no llr is, raises ``StructuralError``.
+    no llr is, raises ``StructuralError``.  A message score of -inf, which a
+    sent block reads only where its services are too fast for the epochs to
+    resolve (README, "Services far below the epochs"), leaves
+    ``mean_llr_message`` without a value: ``ParameterError``, counting them.
     """
     null = np.asarray(null_scores, dtype=np.float64)
     alt = np.asarray(alt_scores, dtype=np.float64)
@@ -177,6 +180,11 @@ def summarize_detection(null_scores, alt_scores) -> dict[str, tuple[float, float
         )
     if np.isnan(null).any() or np.isnan(alt).any():
         raise StructuralError("detection scores must not be NaN")
+    lost = np.count_nonzero(alt == -np.inf)
+    if lost:
+        raise ParameterError(
+            f"{lost} of {alt.size} message scores are -inf: the services are too fast for the "
+            f"epochs to resolve (README, \"Services far below the epochs\")")
     # keep the means finite and report the -inf null mass separately
     finite_null = null[np.isfinite(null)]
     null_sorted, alt_sorted = np.sort(null), np.sort(alt)

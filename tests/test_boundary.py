@@ -5,12 +5,13 @@ running sums of the gaps that ``departure_epochs`` takes) raise
 ``StructuralError``; counts (an integer >= its least value, never a bool)
 and rates (a finite number > 0 whose reciprocal is finite, never a bool)
 raise ``ParameterError``; codeword indices (an integer in range, never a
-bool) raise ``StructuralError``.  A codebook, a service law, a region and a
-config refuse a malformed field when they are built, with the category of
-their module: ``ParameterError`` for the library's objects, ``ConfigError``
-for a config.  A codebook also refuses epochs that are not a float64
-(n, total) array (``StructuralError``) and a size past the cap
-(``ResourceLimitError``).
+bool) raise ``StructuralError``; an arrival rate at or above a service rate
+raises ``InstabilityError`` at every entry that needs a stable queue.  A
+codebook, a service law, a region and a config refuse a malformed field when
+they are built, with the category of their module: ``ParameterError`` for
+the library's objects, ``ConfigError`` for a config.  A codebook also
+refuses epochs that are not a float64 (n, total) array (``StructuralError``)
+and a size past the cap (``ResourceLimitError``).
 """
 
 import math
@@ -22,11 +23,12 @@ import pytest
 
 from covertq.codec import (decode, encode, generate_codebook,
                            mm1_log_output_ratio_bound, random_coding_error_bounds)
-from covertq.errors import ConfigError, ParameterError, ResourceLimitError, StructuralError
-from covertq.harness import ExperimentConfig
+from covertq.errors import (ConfigError, InstabilityError, ParameterError, ResourceLimitError,
+                            StructuralError)
+from covertq.harness import ExperimentConfig, service_from_dict
 from covertq.laws import info_density_sample, poisson_log_density, sample_info_densities
 from covertq.queueing import ServiceModel, poisson_arrivals, simulate_channel
-from covertq.rates import RatePoint, RegionSpec
+from covertq.rates import RatePoint, RegionSpec, covert_capacity, min_key_rate
 from covertq.warden import run_detection_trials, willie_llr
 
 EXP = ServiceModel.exponential(2.0)
@@ -236,3 +238,41 @@ def test_bad_config_is_a_config_error(payload):
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(payload)
 
+
+
+@pytest.mark.parametrize("payload", [
+    *({"kind": "exponential", "rate": rate}
+      for rate in ("2.0", None, True, math.nan, math.inf, [2.0], {"rate": 2.0})),
+    *({"kind": "erlang", "rate": 2.0, "shape": shape}
+      for shape in (2.0, True, "2", 10**400, {"shape": 2})),
+    {"kind": "erlang", "rate": 2.0},
+    *({"kind": "uniform", "rate": 2.0, "halfwidth": width}
+      for width in ("0.1", None, [0.1], {"halfwidth": 0.1})),
+    {"kind": "exponential", "rate": 2.0, "shape": 2},
+    {"kind": "exponential", "rate": 2.0, "halfwidth": 0.1},
+    {"kind": "uniform", "rate": 2.0, "shape": 2, "halfwidth": 0.1},
+    {"kind": "erlang", "rate": 2.0, "shape": 2, "halfwidth": 0.1},
+], ids=lambda payload: repr(payload)[:64])
+def test_a_bad_service_law_payload_is_a_config_error(payload):
+    # the law's own rules refuse every field of the wrong type or value
+    with pytest.raises(ConfigError):
+        service_from_dict(payload)
+
+
+MU = 0.7
+STABILITY_ENTRIES = {
+    "ExperimentConfig mu1": lambda lam: ExperimentConfig("region_table", lam, MU, 2 * MU),
+    "ExperimentConfig mu2": lambda lam: ExperimentConfig("region_table", lam, 2 * MU, MU),
+    "min_key_rate mu1": lambda lam: min_key_rate(lam, RegionSpec(MU, 2 * MU)),
+    "min_key_rate mu2": lambda lam: min_key_rate(lam, RegionSpec(2 * MU, MU)),
+    "covert_capacity": lambda lam: covert_capacity(lam, MU),
+    "mm1_log_output_ratio_bound": lambda lam: mm1_log_output_ratio_bound(lam, MU),
+}
+
+
+@pytest.mark.parametrize("entry", STABILITY_ENTRIES)
+def test_an_unstable_queue_is_an_instability_error(entry):
+    STABILITY_ENTRIES[entry](float(np.nextafter(MU, 0.0)))  # the last stable rate
+    for lam in (MU, float(np.nextafter(MU, math.inf)), 2 * MU):
+        with pytest.raises(InstabilityError, match="no stationary regime"):
+            STABILITY_ENTRIES[entry](lam)

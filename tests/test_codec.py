@@ -17,7 +17,8 @@ from covertq.codec import (
     random_coding_error_bounds,
     save_codebook_spec,
 )
-from covertq.errors import OutputError, ParameterError, ResourceLimitError, StructuralError
+from covertq.errors import (InstabilityError, OutputError, ParameterError, ResourceLimitError,
+                            StructuralError)
 from covertq.laws import sample_info_densities
 from covertq.queueing import BLOCK_CELLS, ServiceModel, simulate_channel
 
@@ -465,5 +466,5 @@ class TestErrorBounds:
             random_coding_error_bounds(np.empty(0), 10, 4, 0.5)
         with pytest.raises(ParameterError):
             random_coding_error_bounds(np.ones(5), 10, -1, 0.5)
-        with pytest.raises(ParameterError):
+        with pytest.raises(InstabilityError):
             mm1_log_output_ratio_bound(1.0, 1.0)

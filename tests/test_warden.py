@@ -229,6 +229,23 @@ class TestDetectionExperiment:
         with pytest.raises(StructuralError, match="NaN"):
             summarize_detection(null, alt)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_minus_inf_message_score_is_a_parameter_error(self):
+        # a sent block's llr has no mean to report once it reads -inf
+        with pytest.raises(ParameterError, match="1 of 3 message scores are -inf"):
+            summarize_detection([0.1, 0.2, 0.3], [-math.inf, 1.0, 2.0])
+
+    def test_a_sweep_whose_sent_blocks_score_minus_inf_names_them(self):
+        # a uniform law 4e-14 wide, under an ulp of epochs near 400 s
+        # (5.7e-14): every sent block leaves its support once its services
+        # are formed from epochs
+        config = ExperimentConfig(
+            experiment="detection_sweep", arrival_rate=LAM, mu1=1.0, mu2=1e13,
+            willie_service=ServiceModel.uniform(1e13, 2e-14), n_list=(200,),
+            width_list=((4, 2, 2),), trials=40)
+        with pytest.raises(ParameterError, match="40 of 40 message scores are -inf"):
+            run(config)
+
     def test_the_null_rate_travels_with_a_saved_book(self, tmp_path):
         # the warden reads lam from the book it scores: a book regenerated
         # from its snapshot scores the bits of the book drawn
