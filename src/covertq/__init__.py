@@ -13,10 +13,8 @@ from .codec import (
     decode,
     encode,
     generate_codebook,
-    load_codebook,
     mm1_log_output_ratio_bound,
     random_coding_error_bounds,
-    save_codebook_spec,
 )
 from .errors import (
     ConfigError,

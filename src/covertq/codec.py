@@ -32,19 +32,13 @@ information-spectrum bounds on the random-codebook ML error
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    OutputError,
-    ParameterError,
-    ResourceLimitError,
-    StructuralError,
-)
+from .errors import ParameterError, ResourceLimitError, StructuralError
 from .laws import reduce_tiles
 from .queueing import (BLOCK_CELLS, ServiceModel, _as_epochs, _check_count, _check_rate,
                        _check_stable, _exponential_gaps, _is_number, _running_sum)
@@ -53,8 +47,6 @@ __all__ = [
     "CODEBOOK_CAP_BITS",
     "Codebook",
     "generate_codebook",
-    "save_codebook_spec",
-    "load_codebook",
     "Transmission",
     "encode",
     "DecodeResult",
@@ -67,8 +59,6 @@ __all__ = [
 CODEBOOK_CAP_BITS = 20  # log2 of the most codewords a book may have
 _MAX_CELLS_BITS = 28  # log2 of n x codewords: a float64 book of at most 2 GB
 
-_FORMAT_TAG = "covertq-codebook"
-_FORMAT_VERSION = 2  # version 1 drew its gaps in another order
 _BOOK_FIELDS = ("n", "bits_message", "bits_dummy", "bits_key", "arrival_rate", "seed")
 
 
@@ -204,38 +194,6 @@ def generate_codebook(
     return Codebook(n, bits_message, bits_dummy, bits_key, arrival_rate, seed, epochs)
 
 
-def save_codebook_spec(book: Codebook, path: str):
-    """Persist the generating snapshot (never the codewords themselves)."""
-    payload = {"format": _FORMAT_TAG, "version": _FORMAT_VERSION,
-               **{name: getattr(book, name) for name in _BOOK_FIELDS}}
-    try:
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise OutputError(f"cannot write codebook snapshot to {path}: {exc}") from exc
-
-
-def load_codebook(path: str) -> Codebook:
-    """Regenerate a codebook from its persisted snapshot."""
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise StructuralError(f"cannot read codebook snapshot {path}: {exc}") from exc
-    except ValueError as exc:  # not JSON, or not text
-        raise StructuralError(f"{path} is not a codebook snapshot: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != _FORMAT_TAG:
-        raise StructuralError(f"{path} is not a codebook snapshot")
-    version = payload.get("version")
-    if version != _FORMAT_VERSION or isinstance(version, bool):
-        raise StructuralError(f"unsupported codebook snapshot version {version!r}")
-    try:
-        return generate_codebook(*(payload.get(name) for name in _BOOK_FIELDS))
-    except ParameterError as exc:
-        raise StructuralError(f"codebook snapshot {path}: {exc}") from exc
-
-
 @dataclass(frozen=True)
 class Transmission:
     """One encoded block: chosen indices and the codeword's arrival epochs."""
@@ -357,9 +315,6 @@ class DecodingErrorBounds:
 
     upper: float
     lower: float
-    message_bits: int
-    n: int
-    trials: int
 
 
 def random_coding_error_bounds(
@@ -412,10 +367,4 @@ def random_coding_error_bounds(
     slack = np.exp(np.minimum(i_tot - log_m, 0.0))
     lower = float(max(0.0, np.max((np.arange(trials) + 1.0) / trials - slack)))
 
-    return DecodingErrorBounds(
-        upper=upper,
-        lower=lower,
-        message_bits=message_bits,
-        n=n,
-        trials=trials,
-    )
+    return DecodingErrorBounds(upper, lower)

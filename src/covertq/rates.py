@@ -170,8 +170,9 @@ def kl_to_exponential(model: ServiceModel, rate: float) -> float:
 def in_region(point: RatePoint, spec: RegionSpec) -> bool:
     """Membership in the achievable (R, R_K) region."""
     lam = point.arrival_rate
-    # no positive capacity without a stable receiver queue
-    if point.message_rate < 0.0 or lam >= spec.mu1:
+    # no positive capacity without a stable receiver queue, and no
+    # stationary output to hide in without a stable warden queue
+    if point.message_rate < 0.0 or lam >= min(spec.mu1, spec.mu2):
         return False
     if point.message_rate >= covert_capacity(lam, spec.mu1):
         return False
@@ -210,7 +211,8 @@ def choose_dummy_rate(point: RatePoint, spec: RegionSpec) -> float:
 
 
 def no_key_needed(spec: RegionSpec) -> bool:
-    """True when every message rate below capacity is achievable with zero key rate.
+    """True when every message rate below capacity is achievable with zero key
+    rate, at every arrival rate below min(mu1, mu2).
 
     The test is ln(mu1/mu2) > D(P_W || Exp(mu2)), the key threshold's sign; it
     does not depend on the arrival rate or the message rate.  Its margin is

@@ -1,5 +1,4 @@
 import hashlib
-import json
 import math
 import tracemalloc
 
@@ -12,13 +11,10 @@ from covertq.codec import (
     decode,
     encode,
     generate_codebook,
-    load_codebook,
     mm1_log_output_ratio_bound,
     random_coding_error_bounds,
-    save_codebook_spec,
 )
-from covertq.errors import (InstabilityError, OutputError, ParameterError, ResourceLimitError,
-                            StructuralError)
+from covertq.errors import InstabilityError, ParameterError, ResourceLimitError, StructuralError
 from covertq.laws import sample_info_densities
 from covertq.queueing import BLOCK_CELLS, ServiceModel, simulate_channel
 
@@ -102,14 +98,24 @@ class TestGenerate:
             generate_codebook(n, *widths, arrival_rate=1.0, seed=0)
 
     @pytest.mark.parametrize("n, widths", [(4, (2, 0, 1)), (BLOCK_CELLS // 2, (0, 0, 2))])
-    def test_numpy_integer_sizes_are_accepted(self, tmp_path, n, widths):
-        # stored as Python ints: the snapshot needs them
+    def test_numpy_integer_sizes_are_accepted(self, n, widths):
+        # stored as Python ints
         book = generate_codebook(np.int64(n), *np.array(widths), arrival_rate=1.0, seed=0)
         want = generate_codebook(n, *widths, arrival_rate=1.0, seed=0)
         sizes = (book.n, book.bits_message, book.bits_dummy, book.bits_key)
         assert sizes == (n, *widths) and all(type(v) is int for v in sizes)
         assert np.array_equal(book.arrival_epochs, want.arrival_epochs)
-        save_codebook_spec(book, str(tmp_path / "book.json"))
+
+    @pytest.mark.parametrize("rate", [np.float32(0.5), np.int64(1)], ids=repr)
+    def test_a_book_drawn_at_a_numpy_rate_is_rebuilt_from_its_fields(self, rate):
+        # the book holds its rate as a Python float and its seed as an int, and
+        # its six recipe fields redraw its bytes
+        book = generate_codebook(4, 2, 1, 1, arrival_rate=rate, seed=np.int64(21))
+        assert type(book.arrival_rate) is float and type(book.seed) is int
+        clone = generate_codebook(*(getattr(book, f) for f in codec._BOOK_FIELDS))
+        want = generate_codebook(4, 2, 1, 1, arrival_rate=float(rate), seed=21)
+        assert clone.arrival_epochs.tobytes() == book.arrival_epochs.tobytes() == \
+            want.arrival_epochs.tobytes()
 
     def test_column_layout_is_key_major(self):
         book = small_book(widths=(2, 1, 3))
@@ -147,7 +153,7 @@ class TestChunkedGenerator:
         (BLOCK_CELLS + 3, (0, 0, 1), "5f446bffb12f63ba"),
     ])
     def test_books_of_one_key_or_one_pair_keep_their_epochs(self, n, widths, digest):
-        # the snapshot version-1 order drew codewords pair-major: (w * dummies
+        # the version-1 draw order took codewords pair-major: (w * dummies
         # + wt) * keys + k.  With one key, or one pair per key, that is the
         # column order, so these books kept their bytes (sha256 prefixes)
         book = generate_codebook(n, *widths, arrival_rate=0.5, seed=23)
@@ -162,106 +168,6 @@ class TestChunkedGenerator:
             tracemalloc.stop()
         assert peak < 1.25 * book.arrival_epochs.nbytes
 
-
-class TestPersistence:
-    def test_snapshot_round_trip(self, tmp_path):
-        book = small_book(seed=21)
-        path = tmp_path / "book.json"
-        save_codebook_spec(book, str(path))
-        clone = load_codebook(str(path))
-        assert np.array_equal(book.arrival_epochs, clone.arrival_epochs)
-        assert (clone.n, clone.bits_message, clone.bits_dummy, clone.bits_key) == (16, 3, 2, 2)
-
-    def test_snapshot_stores_only_the_recipe(self, tmp_path):
-        book = small_book(seed=21)
-        path = tmp_path / "book.json"
-        save_codebook_spec(book, str(path))
-        payload = json.loads(path.read_text())
-        assert set(payload) == {
-            "format", "version", "n", "bits_message", "bits_dummy", "bits_key",
-            "arrival_rate", "seed",
-        }
-        assert path.stat().st_size < 300  # no codeword payload
-
-    @pytest.mark.parametrize("rate", [np.float32(0.5), np.int64(1)], ids=repr)
-    def test_a_book_drawn_at_a_numpy_rate_round_trips(self, tmp_path, rate):
-        # the book holds its rate as a Python float, which the snapshot can write
-        book = generate_codebook(4, 2, 1, 1, arrival_rate=rate, seed=np.int64(21))
-        assert type(book.arrival_rate) is float and type(book.seed) is int
-        path = tmp_path / "book.json"
-        save_codebook_spec(book, str(path))
-        clone = load_codebook(str(path))
-        assert clone.arrival_rate == float(rate)
-        want = generate_codebook(4, 2, 1, 1, arrival_rate=float(rate), seed=21)
-        assert clone.arrival_epochs.tobytes() == book.arrival_epochs.tobytes() == \
-            want.arrival_epochs.tobytes()
-
-    def test_rejects_foreign_files(self, tmp_path):
-        path = tmp_path / "x.json"
-        path.write_text('{"hello": 1}')
-        with pytest.raises(StructuralError):
-            load_codebook(str(path))
-
-
-    @pytest.mark.parametrize("change", [
-        {"n": None},            # missing
-        {"n": "4"},
-        {"n": True},
-        {"n": 4.0},
-        {"bits_key": [2]},
-        {"seed": -1},
-        {"seed": 1.5},
-        {"arrival_rate": True},
-        {"arrival_rate": "0.5"},
-        {"arrival_rate": None},
-        {"version": True},
-        {"version": 1},
-        {"format": None},
-        {"arrival_rate": math.nan},  # json.load reads NaN and Infinity
-        {"arrival_rate": math.inf},
-    ])
-    def test_bad_fields_are_structural_errors(self, tmp_path, change):
-        path = tmp_path / "book.json"
-        save_codebook_spec(small_book(seed=21), str(path))
-        payload = json.loads(path.read_text())
-        for name, value in change.items():
-            if value is None:
-                del payload[name]
-            else:
-                payload[name] = value
-        path.write_text(json.dumps(payload))
-        with pytest.raises(StructuralError):
-            load_codebook(str(path))
-
-    def test_version_1_snapshot_is_refused(self, tmp_path):
-        # version 1 drew its gaps in another order: the same recipe would
-        # regenerate another book
-        path = tmp_path / "book.json"
-        save_codebook_spec(small_book(seed=21), str(path))
-        payload = json.loads(path.read_text())
-        assert payload["version"] == 2
-        path.write_text(json.dumps(dict(payload, version=1)))
-        with pytest.raises(StructuralError, match="version 1"):
-            load_codebook(str(path))
-
-    @pytest.mark.parametrize("content", ["", "{", "[1, 2]", "null", b"\xff\xfe"])
-    def test_unparsable_snapshots_are_structural_errors(self, tmp_path, content):
-        path = tmp_path / "book.json"
-        if isinstance(content, bytes):
-            path.write_bytes(content)
-        else:
-            path.write_text(content)
-        with pytest.raises(StructuralError):
-            load_codebook(str(path))
-
-    @pytest.mark.parametrize("name", ["missing.json", "."])
-    def test_unreadable_snapshot_is_a_structural_error(self, tmp_path, name):
-        with pytest.raises(StructuralError):
-            load_codebook(str(tmp_path / name))
-
-    def test_unwritable_snapshot_is_an_output_error(self, tmp_path):
-        with pytest.raises(OutputError):
-            save_codebook_spec(small_book(), str(tmp_path / "no" / "book.json"))
 
 class TestEncode:
     def test_indices_recorded_and_codeword_matches(self):

@@ -226,6 +226,20 @@ class TestInRegion:
             assert in_region(RatePoint(0.5, float(r), theta + 1e-9), spec)
             assert not in_region(RatePoint(0.5, float(r), theta - 1e-9), spec)
 
+    def test_an_unstable_warden_queue_is_outside(self):
+        # mu2 < mu1: the receiver's queue is stable up to mu1, the warden's
+        # only below mu2, where min_key_rate has a value
+        spec = mm1_spec(mu1=1.0, mu2=0.5)
+        below = RatePoint(float(np.nextafter(0.5, 0.0)), 0.01, 1.0)
+        assert in_region(below, spec) and choose_dummy_rate(below, spec) >= 0.0
+        for lam in (0.5, float(np.nextafter(0.5, 1.0)), 0.8):
+            point = RatePoint(lam, 0.01, 1.0)
+            assert not in_region(point, spec)
+            with pytest.raises(InfeasibleRateError):
+                choose_dummy_rate(point, spec)
+            with pytest.raises(InstabilityError):
+                min_key_rate(lam, spec)
+
     def test_mg1_spec_validation(self):
         with pytest.raises(ParameterError):
             RegionSpec(mu1=1.0, mu2=2.0, willie_service=ServiceModel.exponential(1.0))  # rate != mu2
@@ -310,7 +324,9 @@ def test_in_region_exactly_where_a_dummy_rate_exists(lam, mu1, mu2, law, r_frac,
     resolvability = lam * (math.log(mu2 / lam) + divergence)
     r = r_frac * cap if cap > 0.0 else r_frac
     point = RatePoint(lam, r, key_rate)
-    exists = 0.0 <= r < cap and max(0.0, resolvability - r - key_rate) <= cap - r
+    # an unstable warden queue (lam >= mu2) has no region, whatever the rates
+    exists = (lam < mu2 and 0.0 <= r < cap
+              and max(0.0, resolvability - r - key_rate) <= cap - r)
     try:
         r0 = choose_dummy_rate(point, spec)
     except InfeasibleRateError:
@@ -353,7 +369,10 @@ class TestNoKeyNeeded:
                         capacity = covert_capacity(lam, mu1)
                         every = all(in_region(RatePoint(lam, capacity * j / 20, 0.0), spec)
                                     for j in range(20))
-                        assert no_key_needed(spec) == (every and not tie), (mu1, mu2, law, lam)
+                        if lam >= mu2:  # the warden's queue is unstable: no rate is in
+                            assert not every, (mu1, mu2, law, lam)
+                        else:
+                            assert no_key_needed(spec) == (every and not tie), (mu1, mu2, law, lam)
 
     def test_rate_ratios_beyond_the_float_range(self):
         # 1e300 / 1e-300 overflows and its inverse underflows to 0; the log

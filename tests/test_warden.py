@@ -6,7 +6,7 @@ import pytest
 
 import covertq
 from covertq import warden
-from covertq.codec import generate_codebook, load_codebook, save_codebook_spec
+from covertq.codec import _BOOK_FIELDS, generate_codebook
 from covertq.errors import ParameterError, StructuralError
 from covertq.harness import ExperimentConfig, run
 from covertq.laws import info_density_sample, poisson_log_density
@@ -246,21 +246,19 @@ class TestDetectionExperiment:
         with pytest.raises(ParameterError, match="40 of 40 message scores are -inf"):
             run(config)
 
-    def test_the_null_rate_travels_with_a_saved_book(self, tmp_path):
-        # the warden reads lam from the book it scores: a book regenerated
-        # from its snapshot scores the bits of the book drawn
+    def test_the_null_rate_travels_with_a_rebuilt_book(self):
+        # the warden reads lam from the book it scores: a book rebuilt from its
+        # six recipe fields scores the bits of the book drawn
         book = generate_codebook(6, 2, 1, 1, arrival_rate=0.3, seed=66)
-        path = str(tmp_path / "book.json")
-        save_codebook_spec(book, path)
-        clone = load_codebook(path)
+        clone = generate_codebook(*(getattr(book, f) for f in _BOOK_FIELDS))
         rng = np.random.default_rng(67)
         observations = simulate_channel(
             np.cumsum(rng.exponential(1 / 0.3, size=(6, 30)), axis=0), WILLIE, rng)
         assert (willie_llr(clone, observations, WILLIE).tobytes()
                 == willie_llr(book, observations, WILLIE).tobytes())
-        drawn, loaded = (run_detection_trials(b, WILLIE, 30, np.random.default_rng(68))
-                         for b in (book, clone))
-        assert [x.tobytes() for x in drawn] == [x.tobytes() for x in loaded]
+        drawn, rebuilt = (run_detection_trials(b, WILLIE, 30, np.random.default_rng(68))
+                          for b in (book, clone))
+        assert [x.tobytes() for x in drawn] == [x.tobytes() for x in rebuilt]
 
     def test_summarize_is_the_one_public_summary(self):
         # the statistics it is built from check nothing: an empty side gives NaN
