@@ -89,7 +89,8 @@ COUNT_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("count", [2.5, True, np.bool_(True), -1], ids=repr)
+# "4" is a count written as text, as a hand-edited config or file would give it
+@pytest.mark.parametrize("count", [2.5, True, np.bool_(True), -1, "4"], ids=repr)
 @pytest.mark.parametrize("entry", COUNT_ENTRIES)
 def test_bad_count_is_a_parameter_error(entry, count):
     with pytest.raises(ParameterError):
@@ -108,8 +109,8 @@ RATE_ENTRIES = {
 
 
 # 5e-324 is subnormal: its reciprocal, the mean gap, overflows to inf
-@pytest.mark.parametrize("rate", [True, math.nan, 0.0, -1.0, 5e-324, np.float64(1e-309)],
-                         ids=repr)
+@pytest.mark.parametrize("rate", [True, math.nan, math.inf, 0.0, -1.0, 5e-324,
+                                  np.float64(1e-309), "0.5"], ids=repr)
 @pytest.mark.parametrize("entry", RATE_ENTRIES)
 def test_bad_rate_is_a_parameter_error(entry, rate):
     with warnings.catch_warnings():
