@@ -256,7 +256,7 @@ def decode(
     together over its key block, in trial order, so each column's values are
     bit for bit the ones the 1-d call gives for that column alone.
     """
-    d = _as_epochs(departures, "departure epochs", ndims=(1, 2))
+    d = _as_epochs(departures, "departure epochs")
     keys = np.asarray(keys)
     if d.shape[0] != book.n or keys.shape != d.shape[1:]:
         raise StructuralError(f"need (n={book.n},) departure epochs with one key or "

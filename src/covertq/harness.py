@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -28,7 +27,7 @@ import numpy as np
 from . import codec, laws, rates, warden
 from .errors import ConfigError, OutputError, ParameterError, ResourceLimitError, StructuralError
 from .queueing import (ServiceKind, ServiceModel, _check_count, _check_rate, _check_stable,
-                       _is_number, _queue, trial_blocks)
+                       _queue, trial_blocks)
 
 __all__ = [
     "EXPERIMENTS",
@@ -72,13 +71,6 @@ def service_from_dict(payload: dict) -> ServiceModel:
         raise ConfigError(f"bad service law spec {payload!r}: {exc}") from None
 
 
-def _int_list(name: str, value) -> tuple[int, ...]:
-    if not (isinstance(value, (list, tuple))
-            and all(_is_number(v, numbers.Integral) for v in value)):
-        raise ConfigError(f"{name} must be a list of integers, got {value!r}")
-    return tuple(int(v) for v in value)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment run: channel rates, sweep lists, trial budget, seed."""
@@ -107,23 +99,24 @@ class ExperimentConfig:
             spec = rates.RegionSpec(self.mu1, self.mu2, self.willie_service)
             for name, least in (("trials", 1), ("master_seed", 0), ("workers", 1)):
                 _check_count(name, getattr(self, name), least)
+            if self.experiment == "detection_sweep" and self.trials < 2:
+                raise ConfigError(f"detection_sweep needs trials >= 2, one score per hypothesis "
+                                  f"has no spread; got {self.trials}")
+            _check_stable(self.arrival_rate, min(self.mu1, self.mu2))
+            for name in ("n_list", "width_list"):
+                if not isinstance(getattr(self, name), (list, tuple)):
+                    raise ConfigError(f"{name} must be a list, got {getattr(self, name)!r}")
+            if not all(isinstance(w, (list, tuple)) and len(w) == 3 for w in self.width_list):
+                raise ConfigError(f"width_list entries must be lists of 3 ints, "
+                                  f"got {self.width_list!r}")
+            n_list = tuple(_check_count("n_list entry", n, 1) for n in self.n_list)
+            width_list = tuple(tuple(_check_count("width_list entry", b, 0) for b in w)
+                               for w in self.width_list)
         except ParameterError as exc:
             raise ConfigError(str(exc)) from None
         object.__setattr__(self, "willie_service", spec.willie_service)
-        if self.experiment == "detection_sweep" and self.trials < 2:
-            raise ConfigError(f"detection_sweep needs trials >= 2, one score per hypothesis "
-                              f"has no spread; got {self.trials}")
-        _check_stable(self.arrival_rate, min(self.mu1, self.mu2))
-        if not isinstance(self.width_list, (list, tuple)):
-            raise ConfigError(f"width_list must be a list, got {self.width_list!r}")
-        object.__setattr__(self, "n_list", _int_list("n_list", self.n_list))
-        object.__setattr__(
-            self, "width_list", tuple(_int_list("width_list entry", w) for w in self.width_list)
-        )
-        if any(n < 1 for n in self.n_list):
-            raise ConfigError(f"n_list entries must be >= 1, got {self.n_list}")
-        if any(len(w) != 3 or any(b < 0 for b in w) for w in self.width_list):
-            raise ConfigError(f"width_list entries must be 3 non-negative ints, got {self.width_list}")
+        object.__setattr__(self, "n_list", n_list)
+        object.__setattr__(self, "width_list", width_list)
         if self.experiment in ("info_density", "decode_sweep", "detection_sweep") and not self.n_list:
             raise ConfigError(f"{self.experiment} needs a non-empty n_list")
         if self.experiment in ("decode_sweep", "detection_sweep") and not self.width_list:

@@ -286,7 +286,7 @@ def poisson_log_density(epochs, rate: float):
     A float for (n,) epochs, a (T,) array for packet-major (n, T) epochs.
     """
     _check_rate("rate", rate)
-    d = _as_epochs(epochs, "epochs", ndims=(1, 2))
+    d = _as_epochs(epochs, "epochs")
     return _poisson_log_density(d.shape[0], d[-1], rate)
 
 
@@ -315,8 +315,8 @@ def info_density_sample(arrivals, departures, model: ServiceModel, reference_rat
     ``sample_info_densities`` scores the services it drew and never does
     this.
     """
-    t = _as_epochs(arrivals, "arrival epochs", ndims=(1, 2))
-    d = _as_epochs(departures, "departure epochs", ndims=(1, 2))
+    t = _as_epochs(arrivals, "arrival epochs")
+    d = _as_epochs(departures, "departure epochs")
     if t.shape != d.shape:
         raise StructuralError(f"need (n,) or (n, T) epochs of one shape, "
                               f"got {t.shape} and {d.shape}")

@@ -144,11 +144,10 @@ def _check_stable(arrival_rate: float, service_rate: float):
                                f"the queue has no stationary regime")
 
 
-def _as_times(values, what: str, ndims=(1,)) -> np.ndarray:
+def _as_times(values, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim not in ndims:
-        dims = " or ".join(f"{d}-d" for d in ndims)
-        raise StructuralError(f"{what} must be {dims}, got shape {arr.shape}")
+    if arr.ndim not in (1, 2):  # (n,) or (n, T)
+        raise StructuralError(f"{what} must be 1-d or 2-d, got shape {arr.shape}")
     if arr.size == 0:
         raise StructuralError(f"{what} must contain at least one element")
     if not np.all(np.isfinite(arr)):
@@ -158,10 +157,10 @@ def _as_times(values, what: str, ndims=(1,)) -> np.ndarray:
     return arr
 
 
-def _as_epochs(values, what: str, ndims=(1,)) -> np.ndarray:
+def _as_epochs(values, what: str) -> np.ndarray:
     """``_as_times``, and non-decreasing down axis 0: the running sums of gaps
     that ``_as_times`` passes."""
-    arr = _as_times(values, what, ndims)
+    arr = _as_times(values, what)
     if np.any(arr[1:] < arr[:-1]):
         raise StructuralError(f"{what} must be non-decreasing")
     return arr
@@ -409,8 +408,8 @@ def departure_epochs(arrival_gaps, service_times):
     semantics, and a column of a 2-d call equals the 1-d call on that column.
     Epochs that overflow the float range are refused.
     """
-    a = _as_times(arrival_gaps, "arrival gaps", ndims=(1, 2))
-    s = _as_times(service_times, "service times", ndims=(1, 2))
+    a = _as_times(arrival_gaps, "arrival gaps")
+    s = _as_times(service_times, "service times")
     if a.shape != s.shape:
         raise StructuralError(f"shape mismatch: {a.shape} arrivals vs {s.shape} services")
     with np.errstate(over="ignore"):  # an overflow is refused by _departures
@@ -438,4 +437,4 @@ def simulate_channel(arrivals, model: ServiceModel, rng: np.random.Generator) ->
     service times are drawn in one call, in C order.  Column j of a 2-d call
     equals the 1-d call on column j given the same service times.
     """
-    return _queue(_as_epochs(arrivals, "arrival epochs", ndims=(1, 2)), model, rng)
+    return _queue(_as_epochs(arrivals, "arrival epochs"), model, rng)

@@ -43,6 +43,8 @@ __all__ = [
     "log_ratio",
 ]
 
+_EULER_GAMMA = 0.5772156649015329
+
 
 def log_ratio(a: float, b: float) -> float:
     """ln(a/b) of two positive finite floats, also where a/b leaves the float range."""
@@ -111,11 +113,6 @@ def min_key_rate(arrival_rate: float, spec: RegionSpec) -> float:
     sufficient, not shown to be the least (module docstring)."""
     _check_rate("arrival_rate", arrival_rate)
     _check_stable(arrival_rate, min(spec.mu1, spec.mu2))
-    return _key_threshold(arrival_rate, spec)
-
-
-def _key_threshold(arrival_rate: float, spec: RegionSpec) -> float:
-    """The key threshold of ``min_key_rate``, without its stability check."""
     return max(0.0, arrival_rate * (log_ratio(spec.mu2, spec.mu1) + spec.willie_divergence()))
 
 
@@ -136,8 +133,9 @@ def _erlang_shape_term(k: int) -> float:
 def kl_to_exponential(model: ServiceModel, rate: float) -> float:
     """KL divergence D(model || Exp(rate)) in nats.
 
-    Closed forms for the exponential, Erlang and uniform laws (a Stirling
-    series for Erlang shapes from 100 on).
+    Closed forms for the exponential, Erlang and uniform laws.  At an Erlang
+    shape k below 100 the digamma psi(k) is a harmonic number, H_{k-1} minus
+    Euler's constant; from 100 on the shape's terms are a Stirling series.
     """
     _check_rate("rate", rate)
     if model.kind is ServiceKind.EXPONENTIAL:
@@ -150,13 +148,12 @@ def kl_to_exponential(model: ServiceModel, rate: float) -> float:
         a = model.rate
         if k >= 100:
             return _erlang_shape_term(k) + log_ratio(a, rate) + rate / a
-        from scipy.special import digamma  # scipy costs most of a cold import
-
+        digamma = math.fsum(1.0 / j for j in range(1, k)) - _EULER_GAMMA
         theta = k * a
         return (
             math.log(theta)
             - math.lgamma(k)
-            + (k - 1) * float(digamma(float(k)))
+            + (k - 1) * digamma
             - k
             - math.log(rate)
             + rate / a
@@ -176,7 +173,7 @@ def in_region(point: RatePoint, spec: RegionSpec) -> bool:
         return False
     if point.message_rate >= covert_capacity(lam, spec.mu1):
         return False
-    threshold = _key_threshold(lam, spec)
+    threshold = min_key_rate(lam, spec)
     return threshold == 0.0 or point.key_rate > threshold
 
 

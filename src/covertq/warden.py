@@ -76,7 +76,7 @@ def willie_llr(book: Codebook, observations, model: ServiceModel):
     whatever the grouping and thread count, so its llr's bits depend on
     neither: column j of a 2-d call is the 1-d call on column j.
     """
-    d = _as_epochs(observations, "observations", ndims=(1, 2))
+    d = _as_epochs(observations, "observations")
     if d.shape[0] != book.n:
         raise StructuralError(f"need (n={book.n},) or (n={book.n}, T) observations, "
                               f"got {d.shape}")

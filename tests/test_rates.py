@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from covertq.cli import main as cli_main
 from covertq.errors import InfeasibleRateError, InstabilityError, ParameterError
 from covertq.queueing import ServiceModel
 from covertq.rates import (
@@ -124,6 +126,15 @@ class TestKlToExponential:
                          - k - mpmath.log(r) + r / a)
         got = kl_to_exponential(ServiceModel.erlang(2.0, shape=shape), rate)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)  # abs: D = 0 at k = 1, rate 2
+
+    @pytest.mark.parametrize("rate", [0.7, 3.3])
+    def test_erlang_against_scipy_digamma(self, rate):
+        # the harmonic-number digamma below 100 stages, the Stirling series at
+        # 100 and 101, both against the closed form on scipy's digamma
+        for shape in [*range(1, 100), 100, 101]:
+            got = kl_to_exponential(ServiceModel.erlang(2.0, shape=shape), rate)
+            want = erlang_kl_closed_form(shape, 2.0, rate)
+            assert got == pytest.approx(want, rel=1e-12), shape
 
     def test_erlang_scale_invariance(self):
         for rate in (0.25, 1.0, 7.0):
@@ -385,9 +396,9 @@ class TestNoKeyNeeded:
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy is most of a cold import; only the uniform and Erlang divergences
-    # use it.  numpy.ma (which np.unique imports) and concurrent.futures (which
-    # harness.run imports for its workers) are left unloaded as well
+    # scipy is a test-only dependency, and most of a cold import.  numpy.ma
+    # (which np.unique imports) and concurrent.futures (which harness.run
+    # imports for its workers) are left unloaded as well
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = ("import sys, covertq; print(sorted(m for m in sys.modules if m.split('.')[0] == "
@@ -395,3 +406,34 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # the package needs numpy alone: with scipy unimportable, Erlang-warden
+    # runs (the harmonic-number digamma at shape 3, the Stirling series at
+    # 150) exit 0 and write the bytes of the same runs in this process
+    law = {"kind": "erlang", "rate": 2.0, "shape": 3}
+    base = dict(arrival_rate=0.5, mu1=1.0, mu2=2.0, willie_service=law, trials=20, master_seed=5)
+    configs = [
+        dict(base, experiment="region_table"),
+        dict(base, experiment="region_table", willie_service=dict(law, shape=150)),
+        dict(base, experiment="detection_sweep", n_list=[4], width_list=[[4, 1, 1]]),
+        dict(base, experiment="info_density", n_list=[4, 8]),
+    ]
+    argv = []
+    for i, payload in enumerate(configs):
+        (tmp_path / f"{i}.json").write_text(json.dumps(payload))
+        argv.append([str(tmp_path / f"{i}.json"), str(tmp_path / f"{i}.blocked.csv")])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = ("import json, sys; sys.modules['scipy'] = None; from covertq.cli import main; "
+             "print(json.dumps([main(['--config', c, '--out', o]) for c, o in "
+             "json.loads(sys.argv[1])]))")
+    out = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1]) == [0] * len(configs)
+    for i, (cfg, blocked) in enumerate(argv):
+        here = tmp_path / f"{i}.csv"
+        assert cli_main(["--config", cfg, "--out", str(here)]) == 0
+        assert Path(blocked).read_bytes() == here.read_bytes(), configs[i]
